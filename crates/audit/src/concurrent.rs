@@ -64,7 +64,7 @@ pub struct Executed {
 pub type RunOutcome = Result<Executed, String>;
 
 /// Zero wall-clock time in every block so renders compare only the
-/// deterministic parts (same contract as the parallel-determinism rule).
+/// deterministic parts.
 fn strip_elapsed(plan: &mut QueryPlan) {
     plan.stats.elapsed_micros = 0;
     for sub in &mut plan.subplans {
@@ -180,9 +180,7 @@ fn build_chain() -> Result<(Storage, Catalog), String> {
     Ok((st, cat))
 }
 
-/// Plan and execute one query. Planning always runs single-threaded
-/// *within* the optimizer — the concurrency under test is M independent
-/// sessions, not the intra-query parallel DP (which has its own rule).
+/// Plan and execute one query.
 fn run_case(
     storage: &Storage,
     catalog: &Catalog,
@@ -190,7 +188,7 @@ fn run_case(
     config: OptimizerConfig,
 ) -> RunOutcome {
     let stmt = parse_select(sql).map_err(|e| format!("parse: {e}"))?;
-    let mut plan = Optimizer::with_config(catalog, OptimizerConfig { threads: 1, ..config })
+    let mut plan = Optimizer::with_config(catalog, config)
         .optimize(&stmt)
         .map_err(|e| format!("optimize: {e}"))?;
     strip_elapsed(&mut plan);
@@ -260,11 +258,7 @@ pub fn audit_exec_accounting(config: OptimizerConfig) -> AuditReport {
             (&fig1.0, &fig1.1)
         };
         let Ok(stmt) = parse_select(&case.sql) else { continue };
-        let Ok(plan) =
-            Optimizer::with_config(cat, OptimizerConfig { threads: 1, ..config }).optimize(&stmt)
-        else {
-            continue;
-        };
+        let Ok(plan) = Optimizer::with_config(cat, config).optimize(&stmt) else { continue };
         let mut env = ExecEnv::with_tracer(st, cat);
         let start = st.io_stats();
         let Ok(result) = execute(&env, &plan) else { continue };

@@ -71,7 +71,6 @@ pub mod invariants;
 pub mod lexer;
 pub mod lint;
 pub mod model;
-pub mod parallel;
 pub mod recovery;
 
 use std::fmt;

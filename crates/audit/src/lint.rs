@@ -25,7 +25,7 @@
 //! * **`unsafe-audit`** — every `unsafe` keyword outside tests must have
 //!   a `// SAFETY:` comment on the same line or within the two lines
 //!   above it stating why the contract holds.
-//! * **`latch-discipline`** — in the storage and worker-pool files, no
+//! * **`latch-discipline`** — in the latch-bearing storage files, no
 //!   lock/borrow guard (`.lock()`, `.borrow()`, `.borrow_mut()` bound
 //!   via `let`) may be live across a `PageBackend` I/O call
 //!   (`read_page`/`write_page`/`sync`) on a *different* receiver, or
@@ -787,8 +787,8 @@ fn latch_discipline_rule(ctx: &Ctx, report: &mut AuditReport) {
                         "latch-discipline",
                         ctx.at(t.line),
                         format!(
-                            "`{}` guard `{}` (bound line {}) held across `.{}(`; a worker \
-                             blocked on the same lock deadlocks the pool",
+                            "`{}` guard `{}` (bound line {}) held across `.{}(`; a thread \
+                             blocked on the same lock deadlocks the join",
                             f.name, g.name, g.line, t.text
                         ),
                     ));
@@ -1367,7 +1367,7 @@ mod tests {
     #[test]
     fn latch_guard_across_join_flagged() {
         let bad = "fn run(&self) {\n    let level = self.shared.lock().unwrap();\n    handle.join();\n}\n";
-        assert_eq!(latch("crates/core/src/enumerate.rs", bad), vec!["latch-discipline"]);
+        assert_eq!(latch("crates/rss/src/storage.rs", bad), vec!["latch-discipline"]);
     }
 
     /// The ordering fixtures also use `.lock().unwrap()` — filter to the

@@ -4,7 +4,6 @@
 //! sysr-audit --all               # every engine below (CI mode)
 //! sysr-audit --plans             # plan invariants over the built-in corpus
 //! sysr-audit --diff              # DP-vs-exhaustive oracle + sampled 5-6-way orders
-//! sysr-audit --parallel          # threads>1 search must be bit-identical to threads=1
 //! sysr-audit --concurrent        # 8-thread serving must match single-thread plans + rows
 //! sysr-audit --exec              # traced corpus replay: batched-executor accounting identities
 //! sysr-audit --recovery          # page-checksum + reopen-equivalence rules
@@ -32,7 +31,6 @@ use sysr_core::{Optimizer, OptimizerConfig};
 struct Options {
     plans: bool,
     diff: bool,
-    parallel: bool,
     concurrent: bool,
     exec: bool,
     recovery: bool,
@@ -50,7 +48,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         plans: false,
         diff: false,
-        parallel: false,
         concurrent: false,
         exec: false,
         recovery: false,
@@ -69,7 +66,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--all" => {
                 opts.plans = true;
                 opts.diff = true;
-                opts.parallel = true;
                 opts.concurrent = true;
                 opts.exec = true;
                 opts.recovery = true;
@@ -79,7 +75,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--plans" => opts.plans = true,
             "--diff" => opts.diff = true,
-            "--parallel" => opts.parallel = true,
             "--concurrent" => opts.concurrent = true,
             "--exec" => opts.exec = true,
             "--recovery" => opts.recovery = true,
@@ -124,7 +119,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if !(opts.plans
         || opts.diff
-        || opts.parallel
         || opts.concurrent
         || opts.exec
         || opts.recovery
@@ -132,8 +126,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         || opts.cost_props
         || opts.model)
     {
-        return Err("pick at least one of --all / --plans / --diff / --parallel / --concurrent / \
-             --exec / --recovery / --lint / --cost-props / --model"
+        return Err("pick at least one of --all / --plans / --diff / --concurrent / --exec / \
+             --recovery / --lint / --cost-props / --model"
             .into());
     }
     Ok(opts)
@@ -176,7 +170,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             if msg == "help" {
-                eprintln!("usage: sysr-audit [--all|--plans|--diff|--parallel|--concurrent|--exec|--recovery|--lint|--cost-props|--model] [--mutant NAME] [--explain RULE] [--root DIR] [--seed N] [--random N]");
+                eprintln!("usage: sysr-audit [--all|--plans|--diff|--concurrent|--exec|--recovery|--lint|--cost-props|--model] [--mutant NAME] [--explain RULE] [--root DIR] [--seed N] [--random N]");
                 return ExitCode::SUCCESS;
             }
             eprintln!("sysr-audit: {msg}");
@@ -213,11 +207,6 @@ fn main() -> ExitCode {
         let mut r = differential::audit_differential(&cases, config);
         r.merge(differential::audit_order_samples(opts.seed, config));
         println!("differential: {} checks, {} violations", r.checks, r.violations.len());
-        report.merge(r);
-    }
-    if opts.parallel {
-        let r = sysr_audit::parallel::audit_parallel(&cases, config);
-        println!("parallel: {} checks, {} violations", r.checks, r.violations.len());
         report.merge(r);
     }
     if opts.concurrent {

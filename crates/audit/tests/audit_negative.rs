@@ -287,16 +287,16 @@ fn lint_flags_unsafe_without_safety_comment() {
 #[test]
 fn lint_flags_latch_held_across_io_and_respects_drop() {
     let held = "fn f(b: &RefCell<Mem>, disk: &mut Disk, key: PageKey, buf: &mut Page) {\n    let g = b.borrow_mut();\n    disk.read_page(key, buf);\n}\n";
-    let report = lint::lint_source("crates/rss/src/buffer.rs", held);
+    let report = lint::lint_source("crates/rss/src/sharded.rs", held);
     assert_eq!(rules(&report), vec!["latch-discipline"], "got:\n{}", report.render());
 
     // Dropping the guard before the I/O call satisfies the rule.
     let dropped = "fn f(b: &RefCell<Mem>, disk: &mut Disk, key: PageKey, buf: &mut Page) {\n    let g = b.borrow_mut();\n    drop(g);\n    disk.read_page(key, buf);\n}\n";
-    assert!(lint::lint_source("crates/rss/src/buffer.rs", dropped).ok());
+    assert!(lint::lint_source("crates/rss/src/sharded.rs", dropped).ok());
 
     // And a scoped allow silences a justified exception.
     let allowed = "fn f(b: &RefCell<Mem>, disk: &mut Disk, key: PageKey, buf: &mut Page) {\n    let g = b.borrow_mut();\n    // audit:allow(latch-discipline) — single-threaded recovery path\n    disk.read_page(key, buf);\n}\n";
-    assert!(lint::lint_source("crates/rss/src/buffer.rs", allowed).ok());
+    assert!(lint::lint_source("crates/rss/src/sharded.rs", allowed).ok());
 }
 
 #[test]

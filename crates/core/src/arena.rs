@@ -8,9 +8,9 @@
 //! only materialized back into [`PlanExpr`] form for the plans that
 //! actually leave the search (the winner, trace entries, oracle dumps).
 //!
-//! Two-tier addressing supports the parallel search: each DP level
-//! freezes the main arena and workers push candidates into private
-//! *scratch* tails whose ids start at the frozen length (`base`). Ids
+//! Two-tier addressing keeps pruning cheap: each DP level freezes the
+//! main arena and every work item pushes candidates into its own
+//! *scratch* tail whose ids start at the frozen length (`base`). Ids
 //! below `base` always mean main-arena nodes; ids at or above `base` are
 //! scratch-local. After the level's items are merged, only the surviving
 //! slots' subtrees are copied into the main arena ([`PlanArena::commit`])

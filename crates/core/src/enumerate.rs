@@ -20,12 +20,11 @@
 //! instead of cloned [`PlanExpr`] trees, with order keys interned to
 //! dense ids ([`KeyInterner`]) — candidate
 //! generation is a node push, not a subtree clone, and solution stores
-//! are flat slot arrays. Because every level-*k* subset depends only on
-//! the frozen level-<*k* memo, the per-level batch of (subset, extension)
-//! work items can be solved by a scoped worker pool
-//! ([`OptimizerConfig::threads`]); results are merged deterministically
-//! in work-item order, so plans, costs, and every trace counter are
-//! bit-identical to the sequential `threads = 1` path.
+//! are flat slot arrays. Every level-*k* subset depends only on the
+//! frozen level-<*k* memo: a level's (subset, extension) work items are
+//! solved one after another against that memo and merged in work-item
+//! order, so ties always resolve to the first minimum of the candidate
+//! stream.
 
 use crate::access::{access_paths, AccessCandidate, PlanCtx};
 use crate::arena::{ArenaNode, NodeId, NodeKind, PlanArena, WorkArena};
@@ -41,8 +40,6 @@ use crate::query::{BoundQuery, ColId};
 use crate::OptimizerConfig;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
-use std::sync::{Arc, Mutex};
 use sysr_catalog::Catalog;
 
 /// Per-arena-node byte estimate for the `solution_bytes` reporting
@@ -206,8 +203,8 @@ struct SearchOutcome {
 }
 
 /// One unit of DP work: extend subset `set` by joining relation `t` last.
-/// A level's items are solved independently (each reads only the frozen
-/// lower-level memo) and merged in item order.
+/// A level's items each read only the frozen lower-level memo and are
+/// merged in item order.
 struct WorkItem {
     set: TableSet,
     t: usize,
@@ -222,159 +219,7 @@ struct ItemOut {
     generated: u64,
 }
 
-/// One DP level's frozen state, shared with the pool workers while the
-/// level runs: the work items, the arena nodes and memo built by the
-/// levels below (read-only), a claim counter, and the result sink. The
-/// main thread moves the state in, workers claim items off `next`, and
-/// once every worker signals done the state is moved back out.
-struct LevelShared {
-    items: Vec<WorkItem>,
-    nodes: Vec<ArenaNode>,
-    memo: HashMap<TableSet, SlotStore>,
-    next: AtomicUsize,
-    results: Mutex<Vec<(usize, ItemOut)>>,
-}
-
-/// Pool coordination state: a generation counter workers spin on, the
-/// published level, and done/dead counters. A level's handoff must cost
-/// well under the level's work (tens of microseconds), so workers
-/// busy-wait on `seq` instead of blocking on a channel — a futex wake per
-/// worker per level would dominate the search. The pool only lives for
-/// one `run_search`, so the spinning is bounded by the search itself.
-struct PoolShared {
-    /// Bumped to publish a new level (and once more at shutdown).
-    seq: AtomicUsize,
-    /// Set (before the final `seq` bump) when the pool is dropped.
-    shutdown: AtomicBool,
-    /// Workers that finished the current generation's items.
-    done: AtomicUsize,
-    /// Workers that died unwinding; excused from every later generation.
-    dead: AtomicUsize,
-    /// The current level, present from publish until every live worker
-    /// reports done.
-    level: Mutex<Option<Arc<LevelShared>>>,
-}
-
-/// Bumps `dead` if its worker unwinds, so the main thread never waits on
-/// a done signal that cannot come. The worker's per-level state drops
-/// first (locals unwind before this outer guard), so its
-/// `Arc<LevelShared>` clone is already released by then.
-struct DeathNotice<'a> {
-    dead: &'a AtomicUsize,
-    armed: bool,
-}
-
-impl Drop for DeathNotice<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.dead.fetch_add(1, std::sync::atomic::Ordering::Release);
-        }
-    }
-}
-
-/// One round of a wait spin: cheap pause hints first, then polite yields
-/// so an oversubscribed machine still makes progress.
-fn wait_spin(spins: &mut u32) {
-    *spins += 1;
-    if *spins < 200 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}
-
-/// A per-search pool of scoped worker threads. Each level publishes an
-/// [`Arc<LevelShared>`] and bumps the generation counter; workers wake
-/// off their spin, race the main thread for items, and report done.
-/// Dropping the pool flags shutdown, ending the workers before the scope
-/// joins them.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-    workers: usize,
-}
-
-impl WorkerPool {
-    /// Spawn `n_workers` scoped threads that serve levels until shutdown.
-    /// Each worker keeps one [`AccessCache`] for the whole search (its
-    /// entries are pure functions of the query, so reuse across levels is
-    /// sound) and drops its `Arc` clone *before* reporting done, so the
-    /// main thread can reclaim the level state. Results are batched into
-    /// one sink push per worker per level.
-    fn start<'scope>(
-        e: &'scope Enumerator<'scope>,
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        n_workers: usize,
-    ) -> WorkerPool {
-        use std::sync::atomic::Ordering;
-        use std::sync::PoisonError;
-        let shared = Arc::new(PoolShared {
-            seq: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            done: AtomicUsize::new(0),
-            dead: AtomicUsize::new(0),
-            level: Mutex::new(None),
-        });
-        for _ in 0..n_workers {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || {
-                let mut notice = DeathNotice { dead: &shared.dead, armed: true };
-                let mut cache = AccessCache::new(e.ctx.query.factors.len());
-                let mut last = 0usize;
-                let mut spins = 0u32;
-                loop {
-                    let s = shared.seq.load(Ordering::Acquire);
-                    if s == last {
-                        wait_spin(&mut spins);
-                        continue;
-                    }
-                    spins = 0;
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    last = s;
-                    let level = shared.level.lock().unwrap_or_else(PoisonError::into_inner).clone();
-                    if let Some(level) = level {
-                        let mut local: Vec<(usize, ItemOut)> = Vec::new();
-                        loop {
-                            let i = level.next.fetch_add(1, Ordering::Relaxed);
-                            if i >= level.items.len() {
-                                break;
-                            }
-                            let out = e.solve_item(
-                                &level.items[i],
-                                &level.nodes,
-                                &level.memo,
-                                &mut cache,
-                            );
-                            local.push((i, out));
-                        }
-                        if !local.is_empty() {
-                            level
-                                .results
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .extend(local);
-                        }
-                        drop(level);
-                    }
-                    shared.done.fetch_add(1, Ordering::Release);
-                }
-                notice.armed = false;
-            });
-        }
-        WorkerPool { shared, workers: n_workers }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        use std::sync::atomic::Ordering;
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.seq.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Worker-local memo for [`access_paths`]: its output is a pure function
+/// Per-search memo for [`access_paths`]: its output is a pure function
 /// of `(table, applicable factor set)` — a factor is applicable exactly
 /// when all its non-local operand tables are available, which also makes
 /// every probe operand resolvable — so candidates are keyed by the
@@ -801,8 +646,7 @@ impl<'a> Enumerator<'a> {
 
     /// Offer a candidate to an item's slot store: it may become the
     /// cheapest plan overall (slot 0) and/or the cheapest for its
-    /// interesting-order class. Ties keep the earlier candidate, exactly
-    /// like the sequential `consider` always has.
+    /// interesting-order class. Ties keep the earlier candidate.
     fn consider(
         &self,
         wa: &WorkArena<'_>,
@@ -828,7 +672,7 @@ impl<'a> Enumerator<'a> {
 
     /// Solve one work item against the frozen lower-level memo: generate
     /// this (subset, extension)'s candidate stream and keep the per-slot
-    /// winners. Pure function of the item — safe to run on any worker.
+    /// winners. A pure function of the item and the frozen memo.
     fn solve_item(
         &self,
         item: &WorkItem,
@@ -864,84 +708,12 @@ impl<'a> Enumerator<'a> {
         ItemOut { slots, scratch: wa.local, generated }
     }
 
-    /// Run one level's items on the pool: freeze the level's state into an
-    /// `Arc`, publish it to the workers, claim items on this thread too,
-    /// then recover the state once every live worker reports done.
-    /// Results are re-sorted by item index, so the output is the same
-    /// vector, in the same order, as the sequential path produces.
-    fn run_level_pooled(
-        &self,
-        pool: &WorkerPool,
-        items: Vec<WorkItem>,
-        nodes: Vec<ArenaNode>,
-        memo: HashMap<TableSet, SlotStore>,
-        cache: &mut AccessCache,
-    ) -> (Vec<ItemOut>, Vec<WorkItem>, Vec<ArenaNode>, HashMap<TableSet, SlotStore>) {
-        use std::sync::atomic::Ordering;
-        use std::sync::PoisonError;
-        let shared = Arc::new(LevelShared {
-            items,
-            nodes,
-            memo,
-            next: AtomicUsize::new(0),
-            results: Mutex::new(Vec::new()),
-        });
-        // Publish: slot and done-reset strictly before the seq bump the
-        // workers gate on.
-        *pool.shared.level.lock().unwrap_or_else(PoisonError::into_inner) =
-            Some(Arc::clone(&shared));
-        pool.shared.done.store(0, Ordering::Release);
-        pool.shared.seq.fetch_add(1, Ordering::Release);
-        // This thread works the queue too (threads = workers + 1), with
-        // its results batched like the workers'.
-        let mut local: Vec<(usize, ItemOut)> = Vec::new();
-        loop {
-            let i = shared.next.fetch_add(1, Ordering::Relaxed);
-            if i >= shared.items.len() {
-                break;
-            }
-            let out = self.solve_item(&shared.items[i], &shared.nodes, &shared.memo, cache);
-            local.push((i, out));
-        }
-        if !local.is_empty() {
-            shared.results.lock().unwrap_or_else(PoisonError::into_inner).extend(local);
-        }
-        // Wait until every worker still alive has finished this level. A
-        // worker that died bumped `dead` during its unwind, after its
-        // per-level state (including the Arc clone) was already dropped.
-        let mut spins = 0u32;
-        loop {
-            let dead = pool.shared.dead.load(Ordering::Acquire);
-            if pool.shared.done.load(Ordering::Acquire) >= pool.workers.saturating_sub(dead) {
-                break;
-            }
-            wait_spin(&mut spins);
-        }
-        *pool.shared.level.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        // Workers drop their Arc clone before reporting done, so this
-        // unwrap spins at most briefly on the last decrement's visibility.
-        let mut shared = shared;
-        let level = loop {
-            match Arc::try_unwrap(shared) {
-                Ok(s) => break s,
-                Err(again) => {
-                    shared = again;
-                    std::hint::spin_loop();
-                }
-            }
-        };
-        let mut results = level.results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        results.sort_by_key(|r| r.0);
-        (results.into_iter().map(|(_, r)| r).collect(), level.items, level.nodes, level.memo)
-    }
-
-    /// The DP proper: build every level's solutions, sequentially or on
-    /// the worker pool. Returns the arena, memo, and per-subset generated
-    /// counts; `stats` accumulates the run's counters.
+    /// The DP proper: build every level's solutions. Returns the arena,
+    /// memo, and per-subset generated counts; `stats` accumulates the
+    /// run's counters.
     fn search_levels(
         &self,
         stats: &mut EnumerationStats,
-        pool: Option<&WorkerPool>,
     ) -> (PlanArena, HashMap<TableSet, SlotStore>, HashMap<TableSet, u64>) {
         let n = self.ctx.query.tables.len();
         let mut arena = PlanArena::default();
@@ -992,26 +764,12 @@ impl<'a> Enumerator<'a> {
             // Scratch ids minted by the items start at the frozen arena
             // length; capture it before commits grow the arena.
             let base = dense_id(arena.len());
-            let (results, items) = match pool {
-                Some(pool) if items.len() > 1 => {
-                    let nodes = std::mem::take(&mut arena.nodes);
-                    let taken = std::mem::take(&mut memo);
-                    let (results, items, nodes, memo_back) =
-                        self.run_level_pooled(pool, items, nodes, taken, &mut cache);
-                    arena.nodes = nodes;
-                    memo = memo_back;
-                    (results, items)
-                }
-                _ => {
-                    let results = items
-                        .iter()
-                        .map(|it| self.solve_item(it, &arena.nodes, &memo, &mut cache))
-                        .collect::<Vec<_>>();
-                    (results, items)
-                }
-            };
+            let results: Vec<ItemOut> = items
+                .iter()
+                .map(|it| self.solve_item(it, &arena.nodes, &memo, &mut cache))
+                .collect();
 
-            // ---- deterministic merge + commit, subset by subset ----------
+            // ---- merge + commit, subset by subset ------------------------
             let mut item_idx = 0usize;
             for &set in &subsets {
                 let mut merged: Vec<Option<(usize, NodeId, f64)>> = vec![None; self.keys.len()];
@@ -1024,7 +782,7 @@ impl<'a> Enumerator<'a> {
                             // Replace only when strictly cheaper: each
                             // item's slot already holds the first minimum
                             // of its own stream, so folding in item order
-                            // reproduces the sequential first-minimum.
+                            // reproduces the subset's first minimum.
                             match merged[kid] {
                                 Some((_, _, best)) if best <= *total => {}
                                 _ => merged[kid] = Some((item_idx, *node, *total)),
@@ -1055,20 +813,7 @@ impl<'a> Enumerator<'a> {
         let mut stats = EnumerationStats::default();
         let n = self.ctx.query.tables.len();
         assert!(n > 0, "query block has no tables");
-        let threads = self.ctx.config.threads.max(1);
-        let (arena, memo, generated) = if threads > 1 {
-            // One pool per search: `threads - 1` scoped workers plus this
-            // thread, fed a frozen snapshot per level. Dropping the pool
-            // closes the work channels and the scope joins the workers.
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::start(self, scope, threads - 1);
-                let out = self.search_levels(&mut stats, Some(&pool));
-                drop(pool);
-                out
-            })
-        } else {
-            self.search_levels(&mut stats, None)
-        };
+        let (arena, memo, generated) = self.search_levels(&mut stats);
 
         // ---- final choice: required order vs. cheapest + sort -------------
         let full = TableSet::full(n);
@@ -1460,6 +1205,50 @@ mod tests {
         WHERE TITLE = 'CLERK' AND LOC = 'DENVER'
           AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB";
 
+    /// `n` relations `T{i}(K, FK)` with a unique index on `K`, joined as
+    /// the chain `T0.FK = T1.K AND …` by [`chain_sql`].
+    fn chain_catalog(n: u32) -> Catalog {
+        let mut cat = Catalog::new();
+        for i in 0..n {
+            let r = cat
+                .create_relation(
+                    &format!("T{i}"),
+                    i,
+                    vec![ColumnMeta::new("K", ColType::Int), ColumnMeta::new("FK", ColType::Int)],
+                )
+                .unwrap();
+            cat.set_relation_stats(
+                r,
+                RelStats {
+                    ncard: 1000 * (u64::from(i) + 1),
+                    tcard: 50,
+                    pfrac: 1.0,
+                    avg_width: 20.0,
+                    valid: true,
+                },
+            );
+            cat.register_index(i, &format!("T{i}_K"), r, vec![0], true, false).unwrap();
+            cat.set_index_stats(
+                i,
+                IndexStats {
+                    icard: 1000 * (u64::from(i) + 1),
+                    nindx: 5,
+                    leaf_pages: 4,
+                    low_key: Some(Value::Int(0)),
+                    high_key: Some(Value::Int(999)),
+                    valid: true,
+                },
+            );
+        }
+        cat
+    }
+
+    fn chain_sql(n: u32) -> String {
+        let tables: Vec<String> = (0..n).map(|i| format!("T{i}")).collect();
+        let joins: Vec<String> = (0..n - 1).map(|i| format!("T{i}.FK = T{}.K", i + 1)).collect();
+        format!("SELECT T0.K FROM {} WHERE {}", tables.join(","), joins.join(" AND "))
+    }
+
     fn best_for(cat: &Catalog, sql: &str, config: OptimizerConfig) -> (PlanExpr, EnumerationStats) {
         let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
         let q = bind_select(cat, &stmt).unwrap();
@@ -1692,40 +1481,8 @@ mod tests {
         // "Joins of 8 tables have been optimized in a few seconds" (on 1979
         // hardware); the shape holds — and modern hardware does it in well
         // under a second.
-        let mut cat = Catalog::new();
-        for i in 0..8 {
-            let r = cat
-                .create_relation(
-                    &format!("T{i}"),
-                    i,
-                    vec![ColumnMeta::new("K", ColType::Int), ColumnMeta::new("FK", ColType::Int)],
-                )
-                .unwrap();
-            cat.set_relation_stats(
-                r,
-                RelStats {
-                    ncard: 1000 * (i as u64 + 1),
-                    tcard: 50,
-                    pfrac: 1.0,
-                    avg_width: 20.0,
-                    valid: true,
-                },
-            );
-            cat.register_index(i, &format!("T{i}_K"), r, vec![0], true, false).unwrap();
-            cat.set_index_stats(
-                i,
-                IndexStats {
-                    icard: 1000 * (i as u64 + 1),
-                    nindx: 5,
-                    leaf_pages: 4,
-                    low_key: Some(Value::Int(0)),
-                    high_key: Some(Value::Int(999)),
-                    valid: true,
-                },
-            );
-        }
-        let joins: Vec<String> = (0..7).map(|i| format!("T{i}.FK = T{}.K", i + 1)).collect();
-        let sql = format!("SELECT T0.K FROM T0,T1,T2,T3,T4,T5,T6,T7 WHERE {}", joins.join(" AND "));
+        let cat = chain_catalog(8);
+        let sql = chain_sql(8);
         let started = std::time::Instant::now();
         let (plan, stats) = best_for(&cat, &sql, OptimizerConfig::default());
         assert_eq!(plan.tables().len(), 8);
@@ -1756,67 +1513,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_is_bit_identical_to_sequential() {
-        // The tentpole's determinism guarantee: plans, costs, stats, and
-        // the full trace must match across thread counts.
-        let cat = fig1_catalog();
-        let sqls = [
-            FIG1_SQL,
-            "SELECT NAME FROM EMP WHERE DNO = 5",
-            "SELECT NAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO ORDER BY DNAME",
-            "SELECT DNO, COUNT(*) FROM EMP GROUP BY DNO",
-        ];
-        for sql in sqls {
-            let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
-            let q = bind_select(&cat, &stmt).unwrap();
-            let mut outcomes = Vec::new();
-            for threads in [1usize, 2, 4] {
-                let config = OptimizerConfig { threads, ..OptimizerConfig::default() };
-                let e = Enumerator::new(&cat, &q, config);
-                let (plan, stats, trace) = e.best_plan_traced();
-                outcomes.push((plan, stats, trace.render()));
-            }
-            let (p1, s1, t1) = &outcomes[0];
-            for (p, s, t) in &outcomes[1..] {
-                assert_eq!(p, p1, "plan differs across threads for {sql}");
-                assert_eq!(p.cost, p1.cost, "cost differs across threads for {sql}");
-                assert_eq!(
-                    (
-                        s.subsets_examined,
-                        s.plans_considered,
-                        s.plans_kept,
-                        s.heuristic_skips,
-                        s.solution_bytes
-                    ),
-                    (
-                        s1.subsets_examined,
-                        s1.plans_considered,
-                        s1.plans_kept,
-                        s1.heuristic_skips,
-                        s1.solution_bytes
-                    ),
-                    "stats differ across threads for {sql}"
-                );
-                assert_eq!(t, t1, "trace differs across threads for {sql}");
-            }
-        }
-    }
-
-    #[test]
-    fn relaxed_search_is_parallel_deterministic() {
-        // The heuristic-off search (the path the relaxed fallback re-runs)
-        // must also be thread-count invariant — it enumerates far more
-        // items per level, so it exercises the merge harder.
-        let cat = fig1_catalog();
-        let Statement::Select(stmt) = parse_statement(FIG1_SQL).unwrap() else { panic!() };
-        let q = bind_select(&cat, &stmt).unwrap();
+    fn chain6_search_size_is_pinned() {
+        // The search is deterministic, so its size is a constant of the
+        // query shape: a 6-relation FK→K chain costs 342 candidates with
+        // the Cartesian-deferral heuristic and 2016 without it. A change
+        // to candidate generation or pruning has to move these on purpose.
+        let cat = chain_catalog(6);
+        let sql = chain_sql(6);
+        let (_, with) = best_for(&cat, &sql, OptimizerConfig::default());
+        assert_eq!(with.plans_considered, 342);
         let relaxed = OptimizerConfig { defer_cartesian: false, ..OptimizerConfig::default() };
-        let seq = Enumerator::new(&cat, &q, relaxed);
-        let par = Enumerator::new(&cat, &q, OptimizerConfig { threads: 4, ..relaxed });
-        let (p1, s1, t1) = seq.best_plan_traced();
-        let (p4, s4, t4) = par.best_plan_traced();
-        assert_eq!(p1, p4);
-        assert_eq!(s1.plans_considered, s4.plans_considered);
-        assert_eq!(t1.render(), t4.render());
+        let (_, without) = best_for(&cat, &sql, relaxed);
+        assert_eq!(without.plans_considered, 2016);
     }
 }

@@ -13,8 +13,8 @@
 //! per-candidate "which slot does this plan compete for" question is an
 //! integer copy instead of a `Vec` clone.
 //!
-//! The interner is frozen before the search starts, so worker threads can
-//! share it by `&` with no locking.
+//! The interner is frozen before the search starts: the search only
+//! reads it.
 
 use crate::num::dense_id;
 use crate::order::{OrderInfo, OrderKey};

@@ -82,12 +82,6 @@ pub struct OptimizerConfig {
     /// held only (key, TID) pairs and the paper costs every index access
     /// with a data-page fetch; enabling this is the natural extension.
     pub index_only_scans: bool,
-    /// Worker threads for the join-order search. Each DP level's
-    /// (subset, extension) work items are solved concurrently against the
-    /// frozen lower-level memo and merged deterministically, so any value
-    /// produces bit-identical plans, costs, and traces; `1` (the default)
-    /// runs fully inline with no thread spawns.
-    pub threads: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -100,7 +94,6 @@ impl Default for OptimizerConfig {
             defer_cartesian: true,
             interesting_orders: true,
             index_only_scans: false,
-            threads: 1,
         }
     }
 }

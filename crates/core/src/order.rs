@@ -140,8 +140,8 @@ impl UnionFind {
 
     /// Collapse to a map `ColId → dense class id`. Columns are visited in
     /// sorted order so the dense numbering is a pure function of the query
-    /// — two builds over the same block always agree, which the search's
-    /// parallel-vs-sequential determinism guarantee relies on.
+    /// — two builds over the same block always agree, which the relaxed
+    /// fallback (a second enumerator over the same block) relies on.
     fn into_classes(mut self) -> (HashMap<ColId, usize>, usize) {
         let mut cols: Vec<ColId> = self.ids.keys().copied().collect();
         cols.sort_unstable();
@@ -262,8 +262,8 @@ mod tests {
     #[test]
     fn class_numbering_is_deterministic_across_builds() {
         // Dense class ids must be a pure function of the query, not of
-        // HashMap iteration order: trace keys and the parallel search's
-        // determinism argument depend on it.
+        // HashMap iteration order: trace keys and repeatable plans depend
+        // on it.
         let q = query_with(
             vec![
                 equijoin_factor(col(0, 1), col(1, 0)),

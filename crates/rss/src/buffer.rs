@@ -1,29 +1,20 @@
-//! The buffer pool: a real frame cache over page files.
+//! Buffer-pool vocabulary: page addresses and the I/O counters.
 //!
 //! System R's cost formulas are expressed in *page fetches*; several
 //! formulas in Table 2 have a cheaper variant "if this number fits in the
 //! System R buffer". To reproduce those effects the RSS routes every page
 //! access — data pages, index pages, and temporary-list pages — through one
-//! LRU buffer pool. A **page fetch** is a buffer miss; a hit is free, which
-//! is exactly the clustered-index assumption the paper makes ("a page
-//! remains in the buffer long enough for every tuple to be retrieved from
-//! it").
+//! LRU buffer pool, [`ShardedBufferPool`](crate::ShardedBufferPool). A
+//! **page fetch** is a buffer miss; a hit is free, which is exactly the
+//! clustered-index assumption the paper makes ("a page remains in the
+//! buffer long enough for every tuple to be retrieved from it").
 //!
-//! Since the page-file backend landed, a miss is no longer a bare counter
-//! bump: the frame loads the page's 4 KB image from the backing
-//! [`PageBackend`] (one `backend_read`),
-//! writes mark resident frames dirty, and dirty frames are written back on
-//! eviction or flush (one `backend_write` each). The counting-only
-//! [`BufferPool::access`] entry point remains for tests that model
-//! residency without a backend.
-//!
-//! The pool also tallies **RSI calls**: tuples returned across the
-//! storage-system interface, the paper's proxy for CPU cost.
+//! This module holds what every layer shares with the pool: the
+//! ([`FileId`], page number) address of a page, and [`IoStats`] — page
+//! fetches by file kind, device reads and writes, and **RSI calls**
+//! (tuples returned across the storage-system interface, the paper's
+//! proxy for CPU cost).
 
-use crate::error::{RssError, RssResult};
-use crate::page::PAGE_SIZE;
-use crate::pagefile::{verify_page, PageBackend};
-use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Identifies a "file": one segment, one index, or one temporary list.
@@ -67,7 +58,7 @@ pub struct IoStats {
     /// Tuples returned across the RSI.
     pub rsi_calls: u64,
     /// Pages physically read from the backing store. In a window where all
-    /// traffic flows through [`BufferPool::read`], this equals the fetch
+    /// traffic flows through the pool's `read`, this equals the fetch
     /// counters summed: every miss is exactly one device read.
     pub backend_reads: u64,
     /// Pages physically written to the backing store: write-around writes
@@ -172,504 +163,22 @@ impl fmt::Display for IoStats {
     }
 }
 
-/// One buffer frame. `buf` is `None` for residency-only frames created by
-/// the backend-less [`BufferPool::access`] path (tests); frames filled by
-/// [`BufferPool::read`] own the page image.
-#[derive(Debug)]
-struct Frame {
-    stamp: u64,
-    dirty: bool,
-    buf: Option<Box<[u8; PAGE_SIZE]>>,
-}
-
-/// An LRU frame cache. Misses load page images from the [`PageBackend`],
-/// writes to resident pages mark the frame dirty, and dirty frames are
-/// written back when evicted or flushed.
-#[derive(Debug)]
-pub struct BufferPool {
-    capacity: usize,
-    frames: HashMap<PageKey, Frame>,
-    /// recency stamp → page (the LRU order; BTreeMap gives O(log n) min)
-    lru: BTreeMap<u64, PageKey>,
-    clock: u64,
-    stats: IoStats,
-}
-
-impl BufferPool {
-    /// A pool holding `capacity` pages. System R's per-user buffer was
-    /// small; experiments sweep this.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer pool needs at least one page");
-        BufferPool {
-            capacity,
-            frames: HashMap::new(),
-            lru: BTreeMap::new(),
-            clock: 0,
-            stats: IoStats::default(),
-        }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Change capacity. Growing keeps every resident page; shrinking evicts
-    /// only down to the new capacity, writing dirty victims back through
-    /// `backend` first.
-    pub fn set_capacity(
-        &mut self,
-        capacity: usize,
-        mut backend: Option<&mut dyn PageBackend>,
-    ) -> RssResult<()> {
-        assert!(capacity > 0);
-        self.capacity = capacity;
-        while self.frames.len() > self.capacity {
-            self.evict_one(backend.as_deref_mut())?;
-        }
-        Ok(())
-    }
-
-    /// Number of pages currently resident.
-    pub fn resident_pages(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Evict everything without write-back (stats are kept). Callers that
-    /// may hold dirty frames must [`BufferPool::flush`] first.
-    pub fn clear(&mut self) {
-        self.frames.clear();
-        self.lru.clear();
-    }
-
-    /// Move `key`'s frame to most-recently-used, returning the old frame
-    /// entry for reuse; `None` if not resident.
-    fn bump(&mut self, key: PageKey) -> Option<&mut Frame> {
-        self.clock += 1;
-        let stamp = self.clock;
-        let frame = self.frames.get_mut(&key)?;
-        self.lru.remove(&frame.stamp);
-        frame.stamp = stamp;
-        self.lru.insert(stamp, key);
-        Some(frame)
-    }
-
-    /// Evict the least-recently-used frame, writing it back through
-    /// `backend` if dirty. An eviction request against an empty LRU map, or
-    /// a dirty victim with no backend to receive it, is an accounting
-    /// inconsistency reported as corruption rather than a panic.
-    fn evict_one<'a, 'b>(
-        &mut self,
-        backend: Option<&'a mut (dyn PageBackend + 'b)>,
-    ) -> RssResult<()> {
-        let Some((&old_stamp, &victim)) = self.lru.iter().next() else {
-            return Err(RssError::Corrupt(
-                "buffer pool LRU map empty while frames remain resident".into(),
-            ));
-        };
-        self.lru.remove(&old_stamp);
-        let Some(frame) = self.frames.remove(&victim) else {
-            return Err(RssError::Corrupt(format!(
-                "buffer pool LRU map names non-resident page {victim:?}"
-            )));
-        };
-        if frame.dirty {
-            let Some(buf) = &frame.buf else {
-                return Err(RssError::Corrupt(format!("dirty frame without bytes: {victim:?}")));
-            };
-            let Some(backend) = backend else {
-                return Err(RssError::Corrupt(format!(
-                    "dirty page {victim:?} evicted with no backend to write to"
-                )));
-            };
-            backend.write_page(victim, buf)?;
-            self.stats.backend_writes += 1;
-        }
-        Ok(())
-    }
-
-    fn count_fetch(&mut self, key: PageKey) {
-        match key.file {
-            FileId::Segment(_) => self.stats.data_page_fetches += 1,
-            FileId::Index(_) => self.stats.index_page_fetches += 1,
-            FileId::Temp(_) => self.stats.temp_page_fetches += 1,
-        }
-    }
-
-    /// Record an access to `key` without a backend (residency-only frames;
-    /// used by model tests). Returns `true` on a miss (a page fetch).
-    pub fn access(&mut self, key: PageKey) -> RssResult<bool> {
-        if self.bump(key).is_some() {
-            self.stats.buffer_hits += 1;
-            return Ok(false);
-        }
-        self.clock += 1;
-        let stamp = self.clock;
-        self.frames.insert(key, Frame { stamp, dirty: false, buf: None });
-        self.lru.insert(stamp, key);
-        if self.frames.len() > self.capacity {
-            self.evict_one(None)?;
-        }
-        self.count_fetch(key);
-        Ok(true)
-    }
-
-    /// Access `key` with real page I/O: a hit bumps recency; a miss reads
-    /// and verifies the page image from `backend` into a fresh frame (one
-    /// `backend_read`), evicting the LRU frame — with dirty write-back — if
-    /// the pool is over capacity. Returns `true` on a miss.
-    pub fn read(&mut self, key: PageKey, backend: &mut dyn PageBackend) -> RssResult<bool> {
-        if let Some(frame) = self.bump(key) {
-            if frame.buf.is_none() {
-                // Residency-only frame from the counting path: load it so
-                // the frame owns real bytes from here on.
-                let mut buf = Box::new([0u8; PAGE_SIZE]);
-                backend.read_page(key, &mut buf)?;
-                verify_page(&buf, key)?;
-                if let Some(f) = self.frames.get_mut(&key) {
-                    f.buf = Some(buf);
-                }
-                self.stats.backend_reads += 1;
-            }
-            self.stats.buffer_hits += 1;
-            return Ok(false);
-        }
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        backend.read_page(key, &mut buf)?;
-        verify_page(&buf, key)?;
-        self.stats.backend_reads += 1;
-        self.clock += 1;
-        let stamp = self.clock;
-        self.frames.insert(key, Frame { stamp, dirty: false, buf: Some(buf) });
-        self.lru.insert(stamp, key);
-        if self.frames.len() > self.capacity {
-            self.evict_one(Some(backend))?;
-        }
-        self.count_fetch(key);
-        Ok(true)
-    }
-
-    /// Write a page image. If the page is resident the frame is updated in
-    /// place and marked dirty (write-back deferred to eviction or flush);
-    /// otherwise the image goes straight to the backend (write-around), so
-    /// writes never establish residency.
-    pub fn write_through(
-        &mut self,
-        key: PageKey,
-        bytes: &[u8; PAGE_SIZE],
-        backend: &mut dyn PageBackend,
-    ) -> RssResult<()> {
-        if let Some(frame) = self.bump(key) {
-            match &mut frame.buf {
-                Some(buf) => buf.copy_from_slice(bytes),
-                None => frame.buf = Some(Box::new(*bytes)),
-            }
-            frame.dirty = true;
-            return Ok(());
-        }
-        backend.write_page(key, bytes)?;
-        self.stats.backend_writes += 1;
-        Ok(())
-    }
-
-    /// Write every dirty frame back to `backend` and clear its dirty bit;
-    /// frames stay resident. Deterministic (key-ordered) write order.
-    pub fn flush(&mut self, backend: &mut dyn PageBackend) -> RssResult<()> {
-        let mut dirty: Vec<PageKey> =
-            self.frames.iter().filter(|(_, f)| f.dirty).map(|(k, _)| *k).collect();
-        dirty.sort_unstable();
-        for key in dirty {
-            let Some(frame) = self.frames.get_mut(&key) else { continue };
-            let Some(buf) = &frame.buf else {
-                return Err(RssError::Corrupt(format!("dirty frame without bytes: {key:?}")));
-            };
-            backend.write_page(key, buf)?;
-            frame.dirty = false;
-            self.stats.backend_writes += 1;
-        }
-        Ok(())
-    }
-
-    /// A copy of the resident page image for `key`, if any (dirty frames
-    /// are newer than the backend; uncached readers check here first). No
-    /// accounting.
-    pub fn peek_frame(&self, key: PageKey) -> Option<Box<[u8; PAGE_SIZE]>> {
-        self.frames.get(&key).and_then(|f| f.buf.clone())
-    }
-
-    /// Record a temporary page write (sort spill / materialization).
-    pub fn record_temp_write(&mut self, pages: u64) {
-        self.stats.temp_pages_written += pages;
-    }
-
-    /// Record one tuple returned across the RSI.
-    pub fn record_rsi_call(&mut self) {
-        self.stats.rsi_calls += 1;
-    }
-
-    /// Drop all resident pages of `file` (e.g. a temporary list being
-    /// destroyed) without write-back.
-    pub fn invalidate_file(&mut self, file: FileId) {
-        let victims: Vec<(u64, PageKey)> = self
-            .frames
-            .iter()
-            .filter(|(k, _)| k.file == file)
-            .map(|(k, f)| (f.stamp, *k))
-            .collect();
-        for (stamp, key) in victims {
-            self.lru.remove(&stamp);
-            self.frames.remove(&key);
-        }
-    }
-
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagefile::{stamp_page, MemBackend};
-
-    fn seg(page: u32) -> PageKey {
-        PageKey::new(FileId::Segment(0), page)
-    }
-
-    #[test]
-    fn first_access_misses_second_hits() {
-        let mut pool = BufferPool::new(4);
-        assert!(pool.access(seg(1)).unwrap());
-        assert!(!pool.access(seg(1)).unwrap());
-        assert_eq!(pool.stats().data_page_fetches, 1);
-        assert_eq!(pool.stats().buffer_hits, 1);
-    }
-
-    #[test]
-    fn lru_eviction_order() {
-        let mut pool = BufferPool::new(2);
-        pool.access(seg(1)).unwrap();
-        pool.access(seg(2)).unwrap();
-        pool.access(seg(1)).unwrap(); // 2 is now LRU
-        pool.access(seg(3)).unwrap(); // evicts 2
-        assert!(!pool.access(seg(1)).unwrap(), "1 should still be resident");
-        assert!(pool.access(seg(2)).unwrap(), "2 was evicted");
-    }
-
-    #[test]
-    fn capacity_is_respected() {
-        let mut pool = BufferPool::new(3);
-        for p in 0..100 {
-            pool.access(seg(p)).unwrap();
-        }
-        assert_eq!(pool.resident_pages(), 3);
-        assert_eq!(pool.stats().data_page_fetches, 100);
-    }
-
-    #[test]
-    fn sequential_rescan_larger_than_pool_always_misses() {
-        // The paper's non-clustered-index assumption: a relation larger
-        // than the buffer yields one fetch per access.
-        let mut pool = BufferPool::new(4);
-        for _pass in 0..3 {
-            for p in 0..8 {
-                pool.access(seg(p)).unwrap();
-            }
-        }
-        assert_eq!(pool.stats().data_page_fetches, 24);
-        assert_eq!(pool.stats().buffer_hits, 0);
-    }
-
-    #[test]
-    fn rescan_fitting_in_pool_hits() {
-        // Table 2's "if this number fits in the System R buffer" variant.
-        let mut pool = BufferPool::new(16);
-        for _pass in 0..3 {
-            for p in 0..8 {
-                pool.access(seg(p)).unwrap();
-            }
-        }
-        assert_eq!(pool.stats().data_page_fetches, 8);
-        assert_eq!(pool.stats().buffer_hits, 16);
-    }
-
-    #[test]
-    fn file_kinds_counted_separately() {
-        let mut pool = BufferPool::new(8);
-        pool.access(PageKey::new(FileId::Segment(0), 0)).unwrap();
-        pool.access(PageKey::new(FileId::Index(0), 0)).unwrap();
-        pool.access(PageKey::new(FileId::Index(0), 1)).unwrap();
-        pool.access(PageKey::new(FileId::Temp(0), 0)).unwrap();
-        let s = pool.stats();
-        assert_eq!(s.data_page_fetches, 1);
-        assert_eq!(s.index_page_fetches, 2);
-        assert_eq!(s.temp_page_fetches, 1);
-        assert_eq!(s.page_fetches(), 4);
-    }
-
-    #[test]
-    fn invalidate_file_evicts_only_that_file() {
-        let mut pool = BufferPool::new(8);
-        pool.access(PageKey::new(FileId::Temp(1), 0)).unwrap();
-        pool.access(PageKey::new(FileId::Temp(2), 0)).unwrap();
-        pool.access(seg(0)).unwrap();
-        pool.invalidate_file(FileId::Temp(1));
-        assert_eq!(pool.resident_pages(), 2);
-        assert!(pool.access(PageKey::new(FileId::Temp(1), 0)).unwrap(), "evicted");
-        assert!(!pool.access(seg(0)).unwrap(), "unrelated page untouched");
-    }
 
     #[test]
     fn cost_combines_fetches_and_rsi() {
-        let mut pool = BufferPool::new(2);
-        pool.access(seg(0)).unwrap();
-        pool.record_rsi_call();
-        pool.record_rsi_call();
-        let s = pool.stats();
+        let s = IoStats { data_page_fetches: 1, rsi_calls: 2, ..IoStats::default() };
         assert_eq!(s.cost(0.5), 1.0 + 0.5 * 2.0);
     }
 
     #[test]
     fn stats_window_via_since() {
-        let mut pool = BufferPool::new(2);
-        pool.access(seg(0)).unwrap();
-        let start = pool.stats();
-        pool.access(seg(1)).unwrap();
-        pool.record_rsi_call();
-        let delta = pool.stats().since(&start);
+        let start = IoStats { data_page_fetches: 1, ..IoStats::default() };
+        let end = IoStats { data_page_fetches: 2, rsi_calls: 1, ..IoStats::default() };
+        let delta = end.since(&start);
         assert_eq!(delta.data_page_fetches, 1);
         assert_eq!(delta.rsi_calls, 1);
-    }
-
-    /// A backend preloaded with stamped pages 0..n of segment 0.
-    fn backend_with_pages(n: u32) -> MemBackend {
-        let mut backend = MemBackend::new();
-        for p in 0..n {
-            let mut buf = [0u8; PAGE_SIZE];
-            buf[0] = p as u8; // distinguishable content
-            stamp_page(&mut buf, p + 1);
-            backend.write_page(seg(p), &buf).unwrap();
-        }
-        backend
-    }
-
-    #[test]
-    fn read_misses_pull_from_backend_and_count_reads() {
-        let mut backend = backend_with_pages(4);
-        let mut pool = BufferPool::new(8);
-        assert!(pool.read(seg(0), &mut backend).unwrap());
-        assert!(!pool.read(seg(0), &mut backend).unwrap());
-        let s = pool.stats();
-        assert_eq!(s.data_page_fetches, 1);
-        assert_eq!(s.backend_reads, 1, "one physical read per miss");
-        assert_eq!(s.buffer_hits, 1);
-    }
-
-    #[test]
-    fn dirty_frames_write_back_on_eviction() {
-        let mut backend = backend_with_pages(4);
-        let mut pool = BufferPool::new(2);
-        pool.read(seg(0), &mut backend).unwrap();
-        // Dirty page 0 in place: write-through updates the resident frame.
-        let mut image = [0u8; PAGE_SIZE];
-        image[0] = 0xAB;
-        stamp_page(&mut image, 99);
-        pool.write_through(seg(0), &image, &mut backend).unwrap();
-        assert_eq!(pool.stats().backend_writes, 0, "write-back is deferred");
-        // Read two more pages: page 0 becomes the LRU victim.
-        pool.read(seg(1), &mut backend).unwrap();
-        pool.read(seg(2), &mut backend).unwrap();
-        assert_eq!(pool.stats().backend_writes, 1, "dirty victim written back");
-        let mut check = [0u8; PAGE_SIZE];
-        backend.read_page(seg(0), &mut check).unwrap();
-        assert_eq!(check[0], 0xAB, "backend received the dirty image");
-    }
-
-    #[test]
-    fn write_around_skips_residency() {
-        let mut backend = MemBackend::new();
-        let mut pool = BufferPool::new(4);
-        let mut image = [0u8; PAGE_SIZE];
-        stamp_page(&mut image, 1);
-        pool.write_through(seg(7), &image, &mut backend).unwrap();
-        assert_eq!(pool.resident_pages(), 0, "writes never establish residency");
-        assert_eq!(pool.stats().backend_writes, 1, "write-around goes straight to the backend");
-    }
-
-    #[test]
-    fn flush_writes_dirty_frames_and_keeps_them_resident() {
-        let mut backend = backend_with_pages(3);
-        let mut pool = BufferPool::new(4);
-        for p in 0..3 {
-            pool.read(seg(p), &mut backend).unwrap();
-        }
-        let mut image = [0u8; PAGE_SIZE];
-        image[0] = 0xCD;
-        stamp_page(&mut image, 50);
-        pool.write_through(seg(1), &image, &mut backend).unwrap();
-        pool.flush(&mut backend).unwrap();
-        assert_eq!(pool.stats().backend_writes, 1);
-        assert_eq!(pool.resident_pages(), 3, "flush keeps frames resident");
-        // A second flush writes nothing: the dirty bit was cleared.
-        pool.flush(&mut backend).unwrap();
-        assert_eq!(pool.stats().backend_writes, 1);
-    }
-
-    #[test]
-    fn set_capacity_grow_keeps_resident_pages() {
-        let mut backend = backend_with_pages(4);
-        let mut pool = BufferPool::new(4);
-        for p in 0..4 {
-            pool.read(seg(p), &mut backend).unwrap();
-        }
-        pool.set_capacity(8, Some(&mut backend)).unwrap();
-        assert_eq!(pool.resident_pages(), 4, "growing must not evict");
-        let before = pool.stats();
-        for p in 0..4 {
-            assert!(!pool.read(seg(p), &mut backend).unwrap(), "page {p} stayed resident");
-        }
-        assert_eq!(pool.stats().backend_reads, before.backend_reads);
-    }
-
-    #[test]
-    fn set_capacity_shrink_within_residency_keeps_everything() {
-        let mut backend = backend_with_pages(8);
-        let mut pool = BufferPool::new(8);
-        for p in 0..3 {
-            pool.read(seg(p), &mut backend).unwrap();
-        }
-        pool.set_capacity(4, Some(&mut backend)).unwrap();
-        assert_eq!(pool.resident_pages(), 3, "shrink above residency evicts nothing");
-    }
-
-    #[test]
-    fn set_capacity_shrink_below_residency_evicts_lru_and_writes_back_dirty() {
-        let mut backend = backend_with_pages(6);
-        let mut pool = BufferPool::new(6);
-        for p in 0..6 {
-            pool.read(seg(p), &mut backend).unwrap();
-        }
-        // Dirty the least-recently-used page so the shrink must write it.
-        let mut image = [0u8; PAGE_SIZE];
-        image[0] = 0xEE;
-        stamp_page(&mut image, 77);
-        pool.write_through(seg(0), &image, &mut backend).unwrap();
-        // Recency now: 1, 2, 3, 4, 5, 0 — shrink to 2 evicts 1..=4.
-        pool.set_capacity(2, Some(&mut backend)).unwrap();
-        assert_eq!(pool.resident_pages(), 2);
-        assert_eq!(pool.stats().backend_writes, 0, "clean victims need no write-back");
-        let hits_before = pool.stats().buffer_hits;
-        assert!(!pool.read(seg(0), &mut backend).unwrap(), "MRU dirty page survived");
-        assert!(!pool.read(seg(5), &mut backend).unwrap(), "second-MRU page survived");
-        assert_eq!(pool.stats().buffer_hits, hits_before + 2);
-        // Now shrink below the dirty page: it must be written back.
-        pool.set_capacity(1, Some(&mut backend)).unwrap();
-        let mut check = [0u8; PAGE_SIZE];
-        backend.read_page(seg(0), &mut check).unwrap();
-        assert_eq!(check[0], 0xEE, "dirty page written back during shrink");
-        assert_eq!(pool.stats().backend_writes, 1);
     }
 }

@@ -22,7 +22,7 @@
 //! predicates in disjunctive normal form that are applied **below** the RSI
 //! boundary, so rejected tuples never count as RSI calls.
 //!
-//! All page traffic flows through a counting [`BufferPool`]; a *page fetch*
+//! All page traffic flows through a counting [`ShardedBufferPool`]; a *page fetch*
 //! in the paper's cost formula `COST = PAGE FETCHES + W * RSI CALLS` is a
 //! buffer-pool miss here. This is the substitution documented in DESIGN.md:
 //! the cost model's unit is page fetches, not seconds, so an in-memory pager
@@ -49,7 +49,7 @@ pub mod tuple;
 pub mod value;
 
 pub use btree::{BTreeConfig, BTreeIndex, IndexId};
-pub use buffer::{BufferPool, FileId, IoStats, PageKey};
+pub use buffer::{FileId, IoStats, PageKey};
 pub use error::{RssError, RssResult};
 pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
 pub use pagefile::{DirBackend, FaultBackend, MemBackend, PageBackend};

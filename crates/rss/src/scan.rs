@@ -1,8 +1,11 @@
-//! RSS scans: the tuple-at-a-time RSI.
+//! RSS scans: the RSI.
 //!
 //! "The primary way of accessing tuples in a relation is via an RSS scan.
 //! A scan returns a tuple at a time along a given access path. OPEN, NEXT,
 //! and CLOSE are the principal commands on a scan." (paper, Section 3).
+//! NEXT here returns a *batch* of tuples ([`RsiScan::next_batch`]); the
+//! paper's tuple at a time is `next_batch(1)`, and the accounting is per
+//! tuple either way.
 //!
 //! * [`SegmentScan`] examines **all non-empty pages of the segment**, each
 //!   touched once, returning tuples of the requested relation.
@@ -34,32 +37,17 @@ pub const MAX_BATCH: usize = 1024;
 pub type Batch = Vec<(Rid, Tuple)>;
 
 /// An RSS scan: the RSI `NEXT` operation. Returns `(rid, tuple)` pairs
-/// until exhausted, one at a time via [`RsiScan::next`] or many at a
-/// time via [`RsiScan::next_batch`].
+/// until exhausted.
 ///
-/// Accounting is identical either way: each *returned* tuple costs one
-/// RSI call (never one per batch), and page touches happen in the same
-/// order — a batched drain and a tuple-at-a-time drain of the same scan
-/// produce the same [`crate::IoStats`].
+/// Accounting does not depend on how a drain is chunked: each *returned*
+/// tuple costs one RSI call (never one per batch), and page touches
+/// happen in the same order — any sequence of batch sizes over the same
+/// scan produces the same [`crate::IoStats`].
 pub trait RsiScan {
-    fn next(&mut self) -> RssResult<Option<(Rid, Tuple)>>;
-
-    /// NEXT, batch form: up to `max.clamp(1, MAX_BATCH)` pairs. A batch
-    /// may come back short while the scan still has tuples; only an
-    /// **empty** batch means exhausted. The default implementation loops
-    /// [`RsiScan::next`], so external implementations keep working;
-    /// native implementations hoist per-call work out of the tuple loop.
-    fn next_batch(&mut self, max: usize) -> RssResult<Batch> {
-        let cap = max.clamp(1, MAX_BATCH);
-        let mut out: Batch = Vec::new();
-        while out.len() < cap {
-            match self.next()? {
-                Some(pair) => out.push(pair),
-                None => break,
-            }
-        }
-        Ok(out)
-    }
+    /// NEXT: up to `max.clamp(1, MAX_BATCH)` pairs. A batch may come back
+    /// short while the scan still has tuples; only an **empty** batch
+    /// means exhausted.
+    fn next_batch(&mut self, max: usize) -> RssResult<Batch>;
 
     /// Drain the scan into a vector (convenience for tests and loaders).
     fn collect_all(&mut self) -> RssResult<Vec<Tuple>>
@@ -172,18 +160,6 @@ impl<'a> SegmentScan<'a> {
 }
 
 impl RsiScan for SegmentScan<'_> {
-    fn next(&mut self) -> RssResult<Option<(Rid, Tuple)>> {
-        let mut out: Batch = Vec::with_capacity(1);
-        self.fill(1, &mut out)?;
-        match out.pop() {
-            Some(pair) => {
-                self.storage.record_rsi_call();
-                Ok(Some(pair))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, max: usize) -> RssResult<Batch> {
         let cap = max.clamp(1, MAX_BATCH);
         let mut out: Batch = Vec::with_capacity(self.batch_hint.min(cap));
@@ -255,7 +231,7 @@ impl<'a> IndexScan<'a> {
         Self::open(storage, index, Some(prefix.clone()), Some((prefix, true)), sargs)
     }
 
-    /// Disable data-page fetches; `next` then returns the key columns as
+    /// Disable data-page fetches; the scan then returns the key columns as
     /// the tuple.
     pub fn index_only(mut self) -> Self {
         self.fetch_data = false;
@@ -331,18 +307,6 @@ impl<'a> IndexScan<'a> {
 }
 
 impl RsiScan for IndexScan<'_> {
-    fn next(&mut self) -> RssResult<Option<(Rid, Tuple)>> {
-        let mut out: Batch = Vec::with_capacity(1);
-        self.fill(1, &mut out)?;
-        match out.pop() {
-            Some(pair) => {
-                self.storage.record_rsi_call();
-                Ok(Some(pair))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, max: usize) -> RssResult<Batch> {
         let cap = max.clamp(1, MAX_BATCH);
         let mut out: Batch = Vec::with_capacity(self.batch_hint.min(cap));
@@ -533,7 +497,7 @@ mod tests {
         let (mut st, seg) = setup(10, false);
         let idx = st.create_index(seg, 1, vec![0], true).unwrap();
         let mut scan = IndexScan::open_eq(&st, idx, vec![Value::Int(999)], SargExpr::always_true());
-        assert!(scan.next().unwrap().is_none());
+        assert!(scan.next_batch(1).unwrap().is_empty());
     }
 
     /// Batch sizes of a full drain with `next_batch(MAX_BATCH)`.
@@ -606,11 +570,23 @@ mod tests {
         assert_eq!(st.io_stats().rsi_calls, 1025, "one call per returned tuple only");
     }
 
+    /// Drain `scan` with the batch sizes `max()` yields.
+    fn drain_with(scan: &mut impl RsiScan, mut max: impl FnMut() -> usize) -> Batch {
+        let mut out = Batch::new();
+        loop {
+            let b = scan.next_batch(max()).unwrap();
+            if b.is_empty() {
+                return out;
+            }
+            out.extend(b);
+        }
+    }
+
     #[test]
-    fn next_batch_is_equivalent_to_repeated_next() {
+    fn next_batch_is_independent_of_batch_size() {
         // Oracle: over seeded random relations and SARGs, a batched drain
         // (random batch sizes) returns the same (rid, tuple) sequence with
-        // the same IoStats as a tuple-at-a-time drain.
+        // the same IoStats as a tuple-at-a-time `next_batch(1)` drain.
         use crate::prng::SplitMix64;
         let mut rng = SplitMix64::new(0x5eed_cafe);
         for case in 0..8 {
@@ -628,21 +604,9 @@ mod tests {
             st_b.reset_io_stats();
 
             let mut one = SegmentScan::open(&st_a, seg_a, 1, sarg.clone());
-            let mut singles = Vec::new();
-            while let Some(pair) = one.next().unwrap() {
-                singles.push(pair);
-            }
-
+            let singles = drain_with(&mut one, || 1);
             let mut many = SegmentScan::open(&st_b, seg_b, 1, sarg);
-            let mut batched = Vec::new();
-            loop {
-                let max = 1 + rng.range_usize(0, MAX_BATCH);
-                let b = many.next_batch(max).unwrap();
-                if b.is_empty() {
-                    break;
-                }
-                batched.extend(b);
-            }
+            let batched = drain_with(&mut many, || 1 + rng.range_usize(0, MAX_BATCH));
 
             assert_eq!(singles, batched, "case {case}: same tuples in the same order");
             assert_eq!(st_a.io_stats(), st_b.io_stats(), "case {case}: same accounting");
@@ -650,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn index_next_batch_is_equivalent_to_repeated_next() {
+    fn index_next_batch_is_independent_of_batch_size() {
         let mut rng = crate::prng::SplitMix64::new(0xfeed_beef);
         for case in 0..4 {
             let n = 200 + case * 613;
@@ -662,20 +626,9 @@ mod tests {
             st_b.reset_io_stats();
 
             let mut one = IndexScan::open_full(&st_a, idx_a, SargExpr::always_true());
-            let mut singles = Vec::new();
-            while let Some(pair) = one.next().unwrap() {
-                singles.push(pair);
-            }
-
+            let singles = drain_with(&mut one, || 1);
             let mut many = IndexScan::open_full(&st_b, idx_b, SargExpr::always_true());
-            let mut batched = Vec::new();
-            loop {
-                let b = many.next_batch(1 + rng.range_usize(0, MAX_BATCH)).unwrap();
-                if b.is_empty() {
-                    break;
-                }
-                batched.extend(b);
-            }
+            let batched = drain_with(&mut many, || 1 + rng.range_usize(0, MAX_BATCH));
 
             assert_eq!(singles, batched, "case {case}");
             assert_eq!(st_a.io_stats(), st_b.io_stats(), "case {case}");

@@ -1,12 +1,11 @@
 //! A sharded, latch-guarded buffer pool for concurrent query serving.
 //!
-//! [`BufferPool`](crate::BufferPool) models System R's frame cache as a
-//! single-owner structure; this module wraps the same LRU semantics in N
-//! independently latched partitions so many sessions can read pages
-//! concurrently. A page's shard is a pure function of its [`PageKey`]:
-//! sequential pages of one file stripe round-robin across shards, so a
-//! scan that fits in the pool stays resident just as it would under one
-//! global LRU.
+//! System R's frame cache is one LRU list; this module keeps those LRU
+//! semantics in N independently latched partitions so many sessions can
+//! read pages concurrently. A page's shard is a pure function of its
+//! [`PageKey`]: sequential pages of one file stripe round-robin across
+//! shards, so a scan that fits in the pool stays resident just as it
+//! would under one global LRU.
 //!
 //! # Latch order
 //!
@@ -68,8 +67,9 @@ use std::sync::atomic::Ordering::Relaxed;
 pub type SharedBackend = Mutex<Box<dyn PageBackend + Send>>;
 
 /// Pages per shard below which we stop splitting: tiny pools keep a
-/// single shard and behave exactly like the global-LRU [`BufferPool`]
-/// (crate::BufferPool), which the buffer-sweep experiments rely on.
+/// single shard and behave exactly like one global LRU list, which the
+/// buffer-sweep experiments rely on (`tests/buffer_model.rs` checks it
+/// against a reference LRU).
 const MIN_SHARD_PAGES: usize = 8;
 
 /// Latch-partition count ceiling; 8 matches the widest thread fan-out
@@ -127,9 +127,8 @@ impl Counters {
     }
 }
 
-/// One resident page. Unlike `BufferPool`'s counting-only frames, every
-/// sharded frame owns its image: the concurrent pool has no backend-less
-/// modeling path.
+/// One resident page. Every frame owns its image: the pool has no
+/// backend-less, counting-only path.
 #[derive(Debug)]
 struct ShardFrame {
     stamp: u64,
@@ -230,10 +229,9 @@ impl ShardedBufferPool {
     /// pool-fitting scan fully resident), actual residency may exceed
     /// this by up to `n - 1` pages when `capacity` is not a multiple of
     /// the shard count — e.g. 17 pages configured admits up to 18.
-    /// Buffer-sweep experiments comparing against the single-owner
-    /// `BufferPool` should use multiples of the shard-count ceiling
-    /// (`MAX_SHARDS`, 8 — all the committed sweeps do) or single-shard
-    /// sizes, where the two pools admit identically.
+    /// Buffer-sweep experiments that want exactly `capacity` frames
+    /// should use multiples of the shard-count ceiling (`MAX_SHARDS`, 8 —
+    /// all the committed sweeps do) or single-shard sizes.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -509,14 +507,8 @@ impl ShardedBufferPool {
         Ok(())
     }
 
-    /// Record one tuple crossing the RSI (lock-free: the executor's hot
-    /// path).
-    pub fn record_rsi_call(&self) {
-        self.counters.rsi_calls.fetch_add(1, Relaxed);
-    }
-
-    /// Record `n` tuples crossing the RSI in one batched NEXT: a single
-    /// atomic add with the same total as `n` individual calls.
+    /// Record `n` tuples crossing the RSI in one NEXT (lock-free: the
+    /// executor's hot path): one call per returned tuple, one atomic add.
     pub fn record_rsi_calls(&self, n: u64) {
         self.counters.rsi_calls.fetch_add(n, Relaxed);
     }

@@ -190,14 +190,8 @@ impl Storage {
         Ok(())
     }
 
-    /// Record one tuple crossing the RSI.
-    pub fn record_rsi_call(&self) {
-        self.buffer.record_rsi_call();
-    }
-
-    /// Record `n` tuples crossing the RSI in one batched NEXT. The count
-    /// is exactly what `n` individual [`Storage::record_rsi_call`]s would
-    /// add — batching changes the bump granularity, never the total.
+    /// Record `n` tuples crossing the RSI in one NEXT: one RSI call per
+    /// returned tuple, whatever the batch size.
     pub fn record_rsi_calls(&self, n: u64) {
         self.buffer.record_rsi_calls(n);
     }

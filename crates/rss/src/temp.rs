@@ -82,16 +82,6 @@ impl TempList {
         self.file
     }
 
-    /// Read tuple `i`, touching its page and counting one RSI call.
-    pub fn read(&self, storage: &Storage, i: usize) -> RssResult<Option<&Tuple>> {
-        let (Some(t), Some(&pg)) = (self.tuples.get(i), self.page_of.get(i)) else {
-            return Ok(None);
-        };
-        storage.touch(PageKey::new(FileId::Temp(self.file), pg))?;
-        storage.record_rsi_call();
-        Ok(Some(t))
-    }
-
     /// Peek tuple `i` without any accounting (planning / tests).
     pub fn peek(&self, i: usize) -> Option<&Tuple> {
         self.tuples.get(i)
@@ -144,7 +134,6 @@ pub struct TempScan<'a> {
     pos: usize,
 }
 
-#[allow(clippy::should_implement_trait)] // NEXT is the RSI verb; errors preclude Iterator
 impl<'a> TempScan<'a> {
     /// Current position (tuple ordinal).
     pub fn tell(&self) -> usize {
@@ -156,23 +145,12 @@ impl<'a> TempScan<'a> {
         self.pos = pos;
     }
 
-    /// NEXT: read and advance. Counts a temp-page touch and an RSI call.
-    pub fn next(&mut self) -> RssResult<Option<Tuple>> {
-        match self.list.read(self.storage, self.pos)? {
-            Some(t) => {
-                self.pos += 1;
-                Ok(Some(t.clone()))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// NEXT, batch form: advance over up to `max` tuples and return them
-    /// as a borrowed run — no per-tuple clone, which is what makes the
-    /// sort read-back batch-friendly. Accounting is identical to repeated
-    /// [`TempScan::next`]: one temp-page touch per tuple (pool hits after
-    /// the first touch of a page) and one RSI call per returned tuple,
-    /// recorded as a single bulk add. An empty slice means exhausted.
+    /// NEXT: advance over up to `max` tuples and return them as a
+    /// borrowed run — no per-tuple clone, which is what makes the sort
+    /// read-back batch-friendly. Accounting is per tuple whatever `max`
+    /// is: one temp-page touch per tuple (pool hits after the first touch
+    /// of a page) and one RSI call per returned tuple, recorded as a
+    /// single bulk add. An empty slice means exhausted.
     pub fn next_batch(&mut self, max: usize) -> RssResult<&'a [Tuple]> {
         let cap = max.clamp(1, crate::scan::MAX_BATCH);
         let start = self.pos;
@@ -193,6 +171,7 @@ impl<'a> TempScan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::MAX_BATCH;
     use crate::tuple;
 
     fn rows(n: i64) -> Vec<Tuple> {
@@ -214,7 +193,7 @@ mod tests {
         assert_eq!(list.page_count(), 0);
         assert!(list.is_empty());
         let mut scan = list.scan(&st);
-        assert!(scan.next().unwrap().is_none());
+        assert!(scan.next_batch(1).unwrap().is_empty());
     }
 
     #[test]
@@ -224,7 +203,7 @@ mod tests {
         st.reset_io_stats();
         let mut scan = list.scan(&st);
         let mut n = 0;
-        while scan.next().unwrap().is_some() {
+        while !scan.next_batch(1).unwrap().is_empty() {
             n += 1;
         }
         assert_eq!(n, 500);
@@ -238,12 +217,12 @@ mod tests {
         let st = Storage::new(64);
         let list = TempList::materialize(&st, rows(10)).unwrap();
         let mut scan = list.scan(&st);
-        scan.next().unwrap();
-        scan.next().unwrap();
+        scan.next_batch(2).unwrap();
         let mark = scan.tell();
-        let third = scan.next().unwrap().unwrap();
+        let third = scan.next_batch(1).unwrap();
         scan.seek(mark);
-        assert_eq!(scan.next().unwrap().unwrap(), third);
+        assert_eq!(scan.next_batch(1).unwrap(), third);
+        assert_eq!(third, &rows(10)[2..3]);
     }
 
     #[test]
@@ -251,13 +230,44 @@ mod tests {
         let st = Storage::new(64);
         let list = TempList::materialize(&st, rows(100)).unwrap();
         let mut scan = list.scan(&st);
-        while scan.next().unwrap().is_some() {}
+        while !scan.next_batch(MAX_BATCH).unwrap().is_empty() {}
         let before = st.io_stats().temp_page_fetches;
         list.destroy(&st);
         // Re-scan misses again: pages were evicted.
         let mut scan = list.scan(&st);
-        scan.next().unwrap();
+        scan.next_batch(1).unwrap();
         assert!(st.io_stats().temp_page_fetches > before);
+    }
+
+    /// Drain `list` from the start with the batch sizes `max()` yields.
+    fn drain(list: &TempList, st: &Storage, mut max: impl FnMut() -> usize) -> Vec<Tuple> {
+        let mut scan = list.scan(st);
+        let mut out = Vec::new();
+        loop {
+            let run = scan.next_batch(max()).unwrap();
+            if run.is_empty() {
+                return out;
+            }
+            out.extend_from_slice(run);
+        }
+    }
+
+    #[test]
+    fn next_batch_is_independent_of_batch_size() {
+        // Oracle: a drain in random batch sizes returns the same tuple
+        // sequence with the same IoStats as a `next_batch(1)` drain. Two
+        // storages with a pool smaller than the list, so evictions count.
+        let mut rng = crate::prng::SplitMix64::new(0x7e3f_0001);
+        for n in [1i64, 37, 1024, 2500] {
+            let (st_a, st_b) = (Storage::new(4), Storage::new(4));
+            let list_a = TempList::materialize(&st_a, rows(n)).unwrap();
+            let list_b = TempList::materialize(&st_b, rows(n)).unwrap();
+            let singles = drain(&list_a, &st_a, || 1);
+            let batched = drain(&list_b, &st_b, || 1 + rng.range_usize(0, MAX_BATCH));
+            assert_eq!(singles, rows(n), "n = {n}");
+            assert_eq!(singles, batched, "n = {n}: same tuples in the same order");
+            assert_eq!(st_a.io_stats(), st_b.io_stats(), "n = {n}: same accounting");
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Model-based property test for the buffer pool: the LRU implementation
-//! (HashMap + BTreeMap recency index) must agree, access for access, with
-//! a trivially correct reference model (a Vec ordered by recency).
+//! (HashMap + BTreeMap recency index per shard) must agree, access for
+//! access, with a trivially correct reference model (a Vec ordered by
+//! recency). Capacities 1–9 keep [`ShardedBufferPool`] at one shard, where
+//! it is a single global LRU list.
 
-use sysr_rss::{BufferPool, FileId, PageKey, SplitMix64};
+use sysr_rss::{FileId, MemBackend, PageKey, ShardedBufferPool, SharedBackend, SplitMix64};
 
 /// The obviously-correct reference: a recency-ordered vector.
 struct ModelLru {
@@ -70,14 +72,17 @@ fn pool_matches_reference_model() {
     for case in 0..128u64 {
         let capacity = 1 + rng.below(9) as usize;
         let n_ops = 1 + rng.below(399) as usize;
-        let mut pool = BufferPool::new(capacity);
+        let pool = ShardedBufferPool::new(capacity);
+        assert_eq!(pool.shard_count(), 1, "case {case}: capacity {capacity}");
+        // Never-written pages read back as all-zero images, which verify.
+        let backend = SharedBackend::new(Box::new(MemBackend::new()));
         let mut model = ModelLru::new(capacity);
         let mut misses = 0u64;
         let mut hits = 0u64;
         for _ in 0..n_ops {
             match arb_op(&mut rng) {
                 Op::Access(key) => {
-                    let miss = pool.access(key).unwrap();
+                    let miss = pool.read(key, &backend).unwrap();
                     let model_miss = model.access(key);
                     assert_eq!(
                         miss, model_miss,

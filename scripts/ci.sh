@@ -20,7 +20,7 @@ cargo test --release --test persistence
 # serialize the scoped worker threads.
 env -u RUST_TEST_THREADS cargo test --release --test concurrent_serving
 # --all = plan invariants + DP oracle (per query block, nested subquery
-# blocks included) & sampled orders + parallel-DP determinism + recovery
+# blocks included) & sampled orders + recovery
 # rules (page-checksum, reopen-equivalence) + the concurrent-differential
 # rule (corpus replayed from 8 threads, bit-identical plans/rows) + the
 # exec-accounting rule (traced corpus replay: per-node I/O sums to the
@@ -52,15 +52,12 @@ cargo run --release -p sysr-audit -- --model --mutant dirty-victim-gate
 # counterexample — exit 0 means caught, nonzero means the verifier has
 # been lobotomized.
 cargo run --release -p sysr-audit -- --cost-props --mutant cost-monotone
-# Optimizer hot-path bench: the smoke run exercises the measurement
-# pipeline end to end (writes BENCH_optimizer.smoke.json, not the
-# committed file); --check fails CI when the committed
-# BENCH_optimizer.json is missing or malformed.
-cargo run --release -p sysr-bench --bin bench_optimizer -- --smoke
-cargo run --release -p sysr-bench --bin bench_optimizer -- --check
-# Concurrency bench: same smoke/check split for BENCH_concurrency.json
-# (qps/p99 for 1, 2, 4, 8 sessions; no speedup assertion — see
-# EXPERIMENTS.md on the single-hardware-thread container).
+# Concurrency bench: the smoke run exercises the measurement pipeline
+# end to end (writes BENCH_concurrency.smoke.json, not the committed
+# file); --check fails CI when the committed BENCH_concurrency.json is
+# missing or malformed (qps/p99 for 1, 2, 4, 8 sessions; no speedup
+# assertion — see EXPERIMENTS.md on the single-hardware-thread
+# container).
 cargo run --release -p sysr-bench --bin bench_concurrency -- --smoke
 cargo run --release -p sysr-bench --bin bench_concurrency -- --check
 # Executor bench: smoke exercises the batched-RSI measurement pipeline
@@ -70,3 +67,11 @@ cargo run --release -p sysr-bench --bin bench_concurrency -- --check
 # EXPERIMENTS.md for the methodology and the honest 5×-target shortfall).
 cargo run --release -p sysr-bench --bin bench_executor -- --smoke
 cargo run --release -p sysr-bench --bin bench_executor -- --check
+# The end-to-end benchmark (BENCHMARK.json) is a package of its own that
+# depends on this repo by path, so the workspace commands above never
+# compile it: build and test it, run every workload at tenth size, and
+# check the emitted metric names and units against BENCHMARK.json — an
+# API removal that breaks the benchmark fails here, not in the pipeline.
+cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --check

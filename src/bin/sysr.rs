@@ -14,8 +14,6 @@
 //! * `\tables`  — list relations with their statistics
 //! * `\cache`   — statement-plan-cache counters and current size
 //! * `\w <f>`   — set the CPU weighting factor W
-//! * `\threads <n>` — set the optimizer's worker-thread count (plans are
-//!   identical at any value; see `OptimizerConfig::threads`)
 //! * `\trace <select>` — show the optimizer's join-order search trace
 //! * `\audit [select]` — verify the plan invariants (see `sysr-audit`);
 //!   with no argument, run the audit over its built-in corpus
@@ -166,17 +164,6 @@ fn command(db: &mut Database, cmd: &str) -> bool {
             }
             None => eprintln!("usage: \\w <float>"),
         },
-        "\\threads" => match parts.next().and_then(|s| s.parse::<usize>().ok()) {
-            Some(n) if n >= 1 => {
-                let mut cfg = db.config();
-                cfg.threads = n;
-                match db.set_config(cfg) {
-                    Ok(()) => println!("optimizer threads = {n}"),
-                    Err(e) => report(e),
-                }
-            }
-            _ => eprintln!("usage: \\threads <n >= 1>"),
-        },
         "\\trace" => {
             let sql = cmd["\\trace".len()..].trim().trim_end_matches(';');
             if sql.is_empty() {
@@ -203,7 +190,7 @@ fn command(db: &mut Database, cmd: &str) -> bool {
             Ok(()) => println!("Fig. 1 demo loaded: EMP (10k), DEPT (50), JOB (4); try:\n  EXPLAIN SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB WHERE TITLE='CLERK' AND LOC='DENVER' AND EMP.DNO=DEPT.DNO AND EMP.JOB=JOB.JOB;"),
             Err(e) => report(e),
         },
-        other => eprintln!("unknown command {other}; try \\q \\stats \\reset \\evict \\save \\open \\tables \\cache \\w \\threads \\trace \\audit \\demo"),
+        other => eprintln!("unknown command {other}; try \\q \\stats \\reset \\evict \\save \\open \\tables \\cache \\w \\trace \\audit \\demo"),
     }
     true
 }

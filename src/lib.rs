@@ -74,9 +74,6 @@ use sysr_sql::{
     SelectStmt, Statement, TableRef,
 };
 
-pub mod plancache;
-
-pub use plancache::{VersionedCache, PLAN_CACHE_CAP};
 pub use sysr_audit as audit;
 pub use sysr_catalog as catalog;
 pub use sysr_core as core;
@@ -85,7 +82,7 @@ pub use sysr_rss as rss;
 pub use sysr_sql as sql;
 
 pub use sysr_core::OptimizerConfig as Config;
-pub use sysr_rss::{tuple, ColType};
+pub use sysr_rss::{tuple, ColType, VersionedCache, PLAN_CACHE_CAP};
 
 /// Any error a statement can raise, across all phases.
 #[derive(Debug, Clone, PartialEq)]
@@ -424,15 +421,7 @@ impl Database {
 
     /// Plan a SELECT without executing it.
     pub fn plan(&self, sql_text: &str) -> DbResult<QueryPlan> {
-        let stmt = parse_statement(sql_text)?;
-        match stmt {
-            Statement::Select(sel) => self.plan_select(&sel),
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(sel) => self.plan_select(&sel),
-                _ => Err(DbError::Unsupported("EXPLAIN requires a SELECT".into())),
-            },
-            _ => Err(DbError::Unsupported("only SELECT statements have plans".into())),
-        }
+        self.plan_select(&select_of(sql_text, true)?)
     }
 
     /// EXPLAIN: render the chosen plan.
@@ -449,11 +438,7 @@ impl Database {
 
     /// Run a read-only SELECT.
     pub fn query(&self, sql_text: &str) -> DbResult<ResultSet> {
-        let stmt = parse_statement(sql_text)?;
-        match stmt {
-            Statement::Select(sel) => self.run_select(&sel),
-            _ => Err(DbError::Unsupported("query() only accepts SELECT".into())),
-        }
+        self.run_select(&select_of(sql_text, false)?)
     }
 
     /// Execute an already-planned SELECT (the §7 experiments execute every
@@ -496,15 +481,7 @@ impl Database {
     /// measurement and verify the executor's I/O accounting. Returns the
     /// combined report; `report.ok()` means every check passed.
     pub fn audit(&self, sql_text: &str) -> DbResult<sysr_audit::AuditReport> {
-        let stmt = parse_statement(sql_text)?;
-        let sel = match stmt {
-            Statement::Select(sel) => sel,
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(sel) => sel,
-                _ => return Err(DbError::Unsupported("audit requires a SELECT".into())),
-            },
-            _ => return Err(DbError::Unsupported("audit requires a SELECT".into())),
-        };
+        let sel = select_of(sql_text, true)?;
         let optimizer = Optimizer::with_config(&self.catalog, self.config);
         let (plan, traces) = optimizer.optimize_traced(&sel)?;
         let mut report =
@@ -524,15 +501,7 @@ impl Database {
     /// subset level and interesting-order class, the candidates generated,
     /// plans pruned, and surviving cheapest costs — for every query block.
     pub fn search_trace(&self, sql_text: &str) -> DbResult<String> {
-        let stmt = parse_statement(sql_text)?;
-        let sel = match stmt {
-            Statement::Select(sel) => sel,
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(sel) => sel,
-                _ => return Err(DbError::Unsupported("trace requires a SELECT".into())),
-            },
-            _ => return Err(DbError::Unsupported("trace requires a SELECT".into())),
-        };
+        let sel = select_of(sql_text, true)?;
         let optimizer = Optimizer::with_config(&self.catalog, self.config);
         let (_, traces) = optimizer.optimize_traced(&sel)?;
         let mut out = String::new();
@@ -822,17 +791,6 @@ impl<'db> Session<'db> {
         self.db
     }
 
-    fn select_of(sql_text: &str) -> DbResult<SelectStmt> {
-        match parse_statement(sql_text)? {
-            Statement::Select(sel) => Ok(sel),
-            Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => match *inner {
-                Statement::Select(sel) => Ok(sel),
-                _ => Err(DbError::Unsupported("EXPLAIN requires a SELECT".into())),
-            },
-            _ => Err(DbError::Unsupported("sessions serve SELECT statements".into())),
-        }
-    }
-
     fn plan_counted(&self, sel: &SelectStmt) -> DbResult<QueryPlan> {
         let (plan, hit) = self.db.plan_select_counted(sel)?;
         let counter = if hit { &self.hits } else { &self.misses };
@@ -842,18 +800,18 @@ impl<'db> Session<'db> {
 
     /// Plan a SELECT without executing it (through the shared cache).
     pub fn plan(&self, sql_text: &str) -> DbResult<QueryPlan> {
-        self.plan_counted(&Self::select_of(sql_text)?)
+        self.plan_counted(&select_of(sql_text, true)?)
     }
 
     /// Run a read-only SELECT.
     pub fn query(&self, sql_text: &str) -> DbResult<ResultSet> {
-        let plan = self.plan_counted(&Self::select_of(sql_text)?)?;
+        let plan = self.plan_counted(&select_of(sql_text, false)?)?;
         self.db.execute_plan(&plan)
     }
 
     /// EXPLAIN: render the chosen plan.
     pub fn explain(&self, sql_text: &str) -> DbResult<String> {
-        let plan = self.plan_counted(&Self::select_of(sql_text)?)?;
+        let plan = self.plan_counted(&select_of(sql_text, true)?)?;
         Ok(format!(
             "{}predicted: {} (W={}); QCARD≈{:.1}\n",
             plan.explain(&self.db.catalog),
@@ -866,7 +824,7 @@ impl<'db> Session<'db> {
     /// `EXPLAIN ANALYZE`: run the query and render the per-node
     /// predicted-vs-measured report, with this session's cache traffic.
     pub fn explain_analyze(&self, sql_text: &str) -> DbResult<String> {
-        let plan = self.plan_counted(&Self::select_of(sql_text)?)?;
+        let plan = self.plan_counted(&select_of(sql_text, true)?)?;
         let (_, measurements, _) = self.db.execute_plan_traced(&plan)?;
         let mut text = plan.explain_analyze(&self.db.catalog, &measurements, self.db.config.w);
         let (hits, misses) = self.cache_stats();
@@ -884,6 +842,23 @@ impl<'db> Session<'db> {
     /// database-wide [`Database::plan_cache_stats`].
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.hits.get(), self.misses.get())
+    }
+}
+
+/// Parse `sql_text` down to the SELECT it names: the statement itself,
+/// or — where `explain_ok` — the SELECT inside an `EXPLAIN [ANALYZE]`
+/// wrapper. The entry points that *run* a statement pass `false`, so
+/// `EXPLAIN SELECT …` is rejected instead of silently executed.
+fn select_of(sql_text: &str, explain_ok: bool) -> DbResult<SelectStmt> {
+    match parse_statement(sql_text)? {
+        Statement::Select(sel) => Ok(sel),
+        Statement::Explain(inner) | Statement::ExplainAnalyze(inner) if explain_ok => {
+            match *inner {
+                Statement::Select(sel) => Ok(sel),
+                _ => Err(DbError::Unsupported("EXPLAIN requires a SELECT".into())),
+            }
+        }
+        _ => Err(DbError::Unsupported("expected a plain SELECT statement".into())),
     }
 }
 

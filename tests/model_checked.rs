@@ -51,6 +51,22 @@ fn sessions_reject_every_non_select_statement() {
     assert!(session.query("SELECT NAME FROM EMP WHERE SAL > 9000 ORDER BY NAME").is_ok());
 }
 
+#[test]
+fn query_rejects_explain_wrapped_text_on_both_entry_points() {
+    // `query` runs a statement; EXPLAIN text belongs to `explain` /
+    // `explain_analyze`, so neither entry point may execute the inner
+    // SELECT and hand back its rows.
+    let db = fig1_db(100, 10, 5);
+    let session = db.session();
+    for sql in ["EXPLAIN SELECT NAME FROM EMP", "EXPLAIN ANALYZE SELECT NAME FROM EMP"] {
+        let via_session = session.query(sql).map(drop);
+        assert!(matches!(via_session, Err(DbError::Unsupported(_))), "{sql:?}: {via_session:?}");
+        assert_eq!(via_session, db.query(sql).map(drop), "{sql:?}: same typed error");
+        // The plan-only entry points still look through the wrapper.
+        assert!(session.plan(sql).is_ok() && session.explain(sql).is_ok(), "{sql:?}");
+    }
+}
+
 fn seg(page: u32) -> PageKey {
     PageKey::new(FileId::Segment(0), page)
 }
