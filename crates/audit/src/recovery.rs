@@ -1,7 +1,9 @@
 //! Recovery-invariant rules: the persistent page files behind the buffer
 //! pool must round-trip a database exactly.
 //!
-//! Two rules, run against a scratch database the auditor builds, saves,
+//! Two rules, run against a scratch database the auditor builds — a bulk
+//! load, then rounds of batched deletes, updates and re-inserts, so the
+//! page files hold what *deferred* statement-end flushes wrote — saves,
 //! and reopens in a temp directory:
 //!
 //! * **`page-checksum`** — every frame of every saved `*.pages` file
@@ -28,8 +30,8 @@ use sysr_catalog::persist::{self, CATALOG_META};
 use sysr_catalog::{Catalog, ColumnMeta, RelId};
 use sysr_rss::pagefile::{page_lsn, parse_file_name, verify_page};
 use sysr_rss::{
-    ColType, IndexScan, PageKey, RsiScan, RssResult, SargExpr, SegmentId, Storage, Tuple, Value,
-    PAGE_SIZE,
+    BTreeConfig, ColType, IndexScan, PageKey, Rid, RsiScan, RssResult, SargExpr, SegmentId,
+    SplitMix64, Storage, Tuple, Value, PAGE_SIZE,
 };
 
 /// Buffer-pool size for the scratch database — small enough that the
@@ -39,6 +41,15 @@ const POOL_PAGES: usize = 8;
 /// Rows in the scratch relation; enough for several data pages and a
 /// multi-node B-tree.
 const ROWS: i64 = 300;
+
+/// Rounds of delete → update → re-insert run over the loaded relation,
+/// and the tuples each batch statement of a round touches.
+const CHURN_ROUNDS: i64 = 6;
+const CHURN_BATCH: usize = 40;
+
+/// Small fanout, so that a batch spans several leaves: a deleted key run
+/// empties whole leaves and the re-insert refills them.
+const SCRATCH_FANOUT: BTreeConfig = BTreeConfig { leaf_capacity: 16, internal_capacity: 8 };
 
 /// Run both recovery rules in a scratch temp directory.
 pub fn audit_recovery() -> AuditReport {
@@ -50,11 +61,22 @@ pub fn audit_recovery() -> AuditReport {
     report
 }
 
+/// One scratch tuple; `salt` varies the string's length, so an updated
+/// tuple rarely fits the bytes of the one it replaces.
+fn scratch_row(key: i64, salt: i64) -> Tuple {
+    Tuple::new(vec![
+        Value::Int(key),
+        Value::Str(format!("row-{key:04}-{}", "x".repeat(((key + salt) % 7) as usize * 8))),
+        Value::Float(f64::from(key as i32) * 1.5),
+    ])
+}
+
 /// The scratch database: one relation `T(A INT UNIQUE, B STR, V FLOAT)`
-/// with a unique index on `A`, gathered statistics, and a few hundred
-/// rows spread over multiple pages.
+/// with a unique index on `A`, a few hundred rows spread over multiple
+/// pages, churned by batched DML, and statistics gathered at the end.
 fn build_database() -> Result<(Storage, Catalog, SegmentId, RelId), String> {
     let mut st = Storage::new(POOL_PAGES);
+    st.set_btree_config(SCRATCH_FANOUT);
     let seg = st.create_segment();
     let mut cat = Catalog::new();
     let rel = cat
@@ -68,19 +90,55 @@ fn build_database() -> Result<(Storage, Catalog, SegmentId, RelId), String> {
             ],
         )
         .map_err(|e| format!("create relation: {e}"))?;
-    for i in 0..ROWS {
-        let tuple = Tuple::new(vec![
-            Value::Int(i),
-            Value::Str(format!("row-{i:04}-{}", "x".repeat((i % 7) as usize * 8))),
-            Value::Float(f64::from(i as i32) * 1.5),
-        ]);
-        st.insert(seg, rel, &tuple).map_err(|e| format!("insert row {i}: {e}"))?;
-    }
+    let rows: Vec<Tuple> = (0..ROWS).map(|i| scratch_row(i, 0)).collect();
+    st.insert_many(seg, rel, &rows).map_err(|e| format!("bulk load: {e}"))?;
     let idx = st.create_index(seg, rel, vec![0], true).map_err(|e| format!("create index: {e}"))?;
     cat.register_index(idx, "T_A", rel, vec![0], true, false)
         .map_err(|e| format!("register index: {e}"))?;
+    churn(&mut st, seg, rel)?;
     cat.update_statistics(&st);
     Ok((st, cat, seg, rel))
+}
+
+/// Seeded rounds of `delete_many` / `update_many` / `insert_many`, each
+/// flushing once at its end. A round deletes a run of keys contiguous in
+/// key order (whole B-tree leaves empty out, data-page slots are freed),
+/// re-keys a scatter of the survivors, then inserts as many tuples as it
+/// deleted — half of them the deleted keys again (refilling the emptied
+/// leaves and the freed slots), half new keys. `ROWS` is preserved.
+fn churn(st: &mut Storage, seg: SegmentId, rel: RelId) -> Result<(), String> {
+    let mut rng = SplitMix64::new(0x5EED_0D31);
+    let mut fresh = ROWS;
+    let mut fresh_row = |salt: i64| {
+        fresh += 1;
+        scratch_row(fresh, salt)
+    };
+    for round in 0..CHURN_ROUNDS {
+        let mut live: Vec<(Rid, Tuple)> = st
+            .segment(seg)
+            .and_then(|s| s.iter_relation(rel).map(|(rid, t)| t.map(|t| (rid, t))).collect())
+            .map_err(|e| format!("churn round {round}: scan: {e}"))?;
+        live.sort_by(|(_, a), (_, b)| a.cmp(b));
+        let start = rng.range_usize(0, live.len().saturating_sub(CHURN_BATCH).max(1));
+        let (head, rest) = live.split_at(start.min(live.len()));
+        let (run, tail) = rest.split_at(CHURN_BATCH.min(rest.len()));
+
+        let victims: Vec<Rid> = run.iter().map(|(rid, _)| *rid).collect();
+        st.delete_many(seg, rel, &victims)
+            .map_err(|e| format!("churn round {round}: delete_many: {e}"))?;
+        let changes: Vec<(Rid, Tuple)> =
+            head.iter().chain(tail).step_by(7).map(|(rid, _)| (*rid, fresh_row(round))).collect();
+        st.update_many(seg, rel, &changes)
+            .map_err(|e| format!("churn round {round}: update_many: {e}"))?;
+        let back: Vec<Tuple> = run
+            .iter()
+            .enumerate()
+            .map(|(i, (_, old))| if i % 2 == 0 { old.clone() } else { fresh_row(round + 1) })
+            .collect();
+        st.insert_many(seg, rel, &back)
+            .map_err(|e| format!("churn round {round}: insert_many: {e}"))?;
+    }
+    Ok(())
 }
 
 /// Tuples of the relation in storage order, bypassing the buffer pool (we

@@ -4,15 +4,15 @@
 
 use crate::error::{ExecError, ExecResult};
 use crate::eval::{eval_bexpr, eval_grouped_sexpr};
-use crate::exec::exec_node;
+use crate::exec::{exec_node, scan_into};
 use crate::result::ResultSet;
 use crate::row::{cmp_rows, empty_row, row_value, rows_sorted, Row};
 use crate::tracer::ExecTracer;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use sysr_catalog::Catalog;
-use sysr_core::{ColId, NodeMeasurement, QueryPlan};
-use sysr_rss::{Storage, Tuple, Value};
+use sysr_core::{ColId, NodeMeasurement, PlanNode, QueryPlan};
+use sysr_rss::{Rid, Storage, Tuple, Value};
 
 /// Execution environment: the storage engine and catalogs, plus an
 /// optional per-node measurement tracer (`EXPLAIN ANALYZE`).
@@ -103,6 +103,29 @@ impl<'a> BlockRt<'a> {
             substates: (0..n).map(|_| SubState::default()).collect(),
             free_refs,
         }
+    }
+
+    /// Factors referencing no local table are decided once per block
+    /// instance: `false` means the block produces no rows at all.
+    fn passes_block_filters(&mut self) -> ExecResult<bool> {
+        let plan = self.plan;
+        let probe = empty_row(plan.query.tables.len());
+        for &f in &plan.block_filters {
+            if !eval_bexpr(self, &probe, &plan.query.factors[f].expr)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Evaluate the block's select list against one base row.
+    fn project(&mut self, row: &Row) -> ExecResult<Tuple> {
+        let plan = self.plan;
+        let mut values = Vec::with_capacity(plan.query.select.len());
+        for (_, e) in &plan.query.select {
+            values.push(crate::eval::eval_sexpr(self, row, e)?);
+        }
+        Ok(Tuple::new(values))
     }
 
     /// Open a measurement window for plan node `id` (no-op if untraced).
@@ -213,12 +236,8 @@ pub fn execute_block_at(
     let mut rt = BlockRt::new(env, plan, outer_stack, base_id);
     let q = &plan.query;
 
-    // Factors referencing no local table: decided once per block instance.
-    let probe = empty_row(q.tables.len());
-    for &f in &plan.block_filters {
-        if !eval_bexpr(&mut rt, &probe, &q.factors[f].expr)? {
-            return Ok(Vec::new());
-        }
+    if !rt.passes_block_filters()? {
+        return Ok(Vec::new());
     }
 
     let mut rows = exec_node(&mut rt, &plan.root, base_id)?;
@@ -239,17 +258,43 @@ pub fn execute_block_at(
     // ---- projection ---------------------------------------------------------
     let mut out = Vec::with_capacity(rows.len());
     for row in &rows {
-        let mut values = Vec::with_capacity(q.select.len());
-        for (_, e) in &q.select {
-            values.push(crate::eval::eval_sexpr(&mut rt, row, e)?);
-        }
-        out.push(Tuple::new(values));
+        out.push(rt.project(row)?);
     }
 
     if q.distinct {
         out = dedup_preserving_order(out);
     }
     Ok(out)
+}
+
+/// Execute the victim scan of an UPDATE or DELETE: a single-relation
+/// block — block filters, subqueries, residual factors and projection
+/// exactly as [`execute_block_at`] runs them — returning each surviving
+/// row's RID beside its projected tuple, in access-path order. The whole
+/// list is materialized before the caller mutates anything, so the
+/// statement sees the pre-statement state throughout.
+///
+/// "Retrieval for data manipulation is treated similarly" (§1): the root
+/// of a DML plan is one scan of the target relation; a plan that sorts,
+/// joins, groups or deduplicates has no row-to-RID correspondence and is
+/// an internal error.
+pub fn execute_victims(env: &ExecEnv<'_>, plan: &QueryPlan) -> ExecResult<Vec<(Rid, Tuple)>> {
+    let q = &plan.query;
+    let PlanNode::Scan(scan) = &plan.root.node else {
+        return Err(ExecError::Internal("DML victim plan must be a single scan".into()));
+    };
+    if q.aggregated || q.distinct || !q.order_by.is_empty() {
+        return Err(ExecError::Internal(
+            "DML victim plan cannot aggregate, deduplicate or order".into(),
+        ));
+    }
+    let mut rt = BlockRt::new(env, plan, Vec::new(), 0);
+    if !rt.passes_block_filters()? {
+        return Ok(Vec::new());
+    }
+    let mut rows: Vec<(Rid, Row)> = Vec::new();
+    scan_into(&mut rt, scan, None, &mut rows)?;
+    rows.iter().map(|(rid, row)| Ok((*rid, rt.project(row)?))).collect()
 }
 
 /// Grouped / aggregated output path.
@@ -323,15 +368,4 @@ pub fn root_rows_sorted(
 fn dedup_preserving_order(rows: Vec<Tuple>) -> Vec<Tuple> {
     let mut seen = HashSet::new();
     rows.into_iter().filter(|t| seen.insert(t.clone())).collect()
-}
-
-/// Convenience for facade-level DELETE: execute a `SELECT *` plan over one
-/// table and return the matching tuples as a multiset count map.
-pub fn matching_multiset(env: &ExecEnv<'_>, plan: &QueryPlan) -> ExecResult<HashMap<Tuple, usize>> {
-    let rows = execute_block(env, plan, Vec::new())?;
-    let mut counts = HashMap::new();
-    for t in rows {
-        *counts.entry(t).or_insert(0) += 1;
-    }
-    Ok(counts)
 }

@@ -13,9 +13,36 @@ use crate::eval::{eval_bexpr, resolve_operand};
 use crate::row::{combine, empty_row, flatten, row_value, Row};
 use sysr_core::{Access, BExpr, ColId, PlanExpr, PlanNode, ScanPlan};
 use sysr_rss::{
-    Batch, IndexScan, RsiScan, SargExpr, SargPred, SegmentScan, TempGuard, TempList, Tuple, Value,
-    MAX_BATCH,
+    Batch, IndexScan, Rid, RsiScan, SargExpr, SargPred, SegmentScan, TempGuard, TempList, Tuple,
+    Value, MAX_BATCH,
 };
+
+/// Where a scan's surviving rows go. A SELECT collects bare rows; a DML
+/// victim scan keeps each row's RID beside it. The sink is a type
+/// parameter, so the SELECT instantiation is the same code as a plain
+/// `Vec::push` — `Row` itself never carries a RID.
+pub trait RowSink {
+    fn reserve(&mut self, additional: usize);
+    fn accept(&mut self, rid: Rid, row: Row);
+}
+
+impl RowSink for Vec<Row> {
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+    fn accept(&mut self, _rid: Rid, row: Row) {
+        self.push(row);
+    }
+}
+
+impl RowSink for Vec<(Rid, Row)> {
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+    fn accept(&mut self, rid: Rid, row: Row) {
+        self.push((rid, row));
+    }
+}
 
 /// Execute a plan subtree, producing composite rows. `id` is the node's
 /// pre-order id within the whole statement plan (see `sysr_core::analyze`);
@@ -221,6 +248,19 @@ pub fn exec_scan(
     scan: &ScanPlan,
     probe: Option<&Row>,
 ) -> ExecResult<Vec<Row>> {
+    let mut out: Vec<Row> = Vec::new();
+    scan_into(rt, scan, probe, &mut out)?;
+    Ok(out)
+}
+
+/// [`exec_scan`] into a caller-supplied sink: every row that survives the
+/// SARGs and the residual factors is handed over with its RID.
+pub fn scan_into<S: RowSink>(
+    rt: &mut BlockRt<'_>,
+    scan: &ScanPlan,
+    probe: Option<&Row>,
+    out: &mut S,
+) -> ExecResult<()> {
     let plan = rt.plan;
     let table = &plan.query.tables[scan.table];
     let ntables = plan.query.tables.len();
@@ -246,7 +286,6 @@ pub fn exec_scan(
     let residuals: Vec<&BExpr> =
         scan.residual.iter().map(|&f| &plan.query.factors[f].expr).collect();
     let base: Row = probe.cloned().unwrap_or_else(|| empty_row(ntables));
-    let mut out: Vec<Row> = Vec::new();
 
     match &scan.access {
         Access::Segment => {
@@ -256,7 +295,7 @@ pub fn exec_scan(
                 if batch.is_empty() {
                     break;
                 }
-                attach_batch(rt, &base, scan.table, &residuals, batch, &mut out)?;
+                attach_batch(rt, &base, scan.table, &residuals, batch, out)?;
             }
         }
         Access::Index { index, eq_prefix, range, index_only, .. } => {
@@ -348,7 +387,7 @@ pub fn exec_scan(
                             (rid, Tuple::new(values))
                         })
                         .collect();
-                    attach_batch(rt, &base, scan.table, &residuals, widened, &mut out)?;
+                    attach_batch(rt, &base, scan.table, &residuals, widened, out)?;
                 }
             } else {
                 let mut s = IndexScan::open(rt.env.storage, *index, start_bound, stop_bound, sargs);
@@ -357,26 +396,26 @@ pub fn exec_scan(
                     if batch.is_empty() {
                         break;
                     }
-                    attach_batch(rt, &base, scan.table, &residuals, batch, &mut out)?;
+                    attach_batch(rt, &base, scan.table, &residuals, batch, out)?;
                 }
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Attach one RSI batch to the composite row and apply the residual
 /// factors above the RSI.
-fn attach_batch(
+fn attach_batch<S: RowSink>(
     rt: &mut BlockRt<'_>,
     base: &Row,
     table: usize,
     residuals: &[&BExpr],
     batch: Batch,
-    out: &mut Vec<Row>,
+    out: &mut S,
 ) -> ExecResult<()> {
     out.reserve(batch.len());
-    'tuples: for (_, tuple) in batch {
+    'tuples: for (rid, tuple) in batch {
         let mut row = base.clone();
         row[table] = Some(tuple);
         for e in residuals {
@@ -384,7 +423,7 @@ fn attach_batch(
                 continue 'tuples;
             }
         }
-        out.push(row);
+        out.accept(rid, row);
     }
     Ok(())
 }

@@ -33,7 +33,9 @@ pub mod result;
 pub mod row;
 pub mod tracer;
 
-pub use block::{execute, execute_block, execute_block_at, root_rows_sorted, BlockRt, ExecEnv};
+pub use block::{
+    execute, execute_block, execute_block_at, execute_victims, root_rows_sorted, BlockRt, ExecEnv,
+};
 pub use error::{ExecError, ExecResult};
 pub use result::ResultSet;
 pub use row::Row;

@@ -260,14 +260,22 @@ impl BTreeIndex {
         Ok(())
     }
 
-    /// Insert `(key, rid)`. Duplicate full keys are allowed unless the
-    /// index is UNIQUE.
-    pub fn insert(&mut self, key: Key, rid: Rid) -> RssResult<()> {
-        self.check_arity(&key)?;
-        let size = key_bytes(&key);
+    /// Whether `key` is insertable at all: right arity, and small enough
+    /// that a node page always holds several keys. Callers that must not
+    /// fail halfway through a batch check every key up front.
+    pub fn check_key(&self, key: &[Value]) -> RssResult<()> {
+        self.check_arity(key)?;
+        let size = key_bytes(key);
         if size > MAX_KEY_BYTES {
             return Err(RssError::TupleTooLarge { size, max: MAX_KEY_BYTES });
         }
+        Ok(())
+    }
+
+    /// Insert `(key, rid)`. Duplicate full keys are allowed unless the
+    /// index is UNIQUE.
+    pub fn insert(&mut self, key: Key, rid: Rid) -> RssResult<()> {
+        self.check_key(&key)?;
         if self.unique && self.contains_key(&key)? {
             return Err(RssError::DuplicateKey(format!("{key:?}")));
         }

@@ -16,7 +16,7 @@
 //! I/O counters), under the total latch order documented in
 //! [`crate::sharded`]: *shard → gate → backend*, at most one shard
 //! latch held, no latch spanning I/O on another object. Mutation
-//! (`insert`, `delete`, DDL) still requires `&mut self`, which the
+//! (the `*_many` batch forms, DDL) still requires `&mut self`, which the
 //! borrow checker serializes against readers; [`Storage::sync`] and
 //! [`Storage::save_to`] stay `&self` because the pool's flush drains
 //! the write-back gate before they touch the backend's images.
@@ -25,14 +25,22 @@
 //!
 //! The in-memory `Segment` pages and B-tree arenas are the authoritative
 //! working copies; the page backend holds the persistent stamped images.
-//! After **every** mutating call (`insert`, `delete`, `create_index`,
-//! `cluster_relation`) the dirty page set is flushed through the buffer
-//! pool — write-through in place if the page is resident (deferring the
-//! physical write to eviction or flush), write-around to the backend
-//! otherwise — so the backend is always current before any read. A page
-//! fetch (pool miss) therefore performs a real, checksum-verified backend
-//! read, and `IoStats::backend_reads` equals the fetch counters within any
-//! measurement window.
+//! A **statement is the flush unit**: the batch forms `insert_many`,
+//! `delete_many` and `update_many` (of which `insert` and `delete` are the
+//! one-element cases) apply all their tuples, maintain every index, and
+//! then — like `create_index` and `cluster_relation` — flush the dirty
+//! page set **once** through the buffer pool, on the error path too:
+//! write-through in place if the page is resident (deferring the physical
+//! write to eviction or flush), write-around to the backend otherwise. So
+//! whenever a mutating call returns, the backend is current before any
+//! read; a page fetch (pool miss) performs a real, checksum-verified
+//! backend read, and `IoStats::backend_reads` equals the fetch counters
+//! within any measurement window.
+//!
+//! The batch forms are atomic for everything a statement can get wrong:
+//! RIDs, tuple and key sizes and unique-index collisions are all checked
+//! before the first mutation (see `Storage::check_batch`), so an `Err`
+//! from them leaves segments and indexes exactly as they were.
 //!
 //! [`Storage::save_to`] snapshots the database into a directory
 //! ([`DirBackend`] page files plus a `storage.meta` descriptor);
@@ -170,7 +178,8 @@ impl Storage {
 
     /// Flush every page mutated since the last call — segment pages and
     /// B-tree node pages — so the backend (or a dirty resident frame)
-    /// holds the current image. Called after every mutating operation.
+    /// holds the current image. Called once at the end of every mutating
+    /// operation, however many tuples it touched.
     fn flush_dirty(&mut self) -> RssResult<()> {
         for si in 0..self.segments.len() {
             for p in self.segments[si].drain_dirty() {
@@ -272,41 +281,167 @@ impl Storage {
 
     // ---- tuples ----------------------------------------------------------
 
-    /// Insert a tuple and maintain all indexes on the relation.
+    /// Insert one tuple: [`Storage::insert_many`] of a single row.
     pub fn insert(&mut self, seg: SegmentId, rel_id: u16, tuple: &Tuple) -> RssResult<Rid> {
-        // Check unique indexes before touching the segment so a duplicate
-        // key leaves storage unmodified.
-        for entry in &self.indexes {
-            if entry.segment == seg && entry.rel_id == rel_id && entry.tree.is_unique() {
+        let rids = self.insert_many(seg, rel_id, std::slice::from_ref(tuple))?;
+        rids.first().copied().ok_or_else(|| RssError::Corrupt("insert produced no RID".into()))
+    }
+
+    /// Delete the tuple at `rid`: [`Storage::delete_many`] of a single RID.
+    pub fn delete(&mut self, seg: SegmentId, rel_id: u16, rid: Rid) -> RssResult<()> {
+        self.delete_many(seg, rel_id, &[rid])
+    }
+
+    /// Insert a statement's worth of tuples and maintain every index on
+    /// the relation, flushing the dirtied pages **once**. Atomic: the
+    /// whole batch is validated first (`check_batch`), so a
+    /// duplicate key or an oversized tuple anywhere in it returns the
+    /// error with storage untouched.
+    pub fn insert_many(
+        &mut self,
+        seg: SegmentId,
+        rel_id: u16,
+        tuples: &[Tuple],
+    ) -> RssResult<Vec<Rid>> {
+        self.check_batch(seg, rel_id, &[], tuples.iter())?;
+        let applied = self.apply_inserts(seg, rel_id, tuples.iter());
+        self.flushed(applied)
+    }
+
+    /// Delete the tuples at `rids` and their index entries, flushing the
+    /// dirtied pages **once**. Every RID is resolved before the first
+    /// deletion, so a bad RID returns the error with storage untouched.
+    pub fn delete_many(&mut self, seg: SegmentId, rel_id: u16, rids: &[Rid]) -> RssResult<()> {
+        let old = self.resolve(seg, rel_id, rids.iter().copied())?;
+        let applied = self.apply_deletes(seg, rel_id, rids.iter().copied().zip(&old));
+        self.flushed(applied)
+    }
+
+    /// Replace the tuple at each RID by the tuple beside it, flushing the
+    /// dirtied pages **once**. All victims are deleted before any
+    /// replacement is inserted (a replacement may take a key another
+    /// victim vacates), and replacements get fresh RIDs. Atomic: RIDs,
+    /// tuple and key sizes, and every unique index — net of the keys the
+    /// victims vacate, and among the replacements themselves — are
+    /// validated before the first mutation, so an error leaves the
+    /// relation and all its indexes exactly as they were.
+    pub fn update_many(
+        &mut self,
+        seg: SegmentId,
+        rel_id: u16,
+        changes: &[(Rid, Tuple)],
+    ) -> RssResult<()> {
+        let old = self.resolve(seg, rel_id, changes.iter().map(|(rid, _)| *rid))?;
+        self.check_batch(seg, rel_id, &old, changes.iter().map(|(_, new)| new))?;
+        let applied = self
+            .apply_deletes(seg, rel_id, changes.iter().map(|(rid, _)| *rid).zip(&old))
+            .and_then(|()| self.apply_inserts(seg, rel_id, changes.iter().map(|(_, new)| new)))
+            .map(|_| ());
+        self.flushed(applied)
+    }
+
+    /// The stored tuples at `rids` (their index keys must be removed with
+    /// them); fails on the first RID that is not a live tuple of `rel_id`.
+    fn resolve(
+        &self,
+        seg: SegmentId,
+        rel_id: u16,
+        rids: impl Iterator<Item = Rid>,
+    ) -> RssResult<Vec<Tuple>> {
+        let segment = self.segment(seg)?;
+        rids.map(|rid| segment.get(rel_id, rid)).collect()
+    }
+
+    /// Validate a batch before anything is mutated: every incoming tuple
+    /// fits a page, every index key fits a node, and no unique index
+    /// would see a key twice — among the incoming tuples or against a
+    /// stored key that no `vacated` tuple gives up.
+    fn check_batch<'t>(
+        &self,
+        seg: SegmentId,
+        rel_id: u16,
+        vacated: &[Tuple],
+        incoming: impl Iterator<Item = &'t Tuple> + Clone,
+    ) -> RssResult<()> {
+        for tuple in incoming.clone() {
+            let size = tuple.encoded_size();
+            if size > Page::max_tuple_size() {
+                return Err(RssError::TupleTooLarge { size, max: Page::max_tuple_size() });
+            }
+        }
+        for entry in self.indexes.iter().filter(|e| e.segment == seg && e.rel_id == rel_id) {
+            // Only a unique index needs its keys kept for comparison.
+            let unique = entry.tree.is_unique();
+            let mut keys: Vec<Vec<Value>> = Vec::new();
+            for tuple in incoming.clone() {
                 let key = entry.key_of(tuple);
-                if entry.tree.contains_key(&key)? {
+                entry.tree.check_key(&key)?;
+                if unique {
+                    keys.push(key);
+                }
+            }
+            if !unique {
+                continue;
+            }
+            keys.sort_unstable();
+            let mut freed: Vec<Vec<Value>> = vacated.iter().map(|t| entry.key_of(t)).collect();
+            freed.sort_unstable();
+            for (i, key) in keys.iter().enumerate() {
+                let taken = keys.get(i + 1) == Some(key)
+                    || (freed.binary_search(key).is_err() && entry.tree.contains_key(key)?);
+                if taken {
                     return Err(RssError::DuplicateKey(format!("{key:?}")));
                 }
             }
         }
-        let rid = self.segment_mut(seg)?.insert(rel_id, tuple)?;
-        for entry in &mut self.indexes {
-            if entry.segment == seg && entry.rel_id == rel_id {
-                let key = entry.key_of(tuple);
-                entry.tree.insert(key, rid)?;
-            }
-        }
-        self.flush_dirty()?;
-        Ok(rid)
+        Ok(())
     }
 
-    /// Delete the tuple at `rid` and remove its index entries.
-    pub fn delete(&mut self, seg: SegmentId, rel_id: u16, rid: Rid) -> RssResult<()> {
-        let tuple = self.segment(seg)?.get(rel_id, rid)?;
-        self.segment_mut(seg)?.delete(rel_id, rid)?;
-        for entry in &mut self.indexes {
-            if entry.segment == seg && entry.rel_id == rel_id {
-                let key = entry.key_of(&tuple);
-                entry.tree.delete(&key, rid)?;
+    fn apply_inserts<'t>(
+        &mut self,
+        seg: SegmentId,
+        rel_id: u16,
+        tuples: impl Iterator<Item = &'t Tuple>,
+    ) -> RssResult<Vec<Rid>> {
+        let mut rids = Vec::with_capacity(tuples.size_hint().0);
+        for tuple in tuples {
+            let rid = self.segment_mut(seg)?.insert(rel_id, tuple)?;
+            for entry in &mut self.indexes {
+                if entry.segment == seg && entry.rel_id == rel_id {
+                    let key = entry.key_of(tuple);
+                    entry.tree.insert(key, rid)?;
+                }
+            }
+            rids.push(rid);
+        }
+        Ok(rids)
+    }
+
+    fn apply_deletes<'t>(
+        &mut self,
+        seg: SegmentId,
+        rel_id: u16,
+        victims: impl Iterator<Item = (Rid, &'t Tuple)>,
+    ) -> RssResult<()> {
+        for (rid, tuple) in victims {
+            self.segment_mut(seg)?.delete(rel_id, rid)?;
+            for entry in &mut self.indexes {
+                if entry.segment == seg && entry.rel_id == rel_id {
+                    entry.tree.delete(&entry.key_of(tuple), rid)?;
+                }
             }
         }
-        self.flush_dirty()?;
         Ok(())
+    }
+
+    /// Finish a mutating call: flush whatever it dirtied — on the error
+    /// path too, so the backend image equals the in-memory state whenever
+    /// a call returns. The mutation's own error wins over a flush error.
+    fn flushed<T>(&mut self, applied: RssResult<T>) -> RssResult<T> {
+        let flush = self.flush_dirty();
+        let value = applied?;
+        flush?;
+        Ok(value)
     }
 
     /// Fetch a tuple by RID **with** page accounting: the data page is
@@ -729,6 +864,64 @@ mod tests {
         let before = st.segment(seg).unwrap().count_tuples(1);
         assert!(st.insert(seg, 1, &row(5)).is_err());
         assert_eq!(st.segment(seg).unwrap().count_tuples(1), before);
+    }
+
+    /// A statement is the flush unit: k tuples deleted from one data page
+    /// write that page's image once, not k times. The pool is smaller
+    /// than the table and evicted, so every flushed image is a
+    /// write-around the backend counts.
+    #[test]
+    fn delete_many_writes_each_dirty_page_once() {
+        let mut st = Storage::new(4);
+        let seg = st.create_segment();
+        let rows: Vec<Tuple> = (0..2000).map(row).collect();
+        let rids = st.insert_many(seg, 1, &rows).unwrap();
+        assert!(st.segment(seg).unwrap().page_count() > 8, "table must exceed the pool");
+        let on_page =
+            |p: u32| -> Vec<Rid> { rids.iter().copied().filter(|r| r.page == p).collect() };
+        let (batch, singles) = (on_page(2), on_page(5));
+        assert!(batch.len() >= 8 && singles.len() >= 8);
+
+        st.evict_all().unwrap();
+        st.reset_io_stats();
+        st.delete_many(seg, 1, &batch).unwrap();
+        assert_eq!(st.io_stats().backend_writes, 1, "one page dirtied, one image written");
+        // The single-row form is the same body, one flush per call.
+        st.reset_io_stats();
+        for &rid in &singles {
+            st.delete(seg, 1, rid).unwrap();
+        }
+        assert_eq!(st.io_stats().backend_writes, singles.len() as u64);
+        assert_eq!(st.segment(seg).unwrap().count_tuples(1), 2000 - batch.len() - singles.len());
+    }
+
+    /// `update_many` validates against the unique index net of the keys
+    /// its own victims vacate, and fails without touching anything.
+    #[test]
+    fn update_many_is_atomic_under_a_unique_index() {
+        let (mut st, seg) = loaded_storage(10);
+        let idx = st.create_index(seg, 1, vec![0], true).unwrap();
+        let rids: Vec<Rid> = st.segment(seg).unwrap().iter_relation(1).map(|(r, _)| r).collect();
+        let before = relation_rows(&st, seg);
+        // Rows 0 and 1 both move to key 50: the replacements collide.
+        let clash = [(rids[0], row(50)), (rids[1], row(50))];
+        assert!(matches!(st.update_many(seg, 1, &clash), Err(RssError::DuplicateKey(_))));
+        // Row 0 moves onto row 5's key, which nobody vacates.
+        assert!(matches!(
+            st.update_many(seg, 1, &[(rids[0], row(5))]),
+            Err(RssError::DuplicateKey(_))
+        ));
+        // A dead RID is rejected before the live one beside it is touched.
+        let dead = Rid::new(rids[0].page, 999);
+        assert!(st.update_many(seg, 1, &[(rids[0], row(60)), (dead, row(61))]).is_err());
+        assert_eq!(relation_rows(&st, seg), before);
+        assert_eq!(st.index(idx).unwrap().tree.entry_count(), 10);
+        // Rows 0 and 1 swap keys: each takes what the other vacates.
+        st.update_many(seg, 1, &[(rids[0], row(1)), (rids[1], row(0))]).unwrap();
+        let mut after = relation_rows(&st, seg);
+        after.sort();
+        assert_eq!(after, before);
+        st.index(idx).unwrap().tree.check_invariants().unwrap();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: formatting, lints, docs, release build, the full test suite,
-# the persistence round-trip, and the sysr-audit invariant/recovery/lint
-# pass (see DESIGN.md §8–§9). Runs offline — zero external crates.
+# the persistence round-trip and the DML oracle in release mode, and the
+# sysr-audit invariant/recovery/lint pass (see DESIGN.md §8–§9). Runs
+# offline — zero external crates.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -14,6 +15,11 @@ cargo test --workspace
 # Save/reopen round-trip against real page files in a temp dir; pins the
 # fetches == device-reads identity and clean errors on torn/corrupt files.
 cargo test --release --test persistence
+# DML by RID: the seeded INSERT/UPDATE/DELETE oracle (affected rows,
+# segment and every index against a Vec model after each statement) ends
+# with save -> open on real page files, so it also runs optimized — the
+# one-flush-per-statement path must reach the files in release builds too.
+cargo test --release --test dml_by_rid
 # 8-thread stress: plans and rows must be bit-identical to a serial
 # baseline, session/cache accounting exact, and save-under-load must
 # round-trip. RUST_TEST_THREADS is force-unset so the harness does not
@@ -21,7 +27,10 @@ cargo test --release --test persistence
 env -u RUST_TEST_THREADS cargo test --release --test concurrent_serving
 # --all = plan invariants + DP oracle (per query block, nested subquery
 # blocks included) & sampled orders + recovery
-# rules (page-checksum, reopen-equivalence) + the concurrent-differential
+# rules (page-checksum, reopen-equivalence, over a scratch database
+# churned by delete_many/update_many/insert_many so deferred
+# statement-end flushes are what the page files hold) + the
+# concurrent-differential
 # rule (corpus replayed from 8 threads, bit-identical plans/rows) + the
 # exec-accounting rule (traced corpus replay: per-node I/O sums to the
 # whole-query delta, RSI-call/page-fetch sums match component-wise, and

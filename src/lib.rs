@@ -67,11 +67,11 @@ use std::fmt;
 use std::path::Path;
 use sysr_catalog::{Catalog, CatalogError, ColumnMeta, RelId};
 use sysr_core::{bind_select, BindError, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
-use sysr_executor::{execute, ExecEnv, ExecError, ResultSet};
+use sysr_executor::{execute, execute_victims, ExecEnv, ExecError, ResultSet};
 use sysr_rss::{IoStats, Rid, RssError, Storage, Tuple, Value};
 use sysr_sql::{
-    parse_statement, parse_statements, DeleteStmt, Expr, InsertStmt, ParseError, SelectList,
-    SelectStmt, Statement, TableRef,
+    parse_statement, parse_statements, ColumnRef, DeleteStmt, Expr, InsertStmt, ParseError,
+    SelectItem, SelectList, SelectStmt, Statement, TableRef, UpdateStmt,
 };
 
 pub use sysr_audit as audit;
@@ -353,14 +353,7 @@ impl Database {
                     let key_cols: Vec<usize> = ci
                         .columns
                         .iter()
-                        .map(|c| {
-                            rel.column_position(c).ok_or_else(|| {
-                                DbError::Catalog(CatalogError::UnknownColumn {
-                                    relation: rel.name.clone(),
-                                    column: c.clone(),
-                                })
-                            })
-                        })
+                        .map(|c| column_position(rel, c))
                         .collect::<DbResult<_>>()?;
                     (rel.id, rel.segment, key_cols)
                 };
@@ -392,22 +385,32 @@ impl Database {
                 Ok(ResultSet::empty())
             }
             Statement::Explain(inner) => {
-                let Statement::Select(sel) = *inner else {
-                    return Err(DbError::Unsupported("EXPLAIN requires a SELECT".into()));
+                // UPDATE and DELETE explain the access path that finds
+                // their victims; nothing is executed or mutated.
+                let plan = match *inner {
+                    Statement::Select(sel) => self.plan_select(&sel)?,
+                    Statement::Delete(del) => {
+                        self.plan_victims(&del.table, &[], &del.where_clause)?
+                    }
+                    Statement::Update(upd) => {
+                        self.plan_victims(&upd.table, &upd.assignments, &upd.where_clause)?
+                    }
+                    _ => {
+                        return Err(DbError::Unsupported(
+                            "EXPLAIN requires a SELECT, UPDATE or DELETE".into(),
+                        ))
+                    }
                 };
-                let plan = self.plan_select(&sel)?;
-                let text = format!(
-                    "{}predicted: {} (W={}); QCARD≈{:.1}\n",
-                    plan.explain(&self.catalog),
-                    plan.predicted,
-                    self.config.w,
-                    plan.qcard
-                );
+                let text = self.render_explain(&plan);
                 Ok(ResultSet::new(vec!["PLAN".into()], vec![Tuple::new(vec![Value::Str(text)])]))
             }
             Statement::ExplainAnalyze(inner) => {
                 let Statement::Select(sel) = *inner else {
-                    return Err(DbError::Unsupported("EXPLAIN ANALYZE requires a SELECT".into()));
+                    return Err(DbError::Unsupported(
+                        "EXPLAIN ANALYZE requires a SELECT (it executes the statement; \
+                         use plain EXPLAIN for UPDATE and DELETE)"
+                            .into(),
+                    ));
                 };
                 let plan = self.plan_select(&sel)?;
                 let (_, measurements, _) = self.execute_plan_traced(&plan)?;
@@ -426,14 +429,19 @@ impl Database {
 
     /// EXPLAIN: render the chosen plan.
     pub fn explain(&self, sql_text: &str) -> DbResult<String> {
-        let plan = self.plan(sql_text)?;
-        Ok(format!(
+        Ok(self.render_explain(&self.plan(sql_text)?))
+    }
+
+    /// The EXPLAIN text of a plan: the tree, then the predicted cost and
+    /// cardinality of the whole statement.
+    fn render_explain(&self, plan: &QueryPlan) -> String {
+        format!(
             "{}predicted: {} (W={}); QCARD≈{:.1}\n",
             plan.explain(&self.catalog),
             plan.predicted,
             self.config.w,
             plan.qcard
-        ))
+        )
     }
 
     /// Run a read-only SELECT.
@@ -559,27 +567,23 @@ impl Database {
 
     // ---- INSERT -------------------------------------------------------------
 
+    /// `INSERT INTO t [(cols)] VALUES (...), (...)`: the statement is
+    /// atomic — every row is evaluated and type-checked, and the whole
+    /// batch validated against the unique indexes, before the first tuple
+    /// is stored; on any error no row of the statement is inserted.
     fn run_insert(&mut self, ins: &InsertStmt) -> DbResult<ResultSet> {
         let (rel_id, segment, arity, positions, types) = {
             let rel = self.catalog.relation_by_name(&ins.table)?;
             let positions: Vec<usize> = match &ins.columns {
                 None => (0..rel.arity()).collect(),
-                Some(cols) => cols
-                    .iter()
-                    .map(|c| {
-                        rel.column_position(c).ok_or_else(|| {
-                            DbError::Catalog(CatalogError::UnknownColumn {
-                                relation: rel.name.clone(),
-                                column: c.clone(),
-                            })
-                        })
-                    })
-                    .collect::<DbResult<_>>()?,
+                Some(cols) => {
+                    cols.iter().map(|c| column_position(rel, c)).collect::<DbResult<_>>()?
+                }
             };
             let types: Vec<ColType> = rel.columns.iter().map(|c| c.ty).collect();
             (rel.id, rel.segment, rel.arity(), positions, types)
         };
-        let mut inserted = 0usize;
+        let mut tuples = Vec::with_capacity(ins.rows.len());
         for row in &ins.rows {
             if row.len() != positions.len() {
                 return Err(DbError::Unsupported(format!(
@@ -594,17 +598,16 @@ impl Database {
                 let v = coerce(v, types[pos])?;
                 values[pos] = v;
             }
-            self.storage.insert(segment, rel_id, &Tuple::new(values))?;
-            inserted += 1;
+            tuples.push(Tuple::new(values));
         }
-        Ok(ResultSet::new(
-            vec!["INSERTED".into()],
-            vec![Tuple::new(vec![Value::Int(inserted as i64)])],
-        ))
+        let inserted = self.storage.insert_many(segment, rel_id, &tuples)?.len();
+        Ok(count_result("INSERTED", inserted))
     }
 
     /// Bulk-load pre-built tuples (examples and benches use this instead of
-    /// millions of INSERT statements).
+    /// millions of INSERT statements). One statement, like a multi-row
+    /// `INSERT`: all rows are checked first, and either all are loaded —
+    /// with one page flush for the lot — or none.
     pub fn insert_rows(
         &mut self,
         table: &str,
@@ -615,8 +618,8 @@ impl Database {
             let types: Vec<ColType> = rel.columns.iter().map(|c| c.ty).collect();
             (rel.id, rel.segment, types)
         };
-        let mut n = 0;
-        for row in rows {
+        let rows: Vec<Tuple> = rows.into_iter().collect();
+        for row in &rows {
             if row.arity() != types.len() {
                 return Err(DbError::Unsupported(format!(
                     "row arity {} != table arity {}",
@@ -629,139 +632,83 @@ impl Database {
                     return Err(DbError::Unsupported(format!("value {v} does not fit {ty}")));
                 }
             }
-            self.storage.insert(segment, rel_id, &row)?;
-            n += 1;
         }
-        Ok(n)
+        Ok(self.storage.insert_many(segment, rel_id, &rows)?.len())
     }
 
-    // ---- DELETE ---------------------------------------------------------------
+    // ---- DELETE / UPDATE ------------------------------------------------------
+
+    /// Plan the retrieval half of an UPDATE or DELETE. "Retrieval for data
+    /// manipulation is treated similarly" (§1): the victims are the rows of
+    /// `SELECT <all columns>, <assignment exprs> FROM t WHERE ...`, found by
+    /// whatever access path the optimizer picks for that single-table
+    /// block (DELETE has no assignments).
+    fn plan_victims(
+        &self,
+        table: &str,
+        assignments: &[(String, Expr)],
+        where_clause: &Option<Expr>,
+    ) -> DbResult<QueryPlan> {
+        let rel = self.catalog.relation_by_name(table)?;
+        let old_row = rel.columns.iter().map(|c| Expr::Column(ColumnRef::unqualified(&c.name)));
+        let new_values = assignments.iter().map(|(_, e)| e.clone());
+        let sel = SelectStmt {
+            distinct: false,
+            select: SelectList::Items(
+                old_row.chain(new_values).map(|expr| SelectItem { expr, alias: None }).collect(),
+            ),
+            from: vec![TableRef { table: table.to_string(), alias: None }],
+            where_clause: where_clause.clone(),
+            group_by: vec![],
+            order_by: vec![],
+        };
+        let bound = bind_select(&self.catalog, &sel)?;
+        Ok(Optimizer::with_config(&self.catalog, self.config).optimize_bound(&bound))
+    }
+
+    /// Run a DML statement's victim scan to completion: every victim's RID
+    /// and projected row, collected before anything is mutated — a
+    /// subquery over the target table, or an UPDATE that moves rows along
+    /// the index being scanned, sees the pre-statement state throughout.
+    fn victims(&self, plan: &QueryPlan) -> DbResult<Vec<(Rid, Tuple)>> {
+        let env = ExecEnv::new(&self.storage, &self.catalog);
+        Ok(execute_victims(&env, plan)?)
+    }
 
     fn run_delete(&mut self, del: &DeleteStmt) -> DbResult<ResultSet> {
-        // Retrieval for data manipulation "is treated similarly" (§1):
-        // plan the WHERE as a single-table SELECT *, execute it, then
-        // remove the matching tuples.
-        let sel = SelectStmt {
-            distinct: false,
-            select: SelectList::Star,
-            from: vec![TableRef { table: del.table.clone(), alias: None }],
-            where_clause: del.where_clause.clone(),
-            group_by: vec![],
-            order_by: vec![],
-        };
-        let bound = bind_select(&self.catalog, &sel)?;
-        let optimizer = Optimizer::with_config(&self.catalog, self.config);
-        let plan = optimizer.optimize_bound(&bound);
-        let env = ExecEnv::new(&self.storage, &self.catalog);
-        let mut multiset = sysr_executor::block::matching_multiset(&env, &plan)?;
-        let (rel_id, segment) = {
-            let rel = self.catalog.relation_by_name(&del.table)?;
-            (rel.id, rel.segment)
-        };
-        // Map matching tuples back to RIDs (duplicates delete one-for-one).
-        let mut rids = Vec::new();
-        for (rid, tuple) in self.storage.segment(segment)?.iter_relation(rel_id) {
-            let tuple = tuple?;
-            if let Some(count) = multiset.get_mut(&tuple) {
-                if *count > 0 {
-                    *count -= 1;
-                    rids.push(rid);
-                }
-            }
-        }
-        for rid in &rids {
-            self.storage.delete(segment, rel_id, *rid)?;
-        }
-        Ok(ResultSet::new(
-            vec!["DELETED".into()],
-            vec![Tuple::new(vec![Value::Int(rids.len() as i64)])],
-        ))
+        let plan = self.plan_victims(&del.table, &[], &del.where_clause)?;
+        let rids: Vec<Rid> = self.victims(&plan)?.into_iter().map(|(rid, _)| rid).collect();
+        let rel = self.catalog.relation_by_name(&del.table)?;
+        self.storage.delete_many(rel.segment, rel.id, &rids)?;
+        Ok(count_result("DELETED", rids.len()))
     }
 
-    // ---- UPDATE ---------------------------------------------------------------
-
-    /// `UPDATE t SET c = expr, ... [WHERE ...]`: "Retrieval for data
-    /// manipulation (UPDATE, DELETE) is treated similarly" (§1). The WHERE
-    /// and the assignment expressions run through the full
-    /// parse→optimize→execute pipeline as a SELECT of the old row plus the
-    /// new values; the matching tuples are then replaced.
-    fn run_update(&mut self, upd: &sysr_sql::UpdateStmt) -> DbResult<ResultSet> {
-        let (rel_id, segment, arity, types, positions, col_names) = {
-            let rel = self.catalog.relation_by_name(&upd.table)?;
-            let positions: Vec<usize> = upd
-                .assignments
-                .iter()
-                .map(|(c, _)| {
-                    rel.column_position(c).ok_or_else(|| {
-                        DbError::Catalog(CatalogError::UnknownColumn {
-                            relation: rel.name.clone(),
-                            column: c.clone(),
-                        })
-                    })
-                })
-                .collect::<DbResult<_>>()?;
-            let types: Vec<ColType> = rel.columns.iter().map(|c| c.ty).collect();
-            let names: Vec<String> = rel.columns.iter().map(|c| c.name.clone()).collect();
-            (rel.id, rel.segment, rel.arity(), types, positions, names)
-        };
-        // SELECT <all columns>, <assignment exprs> FROM t WHERE ...
-        let mut items: Vec<sysr_sql::SelectItem> = col_names
+    /// `UPDATE t SET c = expr, ... [WHERE ...]`: every assignment is
+    /// evaluated against the *old* row by the victim scan itself; the
+    /// victims are then replaced by RID. Atomic for the errors a statement
+    /// can cause (type mismatch, unique-key collision, oversized tuple):
+    /// all are detected before the first tuple is touched.
+    fn run_update(&mut self, upd: &UpdateStmt) -> DbResult<ResultSet> {
+        let plan = self.plan_victims(&upd.table, &upd.assignments, &upd.where_clause)?;
+        let rel = self.catalog.relation_by_name(&upd.table)?;
+        let targets: Vec<(usize, ColType)> = upd
+            .assignments
             .iter()
-            .map(|n| sysr_sql::SelectItem {
-                expr: Expr::Column(sysr_sql::ColumnRef::unqualified(n.as_str())),
-                alias: None,
-            })
-            .collect();
-        for (_, e) in &upd.assignments {
-            items.push(sysr_sql::SelectItem { expr: e.clone(), alias: None });
-        }
-        let sel = SelectStmt {
-            distinct: false,
-            select: SelectList::Items(items),
-            from: vec![TableRef { table: upd.table.clone(), alias: None }],
-            where_clause: upd.where_clause.clone(),
-            group_by: vec![],
-            order_by: vec![],
-        };
-        let bound = bind_select(&self.catalog, &sel)?;
-        let optimizer = Optimizer::with_config(&self.catalog, self.config);
-        let plan = optimizer.optimize_bound(&bound);
-        let env = ExecEnv::new(&self.storage, &self.catalog);
-        let rows = sysr_executor::execute_block(&env, &plan, Vec::new())?;
-
-        // Replace matching tuples one-for-one, evaluating all assignments
-        // against the *old* row values (already materialized above).
-        let mut old_multiset: std::collections::HashMap<Tuple, Vec<Tuple>> =
-            std::collections::HashMap::new();
-        for row in rows {
-            let values = row.into_values();
-            let old = Tuple::new(values[..arity].to_vec());
-            let mut new_values = old.values().to_vec();
-            for (i, &pos) in positions.iter().enumerate() {
-                new_values[pos] = coerce(values[arity + i].clone(), types[pos])?;
+            .map(|(c, _)| column_position(rel, c).map(|pos| (pos, rel.columns[pos].ty)))
+            .collect::<DbResult<_>>()?;
+        let mut changes = Vec::new();
+        for (rid, row) in self.victims(&plan)? {
+            // The victim row is the old tuple followed by one value per
+            // assignment.
+            let mut values = row.into_values();
+            let assigned = values.split_off(rel.arity());
+            for (v, &(pos, ty)) in assigned.into_iter().zip(&targets) {
+                values[pos] = coerce(v, ty)?;
             }
-            old_multiset.entry(old).or_default().push(Tuple::new(new_values));
+            changes.push((rid, Tuple::new(values)));
         }
-        let mut victims: Vec<(Rid, Tuple)> = Vec::new();
-        for (rid, tuple) in self.storage.segment(segment)?.iter_relation(rel_id) {
-            let tuple = tuple?;
-            if let Some(news) = old_multiset.get_mut(&tuple) {
-                if let Some(new) = news.pop() {
-                    victims.push((rid, new));
-                }
-            }
-        }
-        for (rid, _) in &victims {
-            self.storage.delete(segment, rel_id, *rid)?;
-        }
-        let updated = victims.len();
-        for (_, new) in victims {
-            self.storage.insert(segment, rel_id, &new)?;
-        }
-        Ok(ResultSet::new(
-            vec!["UPDATED".into()],
-            vec![Tuple::new(vec![Value::Int(updated as i64)])],
-        ))
+        self.storage.update_many(rel.segment, rel.id, &changes)?;
+        Ok(count_result("UPDATED", changes.len()))
     }
 
     /// Relation id lookup helper for tests and experiment harnesses.
@@ -812,13 +759,7 @@ impl<'db> Session<'db> {
     /// EXPLAIN: render the chosen plan.
     pub fn explain(&self, sql_text: &str) -> DbResult<String> {
         let plan = self.plan_counted(&select_of(sql_text, true)?)?;
-        Ok(format!(
-            "{}predicted: {} (W={}); QCARD≈{:.1}\n",
-            plan.explain(&self.db.catalog),
-            plan.predicted,
-            self.db.config.w,
-            plan.qcard
-        ))
+        Ok(self.db.render_explain(&plan))
     }
 
     /// `EXPLAIN ANALYZE`: run the query and render the per-node
@@ -860,6 +801,22 @@ fn select_of(sql_text: &str, explain_ok: bool) -> DbResult<SelectStmt> {
         }
         _ => Err(DbError::Unsupported("expected a plain SELECT statement".into())),
     }
+}
+
+/// Position of a named column in `rel`, or the catalog's unknown-column
+/// error.
+fn column_position(rel: &sysr_catalog::RelationMeta, column: &str) -> DbResult<usize> {
+    rel.column_position(column).ok_or_else(|| {
+        DbError::Catalog(CatalogError::UnknownColumn {
+            relation: rel.name.clone(),
+            column: column.to_string(),
+        })
+    })
+}
+
+/// The one-row result of a DML statement: how many tuples it affected.
+fn count_result(label: &str, n: usize) -> ResultSet {
+    ResultSet::new(vec![label.into()], vec![Tuple::new(vec![Value::Int(n as i64)])])
 }
 
 /// Evaluate a constant expression from an INSERT VALUES list.

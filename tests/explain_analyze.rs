@@ -306,3 +306,51 @@ fn facade_search_trace_renders_all_blocks() {
     assert!(text.contains("== block subquery #0 =="), "{text}");
     assert!(text.contains("candidates generated"), "{text}");
 }
+
+/// The cost model sees DML: a keyed DELETE or UPDATE does exactly the
+/// retrieval its EXPLAINed victim scan predicts — one RSI call per
+/// affected row, the index descent plus one data page — and nothing
+/// proportional to the relation's size.
+#[test]
+fn keyed_dml_touches_what_its_victim_scan_touches() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE T (K INTEGER, V INTEGER, PAD VARCHAR(30))").unwrap();
+    db.insert_rows("T", (0..20_000).map(|i| system_r::tuple![i, i % 97, format!("pad-{i:026}")]))
+        .unwrap();
+    db.execute("CREATE UNIQUE INDEX TK ON T (K)").unwrap();
+    db.execute("UPDATE STATISTICS").unwrap();
+    let tcard = db.catalog().relation_by_name("T").unwrap().stats.tcard;
+    let index = db.catalog().index_by_name("TK").unwrap().id;
+    let height = db.storage().index(index).unwrap().tree.height().unwrap() as u64;
+    assert!(tcard > 100, "the relation must dwarf an index probe (TCARD = {tcard})");
+
+    let explain = |db: &mut Database, sql: &str| {
+        db.execute(&format!("EXPLAIN {sql}")).unwrap().rows[0][0].to_string()
+    };
+    // The read side of a cold statement's IoStats delta.
+    let cold_reads = |db: &mut Database, sql: &str| {
+        db.evict_buffers().unwrap();
+        db.reset_io_stats();
+        let result = db.execute(sql).unwrap();
+        let io = db.io_stats();
+        (result, system_r::rss::IoStats { backend_writes: 0, ..io })
+    };
+    for (dml, key) in
+        [("DELETE FROM T WHERE K = 777", 777), ("UPDATE T SET V = V + 1 WHERE K = 4242", 4242)]
+    {
+        let select = format!("SELECT K, V, PAD FROM T WHERE K = {key}");
+        let plan = explain(&mut db, dml);
+        assert!(plan.contains("INDEX SCAN") && plan.contains("TK"), "{dml}\n{plan}");
+        if dml.starts_with("DELETE") {
+            assert_eq!(plan, explain(&mut db, &select));
+        }
+
+        let (_, as_select) = cold_reads(&mut db, &select);
+        let (result, as_dml) = cold_reads(&mut db, dml);
+        assert_eq!(result.rows[0][0].as_int(), Some(1), "{dml}");
+        assert_eq!(as_dml.rsi_calls, 1, "one RSI call per affected row: {dml}");
+        let touches = as_dml.page_fetches() + as_dml.buffer_hits;
+        assert!(touches <= height + 1, "{dml}: {touches} page touches, index height {height}");
+        assert_eq!(as_dml, as_select, "{dml} must read what its victim scan reads");
+    }
+}
