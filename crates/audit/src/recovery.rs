@@ -7,7 +7,7 @@
 //! and reopens in a temp directory:
 //!
 //! * **`page-checksum`** — every frame of every saved `*.pages` file
-//!   either is an all-zero gap or carries a valid FNV-1a stamp
+//!   either is an all-zero gap or carries a valid stamp (v2 digest)
 //!   ([`sysr_rss::pagefile::verify_page`]) and an LSN ≥ 1; and a
 //!   deliberately corrupted page file must fail `Storage::open` with a
 //!   clean [`sysr_rss::RssError`], never a panic or a silent success.

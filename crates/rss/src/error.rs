@@ -22,6 +22,9 @@ pub enum RssError {
     KeyArity { expected: usize, got: usize },
     /// An operating-system I/O failure while reading or writing page files.
     Io(String),
+    /// A database directory written in an on-disk format this build does
+    /// not read (`found` is its `storage.meta` header line).
+    FormatVersion { found: String, supported: &'static str },
 }
 
 impl fmt::Display for RssError {
@@ -39,6 +42,11 @@ impl fmt::Display for RssError {
                 write!(f, "index key arity mismatch: expected {expected} columns, got {got}")
             }
             RssError::Io(m) => write!(f, "page file I/O error: {m}"),
+            RssError::FormatVersion { found, supported } => write!(
+                f,
+                "unsupported storage format `{found}` (this build reads `{supported}`): \
+                 re-create the database"
+            ),
         }
     }
 }

@@ -52,7 +52,7 @@ pub use btree::{BTreeConfig, BTreeIndex, IndexId};
 pub use buffer::{FileId, IoStats, PageKey};
 pub use error::{RssError, RssResult};
 pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
-pub use pagefile::{DirBackend, FaultBackend, MemBackend, PageBackend};
+pub use pagefile::{DirBackend, FaultBackend, FaultOp, FileKind, MemBackend, PageBackend};
 pub use plancache::{VersionedCache, PLAN_CACHE_CAP};
 pub use prng::SplitMix64;
 pub use rid::Rid;

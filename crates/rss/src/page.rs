@@ -67,6 +67,13 @@ impl Page {
         &self.bytes
     }
 
+    /// Write the recovery stamp for `lsn` into header bytes 8..16 and
+    /// return the stamped image — the page is its own write buffer.
+    pub(crate) fn stamp(&mut self, lsn: u32) -> &[u8; PAGE_SIZE] {
+        crate::pagefile::stamp_page(&mut self.bytes, lsn);
+        &self.bytes
+    }
+
     fn u16_at(&self, off: usize) -> u16 {
         u16::from_le_bytes([self.bytes[off], self.bytes[off + 1]])
     }

@@ -81,6 +81,12 @@ impl Segment {
         self.pages.get(page_no as usize)
     }
 
+    /// Stamp page `page_no` in place for a backend write and return its
+    /// image (see [`Page::stamp`]).
+    pub(crate) fn stamp(&mut self, page_no: u32, lsn: u32) -> Option<&[u8; PAGE_SIZE]> {
+        self.pages.get_mut(page_no as usize).map(|page| page.stamp(lsn))
+    }
+
     /// Insert a tuple for `rel_id`, appending a page if no existing page
     /// fits. Returns the tuple's RID.
     pub fn insert(&mut self, rel_id: u16, tuple: &Tuple) -> RssResult<Rid> {

@@ -540,15 +540,14 @@ impl ShardedBufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagefile::{stamp_page, MemBackend};
+    use crate::pagefile::{stamp_page, FaultBackend, FaultOp, FileKind, MemBackend};
 
     fn file(i: u32) -> FileId {
         FileId::Segment(i)
     }
 
-    /// A backend pre-loaded with `pages` stamped pages of `file(0)`.
-    fn backend_with(pages: u32) -> SharedBackend {
-        let mut b = MemBackend::new();
+    /// `backend` pre-loaded with `pages` stamped pages of `file(0)`.
+    fn preloaded(mut b: impl PageBackend + Send + 'static, pages: u32) -> SharedBackend {
         for p in 0..pages {
             let mut img = [0u8; PAGE_SIZE];
             img[PAGE_SIZE - 1] = p as u8;
@@ -556,6 +555,10 @@ mod tests {
             b.write_page(PageKey::new(file(0), p), &img).unwrap();
         }
         Mutex::new(Box::new(b) as Box<dyn PageBackend + Send>)
+    }
+
+    fn backend_with(pages: u32) -> SharedBackend {
+        preloaded(MemBackend::new(), pages)
     }
 
     #[test]
@@ -617,6 +620,43 @@ mod tests {
         let slot = pool.shard_slot(k0).unwrap();
         let shard = slot.lock().unwrap();
         assert_eq!(shard.frames.get(&k0).unwrap().buf[PAGE_SIZE - 1], 0xAB);
+    }
+
+    #[test]
+    fn failed_miss_installs_nothing_and_counts_nothing() {
+        let backend = preloaded(FaultBackend::failing_nth(FaultOp::Read, FileKind::Segment, 1), 4);
+        let pool = ShardedBufferPool::new(8);
+        let (k0, k1) = (PageKey::new(file(0), 0), PageKey::new(file(0), 1));
+        pool.read(k0, &backend).unwrap();
+        let before = pool.stats();
+        let err = pool.read(k1, &backend).unwrap_err();
+        assert!(matches!(err, RssError::Io(_)), "got {err:?}");
+        assert_eq!(pool.stats(), before, "a failed miss moves no counter");
+        assert_eq!(pool.resident_pages(), 1, "and installs no frame");
+        assert!(pool.read(k1, &backend).unwrap(), "the retry is a miss, and succeeds");
+        assert_eq!(pool.stats().backend_reads, before.backend_reads + 1);
+    }
+
+    /// A dirty victim whose write-back fails: the evicting read returns
+    /// the error, and the write-back gate is back at zero — a `flush`
+    /// after it returns instead of waiting for a write that will never
+    /// be deregistered.
+    #[test]
+    fn failed_dirty_victim_writeback_releases_the_gate() {
+        // Writes 0..3 are the preload; write 3 is the victim's write-back.
+        let backend = preloaded(FaultBackend::failing_nth(FaultOp::Write, FileKind::Segment, 3), 3);
+        let pool = ShardedBufferPool::new(2);
+        let k0 = PageKey::new(file(0), 0);
+        pool.read(k0, &backend).unwrap();
+        let mut img = [0u8; PAGE_SIZE];
+        stamp_page(&mut img, 99);
+        pool.write_through(k0, &img, &backend).unwrap();
+        pool.read(PageKey::new(file(0), 1), &backend).unwrap();
+        let err = pool.read(PageKey::new(file(0), 2), &backend).unwrap_err();
+        assert!(matches!(err, RssError::Io(_)), "got {err:?}");
+        assert_eq!(pool.stats().backend_writes, 0, "the failed write is not counted");
+        assert_eq!(*pool.gate.lock().unwrap(), 0, "gate must not stay registered");
+        pool.flush(&backend).unwrap();
     }
 
     #[test]

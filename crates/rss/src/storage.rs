@@ -63,6 +63,11 @@ use std::sync::atomic::Ordering::Relaxed;
 /// Name of the storage descriptor file inside a database directory.
 pub const STORAGE_META: &str = "storage.meta";
 
+/// First line of `storage.meta`: the on-disk format, which the page-stamp
+/// digest is part of. v1 directories carry FNV-1a stamps that no longer
+/// verify; they are refused by version, not page by page.
+const META_HEADER: &str = "sysr-storage v2";
+
 /// Physical description of one index: which segment/relation it covers and
 /// which tuple columns (in order) form its key.
 #[derive(Debug)]
@@ -169,11 +174,11 @@ impl Storage {
     /// Stamp (LSN + checksum) and write one page image through the pool:
     /// in place if resident (dirty, deferred write-back), write-around to
     /// the backend otherwise. Writes never establish residency.
-    fn write_image(&self, key: PageKey, bytes: &[u8; PAGE_SIZE]) -> RssResult<()> {
-        let mut img = *bytes;
-        let lsn = self.next_lsn.fetch_add(1, Relaxed);
-        stamp_page(&mut img, lsn);
-        self.buffer.write_through(key, &img, &self.backend)
+    /// The stamp goes into `img` itself, so the only copy of the image is
+    /// the one into the frame or the backend.
+    fn write_image(&self, key: PageKey, img: &mut [u8; PAGE_SIZE]) -> RssResult<()> {
+        stamp_page(img, self.next_lsn.fetch_add(1, Relaxed));
+        self.buffer.write_through(key, img, &self.backend)
     }
 
     /// Flush every page mutated since the last call — segment pages and
@@ -182,18 +187,21 @@ impl Storage {
     /// operation, however many tuples it touched.
     fn flush_dirty(&mut self) -> RssResult<()> {
         for si in 0..self.segments.len() {
+            let file = FileId::Segment(self.segments[si].id());
             for p in self.segments[si].drain_dirty() {
-                let seg = &self.segments[si];
-                let Some(page) = seg.page(p) else { continue };
-                let img = *page.bytes();
-                self.write_image(PageKey::new(FileId::Segment(seg.id()), p), &img)?;
+                // A segment page is stamped where it lives (`write_image`
+                // without the scratch copy): the borrow of the page rules
+                // out the `&self` helper, not the field accesses.
+                let lsn = self.next_lsn.fetch_add(1, Relaxed);
+                let Some(img) = self.segments[si].stamp(p, lsn) else { continue };
+                self.buffer.write_through(PageKey::new(file, p), img, &self.backend)?;
             }
         }
         for ii in 0..self.indexes.len() {
             for n in self.indexes[ii].tree.drain_dirty() {
-                let img = self.indexes[ii].tree.encode_node_page(n)?;
+                let mut img = self.indexes[ii].tree.encode_node_page(n)?;
                 let key = PageKey::new(FileId::Index(self.indexes[ii].tree.id()), n);
-                self.write_image(key, &img)?;
+                self.write_image(key, &mut img)?;
             }
         }
         Ok(())
@@ -227,7 +235,7 @@ impl Storage {
         let mut img = [0u8; PAGE_SIZE];
         let n = payload.len().min(PAGE_SIZE - PAGE_HEADER_SIZE);
         img[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + n].copy_from_slice(&payload[..n]);
-        self.write_image(PageKey::new(FileId::Temp(file), page), &img)
+        self.write_image(PageKey::new(FileId::Temp(file), page), &mut img)
     }
 
     pub fn io_stats(&self) -> IoStats {
@@ -274,9 +282,16 @@ impl Storage {
         self.next_temp.fetch_add(1, Relaxed)
     }
 
-    /// Drop a temporary list's pages from the buffer pool.
-    pub fn invalidate_temp(&self, temp_file: u32) {
-        self.buffer.invalidate_file(FileId::Temp(temp_file));
+    /// Drop a temporary list: its frames leave the buffer pool, then its
+    /// pages leave the backend (for page files: close and unlink), under
+    /// the backend latch alone. Temp file ids are never reused, so without
+    /// this every spilling sort would pin its pages — and on disk a file
+    /// and a descriptor — for the life of the process.
+    pub fn invalidate_temp(&self, temp_file: u32) -> RssResult<()> {
+        let file = FileId::Temp(temp_file);
+        self.buffer.invalidate_file(file);
+        let mut backend = self.backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        backend.remove_file(file)
     }
 
     // ---- tuples ----------------------------------------------------------
@@ -564,8 +579,8 @@ impl Storage {
         // write-back gate, so no dirty image is still in flight).
         self.buffer.flush(&self.backend)?;
         let mut dst = DirBackend::open(dir)?;
+        let mut buf = Box::new([0u8; PAGE_SIZE]);
         let mut copy = |key: PageKey| -> RssResult<()> {
-            let mut buf = Box::new([0u8; PAGE_SIZE]);
             {
                 // Latch the source backend per page: holding its guard
                 // across `dst` writes would pin the backend for the
@@ -594,7 +609,7 @@ impl Storage {
     }
 
     fn render_meta(&self) -> String {
-        let mut out = String::from("sysr-storage v1\n");
+        let mut out = format!("{META_HEADER}\n");
         out.push_str(&format!("lsn {}\n", self.next_lsn.load(Relaxed)));
         out.push_str(&format!("temp {}\n", self.next_temp.load(Relaxed)));
         out.push_str(&format!(
@@ -749,8 +764,15 @@ fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> RssResult<T
 impl StorageMeta {
     fn parse(text: &str) -> RssResult<StorageMeta> {
         let mut lines = text.lines();
-        if lines.next() != Some("sysr-storage v1") {
-            return Err(meta_err("unknown header"));
+        match lines.next() {
+            Some(META_HEADER) => {}
+            Some(other) if other.starts_with("sysr-storage ") => {
+                return Err(RssError::FormatVersion {
+                    found: other.to_string(),
+                    supported: META_HEADER,
+                });
+            }
+            _ => return Err(meta_err("unknown header")),
         }
         let mut next_lsn = 1u32;
         let mut next_temp = 0u32;
@@ -814,6 +836,7 @@ impl StorageMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::temp::{TempGuard, TempList};
     use crate::tuple;
 
     fn row(i: i64) -> Tuple {
@@ -1047,12 +1070,84 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The stamp digest is part of the format: a v1 directory (FNV-1a
+    /// stamps) is refused by its header, before any page is read — so the
+    /// error names the version instead of a checksum mismatch.
+    #[test]
+    fn v1_directory_is_refused_by_version() {
+        let (st, _) = loaded_storage(10);
+        let dir = temp_dir("v1");
+        st.save_to(&dir).unwrap();
+        let meta = std::fs::read_to_string(dir.join(STORAGE_META)).unwrap();
+        assert!(meta.starts_with("sysr-storage v2\n"), "{meta}");
+        std::fs::write(dir.join(STORAGE_META), meta.replacen("v2", "v1", 1)).unwrap();
+        let err = Storage::open(&dir, 64).unwrap_err();
+        assert!(matches!(err, RssError::FormatVersion { .. }), "got {err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains("v1") && msg.contains("v2"), "{msg}");
+        // A header that is not ours at all is still plain corruption.
+        std::fs::write(dir.join(STORAGE_META), "garbage\n").unwrap();
+        assert!(matches!(Storage::open(&dir, 64), Err(RssError::Corrupt(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn wide_rows(n: i64) -> Vec<Tuple> {
+        (0..n).map(|i| tuple![i, format!("padding-padding-padding-{i:040}")]).collect()
+    }
+
+    /// What a spilling sort does to storage, 50 times: materialize a
+    /// multi-page list, read it back through a pool too small to hold
+    /// it, drop the guard.
+    fn spill_fifty_times(st: &Storage) {
+        for _ in 0..50 {
+            let list = TempList::materialize(st, wide_rows(400)).unwrap();
+            assert!(list.page_count() > 4);
+            let guard = TempGuard::new(list, st);
+            let mut scan = guard.list().scan(st);
+            while !scan.next_batch(64).unwrap().is_empty() {}
+        }
+    }
+
+    fn temp_files(st: &Storage) -> Vec<FileId> {
+        let mut files = st.backend.lock().unwrap().files().unwrap();
+        files.retain(|f| matches!(f, FileId::Temp(_)));
+        files
+    }
+
+    #[test]
+    fn destroyed_temp_lists_leave_nothing_in_the_backend() {
+        // In memory: the pages' `Vec`s are dropped.
+        let st = Storage::new(4);
+        spill_fifty_times(&st);
+        assert_eq!(temp_files(&st), vec![]);
+        assert_eq!(st.io_stats().temp_lists_created, 50);
+        assert_eq!(st.io_stats().temp_lists_leaked(), 0);
+
+        // On disk: no `tmp-N.pages` file is left (that no descriptor is
+        // either is checked in `tests/persistence.rs`, via /proc/self/fd).
+        let (mut mem, _) = loaded_storage(50);
+        mem.create_index(0, 1, vec![0], true).unwrap();
+        let dir = temp_dir("temp-leak");
+        mem.save_to(&dir).unwrap();
+        let st = Storage::open(&dir, 4).unwrap();
+        spill_fifty_times(&st);
+        assert_eq!(temp_files(&st), vec![]);
+        assert_eq!(st.io_stats().temp_lists_leaked(), 0);
+        let left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("tmp-"))
+            .collect();
+        assert_eq!(left, Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn truncated_meta_is_a_clean_error() {
         let (st, _) = loaded_storage(10);
         let dir = temp_dir("badmeta");
         st.save_to(&dir).unwrap();
-        std::fs::write(dir.join(STORAGE_META), "sysr-storage v1\nseg nonsense\n").unwrap();
+        std::fs::write(dir.join(STORAGE_META), format!("{META_HEADER}\nseg nonsense\n")).unwrap();
         assert!(Storage::open(&dir, 64).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,7 +13,8 @@
 //! fresh [`FileId::Temp`], so reading it back costs temp-page fetches — each
 //! a physical backend read on a pool miss — and RSI calls exactly like any
 //! other access path. Temp pages are scratch: they are never saved with the
-//! database and [`TempList::destroy`] only drops their buffer frames.
+//! database, and [`TempList::destroy`] drops their buffer frames and removes
+//! the backing file from the backend.
 
 use crate::buffer::{FileId, PageKey};
 use crate::error::RssResult;
@@ -92,17 +93,21 @@ impl TempList {
         TempScan { list: self, storage, pos: 0 }
     }
 
-    /// Drop the list's pages from the buffer pool.
-    pub fn destroy(&self, storage: &Storage) {
-        storage.invalidate_temp(self.file);
+    /// Drop the list's pages from the buffer pool and its file from the
+    /// backend. A list whose file could not be removed is not counted as
+    /// destroyed, so it shows in `IoStats::temp_lists_leaked`.
+    pub fn destroy(&self, storage: &Storage) -> RssResult<()> {
+        storage.invalidate_temp(self.file)?;
         storage.record_temp_list_destroyed();
+        Ok(())
     }
 }
 
 /// Scope guard tying a [`TempList`]'s lifetime to a lexical scope: the
-/// list is destroyed (its buffer frames dropped, the destruction
-/// counted) when the guard drops — on success *and* on early error
-/// returns, so an operator that spills cannot leak temp pages.
+/// list is destroyed (its buffer frames dropped, its backend file
+/// removed, the destruction counted) when the guard drops — on success
+/// *and* on early error returns, so an operator that spills cannot leak
+/// temp pages.
 pub struct TempGuard<'a> {
     list: TempList,
     storage: &'a Storage,
@@ -120,7 +125,9 @@ impl<'a> TempGuard<'a> {
 
 impl Drop for TempGuard<'_> {
     fn drop(&mut self) {
-        self.list.destroy(self.storage);
+        // A drop cannot return the error; the list stays counted as
+        // leaked (see `TempList::destroy`).
+        let _ = self.list.destroy(self.storage);
     }
 }
 
@@ -226,17 +233,24 @@ mod tests {
     }
 
     #[test]
-    fn destroy_invalidates_buffer_pages() {
+    fn destroy_drops_frames_and_backend_pages() {
         let st = Storage::new(64);
         let list = TempList::materialize(&st, rows(100)).unwrap();
         let mut scan = list.scan(&st);
         while !scan.next_batch(MAX_BATCH).unwrap().is_empty() {}
-        let before = st.io_stats().temp_page_fetches;
-        list.destroy(&st);
-        // Re-scan misses again: pages were evicted.
-        let mut scan = list.scan(&st);
-        scan.next_batch(1).unwrap();
-        assert!(st.io_stats().temp_page_fetches > before);
+        let before = st.io_stats();
+        list.destroy(&st).unwrap();
+        assert_eq!(st.io_stats().temp_lists_leaked(), 0);
+        // The frames are gone: a touch misses again. (That the backend
+        // pages went with them is `storage.rs`'s leak test — only it can
+        // see the backend.)
+        let key = PageKey::new(FileId::Temp(list.file_id()), 0);
+        assert!(st.touch(key).unwrap(), "destroyed pages must not stay resident");
+        let after = st.io_stats();
+        assert_eq!(after.temp_page_fetches, before.temp_page_fetches + 1);
+        assert_eq!(after.backend_writes, before.backend_writes, "destroy writes nothing");
+        // Destroying twice is harmless to the backend (absent = Ok).
+        list.destroy(&st).unwrap();
     }
 
     /// Drain `list` from the start with the batch sizes `max()` yields.

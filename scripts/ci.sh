@@ -15,6 +15,11 @@ cargo test --workspace
 # Save/reopen round-trip against real page files in a temp dir; pins the
 # fetches == device-reads identity and clean errors on torn/corrupt files.
 cargo test --release --test persistence
+# The storage substrate again, optimized: the page-digest kernel is
+# exactly the kind of code whose debug and release builds differ, so the
+# golden vector, the 98 304-flip sweep, the backend fault tests and the
+# temp-file leak test must hold in the build that ships.
+cargo test --release -p sysr-rss
 # DML by RID: the seeded INSERT/UPDATE/DELETE oracle (affected rows,
 # segment and every index against a Vec model after each statement) ends
 # with save -> open on real page files, so it also runs optimized — the

@@ -138,6 +138,48 @@ fn torn_and_truncated_files_are_clean_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Open descriptors of this process that point into `dir`.
+#[cfg(target_os = "linux")]
+fn open_fds_under(dir: &std::path::Path) -> usize {
+    let dir = dir.canonicalize().expect("canonical dir");
+    std::fs::read_dir("/proc/self/fd")
+        .expect("list fds")
+        .filter_map(|e| std::fs::read_link(e.ok()?.path()).ok())
+        .filter(|target| target.starts_with(&dir))
+        .count()
+}
+
+#[test]
+fn spilling_sorts_leave_no_temp_files_and_no_descriptors() {
+    // Every ORDER BY below materializes a temp list on the disk backend.
+    // Destroying the list must take its `tmp-N.pages` file and the open
+    // handle with it: the directory and the fd table look the same after
+    // 50 sorts as after one.
+    let db = fig1_db(2_000, 25, 5);
+    let dir = scratch_dir("temp-leak");
+    db.save(&dir).expect("save");
+    let reopened = Database::open(&dir).expect("open");
+    let sql = "SELECT NAME, SAL FROM EMP ORDER BY SAL, NAME";
+    let first = reopened.query(sql).expect("first sort");
+    #[cfg(target_os = "linux")]
+    let fds = open_fds_under(&dir);
+    for _ in 0..50 {
+        assert_eq!(reopened.query(sql).expect("sort").rows, first.rows);
+    }
+    let io = reopened.io_stats();
+    assert!(io.temp_lists_created > 50 && io.temp_pages_written > 50, "sorts must spill: {io}");
+    assert_eq!(io.temp_lists_leaked(), 0, "{io}");
+    let temp_files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list dir")
+        .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("tmp-"))
+        .collect();
+    assert!(temp_files.is_empty(), "temp page files left behind: {temp_files:?}");
+    #[cfg(target_os = "linux")]
+    assert_eq!(open_fds_under(&dir), fds, "temp-file descriptors left open");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn save_into_and_reopen_from_a_nested_directory() {
     // `save` must create the directory path itself, and a reopened
