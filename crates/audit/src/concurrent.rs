@@ -40,7 +40,7 @@ const THREADS: usize = 8;
 /// successfully, or the rule reports a vacuity violation.
 const MIN_EXECUTED: usize = 8;
 
-/// Dynamic analog of the lint pass's `// audit:allow(...)` comments:
+/// Dynamic analog of the latch lint's `audit:allow` comments:
 /// corpus labels whose divergence is tolerated, each with a written
 /// justification. Empty in production — populated only by negative
 /// tests proving the suppression path works.

@@ -276,17 +276,17 @@ pub fn random_chain_cases(seed: u64, n: usize) -> Vec<CorpusCase> {
 
 /// Unwrap a catalog-construction result for corpus fixtures whose inputs
 /// are compile-time constants; failure means the corpus itself is broken.
+///
+/// Deliberately kept as the audit crate's one panic site: the inputs are
+/// compile-time constants, so the only way to get here is a corpus edit
+/// that broke a fixture — and an auditor running on a broken corpus must
+/// abort loudly, not return a thinned report that under-checks the
+/// optimizer. Returning `Result` would push exactly that decision onto
+/// ~30 construction call sites.
+#[expect(clippy::unreachable, reason = "a broken corpus must abort the audit loudly")]
 fn must<T, E: std::fmt::Display>(r: Result<T, E>, what: &str) -> T {
     match r {
         Ok(v) => v,
-        // Deliberately kept as the audit crate's one panic site
-        // (re-reviewed with each marker sweep): the inputs are
-        // compile-time constants, so the only way to get here is a
-        // corpus edit that broke a fixture — and an auditor running on a
-        // broken corpus must abort loudly, not return a thinned report
-        // that under-checks the optimizer. Returning `Result` would push
-        // exactly that decision onto ~30 construction call sites.
-        // audit:allow(no-unwrap)
         Err(e) => unreachable!("corpus fixture {what}: {e}"),
     }
 }

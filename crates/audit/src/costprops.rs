@@ -689,8 +689,8 @@ mod tests {
 
     #[test]
     fn every_rule_is_registered() {
-        // Violations minted here must print under ids `--explain` and the
-        // docs can account for.
+        // Violations minted here must print under ids the DESIGN §15
+        // table can account for.
         for rule in RULES {
             assert!(
                 rule.starts_with("cost-") || rule.starts_with("sel-"),

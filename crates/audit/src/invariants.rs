@@ -402,7 +402,10 @@ fn audit_disjoint(outer: &PlanExpr, inner: &PlanExpr, path: &str, report: &mut A
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the join node's parts are destructured by the caller's match"
+)]
 fn audit_merge_keys(
     cx: &BlockCx<'_>,
     outer: &PlanExpr,

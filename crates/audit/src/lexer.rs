@@ -1,20 +1,16 @@
-//! A zero-dependency Rust lexer + block/item scanner for the lint pass.
+//! A zero-dependency Rust lexer + block/item scanner for the latch lint.
 //!
 //! The old linter worked on lines with a comment/string stripper, which
 //! meant every rule was one clever substring away from a false positive.
 //! This module produces a real token stream — identifiers, numeric /
 //! string / char literals (including raw strings and byte strings),
 //! lifetimes, line and nested block comments, punctuation — each token
-//! carrying its line, column, and brace depth, so rules can never fire
-//! inside a string or a comment by construction.
+//! carrying its line and brace depth, so rules can never fire inside a
+//! string or a comment by construction.
 //!
 //! On top of the stream, [`scan`] builds a [`FileModel`]: a lightweight
-//! item scanner that attributes tokens to `fn` scopes, marks
-//! `#[cfg(test)]` regions, records which identifiers are bound by
-//! enclosing `for` loops (the bounded-iteration idiom the `no-index`
-//! rule trusts), collects `let x: T` / parameter type ascriptions for
-//! primitive types (the `cast-soundness` source-type oracle), and notes
-//! every `unsafe` keyword (the `unsafe-audit` rule).
+//! item scanner that finds `fn` bodies (where guard liveness is tracked)
+//! and marks `#[cfg(test)]` regions.
 //!
 //! The lexer is deliberately permissive: it never errors. Malformed
 //! source (unterminated string, stray byte) degrades to punct/ident
@@ -58,16 +54,14 @@ pub struct Token {
     pub text: String,
     /// 1-based source line of the token's first byte.
     pub line: u32,
-    /// 0-based byte column of the token's first byte on that line.
-    pub col: u32,
     /// Brace (`{}`) nesting depth at the token. An `Open` `{` carries the
     /// depth *outside* it; the matching `Close` `}` carries the same.
     pub depth: u32,
 }
 
 impl Token {
-    fn new(kind: TokKind, text: &str, line: u32, col: u32, depth: u32) -> Token {
-        Token { kind, text: text.to_string(), line, col, depth }
+    fn new(kind: TokKind, text: &str, line: u32, depth: u32) -> Token {
+        Token { kind, text: text.to_string(), line, depth }
     }
 
     /// Is this token a comment (never code)?
@@ -79,14 +73,13 @@ impl Token {
 /// Lex `src` into tokens. Whitespace is dropped; everything else —
 /// including comments — is kept.
 pub fn lex(src: &str) -> Vec<Token> {
-    Lexer { src: src.as_bytes(), pos: 0, line: 1, col: 0, depth: 0, out: Vec::new() }.run(src)
+    Lexer { src: src.as_bytes(), pos: 0, line: 1, depth: 0, out: Vec::new() }.run(src)
 }
 
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
     line: u32,
-    col: u32,
     depth: u32,
     out: Vec<Token>,
 }
@@ -96,13 +89,10 @@ impl<'a> Lexer<'a> {
         self.src.get(self.pos + ahead).copied().unwrap_or(0)
     }
 
-    /// Advance one byte, tracking line/column.
+    /// Advance one byte, tracking the line.
     fn bump(&mut self) {
         if self.peek(0) == b'\n' {
             self.line += 1;
-            self.col = 0;
-        } else {
-            self.col += 1;
         }
         self.pos += 1;
     }
@@ -115,7 +105,7 @@ impl<'a> Lexer<'a> {
 
     fn run(mut self, text: &str) -> Vec<Token> {
         while self.pos < self.src.len() {
-            let (line, col, depth) = (self.line, self.col, self.depth);
+            let (line, depth) = (self.line, self.depth);
             let start = self.pos;
             let c = self.peek(0);
             let kind = match c {
@@ -180,7 +170,7 @@ impl<'a> Lexer<'a> {
             // A closing brace belongs to the depth *outside* it, matching
             // its opener.
             let depth = if kind == TokKind::Close && c == b'}' { self.depth } else { depth };
-            self.out.push(Token::new(kind, &text[start..self.pos], line, col, depth));
+            self.out.push(Token::new(kind, &text[start..self.pos], line, depth));
         }
         self.out
     }
@@ -364,21 +354,12 @@ impl<'a> Lexer<'a> {
 // The block/item scanner
 // ---------------------------------------------------------------------------
 
-/// One `fn` item's body, with the scope facts rules need.
+/// One `fn` item's body.
 #[derive(Debug)]
 pub struct FnScope {
     pub name: String,
     /// Token index of the body's opening `{` and its matching `}`.
     pub body: (usize, usize),
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
-    /// Identifiers bound by `for` patterns inside this fn, with the token
-    /// range of each loop's body: `(ident, body_open, body_close)`.
-    pub loop_bindings: Vec<(String, usize, usize)>,
-    /// Typed bindings visible in this fn: parameters and `let x: T`
-    /// ascriptions where `T` is a single identifier (primitive numeric
-    /// types plus in-tree aliases such as `NodeId`/`KeyId`).
-    pub typed: Vec<(String, String)>,
 }
 
 /// The scanned shape of one source file.
@@ -388,19 +369,9 @@ pub struct FileModel {
     pub fns: Vec<FnScope>,
     /// Token-index ranges covered by `#[cfg(test)]` items (inclusive).
     pub test_ranges: Vec<(usize, usize)>,
-    /// Token indexes of every `unsafe` keyword outside test ranges.
-    pub unsafe_sites: Vec<usize>,
 }
 
 impl FileModel {
-    /// Innermost fn scope containing token `i`, if any.
-    pub fn fn_of(&self, i: usize) -> Option<&FnScope> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.0 <= i && i <= f.body.1)
-            .min_by_key(|f| f.body.1 - f.body.0)
-    }
-
     /// Is token `i` inside a `#[cfg(test)]` item?
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= i && i <= b)
@@ -448,21 +419,10 @@ pub fn matching_close(tokens: &[Token], open: usize) -> usize {
     tokens.len().saturating_sub(1)
 }
 
-/// Primitive numeric type names the cast rule knows widths for.
-pub const NUMERIC_TYPES: &[&str] = &[
-    "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128", "f32",
-    "f64",
-];
-
 /// Scan a token stream into a [`FileModel`].
 pub fn scan(tokens: Vec<Token>) -> FileModel {
     let mut fns: Vec<FnScope> = Vec::new();
     let mut test_ranges: Vec<(usize, usize)> = Vec::new();
-    let mut unsafe_sites: Vec<usize> = Vec::new();
-
-    let is_ident = |i: usize, s: &str| -> bool {
-        tokens.get(i).is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
-    };
 
     let mut i = 0usize;
     while i < tokens.len() {
@@ -496,11 +456,8 @@ pub fn scan(tokens: Vec<Token>) -> FileModel {
                 i = close + 1;
                 continue;
             }
-            TokKind::Ident if t.text == "unsafe" => {
-                unsafe_sites.push(i);
-            }
             TokKind::Ident if t.text == "fn" => {
-                if let Some(scope) = scan_fn(&tokens, i, &is_ident) {
+                if let Some(scope) = scan_fn(&tokens, i) {
                     fns.push(scope);
                 }
             }
@@ -508,109 +465,23 @@ pub fn scan(tokens: Vec<Token>) -> FileModel {
         }
         i += 1;
     }
-
-    // Attribute for-loop bindings and typed lets to their innermost fn.
-    let mut loop_bindings: Vec<(String, usize, usize)> = Vec::new();
-    let mut lets: Vec<(String, String, usize)> = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if is_ident(i, "for") {
-            // `for <pat> in <expr> { body }` — idents in <pat> are bound.
-            let mut j = i + 1;
-            let mut pat: Vec<String> = Vec::new();
-            while j < tokens.len() && !is_ident(j, "in") {
-                let u = &tokens[j];
-                if u.kind == TokKind::Ident && !matches!(u.text.as_str(), "mut" | "ref" | "_") {
-                    pat.push(u.text.clone());
-                }
-                // a generic bound `for<'a>` or struct-ish pattern: bail at `{`
-                if u.text == "{" {
-                    pat.clear();
-                    break;
-                }
-                j += 1;
-            }
-            if !pat.is_empty() {
-                // body: next `{` at the `for` token's depth
-                let depth = tokens[i].depth;
-                let mut k = j;
-                while k < tokens.len() {
-                    if tokens[k].kind == TokKind::Open
-                        && tokens[k].text == "{"
-                        && tokens[k].depth == depth
-                    {
-                        let end = matching_close(&tokens, k);
-                        for p in pat {
-                            loop_bindings.push((p, k, end));
-                        }
-                        break;
-                    }
-                    k += 1;
-                }
-            }
-        } else if is_ident(i, "let") {
-            // `let [mut] x : T` with a single-identifier T. Non-primitive
-            // names are recorded too — the cast rule resolves in-tree
-            // aliases (`NodeId`, `KeyId`) through `intervals::resolve_ty`
-            // and simply fails `numeric_facts` for anything else.
-            let mut j = i + 1;
-            if is_ident(j, "mut") {
-                j += 1;
-            }
-            if tokens.get(j).is_some_and(|t| t.kind == TokKind::Ident)
-                && tokens.get(j + 1).is_some_and(|t| t.text == ":")
-                && tokens.get(j + 2).is_some_and(|t| t.kind == TokKind::Ident)
-            {
-                lets.push((tokens[j].text.clone(), tokens[j + 2].text.clone(), j));
-            }
-        }
-        i += 1;
-    }
-    for f in &mut fns {
-        for (name, open, close) in &loop_bindings {
-            if f.body.0 <= *open && *close <= f.body.1 {
-                f.loop_bindings.push((name.clone(), *open, *close));
-            }
-        }
-        for (name, ty, at) in &lets {
-            if f.body.0 <= *at && *at <= f.body.1 {
-                f.typed.push((name.clone(), ty.clone()));
-            }
-        }
-    }
-
-    FileModel { tokens, fns, test_ranges, unsafe_sites }
+    FileModel { tokens, fns, test_ranges }
 }
 
 /// Scan one `fn` item starting at the `fn` keyword token.
-fn scan_fn(tokens: &[Token], at: usize, is_ident: &dyn Fn(usize, &str) -> bool) -> Option<FnScope> {
+fn scan_fn(tokens: &[Token], at: usize) -> Option<FnScope> {
     let name_at = next_code(tokens, at + 1)?;
     if tokens[name_at].kind != TokKind::Ident {
         return None; // `fn(` in a fn-pointer type
     }
     let name = tokens[name_at].text.clone();
-    // `unsafe` within the few tokens before `fn` (pub unsafe fn, …).
-    let is_unsafe = (at.saturating_sub(3)..at).any(|j| is_ident(j, "unsafe"));
-    // Parameter list: the next `(` after the name (skipping generics).
+    // Skip the parameter list (a `{` in a destructuring pattern is not
+    // the body): the next `(` after the name, past any generics.
     let mut j = name_at + 1;
-    let mut params: Vec<(String, String)> = Vec::new();
     while j < tokens.len() {
         let t = &tokens[j];
         if t.kind == TokKind::Open && t.text == "(" {
-            let close = matching_close(tokens, j);
-            let mut k = j + 1;
-            while k < close {
-                // `ident : Type` pairs anywhere in the list (single-ident
-                // types only; alias resolution happens in the cast rule)
-                if tokens[k].kind == TokKind::Ident
-                    && tokens.get(k + 1).is_some_and(|t| t.text == ":")
-                    && tokens.get(k + 2).is_some_and(|t| t.kind == TokKind::Ident)
-                {
-                    params.push((tokens[k].text.clone(), tokens[k + 2].text.clone()));
-                }
-                k += 1;
-            }
-            j = close + 1;
+            j = matching_close(tokens, j) + 1;
             break;
         }
         if t.text == ";" || t.text == "{" {
@@ -624,14 +495,7 @@ fn scan_fn(tokens: &[Token], at: usize, is_ident: &dyn Fn(usize, &str) -> bool) 
     while j < tokens.len() {
         let t = &tokens[j];
         if t.kind == TokKind::Open && t.text == "{" && t.depth == depth {
-            let end = matching_close(tokens, j);
-            return Some(FnScope {
-                name,
-                body: (j, end),
-                is_unsafe,
-                loop_bindings: Vec::new(),
-                typed: params,
-            });
+            return Some(FnScope { name, body: (j, matching_close(tokens, j)) });
         }
         if t.kind == TokKind::Punct && t.text == ";" && t.depth == depth {
             return None;
@@ -735,23 +599,5 @@ mod tests {
         assert!(m.in_test(c_body.0), "fn c is inside #[cfg(test)]");
         let a_body = m.fns.iter().find(|f| f.name == "a").unwrap().body;
         assert!(!m.in_test(a_body.0));
-    }
-
-    #[test]
-    fn scan_records_loop_bindings_and_param_types() {
-        let src = "fn f(n: usize) { let k: u32 = 3; for (i, x) in v.iter().enumerate() { g(i) } }";
-        let m = scan(lex(src));
-        let f = &m.fns[0];
-        assert!(f.typed.iter().any(|(n, t)| n == "n" && t == "usize"));
-        assert!(f.typed.iter().any(|(n, t)| n == "k" && t == "u32"));
-        let bound: Vec<&str> = f.loop_bindings.iter().map(|(n, _, _)| n.as_str()).collect();
-        assert!(bound.contains(&"i") && bound.contains(&"x"), "{bound:?}");
-    }
-
-    #[test]
-    fn scan_flags_unsafe_fns() {
-        let m = scan(lex("pub unsafe fn danger() { () }"));
-        assert!(m.fns[0].is_unsafe);
-        assert_eq!(m.unsafe_sites.len(), 1);
     }
 }

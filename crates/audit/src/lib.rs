@@ -1,4 +1,4 @@
-//! # sysr-audit — plan-invariant verifier + in-tree lint pass
+//! # sysr-audit — plan-invariant verifier + in-tree latch lint
 //!
 //! The optimizer is only trustworthy if its outputs provably respect the
 //! paper's own rules: Table 1 selectivities in `[0, 1]`, Table 2 cost
@@ -32,19 +32,12 @@
 //!   token stream (idents, literals incl. raw strings, comments,
 //!   nesting depth) and per-`fn` scope model the lint rules run on, so
 //!   a pattern inside a string or comment can never fire a rule.
-//! * [`lint`] — the source lint runner: a token-level pass over
-//!   `crates/*/src` enforcing the project's panic-freedom
-//!   (`no-unwrap`/`no-index`), `unsafe-audit`, `latch-discipline`,
-//!   `cast-soundness` and `div-guard` rules without external lint
-//!   dependencies; suppressions via `// audit:allow(<rule>)` comments,
-//!   validated by the `stale-allow` self-check. Each rule family's
-//!   rationale is printable via `--lint --explain <rule>`.
-//! * [`intervals`] — the cast-soundness rule's interval engine: a small
-//!   flow-sensitive evaluator over the token stream that bounds integer
-//!   expressions (literals, consts, `.len()`/`.min()`/`.clamp()`,
-//!   arithmetic, `if`/`match`-guard narrowing) so casts provably inside
-//!   `f64`'s 2^53 mantissa span or the target width pass without
-//!   markers — the numeric core carries **zero** cast suppressions.
+//! * [`lint`] — the latch lint: a token-level pass over `crates/*/src`
+//!   enforcing `latch-discipline`, `latch-ordering` and `latch-scope`,
+//!   the concurrency rules clippy cannot express; suppressions via
+//!   `// audit:allow(latch-ordering)`-style comments, validated by the
+//!   `stale-allow` self-check. Panic-freedom, indexing, casts and
+//!   `unsafe` are clippy lints denied at the crate roots instead.
 //! * [`costprops`] — the Table 1/2 cost-property verifier
 //!   (`--cost-props`): exhaustive boundary grids plus SplitMix64-seeded
 //!   samples check every selectivity factor lands in `[0, 1]` and every
@@ -59,14 +52,25 @@
 //!   scenario-invariant oracles; `--mutant` re-arms previously fixed
 //!   races and demands the explorer find them.
 //!
-//! The `sysr-audit` binary runs both engines (`--all`) and exits nonzero
+//! The `sysr-audit` binary runs every engine (`--all`) and exits nonzero
 //! on any violation; `scripts/ci.sh` gates every PR on it.
+
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod concurrent;
 pub mod corpus;
 pub mod costprops;
 pub mod differential;
-pub mod intervals;
 pub mod invariants;
 pub mod lexer;
 pub mod lint;
@@ -78,7 +82,7 @@ use std::fmt;
 /// One broken invariant or lint rule, pinned to a rule id and location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule id, e.g. `cost-admissible` or `no-unwrap`. DESIGN.md §8
+    /// Stable rule id, e.g. `cost-admissible` or `latch-ordering`. DESIGN.md §8
     /// catalogues every rule with its paper anchor.
     pub rule: &'static str,
     /// Where: `file:line` for lint findings, `corpus case / node path` for

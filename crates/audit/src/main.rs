@@ -1,4 +1,4 @@
-//! `sysr-audit` — run the plan auditor and the source lint pass.
+//! `sysr-audit` — run the plan auditor and the latch lint.
 //!
 //! ```text
 //! sysr-audit --all               # every engine below (CI mode)
@@ -7,8 +7,7 @@
 //! sysr-audit --concurrent        # 8-thread serving must match single-thread plans + rows
 //! sysr-audit --exec              # traced corpus replay: batched-executor accounting identities
 //! sysr-audit --recovery          # page-checksum + reopen-equivalence rules
-//! sysr-audit --lint              # source lint over crates/*/src
-//! sysr-audit --lint --explain R  # print rule R's rationale and exit
+//! sysr-audit --lint              # latch lint over crates/*/src
 //! sysr-audit --cost-props        # Table 1/2 formula property verifier
 //! sysr-audit --model             # bounded schedule exploration of the RSS latches
 //! sysr-audit --mutant <name>     # with --model/--cost-props: the seeded bug must be *found*
@@ -20,6 +19,18 @@
 //! Exit status: 0 when every check passes, 1 on any violation, 2 on bad
 //! usage. Output is one violation per line plus a summary — grep-friendly
 //! for CI logs.
+
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -38,7 +49,6 @@ struct Options {
     cost_props: bool,
     model: bool,
     mutant: Option<String>,
-    explain: Option<String>,
     root: PathBuf,
     seed: u64,
     random: usize,
@@ -55,7 +65,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         cost_props: false,
         model: false,
         mutant: None,
-        explain: None,
         root: PathBuf::from("."),
         seed: 0xA0D17,
         random: 12,
@@ -84,9 +93,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--mutant" => {
                 opts.mutant = Some(it.next().ok_or("--mutant needs a name")?.clone());
             }
-            "--explain" => {
-                opts.explain = Some(it.next().ok_or("--explain needs a rule name")?.clone());
-            }
             "--root" => {
                 opts.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
@@ -113,9 +119,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         if !is_cost && !opts.model && !opts.cost_props {
             return Err("--mutant only makes sense with --model or --cost-props".into());
         }
-    }
-    if opts.explain.is_some() && !opts.lint {
-        return Err("--explain only makes sense with --lint".into());
     }
     if !(opts.plans
         || opts.diff
@@ -170,28 +173,13 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             if msg == "help" {
-                eprintln!("usage: sysr-audit [--all|--plans|--diff|--concurrent|--exec|--recovery|--lint|--cost-props|--model] [--mutant NAME] [--explain RULE] [--root DIR] [--seed N] [--random N]");
+                eprintln!("usage: sysr-audit [--all|--plans|--diff|--concurrent|--exec|--recovery|--lint|--cost-props|--model] [--mutant NAME] [--root DIR] [--seed N] [--random N]");
                 return ExitCode::SUCCESS;
             }
             eprintln!("sysr-audit: {msg}");
             return ExitCode::from(2);
         }
     };
-
-    // `--lint --explain <rule>`: print the rule family's rationale.
-    if let Some(rule) = &opts.explain {
-        return match lint::RULE_DOCS.iter().find(|(name, _)| name == rule) {
-            Some((name, doc)) => {
-                println!("{name}\n\n{doc}");
-                ExitCode::SUCCESS
-            }
-            None => {
-                let known: Vec<&str> = lint::RULE_DOCS.iter().map(|(n, _)| *n).collect();
-                eprintln!("sysr-audit: unknown rule `{rule}`; known rules: {}", known.join(", "));
-                ExitCode::from(2)
-            }
-        };
-    }
 
     let config = OptimizerConfig::default();
     let mut cases = builtin_cases();

@@ -19,6 +19,18 @@
 //! * `--smoke` — few repetitions, same schema, writes the `.smoke` file;
 //! * `--check` — validate an existing `BENCH_concurrency.json`.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;

@@ -34,6 +34,18 @@
 //!   (no speedup assertion: too noisy at smoke iteration counts);
 //! * `--check` — validate an existing `BENCH_executor.json`.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -129,7 +141,10 @@ fn calibrate_chunk(budget_ms: u64) -> (u64, f64) {
     let mut acc = 0u64;
     while t0.elapsed().as_millis() < budget_ms as u128 {
         for _ in 0..1000 {
-            // audit:allow(no-unwrap) — harness: the tuple was encoded above; a decode failure invalidates the run
+            #[expect(
+                clippy::expect_used,
+                reason = "the tuple was encoded above; a decode failure invalidates the run"
+            )]
             let d = codec::decode_tuple(std::hint::black_box(&bytes)).expect("calibration decode");
             acc = acc.wrapping_add(d.arity() as u64);
         }

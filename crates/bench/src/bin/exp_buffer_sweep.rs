@@ -9,6 +9,9 @@
 //! cargo run --release -p sysr-bench --bin exp_buffer_sweep
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::workloads::audit_plan;
 use system_r::core::{Access, Cost, PlanNode};
 use system_r::{tuple, Config, Database};

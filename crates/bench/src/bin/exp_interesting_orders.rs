@@ -7,6 +7,9 @@
 //! cargo run --release -p sysr-bench --bin exp_interesting_orders
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::workloads::audit_plan;
 use system_r::core::{PlanExpr, PlanNode};
 use system_r::{tuple, Config, Database};

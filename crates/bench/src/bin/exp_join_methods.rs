@@ -8,6 +8,18 @@
 //! cargo run --release -p sysr-bench --bin exp_join_methods
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use sysr_bench::harness::run_all_plans;
 use sysr_bench::workloads::{audit_plan, two_table_db};
 

@@ -9,6 +9,18 @@
 //! cargo run --release -p sysr-bench --bin exp_nested
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use sysr_bench::workloads::{audit_plan, employee_db};
 
 const CORRELATED: &str = "SELECT NAME FROM EMPLOYEE X WHERE SALARY >

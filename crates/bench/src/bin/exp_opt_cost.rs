@@ -13,6 +13,18 @@
 //! cargo run --release -p sysr-bench --bin exp_opt_cost
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::time::Instant;
 use sysr_bench::workloads::{audit_plan, fig1_db, synth_chain_db, Fig1Params, FIG1_SQL};
 

@@ -12,6 +12,9 @@
 //! cargo run --release -p sysr-bench --bin exp_optimality
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::harness::{run_all_plans, spearman};
 use sysr_bench::workloads::{audit_plan, fig1_db, two_table_db, Fig1Params, FIG1_SQL};
 use system_r::Database;

@@ -11,6 +11,9 @@
 //! cargo run --release -p sysr-bench --bin exp_scaling [--no-heuristic]
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::workloads::{audit_plan, star_db, synth_chain_db};
 use system_r::{Config, Database};
 

@@ -9,6 +9,9 @@
 //! cargo run --release -p sysr-bench --bin exp_skew
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::workloads::audit_plan;
 use system_r::rss::SplitMix64;
 use system_r::{tuple, Config, Database};

@@ -9,6 +9,9 @@
 //! cargo run --release -p sysr-bench --bin exp_w_sweep
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::harness::summarize_plan;
 use sysr_bench::workloads::audit_plan;
 use system_r::{tuple, Config, Database};

@@ -13,6 +13,9 @@
 //! cargo run -p sysr-bench --bin fig_search_tree
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::harness::summarize_plan;
 use sysr_bench::workloads::{audit_plan, fig1_db, Fig1Params, FIG1_SQL};
 use system_r::core::{bind_select, Enumerator, TableSet};

@@ -6,6 +6,9 @@
 //! cargo run -p sysr-bench --bin table1
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::workloads::audit_plan;
 use system_r::core::{bind_select, Selectivity};
 use system_r::sql::{parse_statement, Statement};

@@ -8,6 +8,9 @@
 //! cargo run -p sysr-bench --bin table2
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use sysr_bench::workloads::audit_plan;
 use system_r::core::CostModel;
 use system_r::{tuple, Config, Database};

@@ -9,6 +9,18 @@
 //! figure; see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
 //! recorded outputs.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod harness;
 pub mod timing;
 pub mod workloads;

@@ -95,7 +95,7 @@ pub fn fig1_db(p: Fig1Params) -> DbResult<Database> {
 /// A two-table join workload: `OUTR(K, TAG, PAD)` and `INNR(K, PAD)`,
 /// joined on K. Knobs: sizes, key fan-out, whether the inner is indexed
 /// on K, pad width (pages per relation).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "each argument is one experiment knob")]
 pub fn two_table_db(
     n_outer: i64,
     n_inner: i64,
@@ -223,7 +223,8 @@ pub fn employee_db(n: i64, manager_span: i64) -> DbResult<Database> {
 /// verify the plan and search-trace accounting, execute with per-node
 /// measurement and verify the executor's I/O accounting. Returns the
 /// rendered violation report as the error, so experiment binaries can
-/// `?` it (or unwrap in the exempt ones) ahead of the measured run.
+/// `?` it (or unwrap it, in the experiment binaries that do not deny
+/// `clippy::unwrap_used`) ahead of the measured run.
 ///
 /// Call this *before* `evict_buffers`/`reset_io_stats`: the audit
 /// executes the query once and would otherwise pollute the measurement.

@@ -269,8 +269,8 @@ impl Catalog {
                 icard: icard as u64,
                 nindx: tree.page_count() as u64,
                 leaf_pages: tree.leaf_page_count() as u64,
-                low_key: low.map(|k| k[0].clone()),
-                high_key: high.map(|k| k[0].clone()),
+                low_key: low.and_then(|k| k.first().cloned()),
+                high_key: high.and_then(|k| k.first().cloned()),
                 valid: true,
             };
         }

@@ -20,7 +20,7 @@ fn hex_encode(bytes: &[u8]) -> String {
 }
 
 fn hex_decode(s: &str) -> Result<Vec<u8>, CatalogError> {
-    if !s.len().is_multiple_of(2) {
+    if s.len() % 2 != 0 {
         return Err(bad("odd-length hex string"));
     }
     s.as_bytes()

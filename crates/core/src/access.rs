@@ -16,6 +16,11 @@
 //! columns — this is how `C-inner(path)` gets cheap when the inner
 //! relation has an index on its join column.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "access-path generation: table and factor ids come from the bound query the candidate arrays were built from"
+)]
+
 use crate::bitset::TableSet;
 use crate::cost::{Cost, CostModel};
 use crate::num::card_f64;
@@ -103,8 +108,8 @@ impl<'a> PlanCtx<'a> {
         self.needed_cols[table].iter().all(|c| key_cols.contains(c))
     }
 
+    #[expect(clippy::expect_used, reason = "binder resolved every table id against this catalog")]
     pub fn relation(&self, table: usize) -> &RelationMeta {
-        // audit:allow(no-unwrap) — binder resolved every table id against this catalog
         self.catalog.relation(self.query.tables[table].rel).expect("bound table exists in catalog")
     }
 
@@ -433,7 +438,11 @@ pub fn access_paths(ctx: &PlanCtx<'_>, table: usize, available: TableSet) -> Vec
     candidates
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the factor partitions and cardinalities are computed once by the caller and \
+              shared by every index of the table"
+)]
 fn index_candidate(
     ctx: &PlanCtx<'_>,
     table: usize,
@@ -479,7 +488,10 @@ fn index_candidate(
                     .unwrap_or(false)
         });
         if let Some(&(i, ref u)) = eq {
-            // audit:allow(no-unwrap) — the find() above only yields factors with a single atom
+            #[expect(
+                clippy::expect_used,
+                reason = "the find() above only yields factors with a single atom"
+            )]
             let atom = single_atom(u).expect("checked");
             eq_prefix.push(atom.operand);
             matching.push(i);
@@ -630,7 +642,7 @@ mod tests {
                     nindx,
                     leaf_pages: nindx - 2,
                     low_key: Some(Value::Int(0)),
-                    high_key: Some(Value::Int(icard as i64 - 1)),
+                    high_key: Some(Value::Int(i64::try_from(icard).unwrap() - 1)),
                     valid: true,
                 },
             );

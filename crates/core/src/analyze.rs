@@ -121,8 +121,7 @@ impl QueryPlan {
             let _ =
                 writeln!(out, "{}block filters: {:?}", "  ".repeat(depth + 1), self.block_filters);
         }
-        for (i, sub) in self.subplans.iter().enumerate() {
-            let def = &self.query.subqueries[i];
+        for (i, (sub, def)) in self.subplans.iter().zip(&self.query.subqueries).enumerate() {
             let _ = writeln!(
                 out,
                 "{}subquery #{i} ({}{}):",
@@ -233,12 +232,12 @@ mod tests {
         assert_eq!(top.node_count(), 6);
         assert_eq!(top.outer_child_id(0), Some(1));
         assert_eq!(top.inner_child_id(0), Some(4));
-        let PlanNode::NestedLoop { outer, inner } = &top.node else { unreachable!() };
+        let PlanNode::NestedLoop { outer, inner } = &top.node else { panic!("expected a join") };
         assert_eq!(outer.outer_child_id(1), Some(2));
         assert_eq!(outer.inner_child_id(1), Some(3));
         assert_eq!(inner.outer_child_id(4), Some(5));
         assert_eq!(inner.inner_child_id(4), None);
-        let PlanNode::Sort { input, .. } = &inner.node else { unreachable!() };
+        let PlanNode::Sort { input, .. } = &inner.node else { panic!("expected a sort") };
         assert_eq!(input.outer_child_id(5), None);
     }
 }

@@ -17,6 +17,11 @@
 //! — pruned candidates are dropped wholesale with their scratch vectors,
 //! which is where the allocation savings come from.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "solution arena: handles are indices the arena issued; commit remaps within the bounds it just reserved"
+)]
+
 use crate::cost::Cost;
 use crate::intern::KeyId;
 use crate::num::dense_id;

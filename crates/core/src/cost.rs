@@ -87,7 +87,7 @@ impl fmt::Display for Cost {
 }
 
 /// Usable bytes per temp-list page, mirroring [`sysr_rss::TempList`].
-const TEMP_PAGE_BYTES: f64 = (PAGE_SIZE - PAGE_HEADER_SIZE) as f64;
+const TEMP_PAGE_BYTES: f64 = card_f64((PAGE_SIZE - PAGE_HEADER_SIZE) as u64);
 
 /// Cardenas' approximation of the number of **distinct pages** touched
 /// when `tuples` random tuples are fetched from a relation spread over
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     fn sort_run_threshold_tracks_executor_batch_size() {
-        assert_eq!(SORT_RUN_MEMORY_ROWS, MAX_BATCH as f64);
+        assert_eq!(SORT_RUN_MEMORY_ROWS, len_f64(MAX_BATCH));
         assert_eq!(SORT_RUN_MEMORY_ROWS, 1024.0);
     }
 

@@ -26,6 +26,11 @@
 //! order, so ties always resolve to the first minimum of the candidate
 //! stream.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "join-order DP: solution tables, item lists, and order-class slots are indexed by subset ranks and slot ids minted by the same enumeration pass"
+)]
+
 use crate::access::{access_paths, AccessCandidate, PlanCtx};
 use crate::arena::{ArenaNode, NodeId, NodeKind, PlanArena, WorkArena};
 use crate::bitset::TableSet;
@@ -501,7 +506,11 @@ impl<'a> Enumerator<'a> {
 
     /// Build the per-item scaffolding: nested-loop inners pushed once and
     /// merge variants with residuals, shared across every outer plan.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the DP item's sets, cardinality and candidate lists are already split out \
+                  by the caller"
+    )]
     fn build_scaffold(
         &self,
         wa: &mut WorkArena<'_>,
@@ -830,8 +839,11 @@ impl<'a> Enumerator<'a> {
             outcome.relaxed = true;
             return outcome;
         }
-        // audit:allow(no-unwrap) — run_search falls back to the relaxed pass above precisely so
-        // the full set always has at least one solution
+        #[expect(
+            clippy::expect_used,
+            reason = "run_search falls back to the relaxed pass above precisely so the full set \
+                      always has at least one solution"
+        )]
         let sols = memo.get(&full).expect("full set always has solutions");
         stats.plans_kept = memo.values().map(|s| s.iter().flatten().count() as u64).sum();
         stats.solution_bytes = memo
@@ -842,7 +854,10 @@ impl<'a> Enumerator<'a> {
 
         let required = &self.ctx.orders.required;
         let best = if required.is_empty() {
-            // audit:allow(no-unwrap) — consider() always fills the empty slot when any slot fills
+            #[expect(
+                clippy::expect_used,
+                reason = "consider() always fills the empty slot when any slot fills"
+            )]
             let id =
                 sols[Self::slot_index(EMPTY_KEY)].expect("cheapest-overall slot always filled");
             arena.materialize(id)
@@ -858,7 +873,10 @@ impl<'a> Enumerator<'a> {
                         .total(arena.node(a).cost)
                         .total_cmp(&self.ctx.model.total(arena.node(b).cost))
                 });
-            // audit:allow(no-unwrap) — consider() always fills the empty slot when any slot fills
+            #[expect(
+                clippy::expect_used,
+                reason = "consider() always fills the empty slot when any slot fills"
+            )]
             let unordered =
                 sols[Self::slot_index(EMPTY_KEY)].expect("cheapest-overall slot always filled");
             let width = self.ctx.composite_width(full);
@@ -1193,7 +1211,7 @@ mod tests {
                     nindx,
                     leaf_pages: nindx.max(2) - 1,
                     low_key: Some(Value::Int(0)),
-                    high_key: Some(Value::Int(icard as i64 - 1)),
+                    high_key: Some(Value::Int(i64::try_from(icard).unwrap() - 1)),
                     valid: true,
                 },
             );

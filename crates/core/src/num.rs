@@ -5,11 +5,9 @@
 //! `usize` lengths. A raw `as f64` silently loses precision above 2^53 and
 //! a raw `as u32`/`as usize` silently truncates; every such lift in the
 //! numeric core now goes through one of these helpers, which saturate at
-//! the exactly-representable boundary instead. The audit crate's
-//! cast-soundness interval analysis proves the casts *inside* this module
-//! (guard narrowing for [`card_f64`], `.min()` bounding for [`dense_id`],
-//! `.clamp()` bounding for [`pages_ceil`]), so no `audit:allow` markers
-//! are needed here or at any call site.
+//! the exactly-representable boundary instead. The crate root denies
+//! clippy's four `cast_*` lints, so the raw casts live only here, each
+//! under an `#[expect]` that names the bound making it exact.
 
 /// Largest integer such that every integer in `[0, F64_EXACT_MAX]` is
 /// exactly representable as an `f64` (2^53; the mantissa is 52 bits plus
@@ -20,6 +18,7 @@ pub const F64_EXACT_MAX: u64 = 1 << 53;
 /// a real catalog produces; saturates at 2^53 beyond that instead of
 /// silently rounding. `const` so statistics-derived tunables (e.g. the
 /// sort-run threshold) can be computed at compile time.
+#[expect(clippy::cast_precision_loss, reason = "both branches are at most 2^53, exact in f64")]
 pub const fn card_f64(n: u64) -> f64 {
     if n > F64_EXACT_MAX {
         F64_EXACT_MAX as f64
@@ -38,6 +37,11 @@ pub fn len_f64(n: usize) -> f64 {
 /// integer. NaN maps to 0, negatives to 0, and anything above 2^53
 /// saturates, so the result always round-trips exactly through
 /// [`card_f64`].
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped to [0, 2^53] first; NaN casts to 0"
+)]
 pub fn pages_ceil(x: f64) -> u64 {
     x.ceil().clamp(0.0, 9_007_199_254_740_992.0) as u64
 }
@@ -46,6 +50,7 @@ pub fn pages_ceil(x: f64) -> u64 {
 /// assert the index fits; release builds saturate rather than truncate,
 /// which keeps the id in-range (the arenas cap well below 2^32 entries
 /// in practice, so saturation is unreachable).
+#[expect(clippy::cast_possible_truncation, reason = "bounded by u32::MAX with .min() first")]
 pub fn dense_id(n: usize) -> u32 {
     debug_assert!(n <= u32::MAX as usize, "dense id space overflow: {n}");
     n.min(u32::MAX as usize) as u32

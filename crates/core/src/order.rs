@@ -15,6 +15,11 @@
 //! equal are interchangeable for every later use of ordering, so the DP
 //! keeps only the cheapest of them.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "order-class union-find: parent entries are ids the structure itself issued, and required-prefix slices are length-guarded"
+)]
+
 use crate::query::{BoundQuery, ColId};
 use std::collections::HashMap;
 

@@ -211,8 +211,7 @@ impl QueryPlan {
             let _ =
                 writeln!(out, "{}block filters: {:?}", "  ".repeat(depth + 1), self.block_filters);
         }
-        for (i, sub) in self.subplans.iter().enumerate() {
-            let def = &self.query.subqueries[i];
+        for (i, (sub, def)) in self.subplans.iter().zip(&self.query.subqueries).enumerate() {
             let _ = writeln!(
                 out,
                 "{}subquery #{i} ({}{}):",

@@ -2,6 +2,11 @@
 //! aggregation, DISTINCT, and ORDER BY; manage subquery evaluation with
 //! §6's once/memoized discipline.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "block runtime: subquery ids and outer-row depths index parallel arrays sized from the same analyzed plan"
+)]
+
 use crate::error::{ExecError, ExecResult};
 use crate::eval::{eval_bexpr, eval_grouped_sexpr};
 use crate::exec::{exec_node, scan_into};

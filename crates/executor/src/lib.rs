@@ -25,6 +25,19 @@
 //!   re-evaluation-avoidance, generalized from "same as the previous
 //!   candidate tuple" to a cache).
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod block;
 pub mod error;
 pub mod eval;

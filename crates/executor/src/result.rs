@@ -36,8 +36,8 @@ impl fmt::Display for ResultSet {
             self.rows.iter().map(|r| r.values().iter().map(|v| v.to_string()).collect()).collect();
         for row in &rendered {
             for (i, cell) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(cell.len());
+                if let Some(w) = widths.get_mut(i) {
+                    *w = (*w).max(cell.len());
                 } else {
                     widths.push(cell.len());
                 }
@@ -51,7 +51,7 @@ impl fmt::Display for ResultSet {
         };
         line(f)?;
         for (i, c) in self.columns.iter().enumerate() {
-            write!(f, "| {:width$} ", c, width = widths[i])?;
+            write!(f, "| {:width$} ", c, width = widths.get(i).copied().unwrap_or(0))?;
         }
         writeln!(f, "|")?;
         line(f)?;

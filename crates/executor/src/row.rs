@@ -58,7 +58,9 @@ pub fn cmp_rows(a: &Row, b: &Row, keys: &[(ColId, bool)]) -> std::cmp::Ordering 
 
 /// Whether `rows` is sorted according to `keys`.
 pub fn rows_sorted(rows: &[Row], keys: &[(ColId, bool)]) -> bool {
-    rows.windows(2).all(|w| cmp_rows(&w[0], &w[1], keys) != std::cmp::Ordering::Greater)
+    rows.iter()
+        .zip(rows.iter().skip(1))
+        .all(|(a, b)| cmp_rows(a, b, keys) != std::cmp::Ordering::Greater)
 }
 
 /// Sort `rows` ascending on `keys` (NULLs and missing tables first, same

@@ -31,6 +31,11 @@
 //! as [`RssError::Corrupt`] and propagates to the caller instead of
 //! panicking.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "B-tree node arithmetic: indices come from binary search within node bounds established one line earlier"
+)]
+
 use crate::codec;
 use crate::error::{RssError, RssResult};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
@@ -207,6 +212,12 @@ impl BTreeIndex {
     /// Take the set of node pages mutated since the last drain.
     pub fn drain_dirty(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.dirty).into_iter().collect()
+    }
+
+    /// Re-mark drained node pages whose flush failed, so the next flush
+    /// writes them.
+    pub(crate) fn mark_dirty(&mut self, pages: impl IntoIterator<Item = u32>) {
+        self.dirty.extend(pages);
     }
 
     /// Levels from root to leaf (1 = root is a leaf).

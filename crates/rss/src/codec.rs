@@ -356,12 +356,11 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn u8(&mut self) -> RssResult<u8> {
-        Ok(self.slice(1)?[0])
+        Ok(u8::from_le_bytes(self.array::<1>()?))
     }
 
     pub(crate) fn u16(&mut self) -> RssResult<u16> {
-        let s = self.slice(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
+        Ok(u16::from_le_bytes(self.array::<2>()?))
     }
 
     pub(crate) fn u32(&mut self) -> RssResult<u32> {

@@ -29,6 +29,19 @@
 //! that counts misses reproduces exactly the quantity the optimizer
 //! predicts.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::undocumented_unsafe_blocks,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod btree;
 pub mod buffer;
 pub mod codec;

@@ -16,6 +16,11 @@
 //! tuples of several relations on the same pages, and a segment scan uses
 //! the tag to return only the tuples of the requested relation.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slotted-page byte layout: offsets come from the page's own slot directory within a fixed PAGE_SIZE buffer"
+)]
+
 use crate::error::{RssError, RssResult};
 
 /// Page size in bytes, as in System R.

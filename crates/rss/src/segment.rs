@@ -7,6 +7,11 @@
 //! relation T — and why a segment scan must touch *every* non-empty page
 //! regardless of which relation it wants.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slotted-page layout: offsets are derived from the page header and validated by the page checksum"
+)]
+
 use crate::codec::{decode_tuple, tuple_bytes};
 use crate::error::{RssError, RssResult};
 use crate::page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
@@ -44,6 +49,12 @@ impl Segment {
     /// Take the set of pages mutated since the last drain.
     pub fn drain_dirty(&mut self) -> Vec<u32> {
         std::mem::take(&mut self.dirty).into_iter().collect()
+    }
+
+    /// Re-mark drained pages whose flush failed, so the next flush
+    /// writes them.
+    pub(crate) fn mark_dirty(&mut self, pages: impl IntoIterator<Item = u32>) {
+        self.dirty.extend(pages);
     }
 
     pub fn fill_hint(&self) -> usize {
@@ -105,9 +116,12 @@ impl Segment {
             }
         }
         let mut page = Page::new();
+        #[expect(
+            clippy::expect_used,
+            reason = "tuple size was checked against max_tuple_size above"
+        )]
         let slot = page
             .insert(rel_id, &data)
-            // audit:allow(no-unwrap) — tuple size was checked against max_tuple_size above
             .expect("fresh page must accept a tuple within max_tuple_size");
         self.pages.push(page);
         self.fill_hint = self.pages.len() - 1;

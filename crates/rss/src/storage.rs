@@ -46,6 +46,11 @@
 //! ([`DirBackend`] page files plus a `storage.meta` descriptor);
 //! [`Storage::open`] rebuilds segments and trees from those pages.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "segment bookkeeping: page and slot positions are issued by this allocator and revalidated by verify_page on read"
+)]
+
 use crate::btree::{BTreeConfig, BTreeIndex, IndexId};
 use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
@@ -184,24 +189,38 @@ impl Storage {
     /// Flush every page mutated since the last call — segment pages and
     /// B-tree node pages — so the backend (or a dirty resident frame)
     /// holds the current image. Called once at the end of every mutating
-    /// operation, however many tuples it touched.
+    /// operation, however many tuples it touched. On an error the failed
+    /// page and the rest of its drained list are marked dirty again, so
+    /// the next flush writes them: a page leaves the dirty set only once
+    /// its image has been written.
     fn flush_dirty(&mut self) -> RssResult<()> {
         for si in 0..self.segments.len() {
             let file = FileId::Segment(self.segments[si].id());
-            for p in self.segments[si].drain_dirty() {
+            let mut pending = self.segments[si].drain_dirty().into_iter();
+            while let Some(p) = pending.next() {
                 // A segment page is stamped where it lives (`write_image`
                 // without the scratch copy): the borrow of the page rules
                 // out the `&self` helper, not the field accesses.
                 let lsn = self.next_lsn.fetch_add(1, Relaxed);
                 let Some(img) = self.segments[si].stamp(p, lsn) else { continue };
-                self.buffer.write_through(PageKey::new(file, p), img, &self.backend)?;
+                if let Err(e) = self.buffer.write_through(PageKey::new(file, p), img, &self.backend)
+                {
+                    self.segments[si].mark_dirty(std::iter::once(p).chain(pending));
+                    return Err(e);
+                }
             }
         }
         for ii in 0..self.indexes.len() {
-            for n in self.indexes[ii].tree.drain_dirty() {
-                let mut img = self.indexes[ii].tree.encode_node_page(n)?;
-                let key = PageKey::new(FileId::Index(self.indexes[ii].tree.id()), n);
-                self.write_image(key, &mut img)?;
+            let mut pending = self.indexes[ii].tree.drain_dirty().into_iter();
+            while let Some(n) = pending.next() {
+                let tree = &self.indexes[ii].tree;
+                let key = PageKey::new(FileId::Index(tree.id()), n);
+                let written =
+                    tree.encode_node_page(n).and_then(|mut img| self.write_image(key, &mut img));
+                if let Err(e) = written {
+                    self.indexes[ii].tree.mark_dirty(std::iter::once(n).chain(pending));
+                    return Err(e);
+                }
             }
         }
         Ok(())
@@ -718,7 +737,7 @@ impl Storage {
 
 /// The whole serving path is shareable: M session threads may plan and
 /// execute over one `&Storage` concurrently.
-#[allow(dead_code)]
+#[expect(dead_code, reason = "a compile-time check: it only has to type-check, never run")]
 fn assert_storage_is_shareable() {
     fn check<T: Send + Sync>() {}
     check::<Storage>();
@@ -945,6 +964,34 @@ mod tests {
         after.sort();
         assert_eq!(after, before);
         st.index(idx).unwrap().tree.check_invariants().unwrap();
+    }
+
+    /// A failed statement-end flush loses no page: what it drained but did
+    /// not write stays dirty, so once the fault is spent the next mutating
+    /// call brings the backend back in line with memory.
+    #[test]
+    fn failed_flush_leaves_unwritten_pages_dirty() {
+        use crate::pagefile::{FaultBackend, FaultOp, FileKind};
+        // Writes never make a page resident, so every fresh segment page
+        // is a write-around to the backend, and the first one fails.
+        let backend = FaultBackend::failing_nth(FaultOp::Write, FileKind::Segment, 0);
+        let mut st = Storage::with_backend(64, Box::new(backend));
+        let seg = st.create_segment();
+        let idx = st.create_index(seg, 1, vec![0], true).unwrap();
+        let rows: Vec<Tuple> = (0..500).map(row).collect();
+        assert!(st.insert_many(seg, 1, &rows).is_err(), "the first page write fails");
+        assert!(st.segment(seg).unwrap().page_count() > 2, "the batch spans several pages");
+        st.insert(seg, 1, &row(500)).unwrap();
+
+        let dir = temp_dir("failed-flush");
+        st.save_to(&dir).unwrap();
+        let back = Storage::open(&dir, 64).unwrap();
+        assert_eq!(relation_rows(&back, seg).len(), 501);
+        assert_eq!(relation_rows(&back, seg), relation_rows(&st, seg));
+        let tree = &back.index(idx).unwrap().tree;
+        assert_eq!(tree.entry_count(), 501);
+        tree.check_invariants().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -275,6 +275,11 @@ impl Controller {
     /// Announce an operation and park until the scheduler grants it.
     /// Release and cv-wait apply their bookkeeping *at the announce*
     /// (their real effect — dropping the OS lock — already happened).
+    #[expect(
+        clippy::panic,
+        reason = "an aborted execution unwinds each virtual thread with ModelAbort, \
+                  which the thread root catches; the real guards drop on the way"
+    )]
     fn announce(&self, tid: usize, op: Op, loc: &'static Location<'static>) {
         let mut st = lock_state(self);
         if st.aborting {

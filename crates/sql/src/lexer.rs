@@ -260,7 +260,7 @@ impl<'a> Lexer<'a> {
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.pos += 1;
         }
-        if self.peek() == Some(b'.') && self.peek2().is_none_or(|c| c != b'.') {
+        if self.peek() == Some(b'.') && self.peek2() != Some(b'.') {
             // Accept a fractional part, but treat `1.x` (ident) as an error
             // the parser will surface; digits only here.
             is_float = true;

@@ -22,6 +22,19 @@
 //! Name resolution and semantic checking happen in `sysr-core`'s binder,
 //! which has catalog access; this crate is purely syntactic.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod ast;
 pub mod lexer;
 pub mod parser;

@@ -1,5 +1,10 @@
 //! Recursive-descent parser for the SQL subset.
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "recursive-descent cursor: token positions are bounded by the EOF sentinel the lexer always appends"
+)]
+
 use crate::ast::*;
 use crate::lexer::{Lexer, Token, TokenKind};
 use std::fmt;

@@ -1,13 +1,18 @@
 #!/usr/bin/env sh
 # CI gate: formatting, lints, docs, release build, the full test suite,
 # the persistence round-trip and the DML oracle in release mode, and the
-# sysr-audit invariant/recovery/lint pass (see DESIGN.md §8–§9). Runs
-# offline — zero external crates.
+# sysr-audit invariant/recovery/latch-lint pass (see DESIGN.md §8–§9).
+# Runs offline — zero external crates.
 set -eux
 
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+# This one clippy run is also the panic-freedom, indexing, cast and
+# unsafe gate: the crate roots deny those clippy lints (DESIGN.md §8.2),
+# every suppression is an `#[expect(lint, reason = …)]`, and an
+# expectation that no longer fires fails here as
+# `unfulfilled_lint_expectations`.
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace --bins --benches --examples
@@ -41,11 +46,9 @@ env -u RUST_TEST_THREADS cargo test --release --test concurrent_serving
 # whole-query delta, RSI-call/page-fetch sums match component-wise, and
 # no scan emits more rows than it charged RSI calls — the identities the
 # batched NEXT path must preserve) + the
-# token-level source lint (no-unwrap, no-index, unsafe-audit,
-# latch-discipline, latch-ordering, latch-scope, cast-soundness with
-# interval-powered operand analysis, div-guard, and the
-# stale-suppression detector stale-allow; `--lint --explain <rule>`
-# prints any rule's rationale) + the cost-property verifier
+# token-level latch lint (latch-discipline, latch-ordering, latch-scope,
+# and stale-allow for `audit:allow` markers that name anything else —
+# the rules clippy cannot express) + the cost-property verifier
 # (exhaustive-boundary + seeded-sample domain checks that every Table 1
 # selectivity and Table 2 cost formula is non-negative, finite, and
 # monotone where the paper requires — see DESIGN.md §15) + the

@@ -24,6 +24,18 @@
 //! predicted cost instead of running it, or with `EXPLAIN ANALYZE` to run
 //! it and see measured rows and page fetches next to the predictions.
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::io::{BufRead, Write};
 use system_r::{Database, DbError};
 

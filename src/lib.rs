@@ -61,6 +61,18 @@
 //! the page backend before the snapshot is copied or the files are
 //! fsynced (see the `sysr-rss` sharded-pool docs).
 
+#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
@@ -162,7 +174,7 @@ pub struct Database {
 
 /// `Database` is shared across session threads by reference; this
 /// assertion keeps every field honest about it.
-#[allow(dead_code)]
+#[expect(dead_code, reason = "a compile-time check: it only has to type-check, never run")]
 fn assert_database_is_shareable() {
     fn check<T: Send + Sync>() {}
     check::<Database>();
