@@ -91,7 +91,7 @@ fn build_database() -> Result<(Storage, Catalog, SegmentId, RelId), String> {
         )
         .map_err(|e| format!("create relation: {e}"))?;
     let rows: Vec<Tuple> = (0..ROWS).map(|i| scratch_row(i, 0)).collect();
-    st.insert_many(seg, rel, &rows).map_err(|e| format!("bulk load: {e}"))?;
+    st.insert_many(seg, rel, rows).map_err(|e| format!("bulk load: {e}"))?;
     let idx = st.create_index(seg, rel, vec![0], true).map_err(|e| format!("create index: {e}"))?;
     cat.register_index(idx, "T_A", rel, vec![0], true, false)
         .map_err(|e| format!("register index: {e}"))?;
@@ -135,7 +135,7 @@ fn churn(st: &mut Storage, seg: SegmentId, rel: RelId) -> Result<(), String> {
             .enumerate()
             .map(|(i, (_, old))| if i % 2 == 0 { old.clone() } else { fresh_row(round + 1) })
             .collect();
-        st.insert_many(seg, rel, &back)
+        st.insert_many(seg, rel, back)
             .map_err(|e| format!("churn round {round}: insert_many: {e}"))?;
     }
     Ok(())

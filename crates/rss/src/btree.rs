@@ -93,17 +93,93 @@ impl BTreeConfig {
 
 type Key = Vec<Value>;
 
+/// A node's keys stored flat: key `i` is `vals[i * arity..(i + 1) * arity]`.
+/// One allocation per node instead of a `Vec` header and a heap chunk per
+/// key — a loaded index is mostly keys.
+#[derive(Debug, Clone)]
+struct Keys {
+    /// Values per key, the index's key arity (never 0).
+    arity: usize,
+    vals: Vec<Value>,
+}
+
+impl Keys {
+    fn new(arity: usize) -> Self {
+        Keys { arity, vals: Vec::new() }
+    }
+
+    fn len(&self) -> usize {
+        self.vals.len() / self.arity
+    }
+
+    fn is_empty(&self) -> bool {
+        self.vals.is_empty()
+    }
+
+    fn get(&self, i: usize) -> Option<&[Value]> {
+        self.vals.get(i * self.arity..(i + 1) * self.arity)
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
+        self.vals.chunks_exact(self.arity)
+    }
+
+    /// `slice::partition_point` over the keys: the index of the first key
+    /// for which `pred` is false (keys are sorted, so `pred` is monotone).
+    fn partition_point(&self, mut pred: impl FnMut(&[Value]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(&self.vals[mid * self.arity..(mid + 1) * self.arity]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Insert `key` (of this node's arity) before key `i`.
+    fn insert(&mut self, i: usize, key: Key) {
+        let at = i * self.arity;
+        self.vals.splice(at..at, key);
+    }
+
+    /// Append a key decoded from a node page, refusing one of the wrong
+    /// arity.
+    fn push(&mut self, key: Key) -> RssResult<()> {
+        if key.len() != self.arity {
+            return Err(RssError::Corrupt(format!(
+                "stored key has {} columns, the index {}",
+                key.len(),
+                self.arity
+            )));
+        }
+        self.vals.extend(key);
+        Ok(())
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.vals.drain(i * self.arity..(i + 1) * self.arity);
+    }
+
+    /// Keys `i..`, moved out; `0..i` stay.
+    fn split_off(&mut self, i: usize) -> Keys {
+        Keys { arity: self.arity, vals: self.vals.split_off(i * self.arity) }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
-        keys: Vec<Key>,
+        keys: Keys,
         rids: Vec<Rid>,
         next: Option<u32>,
     },
     Internal {
-        /// `keys[i]` separates `children[i]` from `children[i+1]`: every key
-        /// in `children[i+1]` is `>= keys[i]`.
-        keys: Vec<Key>,
+        /// Key `i` separates `children[i]` from `children[i+1]`: every key
+        /// in `children[i+1]` is `>=` it.
+        keys: Keys,
         children: Vec<u32>,
     },
 }
@@ -153,7 +229,7 @@ impl BTreeIndex {
     pub fn new(id: IndexId, key_arity: usize, unique: bool, config: BTreeConfig) -> Self {
         assert!(key_arity > 0, "index needs at least one key column");
         assert!(config.leaf_capacity >= 2 && config.internal_capacity >= 3);
-        let root_leaf = Node::Leaf { keys: Vec::new(), rids: Vec::new(), next: None };
+        let root_leaf = Node::Leaf { keys: Keys::new(key_arity), rids: Vec::new(), next: None };
         BTreeIndex {
             id,
             unique,
@@ -292,8 +368,8 @@ impl BTreeIndex {
         }
         if let Some((sep, right)) = self.insert_rec(self.root, key, rid)? {
             let old_root = self.root;
-            let new_root =
-                self.alloc(Node::Internal { keys: vec![sep], children: vec![old_root, right] });
+            let keys = Keys { arity: self.key_arity, vals: sep };
+            let new_root = self.alloc(Node::Internal { keys, children: vec![old_root, right] });
             self.root = new_root;
         }
         self.entry_count += 1;
@@ -325,27 +401,34 @@ impl BTreeIndex {
             Node::Leaf { keys, .. } => {
                 // Upper bound: duplicates append after equal keys, so RIDs
                 // for equal keys stay in insertion order.
-                let pos = keys.partition_point(|k| k.as_slice() <= key.as_slice());
+                let pos = keys.partition_point(|k| k <= key.as_slice());
                 let leaf_cap = self.config.leaf_capacity;
                 let Node::Leaf { keys, rids, next } = self.node_mut(node_id)? else {
                     return Err(RssError::Corrupt("leaf changed kind between reads".into()));
                 };
                 keys.insert(pos, key);
                 rids.insert(pos, rid);
-                let entry_sizes: Vec<usize> =
-                    keys.iter().map(|k| key_bytes(k) + RID_BYTES).collect();
-                let payload = 7 + entry_sizes.iter().sum::<usize>(); // tag + count + next
-                if keys.len() <= leaf_cap && payload <= NODE_BUDGET {
+                let entry_size = |k: &[Value]| key_bytes(k) + RID_BYTES;
+                // tag + count + next, then the entries
+                if keys.len() <= leaf_cap
+                    && 7 + keys.iter().map(entry_size).sum::<usize>() <= NODE_BUDGET
+                {
                     self.dirty.insert(node_id);
                     return Ok(None);
                 }
                 // Split: move the upper part to a new right sibling, cutting
-                // at the byte-balanced midpoint.
-                let mid = Self::split_point(&entry_sizes);
+                // at the byte-balanced midpoint. The left half keeps about
+                // half its entries; give back the capacity its vectors grew
+                // to while it filled (an ascending load never touches it
+                // again, any other insert regrows it on demand).
+                let sizes: Vec<usize> = keys.iter().map(entry_size).collect();
+                let mid = Self::split_point(&sizes);
                 let right_keys = keys.split_off(mid);
                 let right_rids = rids.split_off(mid);
+                keys.vals.shrink_to_fit();
+                rids.shrink_to_fit();
                 let old_next = *next;
-                let sep = right_keys[0].clone();
+                let sep = right_keys.vals[..right_keys.arity].to_vec();
                 let right =
                     self.alloc(Node::Leaf { keys: right_keys, rids: right_rids, next: old_next });
                 let Node::Leaf { next, .. } = self.node_mut(node_id)? else {
@@ -357,7 +440,7 @@ impl BTreeIndex {
             }
             Node::Internal { keys, children } => {
                 // Descend into the child whose range covers the key.
-                let idx = keys.partition_point(|k| k.as_slice() <= key.as_slice());
+                let idx = keys.partition_point(|k| k <= key.as_slice());
                 let child = children[idx];
                 let Some((sep, right)) = self.insert_rec(child, key, rid)? else {
                     return Ok(None);
@@ -370,17 +453,21 @@ impl BTreeIndex {
                 };
                 keys.insert(idx, sep);
                 children.insert(idx + 1, right);
-                let key_sizes: Vec<usize> = keys.iter().map(|k| key_bytes(k) + 4).collect();
-                let payload = 3 + key_sizes.iter().sum::<usize>() + 4;
-                if children.len() <= internal_cap && payload <= NODE_BUDGET {
+                // Each key travels with one child pointer.
+                let entry_size = |k: &[Value]| key_bytes(k) + 4;
+                // tag + count, the entries, then the extra child
+                if children.len() <= internal_cap
+                    && 3 + keys.iter().map(entry_size).sum::<usize>() + 4 <= NODE_BUDGET
+                {
                     self.dirty.insert(node_id);
                     return Ok(None);
                 }
-                // Split internal node: the key at the cut is promoted.
-                let mid = Self::split_point(&key_sizes);
-                let promoted = keys[mid].clone();
+                // Split internal node: the key at the cut is promoted and
+                // leaves this node.
+                let sizes: Vec<usize> = keys.iter().map(entry_size).collect();
+                let mid = Self::split_point(&sizes);
                 let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // the promoted key leaves this node
+                let promoted = keys.split_off(mid).vals;
                 let right_children = children.split_off(mid + 1);
                 let right_id =
                     self.alloc(Node::Internal { keys: right_keys, children: right_children });
@@ -524,13 +611,13 @@ impl BTreeIndex {
     /// Advance a cursor by one entry, following the leaf chain. Returns
     /// `None` at the end of the index.
     pub fn next_pos(&self, pos: LeafPos) -> RssResult<Option<LeafPos>> {
-        let Node::Leaf { keys, next, .. } = self.node(pos.leaf)? else {
+        let Node::Leaf { rids, next, .. } = self.node(pos.leaf)? else {
             return Err(RssError::Corrupt(format!(
                 "cursor {pos:?} of index {} does not point at a leaf",
                 self.id
             )));
         };
-        if pos.pos + 1 < keys.len() {
+        if pos.pos + 1 < rids.len() {
             return Ok(Some(LeafPos { leaf: pos.leaf, pos: pos.pos + 1 }));
         }
         match next {
@@ -636,7 +723,7 @@ impl BTreeIndex {
             Node::Internal { keys, children } => {
                 out.push(NODE_TAG_INTERNAL);
                 out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-                for key in keys {
+                for key in keys.iter() {
                     codec::encode_key(key, &mut out);
                 }
                 for child in children {
@@ -657,7 +744,7 @@ impl BTreeIndex {
 
     /// Decode one node from a page payload written by
     /// [`BTreeIndex::encode_node_page`]. `None` is a freed arena slot.
-    fn decode_node(payload: &[u8]) -> RssResult<Option<Node>> {
+    fn decode_node(payload: &[u8], key_arity: usize) -> RssResult<Option<Node>> {
         let mut cur = codec::Cursor::new(payload);
         match cur.u8()? {
             NODE_TAG_FREE => Ok(None),
@@ -665,10 +752,10 @@ impl BTreeIndex {
                 let n = cur.u16()? as usize;
                 let raw_next = cur.u32()?;
                 let next = if raw_next == NO_NEXT { None } else { Some(raw_next) };
-                let mut keys = Vec::with_capacity(n);
+                let mut keys = Keys { arity: key_arity, vals: Vec::with_capacity(n * key_arity) };
                 let mut rids = Vec::with_capacity(n);
                 for _ in 0..n {
-                    keys.push(codec::decode_key(&mut cur)?);
+                    keys.push(codec::decode_key(&mut cur)?)?;
                     let page = cur.u32()?;
                     let slot = cur.u16()?;
                     rids.push(Rid::new(page, slot));
@@ -677,9 +764,9 @@ impl BTreeIndex {
             }
             NODE_TAG_INTERNAL => {
                 let n = cur.u16()? as usize;
-                let mut keys = Vec::with_capacity(n);
+                let mut keys = Keys { arity: key_arity, vals: Vec::with_capacity(n * key_arity) };
                 for _ in 0..n {
-                    keys.push(codec::decode_key(&mut cur)?);
+                    keys.push(codec::decode_key(&mut cur)?)?;
                 }
                 let mut children = Vec::with_capacity(n + 1);
                 for _ in 0..=n {
@@ -708,7 +795,7 @@ impl BTreeIndex {
         let mut nodes = Vec::with_capacity(pages.len());
         let mut free = Vec::new();
         for (i, page) in pages.iter().enumerate() {
-            let node = Self::decode_node(&page[PAGE_HEADER_SIZE..])?;
+            let node = Self::decode_node(&page[PAGE_HEADER_SIZE..], key_arity)?;
             if let Some(Node::Internal { keys, children }) = &node {
                 if children.len() != keys.len() + 1 || children.is_empty() {
                     return Err(RssError::Corrupt(format!(
@@ -724,7 +811,11 @@ impl BTreeIndex {
             nodes.push(node);
         }
         if nodes.is_empty() {
-            nodes.push(Some(Node::Leaf { keys: Vec::new(), rids: Vec::new(), next: None }));
+            nodes.push(Some(Node::Leaf {
+                keys: Keys::new(key_arity),
+                rids: Vec::new(),
+                next: None,
+            }));
             free.clear();
         }
         match nodes.get(root as usize) {
@@ -1015,6 +1106,85 @@ mod tests {
         let err = BTreeIndex::from_node_pages(0, 1, false, BTreeConfig::tiny(), 999, 3, &pages)
             .unwrap_err();
         assert!(matches!(err, RssError::Corrupt(_)));
+    }
+
+    /// FNV-1a over every node page image in page order, then the root page
+    /// number: two trees with equal digests write identical page files.
+    fn tree_digest(t: &BTreeIndex) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1_0000_01b3);
+            }
+        };
+        for id in 0..t.node_slot_count() as u32 {
+            eat(&t.encode_node_page(id).unwrap()[..]);
+        }
+        eat(&t.root_page().to_le_bytes());
+        h
+    }
+
+    /// The page images of three trees, pinned: a change to the in-memory
+    /// node layout or the insert path must leave every split point, and so
+    /// every byte written to the page files, where it was.
+    #[test]
+    fn page_images_are_pinned() {
+        // 200k ascending unique keys: the bulk-load shape of every index
+        // built over a relation loaded in key order.
+        let mut asc = BTreeIndex::new(0, 1, true, BTreeConfig::default());
+        for i in 0..200_000u32 {
+            asc.insert(key(i64::from(i)), Rid::new(i / 64, (i % 64) as u16)).unwrap();
+        }
+        // 50k seeded non-unique keys with many duplicates, then 20k seeded
+        // deletes.
+        let mut rng = SplitMix64::new(0x00D1_6E57);
+        let mut dup = BTreeIndex::new(1, 1, false, BTreeConfig::default());
+        let mut live: Vec<(i64, u32)> = Vec::new();
+        for i in 0..50_000u32 {
+            let k = rng.range_i64(0, 5_000);
+            dup.insert(key(k), rid(i)).unwrap();
+            live.push((k, i));
+        }
+        for _ in 0..20_000 {
+            let (k, r) = live.swap_remove(rng.below(live.len() as u64) as usize);
+            assert!(dup.delete(&key(k), rid(r)).unwrap());
+        }
+        // Two-column int + string keys at tiny fanout: deep trees, and
+        // variable-width keys in the byte-balanced split.
+        let mut wide = BTreeIndex::new(2, 2, false, BTreeConfig::tiny());
+        for i in 0..3_000u32 {
+            let k = vec![
+                Value::Int(rng.range_i64(0, 100)),
+                Value::Str(format!("s{}", rng.below(1_000))),
+            ];
+            wide.insert(k, rid(i)).unwrap();
+        }
+        let got: Vec<(u64, usize)> =
+            [&asc, &dup, &wide].iter().map(|t| (tree_digest(t), t.node_slot_count())).collect();
+        let pinned = vec![
+            (0xC694_687F_805C_FDEA, 2105),
+            (0xA4A0_85C8_BF77_8B7F, 377),
+            (0x5FA7_B3AE_A826_2A64, 1551),
+        ];
+        assert_eq!(got, pinned, "(digest, node pages) of the ascending, churned and wide trees");
+
+        // An ascending load only ever inserts into the last leaf, so every
+        // other leaf is the left half of a split and holds no slack.
+        let leaves: Vec<(usize, usize, usize)> = asc
+            .nodes
+            .iter()
+            .filter_map(|n| match n {
+                Some(Node::Leaf { keys, rids, next }) if next.is_some() => {
+                    Some((keys.vals.len(), keys.vals.capacity(), rids.capacity()))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(leaves.len(), asc.leaf_page_count() - 1);
+        for (len, key_cap, rid_cap) in leaves {
+            assert_eq!((key_cap, rid_cap), (len, len), "a split-off left half keeps no slack");
+        }
     }
 
     /// Random interleavings of inserts and deletes must preserve the

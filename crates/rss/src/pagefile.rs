@@ -166,10 +166,13 @@ pub trait PageBackend: std::fmt::Debug {
 }
 
 /// In-memory page store: the default backend, and the reference
-/// implementation for tests.
+/// implementation for tests. Like a sparse file it stores no zeros it can
+/// restore: each page is kept without its zero tail (a half-full B-tree
+/// node costs about half a page, a never-written gap nothing) and reads
+/// back zero-filled, byte for byte the image that was written.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    files: HashMap<FileId, Vec<Box<[u8; PAGE_SIZE]>>>,
+    files: HashMap<FileId, Vec<Box<[u8]>>>,
 }
 
 impl MemBackend {
@@ -180,20 +183,29 @@ impl MemBackend {
 
 impl PageBackend for MemBackend {
     fn read_page(&mut self, key: PageKey, buf: &mut [u8; PAGE_SIZE]) -> RssResult<()> {
-        match self.files.get(&key.file).and_then(|pages| pages.get(key.page as usize)) {
-            Some(page) => buf.copy_from_slice(&page[..]),
-            None => buf.fill(0),
-        }
+        let stored = self
+            .files
+            .get(&key.file)
+            .and_then(|pages| pages.get(key.page as usize))
+            .map_or(&[][..], |page| &page[..]);
+        let Some((head, tail)) = buf.split_at_mut_checked(stored.len()) else {
+            return Err(RssError::Corrupt(format!("stored page {key:?} exceeds a page")));
+        };
+        head.copy_from_slice(stored);
+        tail.fill(0);
         Ok(())
     }
 
     fn write_page(&mut self, key: PageKey, bytes: &[u8; PAGE_SIZE]) -> RssResult<()> {
+        // Up to the last 8-byte word holding a nonzero byte.
+        let used = bytes.chunks_exact(8).rposition(|w| *w != [0; 8]).map_or(0, |i| (i + 1) * 8);
         let pages = self.files.entry(key.file).or_default();
-        while pages.len() <= key.page as usize {
-            pages.push(Box::new([0u8; PAGE_SIZE]));
+        let slot = key.page as usize;
+        if pages.len() <= slot {
+            pages.resize_with(slot + 1, Box::default);
         }
-        if let Some(page) = pages.get_mut(key.page as usize) {
-            page.copy_from_slice(bytes);
+        if let (Some(page), Some(image)) = (pages.get_mut(slot), bytes.get(..used)) {
+            *page = image.into();
         }
         Ok(())
     }
@@ -599,6 +611,29 @@ mod tests {
         assert_eq!(b.files().unwrap(), vec![]);
         b.read_page(key(2), &mut out).unwrap();
         assert!(out.iter().all(|&x| x == 0), "a removed file reads as gaps");
+    }
+
+    #[test]
+    fn mem_backend_stores_no_zero_tail() {
+        let mut b = MemBackend::new();
+        let full = stamped(5, 1);
+        // A half-full node image: stamped, then zero past its payload.
+        let mut half = [0u8; PAGE_SIZE];
+        half[crate::page::PAGE_HEADER_SIZE..PAGE_SIZE / 2 - 1].fill(0xA5);
+        stamp_page(&mut half, 2);
+        let mut out = [0u8; PAGE_SIZE];
+        for img in [full, half, full, half] {
+            // Overwrites in both directions leave no stale tail.
+            b.write_page(key(0), &img).unwrap();
+            b.read_page(key(0), &mut out).unwrap();
+            assert_eq!(out, img);
+            verify_page(&out, key(0)).unwrap();
+        }
+        let stored = b.files[&FileId::Segment(3)][0].len();
+        assert_eq!(stored, PAGE_SIZE / 2, "the zero tail is not stored, to the 8-byte word");
+        b.write_page(key(9), &full).unwrap();
+        let gaps: Vec<usize> = b.files[&FileId::Segment(3)][1..9].iter().map(|p| p.len()).collect();
+        assert_eq!(gaps, vec![0; 8], "a never-written gap stores nothing");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The statement plan cache as a concurrent, catalog-versioned map.
 //!
 //! Optimizing a repeated statement is pure waste when nothing the
-//! optimizer reads has changed, so plans are cached keyed by the parsed
-//! statement's canonical form and stamped with the catalog version they
-//! were optimized under (`Catalog::version` in `sysr-catalog`; the cache
+//! optimizer reads has changed, so plans are cached keyed by the
+//! statement's SQL text and stamped with the catalog version they were
+//! optimized under (`Catalog::version` in `sysr-catalog`; the cache
 //! lives here in `sysr-rss` so the model checker can drive it without a
 //! dependency cycle). The cache is striped: each stripe is an independent
 //! `Mutex`-guarded map (keys hash to stripes), so concurrent sessions
@@ -17,7 +17,7 @@
 //!
 //! The cache is generic over the cached value so the concurrency tests
 //! can drive it with self-describing payloads; the database instantiates
-//! it with `QueryPlan`.
+//! it with `Arc<QueryPlan>`, so the clone a hit returns is a refcount.
 //!
 //! Stripe latches and the hit/miss atomics go through [`crate::sync`],
 //! so `sysr-audit --model` can exhaustively interleave lookups, inserts,

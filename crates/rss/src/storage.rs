@@ -62,6 +62,7 @@ use crate::sharded::{ShardedBufferPool, SharedBackend};
 use crate::sync::{AtomicU32, Mutex};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -317,7 +318,7 @@ impl Storage {
 
     /// Insert one tuple: [`Storage::insert_many`] of a single row.
     pub fn insert(&mut self, seg: SegmentId, rel_id: u16, tuple: &Tuple) -> RssResult<Rid> {
-        let rids = self.insert_many(seg, rel_id, std::slice::from_ref(tuple))?;
+        let rids = self.insert_many(seg, rel_id, vec![tuple.clone()])?;
         rids.first().copied().ok_or_else(|| RssError::Corrupt("insert produced no RID".into()))
     }
 
@@ -330,15 +331,17 @@ impl Storage {
     /// the relation, flushing the dirtied pages **once**. Atomic: the
     /// whole batch is validated first (`check_batch`), so a
     /// duplicate key or an oversized tuple anywhere in it returns the
-    /// error with storage untouched.
+    /// error with storage untouched. The batch is consumed: each tuple is
+    /// dropped as soon as it is stored, so a bulk load never holds its
+    /// whole input beside the pages it fills.
     pub fn insert_many(
         &mut self,
         seg: SegmentId,
         rel_id: u16,
-        tuples: &[Tuple],
+        tuples: Vec<Tuple>,
     ) -> RssResult<Vec<Rid>> {
         self.check_batch(seg, rel_id, &[], tuples.iter())?;
-        let applied = self.apply_inserts(seg, rel_id, tuples.iter());
+        let applied = self.apply_inserts(seg, rel_id, tuples.into_iter());
         self.flushed(applied)
     }
 
@@ -431,14 +434,15 @@ impl Storage {
         Ok(())
     }
 
-    fn apply_inserts<'t>(
+    fn apply_inserts<T: Borrow<Tuple>>(
         &mut self,
         seg: SegmentId,
         rel_id: u16,
-        tuples: impl Iterator<Item = &'t Tuple>,
+        tuples: impl Iterator<Item = T>,
     ) -> RssResult<Vec<Rid>> {
         let mut rids = Vec::with_capacity(tuples.size_hint().0);
         for tuple in tuples {
+            let tuple = tuple.borrow();
             let rid = self.segment_mut(seg)?.insert(rel_id, tuple)?;
             for entry in &mut self.indexes {
                 if entry.segment == seg && entry.rel_id == rel_id {
@@ -505,12 +509,9 @@ impl Storage {
     ) -> RssResult<IndexId> {
         let id = self.indexes.len() as IndexId;
         let mut tree = BTreeIndex::new(id, key_cols.len(), unique, self.btree_config);
-        let rows: Vec<(Rid, Tuple)> = self
-            .segment(seg)?
-            .iter_relation(rel_id)
-            .map(|(rid, t)| t.map(|t| (rid, t)))
-            .collect::<RssResult<_>>()?;
-        for (rid, tuple) in rows {
+        // Stream: one decoded tuple at a time, never the whole relation.
+        for (rid, tuple) in self.segment(seg)?.iter_relation(rel_id) {
+            let tuple = tuple?;
             let key: Vec<Value> = key_cols.iter().map(|&c| tuple[c].clone()).collect();
             tree.insert(key, rid)?;
         }
@@ -917,7 +918,7 @@ mod tests {
         let mut st = Storage::new(4);
         let seg = st.create_segment();
         let rows: Vec<Tuple> = (0..2000).map(row).collect();
-        let rids = st.insert_many(seg, 1, &rows).unwrap();
+        let rids = st.insert_many(seg, 1, rows).unwrap();
         assert!(st.segment(seg).unwrap().page_count() > 8, "table must exceed the pool");
         let on_page =
             |p: u32| -> Vec<Rid> { rids.iter().copied().filter(|r| r.page == p).collect() };
@@ -979,7 +980,7 @@ mod tests {
         let seg = st.create_segment();
         let idx = st.create_index(seg, 1, vec![0], true).unwrap();
         let rows: Vec<Tuple> = (0..500).map(row).collect();
-        assert!(st.insert_many(seg, 1, &rows).is_err(), "the first page write fails");
+        assert!(st.insert_many(seg, 1, rows).is_err(), "the first page write fails");
         assert!(st.segment(seg).unwrap().page_count() > 2, "the batch spans several pages");
         st.insert(seg, 1, &row(500)).unwrap();
 

@@ -41,4 +41,4 @@ pub mod parser;
 
 pub use ast::*;
 pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::{parse_statement, parse_statements, ParseError};
+pub use parser::{parse_one, parse_statement, parse_statements, ParseError};

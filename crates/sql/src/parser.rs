@@ -27,6 +27,12 @@ impl std::error::Error for ParseError {}
 
 /// Parse a single statement (a trailing semicolon is allowed).
 pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
+    parse_one(src).map(|(_, stmt)| stmt)
+}
+
+/// [`parse_statement`], also returning the statement's body text (see
+/// [`parse_statements`]).
+pub fn parse_one(src: &str) -> Result<(&str, Statement), ParseError> {
     let mut stmts = parse_statements(src)?;
     match stmts.len() {
         1 => Ok(stmts.remove(0)),
@@ -35,10 +41,15 @@ pub fn parse_statement(src: &str) -> Result<Statement, ParseError> {
     }
 }
 
-/// Parse a semicolon-separated script.
-pub fn parse_statements(src: &str) -> Result<Vec<Statement>, ParseError> {
+/// Parse a semicolon-separated script. Each statement comes with its
+/// *body text*: the source from its first token after any `EXPLAIN
+/// [ANALYZE]` prefix up to the `;` or end of input that closes it, trailing
+/// whitespace trimmed. A body text parses on its own to that statement
+/// (under an EXPLAIN, to the statement explained), so the text alone names
+/// it — the facade's plan cache is keyed by it.
+pub fn parse_statements(src: &str) -> Result<Vec<(&str, Statement)>, ParseError> {
     let tokens = Lexer::tokenize(src).map_err(|(message, pos)| ParseError { message, pos })?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser { tokens, pos: 0, body: 0 };
     let mut stmts = Vec::new();
     loop {
         while parser.peek_is(&TokenKind::Semicolon) {
@@ -47,7 +58,11 @@ pub fn parse_statements(src: &str) -> Result<Vec<Statement>, ParseError> {
         if parser.peek_is(&TokenKind::Eof) {
             return Ok(stmts);
         }
-        stmts.push(parser.statement()?);
+        let stmt = parser.statement()?;
+        let text = src
+            .get(parser.body..parser.peek().pos)
+            .ok_or_else(|| parser.error("statement body is not a character range"))?;
+        stmts.push((text.trim_end(), stmt));
         if !parser.peek_is(&TokenKind::Semicolon) && !parser.peek_is(&TokenKind::Eof) {
             return Err(parser.error("expected ';' or end of input"));
         }
@@ -64,6 +79,9 @@ const RESERVED: &[&str] = &[
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Byte offset where the statement being parsed starts, past any
+    /// `EXPLAIN [ANALYZE]` prefix.
+    body: usize,
 }
 
 impl Parser {
@@ -142,6 +160,7 @@ impl Parser {
             }
             return Ok(Statement::Explain(Box::new(self.statement()?)));
         }
+        self.body = self.peek().pos;
         if self.peek_kw("SELECT") {
             return Ok(Statement::Select(self.select()?));
         }
@@ -801,6 +820,25 @@ mod tests {
     fn multiple_statements() {
         let stmts = parse_statements("SELECT A FROM T; SELECT B FROM U;").unwrap();
         assert_eq!(stmts.len(), 2);
+    }
+
+    #[test]
+    fn body_texts_name_their_statements() {
+        let src = "  SELECT A FROM T ;\nEXPLAIN ANALYZE SELECT B FROM U -- why\n;;\
+                   explain  select  C from V;UPDATE STATISTICS";
+        let texts: Vec<&str> = parse_statements(src).unwrap().iter().map(|s| s.0).collect();
+        assert_eq!(
+            texts,
+            ["SELECT A FROM T", "SELECT B FROM U -- why", "select  C from V", "UPDATE STATISTICS"]
+        );
+        for (text, stmt) in parse_statements(src).unwrap() {
+            let inner = match stmt {
+                Statement::Explain(inner) | Statement::ExplainAnalyze(inner) => *inner,
+                other => other,
+            };
+            assert_eq!(parse_statement(text).unwrap(), inner, "{text:?}");
+        }
+        assert_eq!(parse_one("SELECT A FROM T;").unwrap().0, "SELECT A FROM T");
     }
 
     #[test]

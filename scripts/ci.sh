@@ -35,6 +35,10 @@ cargo test --release --test dml_by_rid
 # round-trip. RUST_TEST_THREADS is force-unset so the harness does not
 # serialize the scoped worker threads.
 env -u RUST_TEST_THREADS cargo test --release --test concurrent_serving
+# The text-keyed plan cache's own 8-thread tests (exact hit/miss counts,
+# no stale serve across a catalog bump), optimized and genuinely parallel
+# for the same reason.
+env -u RUST_TEST_THREADS cargo test --release --test plan_cache
 # --all = plan invariants + DP oracle (per query block, nested subquery
 # blocks included) & sampled orders + recovery
 # rules (page-checksum, reopen-equivalence, over a scratch database

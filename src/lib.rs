@@ -77,13 +77,14 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 use sysr_catalog::{Catalog, CatalogError, ColumnMeta, RelId};
 use sysr_core::{bind_select, BindError, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
 use sysr_executor::{execute, execute_victims, ExecEnv, ExecError, ResultSet};
 use sysr_rss::{IoStats, Rid, RssError, Storage, Tuple, Value};
 use sysr_sql::{
-    parse_statement, parse_statements, ColumnRef, DeleteStmt, Expr, InsertStmt, ParseError,
-    SelectItem, SelectList, SelectStmt, Statement, TableRef, UpdateStmt,
+    parse_one, parse_statements, ColumnRef, DeleteStmt, Expr, InsertStmt, ParseError, SelectItem,
+    SelectList, SelectStmt, Statement, TableRef, UpdateStmt,
 };
 
 pub use sysr_audit as audit;
@@ -150,13 +151,18 @@ impl From<ExecError> for DbError {
 
 pub type DbResult<T> = Result<T, DbError>;
 
-/// Statement plan cache: keyed by the statement's canonical (parsed)
-/// form, so formatting differences still hit; entries carry the catalog
-/// version they were planned under and are discarded lazily when DDL or
-/// `UPDATE STATISTICS` bumps it. Config changes clear the cache eagerly
-/// (see [`Database::set_config`]), and `\open` builds a fresh
-/// `Database`, so reopened databases always re-optimize.
-type PlanCache = VersionedCache<QueryPlan>;
+/// Statement plan cache, keyed by the exact SQL text of a SELECT: a
+/// repeated statement skips the parser, and a hit hands out the shared
+/// plan for one refcount. Only texts that parse to a bare SELECT are ever
+/// keys — an EXPLAIN is cached under the body text of the SELECT it wraps
+/// (see `sysr_sql::parse_statements`) — so a hit is a SELECT whatever entry
+/// point asked. Whitespace or case variants of one statement are separate
+/// entries, as they were separate statements to System R. Entries carry
+/// the catalog version they were planned under and are discarded lazily
+/// when DDL or `UPDATE STATISTICS` bumps it. Config changes clear the
+/// cache eagerly (see [`Database::set_config`]), and `\open` builds a
+/// fresh `Database`, so reopened databases always re-optimize.
+type PlanCache = VersionedCache<Arc<QueryPlan>>;
 
 /// An embedded System R-style database: storage, catalogs, optimizer,
 /// executor.
@@ -331,24 +337,28 @@ impl Database {
 
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql_text: &str) -> DbResult<ResultSet> {
-        let stmt = parse_statement(sql_text)?;
-        self.execute_statement(stmt)
+        let (body, stmt) = parse_one(sql_text)?;
+        self.execute_statement(body, stmt)
     }
 
     /// Execute a semicolon-separated script, returning the last statement's
-    /// result.
+    /// result. Each SELECT's plan is cached under its own text.
     pub fn execute_script(&mut self, script: &str) -> DbResult<ResultSet> {
-        let stmts = parse_statements(script)?;
         let mut last = ResultSet::empty();
-        for stmt in stmts {
-            last = self.execute_statement(stmt)?;
+        for (body, stmt) in parse_statements(script)? {
+            last = self.execute_statement(body, stmt)?;
         }
         Ok(last)
     }
 
-    fn execute_statement(&mut self, stmt: Statement) -> DbResult<ResultSet> {
+    /// Run one parsed statement; `body` is its body text, the cache key of
+    /// the SELECT it runs or explains.
+    fn execute_statement(&mut self, body: &str, stmt: Statement) -> DbResult<ResultSet> {
         match stmt {
-            Statement::Select(sel) => self.run_select(&sel),
+            Statement::Select(sel) => {
+                let (plan, _) = self.plan_select(body, &sel)?;
+                self.execute_plan(&plan)
+            }
             Statement::CreateTable(ct) => {
                 let segment = match self.shared_segment {
                     Some(s) => s,
@@ -400,13 +410,15 @@ impl Database {
                 // UPDATE and DELETE explain the access path that finds
                 // their victims; nothing is executed or mutated.
                 let plan = match *inner {
-                    Statement::Select(sel) => self.plan_select(&sel)?,
+                    Statement::Select(sel) => self.plan_select(body, &sel)?.0,
                     Statement::Delete(del) => {
-                        self.plan_victims(&del.table, &[], &del.where_clause)?
+                        Arc::new(self.plan_victims(&del.table, &[], &del.where_clause)?)
                     }
-                    Statement::Update(upd) => {
-                        self.plan_victims(&upd.table, &upd.assignments, &upd.where_clause)?
-                    }
+                    Statement::Update(upd) => Arc::new(self.plan_victims(
+                        &upd.table,
+                        &upd.assignments,
+                        &upd.where_clause,
+                    )?),
                     _ => {
                         return Err(DbError::Unsupported(
                             "EXPLAIN requires a SELECT, UPDATE or DELETE".into(),
@@ -424,7 +436,7 @@ impl Database {
                             .into(),
                     ));
                 };
-                let plan = self.plan_select(&sel)?;
+                let (plan, _) = self.plan_select(body, &sel)?;
                 let (_, measurements, _) = self.execute_plan_traced(&plan)?;
                 let mut text = plan.explain_analyze(&self.catalog, &measurements, self.config.w);
                 let (hits, misses) = self.plan_cache_stats();
@@ -434,14 +446,16 @@ impl Database {
         }
     }
 
-    /// Plan a SELECT without executing it.
-    pub fn plan(&self, sql_text: &str) -> DbResult<QueryPlan> {
-        self.plan_select(&select_of(sql_text, true)?)
+    /// Plan a SELECT without executing it. The plan is the cached one,
+    /// shared with every other holder.
+    pub fn plan(&self, sql_text: &str) -> DbResult<Arc<QueryPlan>> {
+        Ok(self.plan_text(sql_text, true)?.0)
     }
 
     /// EXPLAIN: render the chosen plan.
     pub fn explain(&self, sql_text: &str) -> DbResult<String> {
-        Ok(self.render_explain(&self.plan(sql_text)?))
+        let plan = self.plan(sql_text)?;
+        Ok(self.render_explain(&plan))
     }
 
     /// The EXPLAIN text of a plan: the tree, then the predicted cost and
@@ -458,7 +472,8 @@ impl Database {
 
     /// Run a read-only SELECT.
     pub fn query(&self, sql_text: &str) -> DbResult<ResultSet> {
-        self.run_select(&select_of(sql_text, false)?)
+        let (plan, _) = self.plan_text(sql_text, false)?;
+        self.execute_plan(&plan)
     }
 
     /// Execute an already-planned SELECT (the §7 experiments execute every
@@ -501,7 +516,7 @@ impl Database {
     /// measurement and verify the executor's I/O accounting. Returns the
     /// combined report; `report.ok()` means every check passed.
     pub fn audit(&self, sql_text: &str) -> DbResult<sysr_audit::AuditReport> {
-        let sel = select_of(sql_text, true)?;
+        let (_, sel) = select_of(sql_text, true)?;
         let optimizer = Optimizer::with_config(&self.catalog, self.config);
         let (plan, traces) = optimizer.optimize_traced(&sel)?;
         let mut report =
@@ -521,7 +536,7 @@ impl Database {
     /// subset level and interesting-order class, the candidates generated,
     /// plans pruned, and surviving cheapest costs — for every query block.
     pub fn search_trace(&self, sql_text: &str) -> DbResult<String> {
-        let sel = select_of(sql_text, true)?;
+        let (_, sel) = select_of(sql_text, true)?;
         let optimizer = Optimizer::with_config(&self.catalog, self.config);
         let (_, traces) = optimizer.optimize_traced(&sel)?;
         let mut out = String::new();
@@ -531,24 +546,30 @@ impl Database {
         Ok(out)
     }
 
-    fn plan_select(&self, sel: &SelectStmt) -> DbResult<QueryPlan> {
-        Ok(self.plan_select_counted(sel)?.0)
+    /// Plan the SELECT `sql_text` names — where `explain_ok`, also the one
+    /// inside an `EXPLAIN [ANALYZE]` — through the cache; the flag reports
+    /// whether the plan was a cache hit (sessions fold it into their own
+    /// accounting). A repeated text is one cache lookup: no parse, no key
+    /// to build, no plan to copy. Every key is a bare SELECT's text, so a
+    /// hit needs no `explain_ok` check.
+    fn plan_text(&self, sql_text: &str, explain_ok: bool) -> DbResult<(Arc<QueryPlan>, bool)> {
+        if let Some(plan) = self.plan_cache.lookup(sql_text, self.catalog.version()) {
+            return Ok((plan, true));
+        }
+        let (body, sel) = select_of(sql_text, explain_ok)?;
+        self.plan_select(body, &sel)
     }
 
-    /// Plan a bound SELECT through the cache; the flag reports whether the
-    /// plan was a cache hit (sessions fold it into their own accounting).
-    fn plan_select_counted(&self, sel: &SelectStmt) -> DbResult<(QueryPlan, bool)> {
-        // The parsed statement's debug form is the normalized cache key:
-        // whitespace, case, and formatting differences in the SQL text all
-        // collapse to the same AST.
-        let key = format!("{sel:?}");
+    /// Plan the parsed SELECT `sel`, whose body text is `body`, through the
+    /// cache; the flag reports whether the plan was a cache hit.
+    fn plan_select(&self, body: &str, sel: &SelectStmt) -> DbResult<(Arc<QueryPlan>, bool)> {
         let version = self.catalog.version();
-        if let Some(plan) = self.plan_cache.lookup(&key, version) {
+        if let Some(plan) = self.plan_cache.lookup(body, version) {
             return Ok((plan, true));
         }
         let optimizer = Optimizer::with_config(&self.catalog, self.config);
-        let plan = optimizer.optimize(sel)?;
-        self.plan_cache.insert(key, version, plan.clone());
+        let plan = Arc::new(optimizer.optimize(sel)?);
+        self.plan_cache.insert(body.to_string(), version, Arc::clone(&plan));
         Ok((plan, false))
     }
 
@@ -570,11 +591,6 @@ impl Database {
     /// read-only plan/execute path with session-local cache accounting.
     pub fn session(&self) -> Session<'_> {
         Session { db: self, hits: Cell::new(0), misses: Cell::new(0) }
-    }
-
-    fn run_select(&self, sel: &SelectStmt) -> DbResult<ResultSet> {
-        let plan = self.plan_select(sel)?;
-        self.execute_plan(&plan)
     }
 
     // ---- INSERT -------------------------------------------------------------
@@ -612,7 +628,7 @@ impl Database {
             }
             tuples.push(Tuple::new(values));
         }
-        let inserted = self.storage.insert_many(segment, rel_id, &tuples)?.len();
+        let inserted = self.storage.insert_many(segment, rel_id, tuples)?.len();
         Ok(count_result("INSERTED", inserted))
     }
 
@@ -645,7 +661,7 @@ impl Database {
                 }
             }
         }
-        Ok(self.storage.insert_many(segment, rel_id, &rows)?.len())
+        Ok(self.storage.insert_many(segment, rel_id, rows)?.len())
     }
 
     // ---- DELETE / UPDATE ------------------------------------------------------
@@ -750,34 +766,34 @@ impl<'db> Session<'db> {
         self.db
     }
 
-    fn plan_counted(&self, sel: &SelectStmt) -> DbResult<QueryPlan> {
-        let (plan, hit) = self.db.plan_select_counted(sel)?;
+    fn plan_counted(&self, sql_text: &str, explain_ok: bool) -> DbResult<Arc<QueryPlan>> {
+        let (plan, hit) = self.db.plan_text(sql_text, explain_ok)?;
         let counter = if hit { &self.hits } else { &self.misses };
         counter.set(counter.get() + 1);
         Ok(plan)
     }
 
     /// Plan a SELECT without executing it (through the shared cache).
-    pub fn plan(&self, sql_text: &str) -> DbResult<QueryPlan> {
-        self.plan_counted(&select_of(sql_text, true)?)
+    pub fn plan(&self, sql_text: &str) -> DbResult<Arc<QueryPlan>> {
+        self.plan_counted(sql_text, true)
     }
 
     /// Run a read-only SELECT.
     pub fn query(&self, sql_text: &str) -> DbResult<ResultSet> {
-        let plan = self.plan_counted(&select_of(sql_text, false)?)?;
+        let plan = self.plan_counted(sql_text, false)?;
         self.db.execute_plan(&plan)
     }
 
     /// EXPLAIN: render the chosen plan.
     pub fn explain(&self, sql_text: &str) -> DbResult<String> {
-        let plan = self.plan_counted(&select_of(sql_text, true)?)?;
+        let plan = self.plan_counted(sql_text, true)?;
         Ok(self.db.render_explain(&plan))
     }
 
     /// `EXPLAIN ANALYZE`: run the query and render the per-node
     /// predicted-vs-measured report, with this session's cache traffic.
     pub fn explain_analyze(&self, sql_text: &str) -> DbResult<String> {
-        let plan = self.plan_counted(&select_of(sql_text, true)?)?;
+        let plan = self.plan_counted(sql_text, true)?;
         let (_, measurements, _) = self.db.execute_plan_traced(&plan)?;
         let mut text = plan.explain_analyze(&self.db.catalog, &measurements, self.db.config.w);
         let (hits, misses) = self.cache_stats();
@@ -798,16 +814,17 @@ impl<'db> Session<'db> {
     }
 }
 
-/// Parse `sql_text` down to the SELECT it names: the statement itself,
-/// or — where `explain_ok` — the SELECT inside an `EXPLAIN [ANALYZE]`
-/// wrapper. The entry points that *run* a statement pass `false`, so
-/// `EXPLAIN SELECT …` is rejected instead of silently executed.
-fn select_of(sql_text: &str, explain_ok: bool) -> DbResult<SelectStmt> {
-    match parse_statement(sql_text)? {
-        Statement::Select(sel) => Ok(sel),
-        Statement::Explain(inner) | Statement::ExplainAnalyze(inner) if explain_ok => {
+/// Parse `sql_text` down to the SELECT it names and that SELECT's body
+/// text: the statement itself, or — where `explain_ok` — the SELECT inside
+/// an `EXPLAIN [ANALYZE]` wrapper. The entry points that *run* a statement
+/// pass `false`, so `EXPLAIN SELECT …` is rejected instead of silently
+/// executed.
+fn select_of(sql_text: &str, explain_ok: bool) -> DbResult<(&str, SelectStmt)> {
+    match parse_one(sql_text)? {
+        (body, Statement::Select(sel)) => Ok((body, sel)),
+        (body, Statement::Explain(inner) | Statement::ExplainAnalyze(inner)) if explain_ok => {
             match *inner {
-                Statement::Select(sel) => Ok(sel),
+                Statement::Select(sel) => Ok((body, sel)),
                 _ => Err(DbError::Unsupported("EXPLAIN requires a SELECT".into())),
             }
         }

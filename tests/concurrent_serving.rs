@@ -16,6 +16,7 @@ mod common;
 
 use common::fig1_db;
 use std::path::PathBuf;
+use std::sync::Arc;
 use system_r::core::QueryPlan;
 use system_r::{tuple, Database};
 
@@ -66,13 +67,14 @@ fn chain_db(rows: i64) -> Database {
 
 /// `Debug`-render a plan with wall-clock time zeroed, so comparisons see
 /// only the deterministic parts.
-fn plan_fingerprint(mut plan: QueryPlan) -> String {
+fn plan_fingerprint(plan: Arc<QueryPlan>) -> String {
     fn strip(plan: &mut QueryPlan) {
         plan.stats.elapsed_micros = 0;
         for sub in &mut plan.subplans {
             strip(sub);
         }
     }
+    let mut plan = Arc::unwrap_or_clone(plan);
     strip(&mut plan);
     format!("{plan:?}")
 }

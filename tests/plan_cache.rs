@@ -1,13 +1,15 @@
 //! Statement plan cache behavior: repeated statements are answered from
 //! the cache, any catalog change (DDL, UPDATE STATISTICS) forces
 //! re-optimization, reopening a saved database starts cold, and a cached
-//! plan executes exactly like a freshly optimized one.
+//! plan executes exactly like a freshly optimized one. The key is the
+//! statement's SQL text, so a hit must never turn EXPLAIN text into a
+//! query.
 
 mod common;
 
 use common::fig1_db;
 use std::path::PathBuf;
-use system_r::Database;
+use system_r::{Database, DbError};
 
 const JOIN: &str = "SELECT NAME, DNAME FROM EMP, DEPT \
      WHERE EMP.DNO = DEPT.DNO AND LOC = 'DENVER' ORDER BY NAME";
@@ -218,4 +220,63 @@ fn ddl_between_concurrent_batches_is_never_stale() {
         misses_after > misses_before,
         "catalog version bump must force re-optimization ({misses_before} -> {misses_after})"
     );
+}
+
+#[test]
+fn cached_explain_text_is_never_run_by_query() {
+    let explain = format!("EXPLAIN {JOIN}");
+    let db = fig1_db(300, 10, 5);
+    let session = db.session();
+    for round in 0..2 {
+        session.plan(&explain).unwrap();
+        db.plan(&explain).unwrap();
+        assert!(
+            matches!(session.query(&explain), Err(DbError::Unsupported(_))),
+            "round {round}: Session::query ran a planned EXPLAIN"
+        );
+        assert!(
+            matches!(db.query(&explain), Err(DbError::Unsupported(_))),
+            "round {round}: Database::query ran a planned EXPLAIN"
+        );
+    }
+    // Four successful plan requests, the first of them the only miss; the
+    // rejected queries count nothing.
+    assert_eq!(db.plan_cache_stats(), (3, 1));
+    assert_eq!(session.cache_stats(), (1, 1));
+    // The EXPLAIN was planned under the text of the SELECT it wraps.
+    assert_eq!(db.plan_cache_len(), 1);
+    db.query(JOIN).unwrap();
+    assert_eq!(db.plan_cache_stats(), (4, 1), "the bare SELECT hits the EXPLAIN's plan");
+}
+
+#[test]
+fn two_spellings_are_two_entries_with_one_plan() {
+    let db = fig1_db(300, 10, 5);
+    let upper = "SELECT NAME FROM EMP WHERE SAL > 9000 ORDER BY NAME";
+    let lower = "select name  from emp where sal > 9000 order by name";
+    let a = db.plan(upper).unwrap();
+    let b = db.plan(lower).unwrap();
+    assert_eq!(db.plan_cache_stats(), (0, 2), "the text is the key: no normalisation");
+    assert_eq!(db.plan_cache_len(), 2);
+    assert_eq!(format!("{:?}", a.root), format!("{:?}", b.root));
+    assert_eq!(a.predicted, b.predicted);
+    assert_eq!(db.query(upper).unwrap(), db.query(lower).unwrap());
+    assert_eq!(db.plan_cache_stats(), (2, 2));
+}
+
+#[test]
+fn execute_script_serves_repeated_selects_from_the_cache() {
+    let mut db = fig1_db(300, 10, 5);
+    let other = "SELECT NAME FROM EMP WHERE SAL > 9000 ORDER BY NAME";
+    // Each statement is keyed by its own text, without the whitespace and
+    // semicolon around it: the third statement repeats the first.
+    let script = format!("{JOIN};\n{other};\n   {JOIN}  ;");
+    let first = db.execute_script(&script).unwrap();
+    assert_eq!(db.plan_cache_stats(), (1, 2));
+    let again = db.execute_script(&script).unwrap();
+    assert_eq!(db.plan_cache_stats(), (4, 2), "a re-run script is all hits");
+    assert_eq!(first, again);
+    assert_eq!(db.query(JOIN).unwrap(), first, "the facade shares the script's entry");
+    assert_eq!(db.plan_cache_stats(), (5, 2));
+    assert_eq!(db.plan_cache_len(), 2);
 }
