@@ -298,7 +298,7 @@ pub fn execute_victims(env: &ExecEnv<'_>, plan: &QueryPlan) -> ExecResult<Vec<(R
         return Ok(Vec::new());
     }
     let mut rows: Vec<(Rid, Row)> = Vec::new();
-    scan_into(&mut rt, scan, None, &mut rows)?;
+    scan_into(&mut rt, scan, &mut rows)?;
     rows.iter().map(|(rid, row)| Ok((*rid, rt.project(row)?))).collect()
 }
 

@@ -254,8 +254,8 @@ pub fn resolve_operand(
             .ok_or_else(|| ExecError::Internal(format!("probe operand {c} has no outer row"))),
         Operand::Outer { level, col } => rt.outer_value(*level, *col),
         Operand::Subquery(i) => {
-            let row = probe.cloned().unwrap_or_default();
-            match rt.eval_subquery(*i, &row)? {
+            let no_row = Row::new();
+            match rt.eval_subquery(*i, probe.unwrap_or(&no_row))? {
                 SubValue::Scalar(v) => Ok(v),
                 SubValue::Set(_) => {
                     Err(ExecError::Internal("set subquery used as probe operand".into()))

@@ -12,14 +12,14 @@
     reason = "plan interpreter: table/factor ids index arrays sized from the same plan; group slices come from an in-bounds scan"
 )]
 
-use crate::block::BlockRt;
+use crate::block::{BlockRt, ExecEnv};
 use crate::error::{ExecError, ExecResult};
 use crate::eval::{eval_bexpr, resolve_operand};
 use crate::row::{combine, empty_row, flatten, row_value, Row};
-use sysr_core::{Access, BExpr, ColId, PlanExpr, PlanNode, ScanPlan};
+use sysr_core::{Access, BExpr, ColId, Operand, PlanExpr, PlanNode, QueryPlan, ScanPlan};
 use sysr_rss::{
-    Batch, IndexScan, Rid, RsiScan, SargExpr, SargPred, SegmentScan, TempGuard, TempList, Tuple,
-    Value, MAX_BATCH,
+    Batch, IndexId, IndexScan, Rid, RsiScan, SargExpr, SargList, SargPred, SegmentScan, StopKey,
+    TempGuard, TempList, Tuple, Value, MAX_BATCH,
 };
 
 /// Where a scan's surviving rows go. A SELECT collects bare rows; a DML
@@ -65,7 +65,11 @@ pub fn exec_node(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResult
 
 fn exec_node_inner(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResult<Vec<Row>> {
     match &plan.node {
-        PlanNode::Scan(scan) => exec_scan(rt, scan, None),
+        PlanNode::Scan(scan) => {
+            let mut out = Vec::new();
+            scan_into(rt, scan, &mut out)?;
+            Ok(out)
+        }
         PlanNode::NestedLoop { outer, inner } => {
             let (outer_id, inner_id) = join_child_ids(plan, id)?;
             let outer_rows = exec_node(rt, outer, outer_id)?;
@@ -73,16 +77,21 @@ fn exec_node_inner(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResu
                 return Err(ExecError::Internal("nested-loop inner must be a scan".into()));
             };
             let mut out = Vec::new();
-            for orow in &outer_rows {
-                // OPEN the inner scan per outer tuple, with probe operands
-                // bound from the outer row. The probe itself drains its
-                // scan in batches; the per-probe OPEN/CLOSE (and its
-                // measurement window) is the paper's join semantics and
-                // stays tuple-at-a-time.
+            if outer_rows.is_empty() {
+                return Ok(out);
+            }
+            // The inner probe is built once per join; each outer row only
+            // rebinds its probe operands and moves into the probe, which
+            // attaches the inner tuples to it. The per-row OPEN/CLOSE (and
+            // its measurement window) is the paper's join semantics and
+            // stays tuple-at-a-time; each probe drains its scan in batches.
+            let mut probe = ScanProbe::new(rt.env, rt.plan, inner_scan)?;
+            for orow in outer_rows {
                 rt.trace_enter(inner_id);
-                let matched = exec_scan(rt, inner_scan, Some(orow));
-                let traced = rt.trace_exit(inner_id, matched.as_ref().map_or(0, Vec::len));
-                out.extend(matched?);
+                let before = out.len();
+                let matched = probe.run(rt, Some(orow), &mut out);
+                let traced = rt.trace_exit(inner_id, out.len() - before);
+                matched?;
                 traced?;
             }
             Ok(out)
@@ -246,189 +255,256 @@ fn join_child_ids(plan: &PlanExpr, id: usize) -> ExecResult<(usize, usize)> {
     Ok((outer, inner))
 }
 
-/// Execute one relation scan. `probe` supplies the outer row for join
-/// probe operands (nested-loop inners); standalone scans pass `None`.
-pub fn exec_scan(
-    rt: &mut BlockRt<'_>,
-    scan: &ScanPlan,
-    probe: Option<&Row>,
-) -> ExecResult<Vec<Row>> {
-    let mut out: Vec<Row> = Vec::new();
-    scan_into(rt, scan, probe, &mut out)?;
-    Ok(out)
+/// Execute one standalone relation scan (no outer row) into a sink: every
+/// row that survives the SARGs and the residual factors is handed over
+/// with its RID.
+pub fn scan_into<S: RowSink>(rt: &mut BlockRt<'_>, scan: &ScanPlan, out: &mut S) -> ExecResult<()> {
+    ScanProbe::new(rt.env, rt.plan, scan)?.run(rt, None, out)
 }
 
-/// [`exec_scan`] into a caller-supplied sink: every row that survives the
-/// SARGs and the residual factors is handed over with its RID.
-pub fn scan_into<S: RowSink>(
-    rt: &mut BlockRt<'_>,
-    scan: &ScanPlan,
-    probe: Option<&Row>,
-    out: &mut S,
-) -> ExecResult<()> {
-    let plan = rt.plan;
-    let table = &plan.query.tables[scan.table];
-    let ntables = plan.query.tables.len();
+/// One scan node's OPEN arguments, built once per nested-loop join (or
+/// standalone scan): the residual factors, the SARG list with its literal
+/// operands resolved, and an index scan's start/stop key vectors. Each
+/// OPEN rewrites only the operands it binds — outer-row columns,
+/// correlation values, subquery results — and the scan hands the SARG
+/// list and key vectors back at CLOSE for the next OPEN to reuse.
+struct ScanProbe<'p> {
+    scan: &'p ScanPlan,
+    /// Residual factors above the RSI, borrowed from the plan.
+    residuals: Vec<&'p BExpr>,
+    sargs: SargList,
+    /// Operands bound at OPEN, by (factor, disjunct, predicate) position
+    /// in `sargs`.
+    sarg_slots: Vec<(usize, usize, usize, &'p Operand)>,
+    /// `None` for a segment scan.
+    index: Option<IndexProbe<'p>>,
+}
 
-    // Resolve SARG factors to concrete DNF expressions.
-    let mut sargs: Vec<SargExpr> = Vec::with_capacity(scan.sargs.len());
-    for sf in &scan.sargs {
-        let mut disjuncts = Vec::with_capacity(sf.dnf.len());
-        for conj in &sf.dnf {
-            let mut preds = Vec::with_capacity(conj.len());
-            for atom in conj {
-                let value = resolve_operand(rt, probe, &atom.operand)?;
-                preds.push(SargPred { col: atom.col, op: atom.op, value });
+/// The index-scan part of a [`ScanProbe`].
+struct IndexProbe<'p> {
+    id: IndexId,
+    start: Option<Vec<Value>>,
+    stop: Option<StopKey>,
+    /// Key operands bound at OPEN, with their positions in the start
+    /// and/or stop key.
+    key_slots: Vec<(Option<usize>, Option<usize>, &'p Operand)>,
+    /// For an index-only scan: the key columns' positions in the relation
+    /// and the relation's arity, to widen key tuples.
+    index_only: Option<(Vec<usize>, usize)>,
+}
+
+/// A plan-time literal's value; an operand bound at OPEN gets a NULL
+/// placeholder until then.
+fn literal_value(op: &Operand) -> Value {
+    match op {
+        Operand::Lit(v) => v.clone(),
+        _ => Value::Null,
+    }
+}
+
+fn bound_at_open(op: &Operand) -> bool {
+    !matches!(op, Operand::Lit(_))
+}
+
+impl<'p> ScanProbe<'p> {
+    fn new(env: &ExecEnv<'_>, plan: &'p QueryPlan, scan: &'p ScanPlan) -> ExecResult<Self> {
+        let mut sarg_slots = Vec::new();
+        let mut factors = Vec::with_capacity(scan.sargs.len());
+        for (f, sf) in scan.sargs.iter().enumerate() {
+            let mut disjuncts = Vec::with_capacity(sf.dnf.len());
+            for (d, conj) in sf.dnf.iter().enumerate() {
+                let mut preds = Vec::with_capacity(conj.len());
+                for (p, atom) in conj.iter().enumerate() {
+                    if bound_at_open(&atom.operand) {
+                        sarg_slots.push((f, d, p, &atom.operand));
+                    }
+                    preds.push(SargPred {
+                        col: atom.col,
+                        op: atom.op,
+                        value: literal_value(&atom.operand),
+                    });
+                }
+                disjuncts.push(preds);
             }
-            disjuncts.push(preds);
+            factors.push(SargExpr { disjuncts });
         }
-        sargs.push(SargExpr { disjuncts });
+        let mut sargs = SargList { factors };
+        let index = match &scan.access {
+            Access::Segment => None,
+            Access::Index { index, eq_prefix, range, index_only, .. } => {
+                let mut key_slots = Vec::new();
+                let mut start: Vec<Value> = Vec::with_capacity(eq_prefix.len() + 1);
+                for (i, op) in eq_prefix.iter().enumerate() {
+                    if bound_at_open(op) {
+                        key_slots.push((Some(i), Some(i), op));
+                    }
+                    start.push(literal_value(op));
+                }
+                let mut stop = start.clone();
+                let mut stop_incl = true;
+                let n = eq_prefix.len();
+                if let Some(r) = range {
+                    if let Some((op, _incl)) = &r.lower {
+                        // Exclusive lower bounds position at the bound and
+                        // rely on the SARG to reject equal keys.
+                        if bound_at_open(op) {
+                            key_slots.push((Some(n), None, op));
+                        }
+                        start.push(literal_value(op));
+                    }
+                    if let Some((op, incl)) = &r.upper {
+                        if bound_at_open(op) {
+                            key_slots.push((None, Some(n), op));
+                        }
+                        stop.push(literal_value(op));
+                        stop_incl = *incl;
+                    }
+                }
+                let index_only = if *index_only {
+                    // The scan returns bare key tuples: remap SARG column
+                    // positions onto key positions; `run` rebuilds
+                    // full-arity tuples with the key columns placed and
+                    // NULLs elsewhere (the optimizer proved nothing else
+                    // is referenced).
+                    let key_cols = env.storage.index(*index)?.key_cols.clone();
+                    for pred in
+                        sargs.factors.iter_mut().flat_map(|e| e.disjuncts.iter_mut()).flatten()
+                    {
+                        pred.col =
+                            key_cols.iter().position(|&k| k == pred.col).ok_or_else(|| {
+                                ExecError::Internal(format!(
+                                    "index-only scan references non-key column {}",
+                                    pred.col
+                                ))
+                            })?;
+                    }
+                    // The relation's true arity, not the key width:
+                    // guessing `key_cols.len()` here would silently build
+                    // short tuples whose non-key columns vanish instead of
+                    // reading NULL.
+                    let rel = plan.query.tables[scan.table].rel;
+                    let arity = env.catalog.relation(rel).map(|r| r.arity()).ok_or_else(|| {
+                        ExecError::Internal(format!("index-only scan over unknown relation {rel}"))
+                    })?;
+                    Some((key_cols, arity))
+                } else {
+                    None
+                };
+                Some(IndexProbe {
+                    id: *index,
+                    start: (!start.is_empty()).then_some(start),
+                    stop: (!stop.is_empty()).then_some((stop, stop_incl)),
+                    key_slots,
+                    index_only,
+                })
+            }
+        };
+        let residuals = scan.residual.iter().map(|&f| &plan.query.factors[f].expr).collect();
+        Ok(ScanProbe { scan, residuals, sargs, sarg_slots, index })
     }
 
-    // Residual factors above the RSI, borrowed from the plan: a
-    // nested-loop probe runs this function once per outer row, and
-    // cloning the expressions each time was measurable.
-    let residuals: Vec<&BExpr> =
-        scan.residual.iter().map(|&f| &plan.query.factors[f].expr).collect();
-    let base: Row = probe.cloned().unwrap_or_else(|| empty_row(ntables));
-
-    match &scan.access {
-        Access::Segment => {
-            let mut s = SegmentScan::open(rt.env.storage, table.segment, table.rel, sargs);
-            loop {
-                let batch = s.next_batch(MAX_BATCH)?;
-                if batch.is_empty() {
-                    break;
+    /// OPEN the scan with its operands bound from `outer` (a nested-loop
+    /// inner's outer row; `None` for a standalone scan), attach every
+    /// tuple it returns to `outer`, and apply the residual factors.
+    fn run<S: RowSink>(
+        &mut self,
+        rt: &mut BlockRt<'_>,
+        outer: Option<Row>,
+        out: &mut S,
+    ) -> ExecResult<()> {
+        for &(f, d, p, op) in &self.sarg_slots {
+            self.sargs.factors[f].disjuncts[d][p].value = resolve_operand(rt, outer.as_ref(), op)?;
+        }
+        if let Some(ix) = &mut self.index {
+            for &(start_at, stop_at, op) in &ix.key_slots {
+                let value = resolve_operand(rt, outer.as_ref(), op)?;
+                if let (Some(i), Some(start)) = (start_at, ix.start.as_mut()) {
+                    start[i] = value.clone();
                 }
-                attach_batch(rt, &base, scan.table, &residuals, batch, out)?;
+                if let (Some(i), Some((stop, _))) = (stop_at, ix.stop.as_mut()) {
+                    stop[i] = value;
+                }
             }
         }
-        Access::Index { index, eq_prefix, range, index_only, .. } => {
-            let mut start: Vec<Value> = Vec::with_capacity(eq_prefix.len() + 1);
-            for op in eq_prefix {
-                start.push(resolve_operand(rt, probe, op)?);
-            }
-            let mut stop = start.clone();
-            let mut stop_incl = true;
-            let mut have_range = false;
-            if let Some(r) = range {
-                if let Some((op, _incl)) = &r.lower {
-                    // Exclusive lower bounds position at the bound and rely
-                    // on the SARG to reject equal keys.
-                    start.push(resolve_operand(rt, probe, op)?);
-                }
-                if let Some((op, incl)) = &r.upper {
-                    stop.push(resolve_operand(rt, probe, op)?);
-                    stop_incl = *incl;
-                }
-                have_range = true;
-            }
-            let start_bound = if start.is_empty() { None } else { Some(start) };
-            let stop_bound = if stop.is_empty() {
-                None
-            } else if have_range
-                && range.as_ref().is_some_and(|r| r.upper.is_none())
-                && eq_prefix.is_empty()
-            {
-                // Pure lower-bounded range: no stop key.
-                None
-            } else {
-                Some((stop, stop_incl))
-            };
-            if *index_only {
-                // The scan returns bare key tuples: remap SARG column
-                // positions onto key positions, then rebuild full-arity
-                // tuples with the key columns placed and NULLs elsewhere
-                // (the optimizer proved nothing else is referenced).
-                let key_cols = rt.env.storage.index(*index)?.key_cols.clone();
-                let keypos = |col: usize| -> ExecResult<usize> {
-                    key_cols.iter().position(|&k| k == col).ok_or_else(|| {
-                        ExecError::Internal(format!(
-                            "index-only scan references non-key column {col}"
-                        ))
-                    })
-                };
-                let mut remapped = Vec::with_capacity(sargs.len());
-                for expr in sargs {
-                    let mut disjuncts = Vec::with_capacity(expr.disjuncts.len());
-                    for conj in expr.disjuncts {
-                        let mut preds = Vec::with_capacity(conj.len());
-                        for p in conj {
-                            preds.push(sysr_rss::SargPred {
-                                col: keypos(p.col)?,
-                                op: p.op,
-                                value: p.value,
-                            });
-                        }
-                        disjuncts.push(preds);
-                    }
-                    remapped.push(SargExpr { disjuncts });
-                }
-                // The relation's true arity, not the key width: guessing
-                // `key_cols.len()` here would silently build short tuples
-                // whose non-key columns vanish instead of reading NULL.
-                let arity =
-                    rt.env.catalog.relation(table.rel).map(|r| r.arity()).ok_or_else(|| {
-                        ExecError::Internal(format!(
-                            "index-only scan over unknown relation {}",
-                            table.rel
-                        ))
-                    })?;
-                let mut s =
-                    IndexScan::open(rt.env.storage, *index, start_bound, stop_bound, remapped)
-                        .index_only();
-                loop {
-                    let batch = s.next_batch(MAX_BATCH)?;
-                    if batch.is_empty() {
-                        break;
-                    }
-                    let widened: Batch = batch
+        let plan = rt.plan;
+        let storage = rt.env.storage;
+        let table = self.scan.table;
+        let base = outer.unwrap_or_else(|| empty_row(plan.query.tables.len()));
+        let sargs = std::mem::take(&mut self.sargs);
+        let Some(ix) = &mut self.index else {
+            let rel = &plan.query.tables[table];
+            let mut s = SegmentScan::open(storage, rel.segment, rel.rel, sargs);
+            drain(rt, &mut s, base, table, &self.residuals, out, |batch| batch)?;
+            self.sargs = s.into_sargs();
+            return Ok(());
+        };
+        let mut s = IndexScan::open(storage, ix.id, ix.start.take(), ix.stop.take(), sargs);
+        match &ix.index_only {
+            None => drain(rt, &mut s, base, table, &self.residuals, out, |batch| batch)?,
+            Some((key_cols, arity)) => {
+                s = s.index_only();
+                let widen = |batch: Batch| {
+                    batch
                         .into_iter()
                         .map(|(rid, key_tuple)| {
-                            let mut values = vec![Value::Null; arity];
-                            for (i, &kc) in key_cols.iter().enumerate() {
-                                values[kc] = key_tuple[i].clone();
+                            let mut values = vec![Value::Null; *arity];
+                            for (&kc, v) in key_cols.iter().zip(key_tuple.into_values()) {
+                                values[kc] = v;
                             }
                             (rid, Tuple::new(values))
                         })
-                        .collect();
-                    attach_batch(rt, &base, scan.table, &residuals, widened, out)?;
+                        .collect()
+                };
+                drain(rt, &mut s, base, table, &self.residuals, out, widen)?;
+            }
+        }
+        (ix.start, ix.stop, self.sargs) = s.into_parts();
+        Ok(())
+    }
+}
+
+/// Drain an open scan, attaching each tuple (after `widen`) in slot
+/// `table` of the base row and applying the residual factors above the
+/// RSI. A tuple is tested in place in `base`, so a rejected one costs no
+/// row copy; the newest accepted one waits there until the next is
+/// accepted or the scan ends. Every accepted tuple but the last gets a
+/// copy of `base`, and the last takes `base` itself — a probe with one
+/// match copies nothing.
+fn drain<S: RowSink>(
+    rt: &mut BlockRt<'_>,
+    scan: &mut impl RsiScan,
+    mut base: Row,
+    table: usize,
+    residuals: &[&BExpr],
+    out: &mut S,
+    widen: impl Fn(Batch) -> Batch,
+) -> ExecResult<()> {
+    let mut pending: Option<Rid> = None;
+    loop {
+        let batch = scan.next_batch(MAX_BATCH)?;
+        if batch.is_empty() {
+            break;
+        }
+        out.reserve(batch.len());
+        'tuples: for (rid, tuple) in widen(batch) {
+            let held = base[table].replace(tuple);
+            for e in residuals {
+                if !eval_bexpr(rt, &base, e)? {
+                    base[table] = held;
+                    continue 'tuples;
                 }
-            } else {
-                let mut s = IndexScan::open(rt.env.storage, *index, start_bound, stop_bound, sargs);
-                loop {
-                    let batch = s.next_batch(MAX_BATCH)?;
-                    if batch.is_empty() {
-                        break;
-                    }
-                    attach_batch(rt, &base, scan.table, &residuals, batch, out)?;
-                }
+            }
+            if let Some(prev) = pending.replace(rid) {
+                let newest = base[table].take();
+                let mut row = base.clone();
+                row[table] = held;
+                out.accept(prev, row);
+                base[table] = newest;
             }
         }
     }
-    Ok(())
-}
-
-/// Attach one RSI batch to the composite row and apply the residual
-/// factors above the RSI.
-fn attach_batch<S: RowSink>(
-    rt: &mut BlockRt<'_>,
-    base: &Row,
-    table: usize,
-    residuals: &[&BExpr],
-    batch: Batch,
-    out: &mut S,
-) -> ExecResult<()> {
-    out.reserve(batch.len());
-    'tuples: for (rid, tuple) in batch {
-        let mut row = base.clone();
-        row[table] = Some(tuple);
-        for e in residuals {
-            if !eval_bexpr(rt, &row, e)? {
-                continue 'tuples;
-            }
-        }
-        out.accept(rid, row);
+    if let Some(rid) = pending {
+        out.accept(rid, base);
     }
     Ok(())
 }

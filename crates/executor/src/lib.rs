@@ -16,8 +16,11 @@
 //!
 //! * scans run through [`sysr_rss::SegmentScan`] / [`sysr_rss::IndexScan`]
 //!   with resolved SARGs; residual factors are evaluated above the RSI;
-//! * nested-loop joins reopen the inner scan per outer row, binding join
-//!   probe operands from the outer tuple;
+//! * nested-loop joins build the inner probe (residuals, SARG list with
+//!   literals resolved, index key vectors) once per join, then reopen the
+//!   inner scan per outer row, rewriting only the operands bound from the
+//!   outer tuple; the outer row moves into the probe, so its last match
+//!   takes it without a copy;
 //! * merging-scans joins consume two sorted inputs with group buffering;
 //! * sorts materialize a temporary list (write + read back accounted);
 //! * subqueries evaluate on demand — once for uncorrelated blocks, and

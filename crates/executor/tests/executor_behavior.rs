@@ -57,6 +57,18 @@ impl Db {
         let result = execute(&env, &plan).unwrap();
         (result.rows, plan.explain(&self.catalog))
     }
+
+    /// Run `sql` traced: its rows and its EXPLAIN ANALYZE text.
+    fn run_analyzed(&self, sql: &str) -> (Vec<Tuple>, String) {
+        let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
+        let bound = bind_select(&self.catalog, &stmt).unwrap();
+        let config = OptimizerConfig::default();
+        let plan = Optimizer::with_config(&self.catalog, config).optimize_bound(&bound);
+        let mut env = ExecEnv::with_tracer(&self.storage, &self.catalog);
+        let rows = execute(&env, &plan).unwrap().rows;
+        let measurements = env.take_measurements();
+        (rows, plan.explain_analyze(&self.catalog, &measurements, config.w))
+    }
 }
 
 fn ints(rows: &[Tuple], col: usize) -> Vec<i64> {
@@ -597,4 +609,111 @@ fn plan_shapes_match_explain() {
     }
     let text = plan.explain(&db.catalog);
     check(&plan.root, &text);
+}
+
+/// The EXPLAIN ANALYZE line of the node whose head contains `head`.
+fn node_line<'a>(analyzed: &'a str, head: &str) -> &'a str {
+    analyzed.lines().find(|l| l.contains(head)).unwrap_or_else(|| panic!("{head}:\n{analyzed}"))
+}
+
+#[test]
+fn reused_segment_probe_rebinds_only_outer_operands() {
+    // The inner probe is built once per join and each outer row rewrites
+    // only its bound operand: a value, NULL, the same value twice and a
+    // value with no match must each see exactly their own matches, with
+    // the literal SARG and the residual applied every time.
+    let mut db = Db::new();
+    let outer: Vec<(i64, Value)> = vec![
+        (0, Value::Int(5)),
+        (1, Value::Null),
+        (2, Value::Int(7)),
+        (3, Value::Int(7)),
+        (4, Value::Int(99)),
+    ];
+    db.table(
+        "O",
+        vec![("ID", ColType::Int), ("K", ColType::Int)],
+        outer.iter().map(|(id, k)| Tuple::new(vec![Value::Int(*id), k.clone()])).collect(),
+    );
+    let inner: Vec<(i64, i64, i64)> =
+        (0..600).map(|i| (i % 10, i64::from(i % 3 == 0), i)).collect();
+    db.table(
+        "I",
+        vec![("K", ColType::Int), ("TAG", ColType::Int), ("V", ColType::Int)],
+        inner.iter().map(|&(k, tag, v)| tuple![k, tag, v]).collect(),
+    );
+    db.analyze();
+    let (rows, analyzed) = db.run_analyzed(
+        "SELECT O.ID, I.V FROM O, I WHERE I.K = O.K AND I.TAG = 1 AND I.V + I.K > 300",
+    );
+    let mut expect = Vec::new();
+    for (id, k) in &outer {
+        for &(ik, tag, v) in &inner {
+            if *k == Value::Int(ik) && tag == 1 && v + ik > 300 {
+                expect.push((*id, v));
+            }
+        }
+    }
+    assert!(!expect.is_empty());
+    assert_eq!(pairs(&rows), expect, "{analyzed}");
+    assert!(node_line(&analyzed, "#0 NESTED LOOP JOIN")
+        .contains(&format!("actual rows={} loops=1", expect.len())));
+    assert!(node_line(&analyzed, "#1 SEGMENT SCAN O").contains("actual rows=5 loops=1"));
+    assert!(node_line(&analyzed, "#2 SEGMENT SCAN I")
+        .contains(&format!("actual rows={} loops=5", expect.len())));
+}
+
+#[test]
+fn reused_index_probe_rewrites_keys_per_outer_row() {
+    // Index nested loop with an equality prefix bound from the outer row
+    // and a range whose lower bound is outer-bound and upper bound a
+    // literal. A probe with a longer key string follows a shorter one
+    // (and a shorter one follows it again): the reused key vectors must
+    // carry exactly the current row's values.
+    let mut db = Db::new();
+    const LONG: &str = "A-MUCH-LONGER-GROUP-KEY";
+    let outer: Vec<(i64, Value, i64)> = vec![
+        (0, Value::Str("X".into()), 1),
+        (1, Value::Str(LONG.into()), 0),
+        (2, Value::Str("X".into()), 3),
+        (3, Value::Str("NONE".into()), 0),
+        (4, Value::Null, 0),
+    ];
+    db.table(
+        "O",
+        vec![("ID", ColType::Int), ("G", ColType::Str), ("LO", ColType::Int)],
+        outer
+            .iter()
+            .map(|(id, g, lo)| Tuple::new(vec![Value::Int(*id), g.clone(), Value::Int(*lo)]))
+            .collect(),
+    );
+    let groups = ["X", LONG, "Z"];
+    let inner: Vec<(&str, i64, i64)> =
+        (0..3000).map(|i| (groups[(i % 3) as usize], (i / 3) % 10, i)).collect();
+    // Padded past the buffer pool, so repeated segment scans cannot win.
+    let rel = db.table(
+        "I",
+        vec![("G", ColType::Str), ("N", ColType::Int), ("V", ColType::Int), ("PAD", ColType::Str)],
+        inner.iter().map(|&(g, n, v)| tuple![g, n, v, format!("p{v:080}")]).collect(),
+    );
+    db.index("I_GN", rel, vec![0, 1], false);
+    db.analyze();
+    let (rows, analyzed) =
+        db.run_analyzed("SELECT O.ID, I.V FROM O, I WHERE I.G = O.G AND I.N >= O.LO AND I.N < 6");
+    let inner_head = node_line(&analyzed, "#2 INDEX SCAN I via I_GN eq[");
+    assert!(inner_head.contains("from=") && inner_head.contains("to<6"), "{analyzed}");
+    let mut expect = Vec::new();
+    for (id, g, lo) in &outer {
+        for &(ig, n, v) in &inner {
+            if *g == Value::Str(ig.into()) && n >= *lo && n < 6 {
+                expect.push((*id, v));
+            }
+        }
+    }
+    let mut got = pairs(&rows);
+    got.sort_unstable();
+    expect.sort_unstable();
+    assert_eq!(got, expect, "{analyzed}");
+    assert!(node_line(&analyzed, "#1 SEGMENT SCAN O").contains("actual rows=5 loops=1"));
+    assert!(inner_head.contains(&format!("actual rows={} loops=5", expect.len())), "{analyzed}");
 }

@@ -17,7 +17,7 @@
 //! decoded from page bytes.
 
 use crate::error::{RssError, RssResult};
-use crate::sarg::{SargList, SargPred};
+use crate::sarg::{SargExpr, SargList, SargPred};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -206,118 +206,127 @@ fn skip_value(cursor: &mut Cursor<'_>) -> RssResult<()> {
 
 /// SARG evaluation directly over an encoded tuple image.
 ///
-/// A scan owns one of these and reuses it across slots: `matches` walks
-/// the encoding **lazily** — only up to the highest column any predicate
-/// references, skipping (not validating) the payloads of columns the
-/// DNF never reads — records each needed column's offset in a reusable
-/// scratch vector, then evaluates the DNF against borrowed views.
-/// Rejected tuples are never materialized, and their unreferenced
-/// suffix bytes are never even walked; that is the batch executor's
-/// main CPU saving on selective scans. Every *accepted* tuple still
-/// goes through [`decode_tuple`]'s full structural/UTF-8/trailing-bytes
-/// validation before it crosses the RSI, so returned data is exactly as
-/// checked as before; only corruption confined to tuples a SARG rejects
-/// can go unreported.
-#[derive(Default)]
+/// A scan builds one of these per OPEN and applies it to every slot.
+/// `matches` walks the encoding **lazily, in column order**: factors are
+/// tested in ascending order of the rightmost column each reads, the
+/// walk advances only as far right as the predicate under test reads,
+/// and the first false factor ends it. A predicate whose column lies
+/// ahead of the walk is decoded straight off the cursor, so a
+/// one-predicate conjunction costs one length-skip per preceding column
+/// and one compare. Only a read *behind* the walk — an OR factor, a
+/// second factor on the same column, a conjunction listed right to left
+/// — walks a fresh cursor from the first column; no offset table is
+/// kept, so evaluation allocates nothing.
+///
+/// Columns the walk passes are length-skipped, not validated; a column a
+/// predicate reads is fully decoded (a string's bytes are UTF-8
+/// checked). So truncation or a bad tag inside the columns the rejecting
+/// factor reads is an error, while bytes past the column that rejected a
+/// tuple are never read. Rejected tuples are never materialized; that is
+/// the batch executor's main CPU saving on selective scans. Every
+/// *accepted* tuple still goes through [`decode_tuple`]'s full
+/// structural/UTF-8/trailing-bytes validation before it crosses the RSI,
+/// so returned data is exactly as checked as before; only corruption
+/// confined to tuples a SARG rejects can go unreported.
 pub(crate) struct EncodedEval {
-    /// Scratch: offset of column i's tag byte in the current image.
-    offsets: Vec<u32>,
-    /// Columns the walk must cover: 1 + the highest column referenced by
-    /// any predicate (0 for a trivial SARG list).
-    ncols_needed: usize,
-    /// When the whole DNF is one single-predicate factor — the shape of
-    /// every join-probe SARG — `matches` skips straight to that column
-    /// and compares once, with no offset table. This is the hottest
-    /// instruction path of a nested-loop inner scan.
-    single: Option<SargPred>,
+    /// Factor indices in evaluation order, ascending by the rightmost
+    /// column each reads. Empty when the list's own order already is —
+    /// always so for a one-factor probe, which then allocates nothing.
+    order: Vec<usize>,
+}
+
+/// The rightmost column a factor reads (0 for a trivial factor).
+fn last_col(factor: &SargExpr) -> usize {
+    factor.disjuncts.iter().flatten().map(|p| p.col).max().unwrap_or(0)
 }
 
 impl EncodedEval {
     /// Build the evaluator for a fixed SARG list (the scan's own).
     pub(crate) fn for_sargs(sargs: &SargList) -> Self {
-        let ncols_needed = sargs
-            .factors
-            .iter()
-            .flat_map(|f| f.disjuncts.iter())
-            .flatten()
-            .map(|p| p.col + 1)
-            .max()
-            .unwrap_or(0);
-        let single = match sargs.factors.as_slice() {
-            [f] => match f.disjuncts.as_slice() {
-                [conj] => match conj.as_slice() {
-                    [pred] => Some(pred.clone()),
-                    _ => None,
-                },
-                _ => None,
-            },
-            _ => None,
-        };
-        EncodedEval { offsets: Vec::new(), ncols_needed, single }
+        let factors = &sargs.factors;
+        let mut order = Vec::new();
+        if factors.iter().zip(factors.iter().skip(1)).any(|(a, b)| last_col(a) > last_col(b)) {
+            order.extend(0..factors.len());
+            order.sort_by_key(|&i| factors.get(i).map_or(0, last_col));
+        }
+        EncodedEval { order }
     }
 
     /// Whether the encoded tuple satisfies every factor of `sargs`
     /// (which must be the list this evaluator was built for).
-    pub(crate) fn matches(&mut self, bytes: &[u8], sargs: &SargList) -> RssResult<bool> {
-        let mut cursor = Cursor::new(bytes);
-        let ncols = cursor.u16()? as usize;
-        if let Some(pred) = &self.single {
-            if pred.col >= ncols || pred.value.is_null() {
-                return Ok(false);
-            }
-            for _ in 0..pred.col {
-                skip_value(&mut cursor)?;
-            }
-            let left = decode_value_ref(&mut cursor)?;
-            if left.is_null() {
-                return Ok(false);
-            }
-            return Ok(op_holds(pred.op, left.cmp_value(&pred.value)));
-        }
-        let need = self.ncols_needed.min(ncols);
-        self.offsets.clear();
-        for _ in 0..need {
-            self.offsets.push(cursor.pos as u32);
-            skip_value(&mut cursor)?;
-        }
-        for factor in &sargs.factors {
-            if factor.disjuncts.is_empty() {
-                continue;
-            }
-            let mut any = false;
-            for conj in &factor.disjuncts {
-                let mut all = true;
-                for pred in conj {
-                    if !self.eval_pred(bytes, pred)? {
-                        all = false;
-                        break;
-                    }
+    pub(crate) fn matches(&self, bytes: &[u8], sargs: &SargList) -> RssResult<bool> {
+        let mut walk = Walk::new(bytes)?;
+        for i in 0..sargs.factors.len() {
+            let f = self.order.get(i).copied().unwrap_or(i);
+            if let Some(factor) = sargs.factors.get(f) {
+                if !walk.factor_holds(factor)? {
+                    return Ok(false);
                 }
-                if all {
-                    any = true;
-                    break;
-                }
-            }
-            if !any {
-                return Ok(false);
             }
         }
         Ok(true)
     }
+}
 
-    /// One predicate against the walked image; out-of-range columns and
-    /// NULLs never satisfy, mirroring [`SargPred::eval`].
-    fn eval_pred(&self, bytes: &[u8], pred: &SargPred) -> RssResult<bool> {
-        let Some(&off) = self.offsets.get(pred.col) else {
-            return Ok(false);
-        };
+/// One tuple image under evaluation: `cursor` sits at the tag of column
+/// `next`, the first column the walk has not passed.
+struct Walk<'a> {
+    bytes: &'a [u8],
+    ncols: usize,
+    cursor: Cursor<'a>,
+    next: usize,
+}
+
+impl<'a> Walk<'a> {
+    fn new(bytes: &'a [u8]) -> RssResult<Self> {
         let mut cursor = Cursor::new(bytes);
-        cursor.pos = off as usize;
-        let left = decode_value_ref(&mut cursor)?;
-        if left.is_null() || pred.value.is_null() {
+        let ncols = cursor.u16()? as usize;
+        Ok(Walk { bytes, ncols, cursor, next: 0 })
+    }
+
+    /// A DNF factor; an empty one is trivially true.
+    fn factor_holds(&mut self, factor: &SargExpr) -> RssResult<bool> {
+        if factor.disjuncts.is_empty() {
+            return Ok(true);
+        }
+        for conj in &factor.disjuncts {
+            let mut all = true;
+            for pred in conj {
+                if !self.pred_holds(pred)? {
+                    all = false;
+                    break;
+                }
+            }
+            if all {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// One predicate; out-of-range columns and NULLs never satisfy,
+    /// mirroring [`SargPred::eval`]. Neither case reads the tuple.
+    fn pred_holds(&mut self, pred: &SargPred) -> RssResult<bool> {
+        if pred.value.is_null() || pred.col >= self.ncols {
             return Ok(false);
         }
-        Ok(op_holds(pred.op, left.cmp_value(&pred.value)))
+        let left = self.column(pred.col)?;
+        Ok(!left.is_null() && op_holds(pred.op, left.cmp_value(&pred.value)))
+    }
+
+    /// Decode column `col` (< `ncols`), skipping the columns before it.
+    fn column(&mut self, col: usize) -> RssResult<ValueRef<'a>> {
+        if col < self.next {
+            // Behind the walk: the columns before `col` were skipped once
+            // already, so a fresh walk re-reads them without new errors.
+            return Walk::new(self.bytes)?.column(col);
+        }
+        while self.next < col {
+            skip_value(&mut self.cursor)?;
+            self.next += 1;
+        }
+        self.next += 1;
+        decode_value_ref(&mut self.cursor)
     }
 }
 
@@ -423,7 +432,9 @@ mod tests {
     }
 
     fn arb_value(rng: &mut SplitMix64) -> Value {
-        const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-";
+        // One-, two-, three- and four-byte UTF-8 sequences.
+        const CHARS: &[char] =
+            &['a', 'Z', '0', ' ', '_', '-', 'é', 'ß', 'Ω', '日', '本', '€', '😀'];
         match rng.below(4) {
             0 => Value::Null,
             1 => Value::Int(rng.next_u64() as i64),
@@ -432,9 +443,7 @@ mod tests {
             _ => {
                 let len = rng.below(41) as usize;
                 Value::Str(
-                    (0..len)
-                        .map(|_| CHARS[rng.below(CHARS.len() as u64) as usize] as char)
-                        .collect(),
+                    (0..len).map(|_| CHARS[rng.below(CHARS.len() as u64) as usize]).collect(),
                 )
             }
         }
@@ -442,7 +451,7 @@ mod tests {
 
     #[test]
     fn prop_encoded_eval_matches_decoded_eval() {
-        use crate::sarg::{CompareOp, SargExpr, SargList};
+        use crate::sarg::CompareOp;
         let mut rng = SplitMix64::new(0xC0DE_0002);
         let ops = [
             CompareOp::Eq,
@@ -452,30 +461,43 @@ mod tests {
             CompareOp::Gt,
             CompareOp::Ge,
         ];
-        for case in 0..1024u64 {
+        let pred = |rng: &mut SplitMix64, col: usize| SargPred {
+            col,
+            op: ops[rng.below(6) as usize],
+            value: arb_value(rng),
+        };
+        for case in 0..4096u64 {
             let n_values = rng.below(6) as usize;
             let t = Tuple::new((0..n_values).map(|_| arb_value(&mut rng)).collect());
             let bytes = tuple_bytes(&t);
-            // Random DNF over random columns (sometimes out of range) and
-            // random comparison values, including NULLs.
-            let n_factors = rng.below(3) as usize;
-            let factors: Vec<SargExpr> = (0..n_factors)
-                .map(|_| SargExpr {
-                    disjuncts: (0..rng.below(3) as usize)
-                        .map(|_| {
-                            (0..1 + rng.below(2) as usize)
-                                .map(|_| SargPred {
-                                    col: rng.below(7) as usize,
-                                    op: ops[rng.below(6) as usize],
-                                    value: arb_value(&mut rng),
-                                })
-                                .collect()
-                        })
-                        .collect(),
+            // 1–4 factors whose columns (sometimes out of range) arrive in
+            // descending or repeated order, so the walk must reorder them
+            // and read behind itself; each is a one-predicate conjunction,
+            // a right-to-left conjunction, or an OR over random columns.
+            // Comparison values include NULLs and multi-byte strings.
+            let mut col = rng.below(7) as usize;
+            let factors: Vec<SargExpr> = (0..1 + rng.below(4))
+                .map(|_| {
+                    col = col.saturating_sub(rng.below(2) as usize);
+                    let disjuncts = match rng.below(3) {
+                        0 => vec![vec![pred(&mut rng, col)]],
+                        1 => vec![vec![pred(&mut rng, col), pred(&mut rng, col / 2)]],
+                        _ => (0..rng.below(4))
+                            .map(|_| {
+                                (0..1 + rng.below(2))
+                                    .map(|_| {
+                                        let col = rng.below(7) as usize;
+                                        pred(&mut rng, col)
+                                    })
+                                    .collect()
+                            })
+                            .collect(),
+                    };
+                    SargExpr { disjuncts }
                 })
                 .collect();
             let sargs = SargList { factors };
-            let mut eval = EncodedEval::for_sargs(&sargs);
+            let eval = EncodedEval::for_sargs(&sargs);
             assert_eq!(
                 eval.matches(&bytes, &sargs).unwrap(),
                 sargs.eval(&t),
@@ -486,24 +508,48 @@ mod tests {
 
     #[test]
     fn encoded_eval_rejects_corrupt_referenced_prefix() {
-        use crate::sarg::{CompareOp, SargExpr, SargList};
-        let t = tuple!["SMITH", 1];
+        use crate::sarg::CompareOp;
+        let t = tuple!["SMITH", 1, "DENVER"];
         let bytes = tuple_bytes(&t);
-        // Predicate on column 1: the walk must cover columns 0..=1, so
-        // truncation inside that prefix errors regardless of the SARG
-        // outcome...
-        let sargs: SargList = SargExpr::single(SargPred::new(1, CompareOp::Eq, 999i64)).into();
-        let mut eval = EncodedEval::for_sargs(&sargs);
+        let name_end = 2 + 1 + 2 + "SMITH".len();
+        let int_end = name_end + 1 + 8;
+        // Listed right to left, tested left to right: `c1 = 999` rejects
+        // before `c2` is read.
+        let sargs = SargList {
+            factors: vec![
+                SargExpr::single(SargPred::new(2, CompareOp::Eq, "DENVER")),
+                SargExpr::single(SargPred::new(1, CompareOp::Eq, 999i64)),
+            ],
+        };
+        let eval = EncodedEval::for_sargs(&sargs);
         assert!(!eval.matches(&bytes, &sargs).unwrap());
-        assert!(eval.matches(&bytes[..bytes.len() - 1], &sargs).is_err());
-        // ...while corruption *past* the referenced prefix is left to
-        // `decode_tuple`, which only runs for accepted tuples: the lazy
-        // walk neither validates nor reads the unreferenced suffix.
-        let sargs0: SargList = SargExpr::single(SargPred::new(0, CompareOp::Eq, "NOBODY")).into();
-        let mut eval0 = EncodedEval::for_sargs(&sargs0);
-        let mut garbled = bytes.clone();
-        garbled.push(0xFF);
-        assert!(!eval0.matches(&garbled, &sargs0).unwrap());
+        // Truncation inside the columns the rejecting factor reads
+        // (skipped column 0, compared column 1) is an error...
+        for cut in [name_end - 1, int_end - 1] {
+            assert!(eval.matches(&bytes[..cut], &sargs).is_err(), "cut at {cut}");
+        }
+        // ...bytes past the rejecting column are never read: a bad tag,
+        // invalid UTF-8 or a truncated column 2 still gives Ok(false)...
+        let mut bad_tag = bytes.clone();
+        bad_tag[int_end] = 9;
+        let mut bad_utf8 = bytes.clone();
+        bad_utf8[int_end + 3] = 0xFF;
+        for garbled in [&bad_tag[..], &bad_utf8[..], &bytes[..int_end + 2]] {
+            assert!(!eval.matches(garbled, &sargs).unwrap());
+        }
+        // ...while a factor that reads column 2 does see the damage.
+        let loc: SargList = SargExpr::single(SargPred::new(2, CompareOp::Eq, "DENVER")).into();
+        let loc_eval = EncodedEval::for_sargs(&loc);
+        assert!(loc_eval.matches(&bad_utf8, &loc).is_err());
+        // An accepted tuple still goes through `decode_tuple`, which
+        // checks every byte: trailing garbage the SARG never read is
+        // caught there.
+        assert!(loc_eval.matches(&bytes, &loc).unwrap());
+        assert_eq!(decode_tuple(&bytes).unwrap(), t);
+        let mut trailing = bytes.clone();
+        trailing.push(0xFF);
+        assert!(loc_eval.matches(&trailing, &loc).unwrap());
+        assert!(decode_tuple(&trailing).is_err());
     }
 
     #[test]

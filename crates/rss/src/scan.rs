@@ -74,15 +74,16 @@ pub struct SegmentScan<'a> {
     page_no: u32,
     slot: u16,
     entered_page: bool,
-    /// Reusable scratch for SARG evaluation on encoded slot bytes:
-    /// rejected slots are never decoded into a [`Tuple`].
+    /// SARG evaluation on encoded slot bytes: rejected slots are never
+    /// decoded into a [`Tuple`].
     eval: crate::codec::EncodedEval,
     /// Trivial SARGs accept everything; skip the encoded pre-pass and let
     /// `decode_tuple` do the (identical) validation once.
     sargs_trivial: bool,
-    /// Size of the previous batch: pre-sizing the next batch's vector to
-    /// it avoids the growth-realloc chain on full batches while keeping
-    /// selective probes (tiny batches) allocation-free.
+    /// Size of the previous batch if it was full, else 0: pre-sizing the
+    /// next batch's vector to it avoids the growth-realloc chain on full
+    /// batches. Both scans return a short batch only once exhausted, so
+    /// the empty NEXT that ends a selective probe allocates nothing.
     batch_hint: usize,
 }
 
@@ -109,6 +110,12 @@ impl<'a> SegmentScan<'a> {
             sargs_trivial,
             batch_hint: 0,
         }
+    }
+
+    /// CLOSE, handing the SARG list back so the caller's next OPEN can
+    /// rewrite its operands in place instead of building a new list.
+    pub fn into_sargs(self) -> SargList {
+        self.sargs
     }
 
     /// Walk pages and slots, pushing up to `cap` matching tuples into
@@ -164,11 +171,14 @@ impl RsiScan for SegmentScan<'_> {
         let cap = max.clamp(1, MAX_BATCH);
         let mut out: Batch = Vec::with_capacity(self.batch_hint.min(cap));
         self.fill(cap, &mut out)?;
-        self.batch_hint = out.len();
+        self.batch_hint = if out.len() == cap { cap } else { 0 };
         self.storage.record_rsi_calls(out.len() as u64);
         Ok(out)
     }
 }
+
+/// An index scan's upper-bound key prefix and whether it is inclusive.
+pub type StopKey = (Vec<Value>, bool);
 
 /// Index scan between optional start and stop key prefixes.
 ///
@@ -180,7 +190,7 @@ pub struct IndexScan<'a> {
     storage: &'a Storage,
     index: IndexId,
     start: Option<Vec<Value>>,
-    stop: Option<(Vec<Value>, bool)>,
+    stop: Option<StopKey>,
     sargs: SargList,
     cursor: Option<LeafPos>,
     current_leaf: Option<u32>,
@@ -236,6 +246,12 @@ impl<'a> IndexScan<'a> {
     pub fn index_only(mut self) -> Self {
         self.fetch_data = false;
         self
+    }
+
+    /// CLOSE, handing back the start key, stop key and SARG list so the
+    /// caller's next OPEN can reuse their allocations.
+    pub fn into_parts(self) -> (Option<Vec<Value>>, Option<StopKey>, SargList) {
+        (self.start, self.stop, self.sargs)
     }
 
     fn do_open(&mut self) -> RssResult<()> {
@@ -311,7 +327,7 @@ impl RsiScan for IndexScan<'_> {
         let cap = max.clamp(1, MAX_BATCH);
         let mut out: Batch = Vec::with_capacity(self.batch_hint.min(cap));
         self.fill(cap, &mut out)?;
-        self.batch_hint = out.len();
+        self.batch_hint = if out.len() == cap { cap } else { 0 };
         self.storage.record_rsi_calls(out.len() as u64);
         Ok(out)
     }

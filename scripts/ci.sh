@@ -25,6 +25,11 @@ cargo test --release --test persistence
 # golden vector, the 98 304-flip sweep, the backend fault tests and the
 # temp-file leak test must hold in the build that ships.
 cargo test --release -p sysr-rss
+# The executor optimized: a nested-loop join builds its inner probe once
+# and rewrites only the outer-bound operands per OPEN, so the probe-reuse
+# tests and the EXPLAIN ANALYZE goldens must hold in the build that ships.
+cargo test --release -p sysr-executor
+cargo test --release --test sql_correctness --test explain_analyze
 # DML by RID: the seeded INSERT/UPDATE/DELETE oracle (affected rows,
 # segment and every index against a Vec model after each statement) ends
 # with save -> open on real page files, so it also runs optimized — the
