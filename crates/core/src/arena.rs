@@ -8,6 +8,13 @@
 //! only materialized back into [`PlanExpr`] form for the plans that
 //! actually leave the search (the winner, trace entries, oracle dumps).
 //!
+//! A scan node names its access candidate by [`CandId`], an index into
+//! the search-wide candidate table the enumerator's access-path cache
+//! owns, and a merge node shares its residual list. Building a candidate
+//! copies no [`ScanPlan`](crate::plan::ScanPlan) and no order or factor
+//! vector; [`PlanArena::materialize`] clones them only for plans that
+//! leave the search.
+//!
 //! Two-tier addressing keeps pruning cheap: each DP level freezes the
 //! main arena and every work item pushes candidates into its own
 //! *scratch* tail whose ids start at the frozen length (`base`). Ids
@@ -22,15 +29,20 @@
     reason = "solution arena: handles are indices the arena issued; commit remaps within the bounds it just reserved"
 )]
 
+use crate::access::AccessCandidate;
 use crate::cost::Cost;
 use crate::intern::KeyId;
 use crate::num::dense_id;
-use crate::plan::{PlanExpr, PlanNode, ScanPlan};
+use crate::plan::{PlanExpr, PlanNode};
 use crate::query::ColId;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Index of a node in a [`PlanArena`] (or a scratch tail above `base`).
 pub type NodeId = u32;
+
+/// Index of an access candidate in the search's candidate table.
+pub type CandId = u32;
 
 /// One plan node, children by id. `cost`/`rows`/`key` mirror the
 /// [`PlanExpr`] annotations; `count` is the subtree's node count with
@@ -46,15 +58,28 @@ pub struct ArenaNode {
     pub count: u32,
 }
 
-/// The node shapes, mirroring [`PlanNode`]. Only leaves and sorts carry
-/// their produced column order; joins inherit the outer's order, which
-/// materialization resolves recursively.
+/// The node shapes, mirroring [`PlanNode`]. Only leaves (through their
+/// candidate) and sorts carry their produced column order; joins inherit
+/// the outer's order, which materialization resolves recursively.
 #[derive(Debug, Clone)]
 pub enum NodeKind {
-    Scan { scan: ScanPlan, order: Vec<ColId> },
-    NestedLoop { outer: NodeId, inner: NodeId },
-    Merge { outer: NodeId, inner: NodeId, outer_key: ColId, inner_key: ColId, residual: Vec<usize> },
-    Sort { input: NodeId, keys: Vec<ColId>, sorted_prefix: usize },
+    Scan(CandId),
+    NestedLoop {
+        outer: NodeId,
+        inner: NodeId,
+    },
+    Merge {
+        outer: NodeId,
+        inner: NodeId,
+        outer_key: ColId,
+        inner_key: ColId,
+        residual: Rc<[usize]>,
+    },
+    Sort {
+        input: NodeId,
+        keys: Vec<ColId>,
+        sorted_prefix: usize,
+    },
 }
 
 /// The committed arena: nodes the DP memo references between levels.
@@ -64,70 +89,44 @@ pub struct PlanArena {
 }
 
 impl PlanArena {
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     pub fn node(&self, id: NodeId) -> &ArenaNode {
         &self.nodes[id as usize]
     }
 
-    /// Rebuild the full [`PlanExpr`] tree for a committed node.
-    pub fn materialize(&self, id: NodeId) -> PlanExpr {
+    /// Rebuild the full [`PlanExpr`] tree for a committed node; `cands`
+    /// is the candidate table its scan nodes name. Joins take the outer's
+    /// order.
+    pub fn materialize(&self, id: NodeId, cands: &[AccessCandidate]) -> PlanExpr {
         let n = self.node(id);
-        match &n.kind {
-            NodeKind::Scan { scan, order } => PlanExpr {
-                node: PlanNode::Scan(scan.clone()),
-                cost: n.cost,
-                rows: n.rows,
-                order: order.clone(),
-            },
+        let child = |c: &NodeId| Box::new(self.materialize(*c, cands));
+        let (node, order) = match &n.kind {
+            NodeKind::Scan(c) => {
+                let cand = &cands[*c as usize];
+                (PlanNode::Scan(cand.scan.clone()), cand.order.clone())
+            }
             NodeKind::NestedLoop { outer, inner } => {
-                let outer_e = self.materialize(*outer);
-                let inner_e = self.materialize(*inner);
-                let order = outer_e.order.clone();
-                PlanExpr {
-                    node: PlanNode::NestedLoop {
-                        outer: Box::new(outer_e),
-                        inner: Box::new(inner_e),
-                    },
-                    cost: n.cost,
-                    rows: n.rows,
-                    order,
-                }
+                let outer = child(outer);
+                let order = outer.order.clone();
+                (PlanNode::NestedLoop { outer, inner: child(inner) }, order)
             }
             NodeKind::Merge { outer, inner, outer_key, inner_key, residual } => {
-                let outer_e = self.materialize(*outer);
-                let inner_e = self.materialize(*inner);
-                let order = outer_e.order.clone();
-                PlanExpr {
-                    node: PlanNode::Merge {
-                        outer: Box::new(outer_e),
-                        inner: Box::new(inner_e),
-                        outer_key: *outer_key,
-                        inner_key: *inner_key,
-                        residual: residual.clone(),
-                    },
-                    cost: n.cost,
-                    rows: n.rows,
+                let outer = child(outer);
+                let order = outer.order.clone();
+                let (outer_key, inner_key, residual) = (*outer_key, *inner_key, residual.to_vec());
+                (
+                    PlanNode::Merge { outer, inner: child(inner), outer_key, inner_key, residual },
                     order,
-                }
+                )
             }
-            NodeKind::Sort { input, keys, sorted_prefix } => PlanExpr {
-                node: PlanNode::Sort {
-                    input: Box::new(self.materialize(*input)),
-                    keys: keys.clone(),
-                    sorted_prefix: *sorted_prefix,
-                },
-                cost: n.cost,
-                rows: n.rows,
-                order: keys.clone(),
-            },
-        }
+            NodeKind::Sort { input, keys, sorted_prefix } => {
+                let sorted_prefix = *sorted_prefix;
+                (
+                    PlanNode::Sort { input: child(input), keys: keys.clone(), sorted_prefix },
+                    keys.clone(),
+                )
+            }
+        };
+        PlanExpr { node, cost: n.cost, rows: n.rows, order }
     }
 
     /// Copy a surviving scratch subtree into the main arena, returning
@@ -152,7 +151,7 @@ impl PlanArena {
         }
         let mut node = scratch[(id - base) as usize].clone();
         match &mut node.kind {
-            NodeKind::Scan { .. } => {}
+            NodeKind::Scan(_) => {}
             NodeKind::NestedLoop { outer, inner } | NodeKind::Merge { outer, inner, .. } => {
                 *outer = self.commit(scratch, base, item, *outer, remap);
                 *inner = self.commit(scratch, base, item, *inner, remap);
@@ -183,10 +182,6 @@ impl<'a> WorkArena<'a> {
         WorkArena { main, base, local: Vec::new() }
     }
 
-    pub fn base(&self) -> NodeId {
-        self.base
-    }
-
     pub fn node(&self, id: NodeId) -> &ArenaNode {
         if id < self.base {
             &self.main[id as usize]
@@ -205,14 +200,25 @@ impl<'a> WorkArena<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::Access;
+    use crate::plan::{Access, ScanPlan};
+
+    /// A segment-scan candidate per table; scan nodes name them by table.
+    fn cands(n: usize) -> Vec<AccessCandidate> {
+        (0..n)
+            .map(|table| AccessCandidate {
+                scan: ScanPlan { table, access: Access::Segment, sargs: vec![], residual: vec![] },
+                cost: Cost::new(1.0, 0.0),
+                order: vec![],
+                out_rows: 1.0,
+                rsicard: 1.0,
+                applied: vec![],
+            })
+            .collect()
+    }
 
     fn scan_node(table: usize, pages: f64) -> ArenaNode {
         ArenaNode {
-            kind: NodeKind::Scan {
-                scan: ScanPlan { table, access: Access::Segment, sargs: vec![], residual: vec![] },
-                order: vec![],
-            },
+            kind: NodeKind::Scan(dense_id(table)),
             cost: Cost::new(pages, 0.0),
             rows: 1.0,
             key: 0,
@@ -232,13 +238,15 @@ mod tests {
             key: 0,
             count: 3,
         });
-        let p = arena.materialize(2);
+        let p = arena.materialize(2, &cands(2));
         assert_eq!(p.cost, Cost::new(13.0, 0.0));
         assert_eq!(p.rows, 5.0);
         assert_eq!(p.node_count(), 3);
         let PlanNode::NestedLoop { outer, inner } = &p.node else { panic!() };
         assert_eq!(outer.cost.pages, 10.0);
         assert_eq!(inner.cost.pages, 3.0);
+        let PlanNode::Scan(s) = &inner.node else { panic!() };
+        assert_eq!(s.table, 1, "the scan node's candidate handle resolves to its table");
     }
 
     #[test]
@@ -261,7 +269,7 @@ mod tests {
         let a = arena.commit(&scratch, base, 0, 2, &mut remap);
         let b = arena.commit(&scratch, base, 0, 2, &mut remap);
         assert_eq!(a, b, "same scratch id commits once");
-        assert_eq!(arena.len(), 3);
+        assert_eq!(arena.nodes.len(), 3);
         let NodeKind::NestedLoop { outer, inner } = &arena.node(a).kind else { panic!() };
         assert_eq!(*outer, 0, "main-arena child kept as-is");
         assert!(*inner >= base, "scratch child copied into main");
@@ -274,7 +282,6 @@ mod tests {
     fn work_arena_two_tier_addressing() {
         let main = vec![scan_node(0, 1.0)];
         let mut wa = WorkArena::new(&main);
-        assert_eq!(wa.base(), 1);
         let id = wa.push(scan_node(1, 2.0));
         assert_eq!(id, 1);
         assert_eq!(wa.node(0).cost.pages, 1.0);

@@ -20,11 +20,16 @@
 //! instead of cloned [`PlanExpr`] trees, with order keys interned to
 //! dense ids ([`KeyInterner`]) — candidate
 //! generation is a node push, not a subtree clone, and solution stores
-//! are flat slot arrays. Every level-*k* subset depends only on the
-//! frozen level-<*k* memo: a level's (subset, extension) work items are
-//! solved one after another against that memo and merged in work-item
-//! order, so ties always resolve to the first minimum of the candidate
-//! stream.
+//! are flat slot arrays. Scan nodes are handles into the search-wide
+//! candidate table `AccessCache` owns and merge nodes share their
+//! scaffold's residual list, so a candidate copies no plan data. Every
+//! level-*k* subset depends only on the frozen level-<*k* memo: a level's
+//! (subset, extension) work items are solved one after another against
+//! that memo and merged in work-item order, so ties always resolve to the
+//! first minimum of the candidate stream. An item exists only when its
+//! outer subset has a plan: the outers without one are the subsets the
+//! Cartesian-deferral heuristic left disconnected, which extend to
+//! nothing.
 
 #![expect(
     clippy::indexing_slicing,
@@ -32,7 +37,7 @@
 )]
 
 use crate::access::{access_paths, AccessCandidate, PlanCtx};
-use crate::arena::{ArenaNode, NodeId, NodeKind, PlanArena, WorkArena};
+use crate::arena::{ArenaNode, CandId, NodeId, NodeKind, PlanArena, WorkArena};
 use crate::bitset::TableSet;
 use crate::intern::{KeyId, KeyInterner, EMPTY_KEY};
 use crate::join::{
@@ -44,6 +49,7 @@ use crate::plan::PlanExpr;
 use crate::query::{BoundQuery, ColId};
 use crate::OptimizerConfig;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use sysr_catalog::Catalog;
 
@@ -196,6 +202,8 @@ struct SearchOutcome {
     stats: EnumerationStats,
     arena: PlanArena,
     memo: HashMap<TableSet, SlotStore>,
+    /// The candidate table the arena's scan nodes name.
+    cands: Vec<AccessCandidate>,
     /// Interner snapshot that decodes the memo's slot indexes (the
     /// relaxed fallback re-runs with its own enumerator, so the outcome
     /// must carry the interner that produced it).
@@ -205,6 +213,22 @@ struct SearchOutcome {
     /// True if the heuristic stranded the full set and the search re-ran
     /// with `defer_cartesian` off.
     relaxed: bool,
+}
+
+impl SearchOutcome {
+    /// One subset's stored plans with their order keys, sorted by key.
+    fn entries(&self, slots: &SlotStore) -> Vec<(OrderKey, PlanExpr)> {
+        let mut entries: Vec<(OrderKey, PlanExpr)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(kid, slot)| {
+                let key = self.keys.get(dense_id(kid));
+                slot.map(|id| (key.clone(), self.arena.materialize(id, &self.cands)))
+            })
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
 }
 
 /// One unit of DP work: extend subset `set` by joining relation `t` last.
@@ -224,43 +248,42 @@ struct ItemOut {
     generated: u64,
 }
 
-/// Per-search memo for [`access_paths`]: its output is a pure function
-/// of `(table, applicable factor set)` — a factor is applicable exactly
-/// when all its non-local operand tables are available, which also makes
-/// every probe operand resolvable — so candidates are keyed by the
-/// factor bitmask and reused across subsets. Disabled for blocks with
-/// more than 64 factors (no bitmask; correctness falls back to direct
-/// calls).
+/// The search's candidate table and a memo for [`access_paths`]: its
+/// output is a pure function of `(table, applicable factor set)` — a
+/// factor is applicable exactly when all its non-local operand tables are
+/// available, which also makes every probe operand resolvable — so each
+/// distinct call's candidates are appended to `cands` once, keyed by the
+/// factor bitmask, and reused across subsets by [`CandId`] range. Blocks
+/// with more than 64 factors (no bitmask) append a fresh range per call.
 struct AccessCache {
-    map: HashMap<(usize, u64), Rc<Vec<AccessCandidate>>>,
+    map: HashMap<(usize, u64), Range<CandId>>,
+    cands: Vec<AccessCandidate>,
     enabled: bool,
 }
 
 impl AccessCache {
     fn new(n_factors: usize) -> Self {
-        AccessCache { map: HashMap::new(), enabled: n_factors <= 64 }
+        AccessCache { map: HashMap::new(), cands: Vec::new(), enabled: n_factors <= 64 }
     }
 
-    fn paths(
-        &mut self,
-        ctx: &PlanCtx<'_>,
-        t: usize,
-        available: TableSet,
-    ) -> Rc<Vec<AccessCandidate>> {
-        if !self.enabled {
-            return Rc::new(access_paths(ctx, t, available));
-        }
+    fn paths(&mut self, ctx: &PlanCtx<'_>, t: usize, available: TableSet) -> Range<CandId> {
         let me = TableSet::single(t);
-        let mut mask = 0u64;
-        for (i, f) in ctx.query.factors.iter().enumerate() {
-            if f.tables.contains(t) && f.tables.minus(me).is_subset_of(available) {
-                mask |= 1u64 << i;
-            }
+        let key = self.enabled.then(|| {
+            let applicable = ctx.query.factors.iter().enumerate().filter(|(_, f)| {
+                f.tables.contains(t) && f.tables.minus(me).is_subset_of(available)
+            });
+            (t, applicable.fold(0u64, |mask, (i, _)| mask | 1u64 << i))
+        });
+        if let Some(range) = key.and_then(|k| self.map.get(&k)) {
+            return range.clone();
         }
-        self.map
-            .entry((t, mask))
-            .or_insert_with(|| Rc::new(access_paths(ctx, t, available)))
-            .clone()
+        let start = dense_id(self.cands.len());
+        self.cands.extend(access_paths(ctx, t, available));
+        let range = start..dense_id(self.cands.len());
+        if let Some(k) = key {
+            self.map.insert(k, range.clone());
+        }
+        range
     }
 }
 
@@ -280,7 +303,7 @@ struct MergeScaffold {
     /// Interned key of a sort on `outer_col` (for unsorted outers).
     outer_sort_key: KeyId,
     /// Merge inner variants: scratch node + residual factors.
-    inner_variants: Vec<(NodeId, Vec<usize>)>,
+    inner_variants: Vec<(NodeId, Rc<[usize]>)>,
 }
 
 /// The join-order enumerator for one query block.
@@ -323,17 +346,7 @@ impl<'a> Enumerator<'a> {
         let mut reports: Vec<SubsetReport> = o
             .memo
             .iter()
-            .map(|(&set, slots)| {
-                let mut entries: Vec<(OrderKey, PlanExpr)> = slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(kid, slot)| {
-                        slot.map(|id| (o.keys.get(dense_id(kid)).clone(), o.arena.materialize(id)))
-                    })
-                    .collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                SubsetReport { set, entries }
-            })
+            .map(|(&set, slots)| SubsetReport { set, entries: o.entries(slots) })
             .collect();
         reports.sort_by_key(|r| (r.set.len(), r.set.0));
         (o.best, o.stats, reports)
@@ -356,14 +369,7 @@ impl<'a> Enumerator<'a> {
             .memo
             .iter()
             .map(|(&set, slots)| {
-                let mut entries: Vec<(OrderKey, PlanExpr)> = slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(kid, slot)| {
-                        slot.map(|id| (o.keys.get(dense_id(kid)).clone(), o.arena.materialize(id)))
-                    })
-                    .collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
+                let entries = o.entries(slots);
                 // Distinct plans: the cheapest-overall slot usually aliases
                 // one of the order slots; count each stored plan once.
                 let mut distinct: Vec<&PlanExpr> = Vec::new();
@@ -469,9 +475,10 @@ impl<'a> Enumerator<'a> {
         self.ctx.orders.class_of(col).map(|c| self.class_keys[c]).unwrap_or(EMPTY_KEY)
     }
 
-    fn push_scan(&self, wa: &mut WorkArena<'_>, cand: &AccessCandidate) -> NodeId {
+    fn push_scan(&self, wa: &mut WorkArena<'_>, cands: &[AccessCandidate], c: CandId) -> NodeId {
+        let cand = &cands[c as usize];
         wa.push(ArenaNode {
-            kind: NodeKind::Scan { scan: cand.scan.clone(), order: cand.order.clone() },
+            kind: NodeKind::Scan(c),
             cost: cand.cost,
             rows: cand.out_rows,
             key: self.scan_key(cand),
@@ -504,47 +511,47 @@ impl<'a> Enumerator<'a> {
         })
     }
 
-    /// Build the per-item scaffolding: nested-loop inners pushed once and
-    /// merge variants with residuals, shared across every outer plan.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the DP item's sets, cardinality and candidate lists are already split out \
-                  by the caller"
-    )]
+    /// Build the per-item scaffolding for joining `t` last into `set`:
+    /// nested-loop inners (the `probe` candidates) pushed once and merge
+    /// variants over the `local` candidates with their residuals, shared
+    /// across every outer plan.
     fn build_scaffold(
         &self,
         wa: &mut WorkArena<'_>,
+        cands: &[AccessCandidate],
         t: usize,
         set: TableSet,
-        s_prime: TableSet,
-        rows_out: f64,
-        probe: &[AccessCandidate],
-        local: &[AccessCandidate],
+        probe: Range<CandId>,
+        local: Range<CandId>,
     ) -> ItemScaffold {
+        let s_prime = set.minus(TableSet::single(t));
         let probes: Vec<(NodeId, Option<f64>)> = probe
-            .iter()
-            .map(|cand| (self.push_scan(wa, cand), self.inner_footprint(t, cand)))
+            .map(|c| (self.push_scan(wa, cands, c), self.inner_footprint(t, &cands[c as usize])))
             .collect();
         // Local scan nodes are pushed lazily, once, and shared across the
         // merge keys that use them.
         let mut local_nodes: Vec<Option<NodeId>> = vec![None; local.len()];
+        let mut local_node = |wa: &mut WorkArena<'_>, c: CandId| {
+            *local_nodes[(c - local.start) as usize]
+                .get_or_insert_with(|| self.push_scan(wa, cands, c))
+        };
         let mut merges = Vec::new();
         for (fidx, outer_col, inner_col) in self.merge_keys(t, s_prime) {
-            let mut inner_variants: Vec<(NodeId, Vec<usize>)> = Vec::new();
+            let mut inner_variants: Vec<(NodeId, Rc<[usize]>)> = Vec::new();
             // Inner side: an ordered access path on the join column (local
             // predicates only), or sort the cheapest local path.
-            for (ci, cand) in local.iter().enumerate() {
+            for c in local.clone() {
+                let cand = &cands[c as usize];
                 if cand.order.first() == Some(&inner_col) {
-                    let node = *local_nodes[ci].get_or_insert_with(|| self.push_scan(wa, cand));
-                    let mut applied = cand.applied.clone();
-                    applied.push(fidx);
-                    inner_variants.push((node, self.residual_factors(t, set, &applied)));
+                    let residual = self.residual_factors(t, set, &cand.applied, fidx);
+                    inner_variants.push((local_node(wa, c), residual));
                 }
             }
-            if let Some((ci, cheapest)) = local.iter().enumerate().min_by(|a, b| {
-                self.ctx.model.total(a.1.cost).total_cmp(&self.ctx.model.total(b.1.cost))
+            if let Some(c) = local.clone().min_by(|&a, &b| {
+                let total = |c: CandId| self.ctx.model.total(cands[c as usize].cost);
+                total(a).total_cmp(&total(b))
             }) {
-                let node = *local_nodes[ci].get_or_insert_with(|| self.push_scan(wa, cheapest));
+                let node = local_node(wa, c);
                 let sorted = self.push_sort(
                     wa,
                     node,
@@ -552,9 +559,8 @@ impl<'a> Enumerator<'a> {
                     self.ctx.width(t),
                     self.class_key(inner_col),
                 );
-                let mut applied = cheapest.applied.clone();
-                applied.push(fidx);
-                inner_variants.push((sorted, self.residual_factors(t, set, &applied)));
+                let residual = self.residual_factors(t, set, &cands[c as usize].applied, fidx);
+                inner_variants.push((sorted, residual));
             }
             merges.push(MergeScaffold {
                 outer_col,
@@ -563,12 +569,19 @@ impl<'a> Enumerator<'a> {
                 inner_variants,
             });
         }
-        ItemScaffold { rows_out, probes, merges }
+        ItemScaffold { rows_out: self.ctx.subset_rows(set), probes, merges }
     }
 
-    /// Residual factors of a merge: every factor newly in scope that the
-    /// inner scan and merge key do not already enforce.
-    fn residual_factors(&self, t: usize, set: TableSet, applied: &[usize]) -> Vec<usize> {
+    /// Residual factors of a merge on factor `fidx`: every factor newly in
+    /// scope that the inner scan (`applied`) and the merge key do not
+    /// already enforce.
+    fn residual_factors(
+        &self,
+        t: usize,
+        set: TableSet,
+        applied: &[usize],
+        fidx: usize,
+    ) -> Rc<[usize]> {
         self.ctx
             .query
             .factors
@@ -578,6 +591,7 @@ impl<'a> Enumerator<'a> {
                 !f.tables.is_empty()
                     && f.tables.contains(t)
                     && f.tables.is_subset_of(set)
+                    && *i != fidx
                     && !applied.contains(i)
             })
             .map(|(i, _)| i)
@@ -641,7 +655,7 @@ impl<'a> Enumerator<'a> {
                         inner: *inner,
                         outer_key: m.outer_col,
                         inner_key: m.inner_col,
-                        residual: residual.clone(),
+                        residual: Rc::clone(residual),
                     },
                     cost,
                     rows: sc.rows_out,
@@ -692,38 +706,34 @@ impl<'a> Enumerator<'a> {
         let mut wa = WorkArena::new(main);
         let mut slots: Vec<Option<(NodeId, f64)>> = vec![None; self.keys.len()];
         let mut generated = 0u64;
-        if item.set.len() == 1 {
+        let s_prime = item.set.minus(TableSet::single(item.t));
+        if s_prime.is_empty() {
             // Level 1: every access path for the single relation.
-            let local = cache.paths(&self.ctx, item.t, TableSet::EMPTY);
-            for cand in local.iter() {
-                let id = self.push_scan(&mut wa, cand);
+            for c in cache.paths(&self.ctx, item.t, TableSet::EMPTY) {
+                let id = self.push_scan(&mut wa, &cache.cands, c);
                 self.consider(&wa, &mut slots, id, &mut generated);
             }
-        } else {
-            let s_prime = item.set.minus(TableSet::single(item.t));
-            if let Some(outer_slots) = memo.get(&s_prime) {
-                let rows_out = self.ctx.subset_rows(item.set);
-                let probe = cache.paths(&self.ctx, item.t, s_prime);
-                let local = cache.paths(&self.ctx, item.t, TableSet::EMPTY);
-                let sc = self
-                    .build_scaffold(&mut wa, item.t, item.set, s_prime, rows_out, &probe, &local);
-                for outer in outer_slots.iter().flatten().copied() {
-                    self.extend_outer(&mut wa, &sc, s_prime, outer, &mut |wa, id| {
-                        self.consider(wa, &mut slots, id, &mut generated);
-                    });
-                }
+        } else if let Some(outer_slots) = memo.get(&s_prime) {
+            let probe = cache.paths(&self.ctx, item.t, s_prime);
+            let local = cache.paths(&self.ctx, item.t, TableSet::EMPTY);
+            let sc = self.build_scaffold(&mut wa, &cache.cands, item.t, item.set, probe, local);
+            for outer in outer_slots.iter().flatten().copied() {
+                self.extend_outer(&mut wa, &sc, s_prime, outer, &mut |wa, id| {
+                    self.consider(wa, &mut slots, id, &mut generated);
+                });
             }
         }
         ItemOut { slots, scratch: wa.local, generated }
     }
 
     /// The DP proper: build every level's solutions. Returns the arena,
-    /// memo, and per-subset generated counts; `stats` accumulates the
-    /// run's counters.
+    /// memo, per-subset generated counts and the candidate table the
+    /// arena's scans name; `stats` accumulates the run's counters.
     fn search_levels(
         &self,
         stats: &mut EnumerationStats,
-    ) -> (PlanArena, HashMap<TableSet, SlotStore>, HashMap<TableSet, u64>) {
+    ) -> (PlanArena, HashMap<TableSet, SlotStore>, HashMap<TableSet, u64>, Vec<AccessCandidate>)
+    {
         let n = self.ctx.query.tables.len();
         let mut arena = PlanArena::default();
         let mut memo: HashMap<TableSet, SlotStore> = HashMap::new();
@@ -734,36 +744,24 @@ impl<'a> Enumerator<'a> {
 
         // ---- level by level (Figs. 2-6): singles, then larger subsets ----
         for k in 1..=n {
-            let mut subsets: Vec<TableSet> = Vec::new();
+            let subsets: Vec<TableSet> = TableSet::subsets_of_size(n, k).collect();
             let mut items: Vec<WorkItem> = Vec::new();
-            if k == 1 {
-                for t in 0..n {
-                    subsets.push(TableSet::single(t));
-                    items.push(WorkItem { set: TableSet::single(t), t });
-                }
-            } else {
-                for set in TableSet::subsets_of_size(n, k) {
-                    subsets.push(set);
+            for &set in &subsets {
+                for t in set.iter() {
+                    let s_prime = set.minus(TableSet::single(t));
                     // Which relations may join last? The paper's heuristic:
                     // only orderings "which have join predicates relating
                     // the inner relation to the other relations already
                     // participating in the join" — a Cartesian extension is
                     // allowed only when nothing connected could extend the
                     // outer instead, so products are "performed as late in
-                    // the join sequence as possible".
-                    let members: Vec<usize> = set.iter().collect();
-                    let chosen: Vec<usize> = if self.ctx.config.defer_cartesian {
-                        let ok: Vec<usize> = members
-                            .iter()
-                            .copied()
-                            .filter(|&t| self.extension_allowed(t, set.minus(TableSet::single(t))))
-                            .collect();
-                        stats.heuristic_skips += (members.len() - ok.len()) as u64;
-                        ok
-                    } else {
-                        members
-                    };
-                    for t in chosen {
+                    // the join sequence as possible". Of the allowed ones,
+                    // only an outer with a plan yields candidates.
+                    if self.ctx.config.defer_cartesian && !self.extension_allowed(t, s_prime) {
+                        stats.heuristic_skips += 1;
+                    } else if s_prime.is_empty()
+                        || memo.get(&s_prime).is_some_and(|o| o.iter().any(Option::is_some))
+                    {
                         items.push(WorkItem { set, t });
                     }
                 }
@@ -772,7 +770,7 @@ impl<'a> Enumerator<'a> {
 
             // Scratch ids minted by the items start at the frozen arena
             // length; capture it before commits grow the arena.
-            let base = dense_id(arena.len());
+            let base = dense_id(arena.nodes.len());
             let results: Vec<ItemOut> = items
                 .iter()
                 .map(|it| self.solve_item(it, &arena.nodes, &memo, &mut cache))
@@ -814,7 +812,7 @@ impl<'a> Enumerator<'a> {
                 memo.insert(set, committed);
             }
         }
-        (arena, memo, generated)
+        (arena, memo, generated, cache.cands)
     }
 
     fn run_search(&self) -> SearchOutcome {
@@ -822,7 +820,7 @@ impl<'a> Enumerator<'a> {
         let mut stats = EnumerationStats::default();
         let n = self.ctx.query.tables.len();
         assert!(n > 0, "query block has no tables");
-        let (arena, memo, generated) = self.search_levels(&mut stats);
+        let (arena, memo, generated, cands) = self.search_levels(&mut stats);
 
         // ---- final choice: required order vs. cheapest + sort -------------
         let full = TableSet::full(n);
@@ -860,7 +858,7 @@ impl<'a> Enumerator<'a> {
             )]
             let id =
                 sols[Self::slot_index(EMPTY_KEY)].expect("cheapest-overall slot always filled");
-            arena.materialize(id)
+            arena.materialize(id, &cands)
         } else {
             let ordered = sols
                 .iter()
@@ -883,7 +881,8 @@ impl<'a> Enumerator<'a> {
             let keys_cols = self.ctx.query.required_order();
             // Enforcement candidate: a full sort over the cheapest plan
             // overall…
-            let mut sorted = sort_plan(arena.materialize(unordered), keys_cols.clone(), width);
+            let mut sorted =
+                sort_plan(arena.materialize(unordered, &cands), keys_cols.clone(), width);
             // …or a partial sort over any slot whose order already covers
             // a non-empty prefix of the requirement — the plan may cost
             // more to produce but only within-run sorting remains. Only
@@ -908,7 +907,7 @@ impl<'a> Enumerator<'a> {
                 let cost = partial_sort_cost(n.cost, n.rows, width, runs);
                 if self.ctx.model.better(cost, sorted.cost) {
                     sorted = partial_sort_plan(
-                        arena.materialize(id),
+                        arena.materialize(id, &cands),
                         keys_cols.clone(),
                         prefix,
                         width,
@@ -916,7 +915,7 @@ impl<'a> Enumerator<'a> {
                     );
                 }
             }
-            match ordered.map(|id| arena.materialize(id)) {
+            match ordered.map(|id| arena.materialize(id, &cands)) {
                 Some(o) if self.ctx.model.better(o.cost, sorted.cost) => o,
                 _ => sorted,
             }
@@ -927,6 +926,7 @@ impl<'a> Enumerator<'a> {
             stats,
             arena,
             memo,
+            cands,
             keys: self.keys.clone(),
             generated,
             relaxed: false,
@@ -945,14 +945,14 @@ impl<'a> Enumerator<'a> {
         for t in 0..n {
             let mut wa = WorkArena::new(&arena.nodes);
             let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
-            let ids: Vec<NodeId> = local.iter().map(|c| self.push_scan(&mut wa, c)).collect();
+            let ids: Vec<NodeId> =
+                local.map(|c| self.push_scan(&mut wa, &cache.cands, c)).collect();
             let WorkArena { local: scratch, .. } = wa;
             arena.nodes.extend(scratch);
             memo.insert(TableSet::single(t), ids);
         }
         for k in 2..=n {
             for set in TableSet::subsets_of_size(n, k) {
-                let rows_out = self.ctx.subset_rows(set);
                 let mut refs: Vec<NodeId> = Vec::new();
                 let mut wa = WorkArena::new(&arena.nodes);
                 'extend: for t in set.iter() {
@@ -960,8 +960,7 @@ impl<'a> Enumerator<'a> {
                     let Some(outers) = memo.get(&s_prime) else { continue };
                     let probe = cache.paths(&self.ctx, t, s_prime);
                     let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
-                    let sc =
-                        self.build_scaffold(&mut wa, t, set, s_prime, rows_out, &probe, &local);
+                    let sc = self.build_scaffold(&mut wa, &cache.cands, t, set, probe, local);
                     for &outer in outers {
                         self.extend_outer(&mut wa, &sc, s_prime, outer, &mut |_, id| {
                             refs.push(id);
@@ -983,7 +982,7 @@ impl<'a> Enumerator<'a> {
             .remove(&TableSet::full(n))
             .unwrap_or_default()
             .into_iter()
-            .map(|id| arena.materialize(id))
+            .map(|id| arena.materialize(id, &cache.cands))
             .collect();
         // Apply the same required-order discipline as `best_plan`, so every
         // returned plan answers the query (including its ORDER BY /
@@ -1045,7 +1044,8 @@ impl<'a> Enumerator<'a> {
         let mut frontier: Vec<NodeId> = {
             let mut wa = WorkArena::new(&arena.nodes);
             let local = cache.paths(&self.ctx, order[0], TableSet::EMPTY);
-            let ids: Vec<NodeId> = local.iter().map(|c| self.push_scan(&mut wa, c)).collect();
+            let ids: Vec<NodeId> =
+                local.map(|c| self.push_scan(&mut wa, &cache.cands, c)).collect();
             let WorkArena { local: scratch, .. } = wa;
             arena.nodes.extend(scratch);
             ids
@@ -1053,11 +1053,10 @@ impl<'a> Enumerator<'a> {
         let mut joined = TableSet::single(order[0]);
         for &t in &order[1..] {
             let set = joined.union(TableSet::single(t));
-            let rows_out = self.ctx.subset_rows(set);
             let probe = cache.paths(&self.ctx, t, joined);
             let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
             let mut wa = WorkArena::new(&arena.nodes);
-            let sc = self.build_scaffold(&mut wa, t, set, joined, rows_out, &probe, &local);
+            let sc = self.build_scaffold(&mut wa, &cache.cands, t, set, probe, local);
             let mut next: Vec<NodeId> = Vec::new();
             for &outer in &frontier {
                 self.extend_outer(&mut wa, &sc, joined, outer, &mut |_, id| next.push(id));
@@ -1078,7 +1077,7 @@ impl<'a> Enumerator<'a> {
         }
         // Same required-order discipline as `best_plan` / `all_plans`.
         let complete: Vec<PlanExpr> =
-            frontier.into_iter().map(|id| arena.materialize(id)).collect();
+            frontier.into_iter().map(|id| arena.materialize(id, &cache.cands)).collect();
         self.apply_required_order(complete)
             .into_iter()
             .min_by(|a, b| self.ctx.model.total(a.cost).total_cmp(&self.ctx.model.total(b.cost)))
@@ -1273,6 +1272,37 @@ mod tests {
         let e = Enumerator::new(cat, &q, config);
         let (plan, stats) = e.best_plan();
         (plan, stats)
+    }
+
+    #[test]
+    fn cost_tie_keeps_the_first_candidate() {
+        // Two indexes with equal statistics on the same column price
+        // every path through them identically; the search keeps the first
+        // minimum of its candidate stream, which is the first-registered
+        // index — in the cheapest-overall slot and in an order slot.
+        let mut cat = chain_catalog(2);
+        let t1 = cat.relation_by_name("T1").unwrap().id;
+        cat.register_index(2, "T1_K_TWIN", t1, vec![0], true, false).unwrap();
+        let stats = cat.index(1).unwrap().stats.clone();
+        cat.set_index_stats(2, stats);
+        for sql in ["SELECT K FROM T1 WHERE K = 5", "SELECT K FROM T1 WHERE K > 990 ORDER BY K"] {
+            let (plan, _) = best_for(&cat, sql, OptimizerConfig::default());
+            assert_eq!(index_scans(&plan), vec![1], "{sql}: {plan:?}");
+        }
+    }
+
+    /// The indexes a plan scans, left to right.
+    fn index_scans(p: &PlanExpr) -> Vec<u32> {
+        match &p.node {
+            PlanNode::Scan(s) => match &s.access {
+                Access::Index { index, .. } => vec![*index],
+                Access::Segment => vec![],
+            },
+            PlanNode::NestedLoop { outer, inner } | PlanNode::Merge { outer, inner, .. } => {
+                [index_scans(outer), index_scans(inner)].concat()
+            }
+            PlanNode::Sort { input, .. } => index_scans(input),
+        }
     }
 
     #[test]
@@ -1530,6 +1560,12 @@ mod tests {
         assert_eq!(trace.pruned() + trace.surviving(), trace.stats.plans_considered);
     }
 
+    /// `(subsets_examined, plans_considered, plans_kept, heuristic_skips,
+    /// solution_bytes)` — every [`EnumerationStats`] field but the clock.
+    fn search_size(s: &EnumerationStats) -> (u64, u64, u64, u64, u64) {
+        (s.subsets_examined, s.plans_considered, s.plans_kept, s.heuristic_skips, s.solution_bytes)
+    }
+
     #[test]
     fn chain6_search_size_is_pinned() {
         // The search is deterministic, so its size is a constant of the
@@ -1539,9 +1575,119 @@ mod tests {
         let cat = chain_catalog(6);
         let sql = chain_sql(6);
         let (_, with) = best_for(&cat, &sql, OptimizerConfig::default());
-        assert_eq!(with.plans_considered, 342);
+        assert_eq!(search_size(&with), (63, 342, 71, 58, 95_280));
         let relaxed = OptimizerConfig { defer_cartesian: false, ..OptimizerConfig::default() };
         let (_, without) = best_for(&cat, &sql, relaxed);
         assert_eq!(without.plans_considered, 2016);
+        // The chain-8 and star-6 rows of `results/exp_scaling.txt`, on
+        // catalogs of the same shape and size as those databases.
+        let (_, chain8) = best_for(&uniform_chain_catalog(8), &chain_sql(8), Default::default());
+        assert_eq!(search_size(&chain8), (255, 772, 148, 312, 264_000));
+        let (_, star6) = best_for(&star_catalog(5), &star_sql(5), Default::default());
+        assert_eq!(search_size(&star6), (63, 991, 122, 75, 182_880));
+    }
+
+    #[test]
+    fn disconnected_join_graph_takes_the_cartesian_extension() {
+        // Two 3-chains with no predicate between them: no 4-subset is
+        // connected, so the search must cross them by the Cartesian
+        // extension the heuristic permits once nothing connected is left
+        // — without the relaxed fallback, and with the same plan and
+        // search size as before work items were limited to outers that
+        // have a plan.
+        let cat = chain_catalog(6);
+        let sql = "SELECT T0.K FROM T0,T1,T2,T3,T4,T5 WHERE T0.FK = T1.K AND T1.FK = T2.K \
+                   AND T3.FK = T4.K AND T4.FK = T5.K";
+        let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
+        let q = bind_select(&cat, &stmt).unwrap();
+        let e = Enumerator::new(&cat, &q, OptimizerConfig::default());
+        let (plan, stats, trace) = e.best_plan_traced();
+        assert!(!trace.relaxed_fallback);
+        assert_eq!(search_size(&stats), (63, 270, 65, 68, 95_760));
+        assert_eq!(
+            e.shape(&plan),
+            "(((((T0 \u{22c8}nl T1) \u{22c8}nl T2) \u{22c8}nl T3) \u{22c8}nl T4) \u{22c8}nl T5)"
+        );
+        assert_eq!(plan.cost, crate::cost::Cost::new(300.0, 12_003_000.0));
+        assert_eq!(plan.node_count(), 11);
+    }
+
+    /// `n` relations `T{i}(K, FK, PAD)` of 300 rows on 4 pages, unique
+    /// index on `K` — the statistics `exp_scaling`'s `chain` databases
+    /// load with.
+    fn uniform_chain_catalog(n: u32) -> Catalog {
+        let mut cat = Catalog::new();
+        for i in 0..n {
+            let cols = vec![
+                ColumnMeta::new("K", ColType::Int),
+                ColumnMeta::new("FK", ColType::Int),
+                ColumnMeta::new("PAD", ColType::Str),
+            ];
+            let r = cat.create_relation(&format!("T{i}"), i, cols).unwrap();
+            cat.set_relation_stats(
+                r,
+                RelStats { ncard: 300, tcard: 4, pfrac: 1.0, avg_width: 40.0, valid: true },
+            );
+            cat.register_index(i, &format!("T{i}_K"), r, vec![0], true, false).unwrap();
+            cat.set_index_stats(
+                i,
+                IndexStats {
+                    icard: 300,
+                    nindx: 4,
+                    leaf_pages: 3,
+                    low_key: Some(Value::Int(0)),
+                    high_key: Some(Value::Int(299)),
+                    valid: true,
+                },
+            );
+        }
+        cat
+    }
+
+    /// A star: `FACT(D0 … D{dims-1}, PAD)` with 500 rows, joined on `D{d}`
+    /// to `dims` 60-row dimensions `DIM{d}(K, NAME)` with a unique index
+    /// on `K` — the shape of the `star` rows of `exp_scaling`.
+    fn star_catalog(dims: u32) -> Catalog {
+        let mut cat = Catalog::new();
+        let mut cols: Vec<ColumnMeta> =
+            (0..dims).map(|d| ColumnMeta::new(format!("D{d}"), ColType::Int)).collect();
+        cols.push(ColumnMeta::new("PAD", ColType::Str));
+        let fact = cat.create_relation("FACT", 0, cols).unwrap();
+        cat.set_relation_stats(
+            fact,
+            RelStats { ncard: 500, tcard: 10, pfrac: 1.0, avg_width: 60.0, valid: true },
+        );
+        for d in 0..dims {
+            let r = cat
+                .create_relation(
+                    &format!("DIM{d}"),
+                    d + 1,
+                    vec![ColumnMeta::new("K", ColType::Int), ColumnMeta::new("NAME", ColType::Str)],
+                )
+                .unwrap();
+            cat.set_relation_stats(
+                r,
+                RelStats { ncard: 60, tcard: 1, pfrac: 1.0, avg_width: 20.0, valid: true },
+            );
+            cat.register_index(d, &format!("DIM{d}_K"), r, vec![0], true, false).unwrap();
+            cat.set_index_stats(
+                d,
+                IndexStats {
+                    icard: 60,
+                    nindx: 1,
+                    leaf_pages: 1,
+                    low_key: Some(Value::Int(0)),
+                    high_key: Some(Value::Int(59)),
+                    valid: true,
+                },
+            );
+        }
+        cat
+    }
+
+    fn star_sql(dims: u32) -> String {
+        let dim_names: Vec<String> = (0..dims).map(|d| format!("DIM{d}")).collect();
+        let joins: Vec<String> = (0..dims).map(|d| format!("FACT.D{d} = DIM{d}.K")).collect();
+        format!("SELECT FACT.PAD FROM FACT,{} WHERE {}", dim_names.join(","), joins.join(" AND "))
     }
 }

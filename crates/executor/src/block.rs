@@ -180,21 +180,27 @@ impl<'a> BlockRt<'a> {
             return Ok(v);
         }
         // Correlated: key on the free outer values as seen from the
-        // subquery (level 1 = this block's current row).
-        let mut stack = self.outer_stack.clone();
-        stack.push(current_row.clone());
+        // subquery (level 1 = this block's current row), read from the
+        // borrowed rows; the stack is cloned only on a memo miss.
         let key: Vec<Value> = self.free_refs[i]
             .iter()
             .map(|&(level, col)| {
-                let idx = stack.len().checked_sub(level).ok_or_else(|| {
+                let idx = (self.outer_stack.len() + 1).checked_sub(level).ok_or_else(|| {
                     ExecError::Internal(format!("correlation level {level} underflows"))
                 })?;
-                Ok(row_value(&stack[idx], col).cloned().unwrap_or(Value::Null))
+                let row = if idx == self.outer_stack.len() {
+                    current_row
+                } else {
+                    &self.outer_stack[idx]
+                };
+                Ok(row_value(row, col).cloned().unwrap_or(Value::Null))
             })
             .collect::<ExecResult<_>>()?;
         if let Some(v) = self.substates[i].memo.get(&key) {
             return Ok(v.clone());
         }
+        let mut stack = self.outer_stack.clone();
+        stack.push(current_row.clone());
         let rows = execute_block_at(self.env, subplan, stack, sub_base)?;
         let v = convert_sub_result(rows, def.scalar)?;
         self.substates[i].memo.insert(key, v.clone());

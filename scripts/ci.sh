@@ -30,6 +30,21 @@ cargo test --release -p sysr-rss
 # tests and the EXPLAIN ANALYZE goldens must hold in the build that ships.
 cargo test --release -p sysr-executor
 cargo test --release --test sql_correctness --test explain_analyze
+# The join-order search is deterministic, so its output is a golden: the
+# Fig. 1-6 search tree must equal results/fig_search_tree.txt with the µs
+# figure on its `search:` line masked, and exp_scaling's plans, kept,
+# skips and bytes columns (everything but µs) must equal the committed
+# results/exp_scaling.txt. A change to candidate generation or pruning
+# fails here unless it regenerates both files on purpose. (Neither output
+# holds a cost tie; the keep-the-first tie rule is pinned by a unit test.)
+out=$(mktemp -d)
+mask_us='s/, [0-9]* µs$/, _ µs/'
+cargo run --release -p sysr-bench --bin fig_search_tree | sed "$mask_us" > "$out/fig_search_tree.txt"
+sed "$mask_us" results/fig_search_tree.txt | diff - "$out/fig_search_tree.txt"
+size_cols='NF == 8 && $2 ~ /^[0-9]+$/ { print $1, $2, $3, $4, $5, $6, $8 }'
+cargo run --release -p sysr-bench --bin exp_scaling | awk "$size_cols" > "$out/exp_scaling.txt"
+awk "$size_cols" results/exp_scaling.txt | diff - "$out/exp_scaling.txt"
+rm -r "$out"
 # DML by RID: the seeded INSERT/UPDATE/DELETE oracle (affected rows,
 # segment and every index against a Vec model after each statement) ends
 # with save -> open on real page files, so it also runs optimized — the
