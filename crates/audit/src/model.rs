@@ -46,8 +46,8 @@ use std::sync::{Arc, Mutex as StdMutex};
 use sysr_rss::pagefile::stamp_page;
 use sysr_rss::sync::model::{execute, preemptions_of, ModelRun, Policy};
 use sysr_rss::{
-    FileId, MemBackend, PageBackend, PageKey, ShardedBufferPool, SharedBackend, SplitMix64,
-    VersionedCache, PAGE_SIZE,
+    FileId, MemBackend, PageBackend, PageImage, PageKey, ShardedBufferPool, SharedBackend,
+    SplitMix64, VersionedCache, PAGE_SIZE,
 };
 
 /// Violation classes this engine can emit.
@@ -145,7 +145,7 @@ fn backend_with(pages: u32, log: &Log) -> Arc<SharedBackend> {
         let mut img = [0u8; PAGE_SIZE];
         img[PAGE_SIZE - 1] = p as u8;
         stamp_page(&mut img, p + 1);
-        let _ = log_err(log, "backend preload", b.write_page(seg_key(p), &img));
+        let _ = log_err(log, "backend preload", b.write_page(seg_key(p), &PageImage::new(img)));
     }
     Arc::new(SharedBackend::new(Box::new(b)))
 }
@@ -170,6 +170,7 @@ fn build_dirty_victim() -> (Bodies, Log) {
     let mut img = [0u8; PAGE_SIZE];
     img[PAGE_SIZE - 1] = DIRTY_MARK;
     stamp_page(&mut img, 99);
+    let img = PageImage::new(img);
     let _ = log_err(&log, "setup dirty p0", pool.write_through(seg_key(0), &img, &backend));
     let _ = log_err(&log, "setup read p1", pool.read(seg_key(1), &backend));
 

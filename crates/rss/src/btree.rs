@@ -38,7 +38,7 @@
 
 use crate::codec;
 use crate::error::{RssError, RssResult};
-use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::page::{PageImage, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::rid::Rid;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -697,8 +697,8 @@ impl BTreeIndex {
     /// Serialize node `id` into a fresh page image (payload after the page
     /// header; bytes 8..16 stay free for the recovery stamp). A freed
     /// arena slot encodes as an all-zero payload.
-    pub fn encode_node_page(&self, id: u32) -> RssResult<Box<[u8; PAGE_SIZE]>> {
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
+    pub fn encode_node_page(&self, id: u32) -> RssResult<PageImage> {
+        let mut image = PageImage::new([0u8; PAGE_SIZE]);
         let Some(slot) = self.nodes.get(id as usize) else {
             return Err(RssError::Corrupt(format!(
                 "node page {id} out of range in index {}",
@@ -706,7 +706,7 @@ impl BTreeIndex {
             )));
         };
         let Some(node) = slot else {
-            return Ok(buf);
+            return Ok(image);
         };
         let mut out = Vec::with_capacity(256);
         match node {
@@ -738,8 +738,9 @@ impl BTreeIndex {
                 out.len()
             )));
         }
-        buf[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + out.len()].copy_from_slice(&out);
-        Ok(buf)
+        std::sync::Arc::make_mut(&mut image)[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + out.len()]
+            .copy_from_slice(&out);
+        Ok(image)
     }
 
     /// Decode one node from a page payload written by
@@ -787,7 +788,7 @@ impl BTreeIndex {
         config: BTreeConfig,
         root: u32,
         entry_count: usize,
-        pages: &[Box<[u8; PAGE_SIZE]>],
+        pages: &[PageImage],
     ) -> RssResult<Self> {
         if key_arity == 0 || config.leaf_capacity < 2 || config.internal_capacity < 3 {
             return Err(RssError::Corrupt(format!("bad stored shape for index {id}")));
@@ -1091,8 +1092,9 @@ mod tests {
         let mut pages: Vec<_> =
             (0..t.node_slot_count() as u32).map(|id| t.encode_node_page(id).unwrap()).collect();
         // Truncate a leaf's entry count upward: decoding walks off the page.
-        pages[0][PAGE_HEADER_SIZE + 1] = 0xFF;
-        pages[0][PAGE_HEADER_SIZE + 2] = 0xFF;
+        let leaf = std::sync::Arc::make_mut(&mut pages[0]);
+        leaf[PAGE_HEADER_SIZE + 1] = 0xFF;
+        leaf[PAGE_HEADER_SIZE + 2] = 0xFF;
         let err = BTreeIndex::from_node_pages(0, 1, false, BTreeConfig::tiny(), 0, 50, &pages)
             .unwrap_err();
         assert!(matches!(err, RssError::Corrupt(_)));

@@ -64,7 +64,7 @@ pub mod value;
 pub use btree::{BTreeConfig, BTreeIndex, IndexId};
 pub use buffer::{FileId, IoStats, PageKey};
 pub use error::{RssError, RssResult};
-pub use page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
+pub use page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
 pub use pagefile::{DirBackend, FaultBackend, FaultOp, FileKind, MemBackend, PageBackend};
 pub use plancache::{VersionedCache, PLAN_CACHE_CAP};
 pub use prng::SplitMix64;

@@ -22,6 +22,7 @@
 )]
 
 use crate::error::{RssError, RssResult};
+use std::sync::Arc;
 
 /// Page size in bytes, as in System R.
 pub const PAGE_SIZE: usize = 4096;
@@ -30,6 +31,12 @@ pub const PAGE_HEADER_SIZE: usize = 16;
 /// Bytes per slot-directory entry.
 pub const SLOT_SIZE: usize = 8;
 
+/// A 4 KB page image as the buffer pool and the page backends pass it:
+/// one shared allocation, cloned by reference count. Whoever mutates an
+/// image that someone else still holds copies it first
+/// ([`Arc::make_mut`]), so a holder never sees a later change.
+pub type PageImage = Arc<[u8; PAGE_SIZE]>;
+
 const OFF_SLOT_COUNT: usize = 0;
 const OFF_LOWER: usize = 2;
 const OFF_UPPER: usize = 4;
@@ -37,10 +44,37 @@ const OFF_LIVE: usize = 6;
 
 const FLAG_LIVE: u16 = 1;
 
-/// A slotted 4 KB page.
+fn u16_at(bytes: &[u8; PAGE_SIZE], off: usize) -> u16 {
+    u16::from_le_bytes([bytes[off], bytes[off + 1]])
+}
+
+fn set_u16(bytes: &mut [u8; PAGE_SIZE], off: usize, v: u16) {
+    bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
+}
+
+fn write_slot(
+    bytes: &mut [u8; PAGE_SIZE],
+    slot: u16,
+    rel_id: u16,
+    offset: u16,
+    len: u16,
+    flags: u16,
+) {
+    let base = Page::slot_offset(slot);
+    set_u16(bytes, base, rel_id);
+    set_u16(bytes, base + 2, offset);
+    set_u16(bytes, base + 4, len);
+    set_u16(bytes, base + 6, flags);
+}
+
+/// A slotted 4 KB page. Its image is shared copy-on-write: after a flush
+/// the page backend (or a dirty buffer frame) holds the same allocation,
+/// and the first mutation after that copies it. Every mutator therefore
+/// checks what it can first and takes the image for writing last, so a
+/// rejected insert copies nothing.
 #[derive(Clone)]
 pub struct Page {
-    bytes: Box<[u8; PAGE_SIZE]>,
+    bytes: PageImage,
 }
 
 impl Default for Page {
@@ -52,39 +86,35 @@ impl Default for Page {
 impl Page {
     /// A fresh, empty page.
     pub fn new() -> Self {
-        let mut page = Page { bytes: Box::new([0; PAGE_SIZE]) };
-        page.set_u16(OFF_SLOT_COUNT, 0);
-        page.set_u16(OFF_LOWER, PAGE_HEADER_SIZE as u16);
-        page.set_u16(OFF_UPPER, PAGE_SIZE as u16);
-        page.set_u16(OFF_LIVE, 0);
-        page
-    }
-
-    /// Rebuild a page from a raw 4 KB image (a verified backend read).
-    pub fn from_bytes(bytes: Box<[u8; PAGE_SIZE]>) -> Self {
+        let mut bytes = Arc::new([0; PAGE_SIZE]);
+        let b = Arc::make_mut(&mut bytes);
+        set_u16(b, OFF_LOWER, PAGE_HEADER_SIZE as u16);
+        set_u16(b, OFF_UPPER, PAGE_SIZE as u16);
         Page { bytes }
     }
 
-    /// The raw page image, for stamping and backend writes. Bytes 8..16 of
+    /// Rebuild a page from a raw 4 KB image (a verified backend read).
+    pub fn from_image(bytes: PageImage) -> Self {
+        Page { bytes }
+    }
+
+    /// The page image, for stamping and backend writes. Bytes 8..16 of
     /// the header are unused by the slotted layout and carry the recovery
     /// stamp (checksum + LSN).
-    pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
+    pub fn image(&self) -> &PageImage {
         &self.bytes
     }
 
     /// Write the recovery stamp for `lsn` into header bytes 8..16 and
-    /// return the stamped image — the page is its own write buffer.
-    pub(crate) fn stamp(&mut self, lsn: u32) -> &[u8; PAGE_SIZE] {
-        crate::pagefile::stamp_page(&mut self.bytes, lsn);
+    /// return the stamped image — the page is its own write buffer, and
+    /// the handle it returns is what the pool and the backend keep.
+    pub(crate) fn stamp(&mut self, lsn: u32) -> &PageImage {
+        crate::pagefile::stamp_page(Arc::make_mut(&mut self.bytes), lsn);
         &self.bytes
     }
 
     fn u16_at(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.bytes[off], self.bytes[off + 1]])
-    }
-
-    fn set_u16(&mut self, off: usize, v: u16) {
-        self.bytes[off..off + 2].copy_from_slice(&v.to_le_bytes());
+        u16_at(&self.bytes, off)
     }
 
     /// Number of slot-directory entries (live and dead).
@@ -136,14 +166,6 @@ impl Page {
         )
     }
 
-    fn write_slot(&mut self, slot: u16, rel_id: u16, offset: u16, len: u16, flags: u16) {
-        let base = Self::slot_offset(slot);
-        self.set_u16(base, rel_id);
-        self.set_u16(base + 2, offset);
-        self.set_u16(base + 4, len);
-        self.set_u16(base + 6, flags);
-    }
-
     /// Whether an insertion of `len` tuple bytes would fit, counting the
     /// possible new slot entry.
     pub fn fits(&self, len: usize) -> bool {
@@ -167,20 +189,21 @@ impl Page {
         if need > self.free_space() {
             return None;
         }
-        let offset = self.lower();
-        self.bytes[offset..offset + data.len()].copy_from_slice(data);
-        self.set_u16(OFF_LOWER, (offset + data.len()) as u16);
+        let (offset, slots, upper, live) =
+            (self.lower(), self.slot_count(), self.upper(), self.live_count());
+        let bytes = Arc::make_mut(&mut self.bytes);
+        bytes[offset..offset + data.len()].copy_from_slice(data);
+        set_u16(bytes, OFF_LOWER, (offset + data.len()) as u16);
         let slot = match reuse {
             Some(s) => s,
             None => {
-                let s = self.slot_count();
-                self.set_u16(OFF_SLOT_COUNT, s + 1);
-                self.set_u16(OFF_UPPER, (self.upper() - SLOT_SIZE) as u16);
-                s
+                set_u16(bytes, OFF_SLOT_COUNT, slots + 1);
+                set_u16(bytes, OFF_UPPER, (upper - SLOT_SIZE) as u16);
+                slots
             }
         };
-        self.write_slot(slot, rel_id, offset as u16, data.len() as u16, FLAG_LIVE);
-        self.set_u16(OFF_LIVE, self.live_count() + 1);
+        write_slot(bytes, slot, rel_id, offset as u16, data.len() as u16, FLAG_LIVE);
+        set_u16(bytes, OFF_LIVE, live + 1);
         Some(slot)
     }
 
@@ -207,8 +230,10 @@ impl Page {
         if flags & FLAG_LIVE == 0 {
             return Err(RssError::BadRid(format!("slot {slot} already deleted")));
         }
-        self.write_slot(slot, rel_id, offset, len, 0);
-        self.set_u16(OFF_LIVE, self.live_count() - 1);
+        let live = self.live_count();
+        let bytes = Arc::make_mut(&mut self.bytes);
+        write_slot(bytes, slot, rel_id, offset, len, 0);
+        set_u16(bytes, OFF_LIVE, live - 1);
         Ok(())
     }
 
@@ -223,13 +248,14 @@ impl Page {
                 live.push((s, rel_id, data));
             }
         }
+        let bytes = Arc::make_mut(&mut self.bytes);
         let mut cursor = PAGE_HEADER_SIZE;
         for (s, rel_id, data) in live {
-            self.bytes[cursor..cursor + data.len()].copy_from_slice(&data);
-            self.write_slot(s, rel_id, cursor as u16, data.len() as u16, FLAG_LIVE);
+            bytes[cursor..cursor + data.len()].copy_from_slice(&data);
+            write_slot(bytes, s, rel_id, cursor as u16, data.len() as u16, FLAG_LIVE);
             cursor += data.len();
         }
-        self.set_u16(OFF_LOWER, cursor as u16);
+        set_u16(bytes, OFF_LOWER, cursor as u16);
     }
 
     /// Iterate over live slots as `(slot, rel_id, bytes)`.
@@ -348,6 +374,37 @@ mod tests {
         assert!(p.is_empty());
         assert_eq!(p.free_space(), PAGE_SIZE - PAGE_HEADER_SIZE);
         assert_eq!(p.iter().count(), 0);
+    }
+
+    /// A page whose image someone else holds (the backend, a dirty
+    /// frame) copies it on its first mutation, so the holder keeps the
+    /// bytes it was given; a rejected insert copies nothing.
+    #[test]
+    fn shared_image_is_copied_on_write() {
+        let mut p = Page::new();
+        p.insert(1, b"before").unwrap();
+        let held = Arc::clone(p.image());
+        let snapshot = *held;
+        assert!(p.insert(1, &[0u8; PAGE_SIZE]).is_none());
+        assert!(Arc::ptr_eq(p.image(), &held), "a rejected insert leaves the image shared");
+        for mutate in [
+            |p: &mut Page| assert!(p.insert(2, b"after").is_some()),
+            |p: &mut Page| p.delete(0).unwrap(),
+            |p: &mut Page| p.compact(),
+            |p: &mut Page| {
+                p.stamp(7);
+            },
+        ] {
+            let mut q = Page::from_image(Arc::clone(&held));
+            mutate(&mut q);
+            assert!(!Arc::ptr_eq(q.image(), &held), "the mutation copied the image");
+            assert_eq!(*held, snapshot, "the holder still sees the old bytes");
+        }
+        // A page nobody else holds is mutated in place.
+        let before = Arc::as_ptr(p.image());
+        drop(held);
+        p.insert(2, b"in place").unwrap();
+        assert_eq!(Arc::as_ptr(p.image()), before);
     }
 
     /// Inserting arbitrary byte strings and deleting a subset must keep

@@ -39,13 +39,14 @@
 
 use crate::buffer::{FileId, PageKey};
 use crate::error::{RssError, RssResult};
-use crate::page::PAGE_SIZE;
+use crate::page::{PageImage, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Byte offset of the page digest in the page header.
 const CHECKSUM_OFFSET: usize = 8;
@@ -143,8 +144,10 @@ pub trait PageBackend: std::fmt::Debug {
     /// file yields all zeros (a sparse gap), not an error.
     fn read_page(&mut self, key: PageKey, buf: &mut [u8; PAGE_SIZE]) -> RssResult<()>;
 
-    /// Write page `key`, extending the file as needed.
-    fn write_page(&mut self, key: PageKey, bytes: &[u8; PAGE_SIZE]) -> RssResult<()>;
+    /// Write page `key`, extending the file as needed. The image is
+    /// shared: a store in memory may keep the handle instead of copying
+    /// the bytes, since whoever mutates the image later copies it first.
+    fn write_page(&mut self, key: PageKey, image: &PageImage) -> RssResult<()>;
 
     /// Number of pages stored for `file` (0 if the file does not exist).
     fn page_count(&mut self, file: FileId) -> RssResult<u32>;
@@ -166,13 +169,17 @@ pub trait PageBackend: std::fmt::Debug {
 }
 
 /// In-memory page store: the default backend, and the reference
-/// implementation for tests. Like a sparse file it stores no zeros it can
-/// restore: each page is kept without its zero tail (a half-full B-tree
-/// node costs about half a page, a never-written gap nothing) and reads
-/// back zero-filled, byte for byte the image that was written.
+/// implementation for tests. A page image that fills its page — every
+/// segment page does, its slot directory ends at the last byte — is kept
+/// by handle, so a segment page and its stored copy are one allocation
+/// until the segment next mutates it. Any other image is stored like a
+/// sparse file stores it, without the zero tail it can restore (a
+/// half-full B-tree node costs about half a page, a never-written gap
+/// nothing). Either way a read returns byte for byte the image that was
+/// written.
 #[derive(Debug, Default)]
 pub struct MemBackend {
-    files: HashMap<FileId, Vec<Box<[u8]>>>,
+    files: HashMap<FileId, Vec<Arc<[u8]>>>,
 }
 
 impl MemBackend {
@@ -196,16 +203,16 @@ impl PageBackend for MemBackend {
         Ok(())
     }
 
-    fn write_page(&mut self, key: PageKey, bytes: &[u8; PAGE_SIZE]) -> RssResult<()> {
+    fn write_page(&mut self, key: PageKey, image: &PageImage) -> RssResult<()> {
         // Up to the last 8-byte word holding a nonzero byte.
-        let used = bytes.chunks_exact(8).rposition(|w| *w != [0; 8]).map_or(0, |i| (i + 1) * 8);
+        let used = image.chunks_exact(8).rposition(|w| *w != [0; 8]).map_or(0, |i| (i + 1) * 8);
         let pages = self.files.entry(key.file).or_default();
         let slot = key.page as usize;
         if pages.len() <= slot {
-            pages.resize_with(slot + 1, Box::default);
+            pages.resize_with(slot + 1, || Arc::new([]));
         }
-        if let (Some(page), Some(image)) = (pages.get_mut(slot), bytes.get(..used)) {
-            *page = image.into();
+        if let (Some(page), Some(trimmed)) = (pages.get_mut(slot), image.get(..used)) {
+            *page = if used == PAGE_SIZE { Arc::clone(image) as Arc<[u8]> } else { trimmed.into() };
         }
         Ok(())
     }
@@ -308,9 +315,9 @@ impl PageBackend for FaultBackend {
         self.inner.read_page(key, buf)
     }
 
-    fn write_page(&mut self, key: PageKey, bytes: &[u8; PAGE_SIZE]) -> RssResult<()> {
+    fn write_page(&mut self, key: PageKey, image: &PageImage) -> RssResult<()> {
         self.check(FaultOp::Write, key)?;
-        self.inner.write_page(key, bytes)
+        self.inner.write_page(key, image)
     }
 
     fn page_count(&mut self, file: FileId) -> RssResult<u32> {
@@ -438,12 +445,12 @@ impl PageBackend for DirBackend {
         }
     }
 
-    fn write_page(&mut self, key: PageKey, bytes: &[u8; PAGE_SIZE]) -> RssResult<()> {
+    fn write_page(&mut self, key: PageKey, image: &PageImage) -> RssResult<()> {
         let offset = page_offset(key.page);
         let Some(pf) = Self::handle(&self.dir, &mut self.handles, key.file, true)? else {
             return Err(RssError::Corrupt(format!("no page file for {:?} after create", key.file)));
         };
-        match pf.file.write_all_at(bytes, offset) {
+        match pf.file.write_all_at(&image[..], offset) {
             Ok(()) => {
                 pf.len = pf.len.max(offset + PAGE_SIZE as u64);
                 Ok(())
@@ -506,10 +513,10 @@ mod tests {
         PageKey::new(FileId::Segment(3), page)
     }
 
-    fn stamped(fill: u8, lsn: u32) -> [u8; PAGE_SIZE] {
+    fn stamped(fill: u8, lsn: u32) -> PageImage {
         let mut buf = [fill; PAGE_SIZE];
         stamp_page(&mut buf, lsn);
-        buf
+        Arc::new(buf)
     }
 
     /// A page of seeded pseudo-random bytes, unstamped.
@@ -600,7 +607,7 @@ mod tests {
         b.write_page(key(2), &img).unwrap();
         let mut out = [0u8; PAGE_SIZE];
         b.read_page(key(2), &mut out).unwrap();
-        assert_eq!(out, img);
+        assert_eq!(out, *img);
         // Pages 0 and 1 were never written: they read as zero gaps.
         b.read_page(key(0), &mut out).unwrap();
         assert!(out.iter().all(|&x| x == 0));
@@ -621,19 +628,38 @@ mod tests {
         let mut half = [0u8; PAGE_SIZE];
         half[crate::page::PAGE_HEADER_SIZE..PAGE_SIZE / 2 - 1].fill(0xA5);
         stamp_page(&mut half, 2);
+        let half = Arc::new(half);
         let mut out = [0u8; PAGE_SIZE];
-        for img in [full, half, full, half] {
+        for img in [&full, &half, &full, &half] {
             // Overwrites in both directions leave no stale tail.
-            b.write_page(key(0), &img).unwrap();
+            b.write_page(key(0), img).unwrap();
             b.read_page(key(0), &mut out).unwrap();
-            assert_eq!(out, img);
+            assert_eq!(out, **img);
             verify_page(&out, key(0)).unwrap();
         }
         let stored = b.files[&FileId::Segment(3)][0].len();
         assert_eq!(stored, PAGE_SIZE / 2, "the zero tail is not stored, to the 8-byte word");
+        assert_eq!(Arc::strong_count(&half), 1, "a trimmed image is a copy");
         b.write_page(key(9), &full).unwrap();
         let gaps: Vec<usize> = b.files[&FileId::Segment(3)][1..9].iter().map(|p| p.len()).collect();
         assert_eq!(gaps, vec![0; 8], "a never-written gap stores nothing");
+    }
+
+    /// An image that fills its page is stored by handle: the writer and
+    /// the store share one allocation, and a writer that then mutates
+    /// its image copies it, leaving the stored bytes as written.
+    #[test]
+    fn mem_backend_keeps_a_full_image_by_handle() {
+        let mut b = MemBackend::new();
+        let mut img = stamped(5, 1);
+        b.write_page(key(0), &img).unwrap();
+        let stored = Arc::clone(&b.files[&FileId::Segment(3)][0]);
+        assert!(Arc::ptr_eq(&stored, &(Arc::clone(&img) as Arc<[u8]>)), "one allocation");
+        stamp_page(Arc::make_mut(&mut img), 2);
+        assert_eq!(stored[..], stamped(5, 1)[..], "the store kept the bytes it was given");
+        let mut out = [0u8; PAGE_SIZE];
+        b.read_page(key(0), &mut out).unwrap();
+        assert_eq!(page_lsn(&out), 1);
     }
 
     #[test]
@@ -648,7 +674,7 @@ mod tests {
         assert!(matches!(b.write_page(key(1), &img), Err(RssError::Io(_))));
         b.write_page(key(1), &img).unwrap();
         b.read_page(key(1), &mut out).unwrap();
-        assert_eq!(out, img);
+        assert_eq!(out, *img);
         // The legacy form: every temp read past the budget fails.
         let mut b = FaultBackend::failing_temp_reads_after(1);
         b.read_page(temp, &mut out).unwrap();
@@ -686,7 +712,7 @@ mod tests {
         let mut b = DirBackend::open(&dir).unwrap();
         let mut out = [0u8; PAGE_SIZE];
         b.read_page(key(1), &mut out).unwrap();
-        assert_eq!(out, img);
+        assert_eq!(out, *img);
         verify_page(&out, key(1)).unwrap();
         // Page 0 is a sparse gap.
         b.read_page(key(0), &mut out).unwrap();

@@ -14,7 +14,7 @@
 
 use crate::codec::{decode_tuple, tuple_bytes};
 use crate::error::{RssError, RssResult};
-use crate::page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
+use crate::page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
 use crate::rid::Rid;
 use crate::tuple::Tuple;
 use std::collections::BTreeSet;
@@ -93,8 +93,8 @@ impl Segment {
     }
 
     /// Stamp page `page_no` in place for a backend write and return its
-    /// image (see [`Page::stamp`]).
-    pub(crate) fn stamp(&mut self, page_no: u32, lsn: u32) -> Option<&[u8; PAGE_SIZE]> {
+    /// shared image (see [`Page::stamp`]).
+    pub(crate) fn stamp(&mut self, page_no: u32, lsn: u32) -> Option<&PageImage> {
         self.pages.get_mut(page_no as usize).map(|page| page.stamp(lsn))
     }
 

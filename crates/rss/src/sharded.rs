@@ -38,29 +38,50 @@
 //! `sysr-audit`'s `latch-discipline` rule enforces the I/O-span half of
 //! this contract and `latch-ordering` enforces the rank order.
 //!
+//! # Frames: recency plus dirty images
+//!
+//! Tuple data is served from the in-memory segments and B-trees, never
+//! from a frame, so a frame needs no bytes to do its job: it records that
+//! a page is resident and how recently it was used. A miss still reads
+//! the page from the backend and verifies its stamp — the physical read
+//! the paper's cost unit counts — into a stack buffer, then keeps only
+//! the recency. A frame holds an image only while it is dirty: a
+//! [`PageImage`] handle to what [`ShardedBufferPool::write_through`] was
+//! given, no copy of it. Eviction and [`ShardedBufferPool::flush`] hand
+//! that handle to the backend and drop it.
+//!
+//! Each shard is an LRU list threaded through a slab by index, with a
+//! multiplicative hash from [`PageKey`] to slab slot: a hit is one probe
+//! and two relinks, and an eviction's slot is reused by the next miss, so
+//! the slab never outgrows the shard by more than one frame. Every
+//! access also takes a stamp from the pool-wide clock, under the shard
+//! latch, so stamp order is list order within a shard and recency is
+//! comparable across shards — [`ShardedBufferPool::resize`] re-partitions
+//! in global LRU order.
+//!
 //! # Benign staleness
 //!
 //! Dirty frames only arise from `&mut Storage` writers, which the borrow
 //! checker already serializes against shared readers. While a dirty
 //! victim's write-back is in flight, a concurrent reader of the *same*
 //! page may re-read the backend's prior image; that image is always a
-//! complete, checksum-valid stamped page, and tuple data is served from
-//! the in-memory segments and B-trees — frame bytes feed only checksum
-//! verification and persistence. Persistence itself is *not* allowed the
-//! staleness: `flush` drains the write-back gate, so `sync`/`save_to`
-//! never observe the prior image of a page that was dirty when they
-//! began. Counters are relaxed
+//! complete, checksum-valid stamped page, and the reader only verifies
+//! it. Persistence itself is *not* allowed the staleness: `flush` drains
+//! the write-back gate, so `sync`/`save_to` never observe the prior image
+//! of a page that was dirty when they began. Counters are relaxed
 //! atomics: exact in any single-threaded window (the accounting identity
 //! `page_fetches == backend_reads` that the tests pin), monotonically
 //! consistent across threads.
 
 use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
-use crate::page::PAGE_SIZE;
+use crate::page::{PageImage, PAGE_SIZE};
 use crate::pagefile::{verify_page, PageBackend};
 use crate::sync::{model, AtomicU64, Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// The page-file backend behind its rank-1 latch. `Send` because frames
 /// migrate across session threads.
@@ -68,8 +89,8 @@ pub type SharedBackend = Mutex<Box<dyn PageBackend + Send>>;
 
 /// Pages per shard below which we stop splitting: tiny pools keep a
 /// single shard and behave exactly like one global LRU list, which the
-/// buffer-sweep experiments rely on (`tests/buffer_model.rs` checks it
-/// against a reference LRU).
+/// buffer-sweep experiments rely on (`crates/rss/tests/buffer_model.rs`
+/// checks it against a reference LRU).
 const MIN_SHARD_PAGES: usize = 8;
 
 /// Latch-partition count ceiling; 8 matches the widest thread fan-out
@@ -78,6 +99,19 @@ const MAX_SHARDS: usize = 8;
 
 fn shard_count_for(capacity: usize) -> usize {
     (capacity / MIN_SHARD_PAGES).clamp(1, MAX_SHARDS)
+}
+
+/// The shard of `key` among `shards`. Striping adds the page number
+/// *after* mixing the file id, so consecutive pages of one file land on
+/// consecutive shards.
+fn shard_of(key: PageKey, shards: usize) -> usize {
+    let (variant, id) = match key.file {
+        FileId::Segment(i) => (0u64, i),
+        FileId::Index(i) => (1, i),
+        FileId::Temp(i) => (2, i),
+    };
+    let base = variant.wrapping_mul(0x9E37_79B9) ^ u64::from(id).wrapping_mul(0x85EB_CA6B);
+    (base.wrapping_add(u64::from(key.page)) % shards as u64) as usize
 }
 
 /// Shared I/O counters. Relaxed is sufficient: each field is an
@@ -127,64 +161,228 @@ impl Counters {
     }
 }
 
-/// One resident page. Every frame owns its image: the pool has no
-/// backend-less, counting-only path.
-#[derive(Debug)]
-struct ShardFrame {
-    stamp: u64,
-    dirty: bool,
-    buf: Box<[u8; PAGE_SIZE]>,
+/// A multiplicative (Fx-style) hash: a [`PageKey`] is three small
+/// integers, which SipHash's flooding resistance buys nothing for.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
 }
 
-/// One latch partition: an LRU frame map identical in shape to the
-/// single-owner pool's. Stamps come from the pool-wide clock, so recency
-/// is comparable across shards (resize rehashes preserve true LRU
-/// order).
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Slab link meaning "no frame".
+const NIL: u32 = u32::MAX;
+
+/// One resident page: a node of its shard's recency list.
+#[derive(Debug)]
+struct ShardFrame {
+    key: PageKey,
+    /// Pool-wide clock value of the last access.
+    stamp: u64,
+    /// The image awaiting write-back; `None` while the page is clean.
+    dirty: Option<PageImage>,
+    /// Neighbour towards the least recently used end.
+    older: u32,
+    /// Neighbour towards the most recently used end.
+    newer: u32,
+}
+
+/// One latch partition: an LRU list of frames threaded through a slab.
+/// `index` maps every resident key to its slot; slots of evicted or
+/// dropped frames wait on `free` for reuse.
 #[derive(Debug)]
 struct Shard {
     capacity: usize,
-    frames: HashMap<PageKey, ShardFrame>,
-    lru: BTreeMap<u64, PageKey>,
+    index: HashMap<PageKey, u32, BuildHasherDefault<KeyHasher>>,
+    slab: Vec<ShardFrame>,
+    free: Vec<u32>,
+    /// Least recently used frame (the next victim).
+    oldest: u32,
+    /// Most recently used frame.
+    newest: u32,
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "slab links are issued by this shard and only followed under its latch; `index` and the list name live slots only"
+)]
 impl Shard {
     fn new(capacity: usize) -> Self {
-        Shard { capacity, frames: HashMap::new(), lru: BTreeMap::new() }
+        Shard {
+            capacity,
+            index: HashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Take slot `i` out of the recency list.
+    fn unlink(&mut self, i: u32) {
+        let (older, newer) = {
+            let f = &self.slab[i as usize];
+            (f.older, f.newer)
+        };
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slab[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slab[n as usize].older = older,
+        }
+    }
+
+    /// Put slot `i` at the most recently used end.
+    fn push_newest(&mut self, i: u32) {
+        let prev = self.newest;
+        {
+            let f = &mut self.slab[i as usize];
+            f.older = prev;
+            f.newer = NIL;
+        }
+        match prev {
+            NIL => self.oldest = i,
+            p => self.slab[p as usize].newer = i,
+        }
+        self.newest = i;
     }
 
     /// Move `key` to most-recently-used; `None` if not resident.
     fn bump(&mut self, key: PageKey, stamp: u64) -> Option<&mut ShardFrame> {
-        let frame = self.frames.get_mut(&key)?;
-        self.lru.remove(&frame.stamp);
+        let i = *self.index.get(&key)?;
+        if self.newest != i {
+            self.unlink(i);
+            self.push_newest(i);
+        }
+        let frame = &mut self.slab[i as usize];
         frame.stamp = stamp;
-        self.lru.insert(stamp, key);
         Some(frame)
     }
 
-    /// Install a frame, returning the LRU victim if the shard is now over
-    /// capacity. The caller writes dirty victims back *after* releasing
-    /// this shard's latch.
-    fn install(&mut self, key: PageKey, frame: ShardFrame) -> Option<(PageKey, ShardFrame)> {
-        if let Some(old) = self.frames.remove(&key) {
-            self.lru.remove(&old.stamp);
+    /// Make `key` the most recent frame, returning the LRU victim (key
+    /// and dirty image) if the shard is now over capacity. A key already
+    /// resident — a racing reader installed it first — is only bumped.
+    /// The caller writes dirty victims back *after* releasing this
+    /// shard's latch.
+    fn install(
+        &mut self,
+        key: PageKey,
+        stamp: u64,
+        dirty: Option<PageImage>,
+    ) -> Option<(PageKey, Option<PageImage>)> {
+        if self.bump(key, stamp).is_some() {
+            return None;
         }
-        self.lru.insert(frame.stamp, key);
-        self.frames.insert(key, frame);
-        if self.frames.len() > self.capacity {
-            self.pop_lru()
+        let frame = ShardFrame { key, stamp, dirty, older: NIL, newer: NIL };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = frame;
+                i
+            }
+            None => {
+                self.slab.push(frame);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.index.insert(key, i);
+        self.push_newest(i);
+        if self.len() > self.capacity {
+            self.pop_oldest()
         } else {
             None
         }
     }
 
-    /// Remove and return the least-recently-used frame. The two maps are
-    /// mutated together under one latch, so they cannot disagree.
-    fn pop_lru(&mut self) -> Option<(PageKey, ShardFrame)> {
-        let (&stamp, &victim) = self.lru.iter().next()?;
-        self.lru.remove(&stamp);
-        let frame = self.frames.remove(&victim);
-        debug_assert!(frame.is_some(), "LRU map names non-resident page {victim:?}");
-        frame.map(|f| (victim, f))
+    /// Drop frame `i`, returning its key and dirty image.
+    fn remove(&mut self, i: u32) -> (PageKey, Option<PageImage>) {
+        self.unlink(i);
+        self.free.push(i);
+        let frame = &mut self.slab[i as usize];
+        self.index.remove(&frame.key);
+        (frame.key, frame.dirty.take())
+    }
+
+    /// Remove and return the least-recently-used frame.
+    fn pop_oldest(&mut self) -> Option<(PageKey, Option<PageImage>)> {
+        match self.oldest {
+            NIL => None,
+            i => Some(self.remove(i)),
+        }
+    }
+
+    /// Every dirty image, in key order (the write-back order).
+    fn dirty_images(&self) -> Vec<(PageKey, PageImage)> {
+        let mut dirty: Vec<(PageKey, PageImage)> = self
+            .index
+            .iter()
+            .filter_map(|(&key, &i)| self.slab[i as usize].dirty.clone().map(|img| (key, img)))
+            .collect();
+        dirty.sort_unstable_by_key(|(key, _)| *key);
+        dirty
+    }
+
+    /// `key` reached the backend as `image`: drop the frame's copy of it,
+    /// unless a newer image replaced it meanwhile.
+    fn written(&mut self, key: PageKey, image: &PageImage) {
+        if let Some(&i) = self.index.get(&key) {
+            let dirty = &mut self.slab[i as usize].dirty;
+            if dirty.as_ref().is_some_and(|d| Arc::ptr_eq(d, image)) {
+                *dirty = None;
+            }
+        }
+    }
+
+    /// Drop every frame of `file`.
+    fn invalidate(&mut self, file: FileId) {
+        let stale: Vec<u32> =
+            self.index.iter().filter(|(k, _)| k.file == file).map(|(_, &i)| i).collect();
+        for i in stale {
+            self.remove(i);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.oldest = NIL;
+        self.newest = NIL;
+    }
+
+    /// Every frame as `(stamp, key, dirty image)`.
+    fn frames(&self) -> impl Iterator<Item = (u64, PageKey, Option<PageImage>)> + '_ {
+        self.index.values().map(|&i| {
+            let f = &self.slab[i as usize];
+            (f.stamp, f.key, f.dirty.clone())
+        })
     }
 }
 
@@ -274,17 +472,9 @@ impl ShardedBufferPool {
         self.clock.fetch_add(1, Relaxed) + 1
     }
 
-    /// The latch slot for `key`'s shard. Striping adds the page number
-    /// *after* mixing the file id, so consecutive pages of one file land
-    /// on consecutive shards.
+    /// The latch slot for `key`'s shard.
     fn shard_slot(&self, key: PageKey) -> RssResult<&Mutex<Shard>> {
-        let (variant, id) = match key.file {
-            FileId::Segment(i) => (0u64, i),
-            FileId::Index(i) => (1, i),
-            FileId::Temp(i) => (2, i),
-        };
-        let base = variant.wrapping_mul(0x9E37_79B9) ^ u64::from(id).wrapping_mul(0x85EB_CA6B);
-        let s = (base.wrapping_add(u64::from(key.page)) % self.shards.len() as u64) as usize;
+        let s = shard_of(key, self.shards.len());
         self.shards.get(s).ok_or_else(|| RssError::Corrupt(format!("shard {s} out of range")))
     }
 
@@ -297,8 +487,8 @@ impl ShardedBufferPool {
     }
 
     /// Access a page; a miss reads and verifies its image from the page
-    /// backend (one physical read) and counts a page fetch. Returns
-    /// `true` on a miss.
+    /// backend (one physical read), counts a page fetch and installs a
+    /// frame that holds no bytes. Returns `true` on a miss.
     pub fn read(&self, key: PageKey, backend: &SharedBackend) -> RssResult<bool> {
         let slot = self.shard_slot(key)?;
         {
@@ -309,7 +499,7 @@ impl ShardedBufferPool {
             }
         }
         // Miss: the read happens under the backend latch alone.
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
+        let mut buf = [0u8; PAGE_SIZE];
         {
             let mut backend = backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             backend.read_page(key, &mut buf)?;
@@ -319,7 +509,7 @@ impl ShardedBufferPool {
         self.count_fetch(key);
         // Relock to install. A racing reader may have installed the same
         // page meanwhile; both performed a real read and the counters say
-        // so — the overwrite is an identical clean image.
+        // so — the second install only bumps the frame.
         //
         // `dirty-victim-gate` is the model checker's mutant switch: it
         // re-introduces the pre-cd3b895 ordering (register only after the
@@ -330,73 +520,69 @@ impl ShardedBufferPool {
         let mutant = model::fault("dirty-victim-gate");
         let victim = {
             let mut shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let frame = ShardFrame { stamp: self.tick(), dirty: false, buf };
-            let victim = shard.install(key, frame);
+            let victim = shard.install(key, self.tick(), None);
             // Register a dirty victim with the write-back gate *before*
             // releasing the shard latch: a concurrent flush that misses
             // the removed frame is guaranteed to see the gate count and
             // wait for the image to reach the backend.
-            if victim.as_ref().is_some_and(|(_, f)| f.dirty) && !mutant {
+            if victim.as_ref().is_some_and(|(_, dirty)| dirty.is_some()) && !mutant {
                 self.gate_register();
             }
             victim
         };
-        if let Some((vkey, vframe)) = victim {
-            if vframe.dirty {
-                if mutant {
-                    // The PR-6 bug, verbatim in gate terms: the dirty
-                    // image is neither resident nor gated while its
-                    // write is in flight.
-                    self.gate_register();
-                    self.gate_release();
-                }
-                let written = {
-                    let mut backend =
-                        backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    backend.write_page(vkey, &vframe.buf)
-                };
-                // Deregister before surfacing an error so a failed write
-                // can never wedge a draining flush.
-                if !mutant {
-                    self.gate_release();
-                }
-                written?;
-                self.counters.backend_writes.fetch_add(1, Relaxed);
+        if let Some((vkey, Some(image))) = victim {
+            if mutant {
+                // The lost-dirty-image bug, verbatim in gate terms: the
+                // dirty image is neither resident nor gated while its
+                // write is in flight.
+                self.gate_register();
+                self.gate_release();
             }
+            let written = {
+                let mut backend = backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                backend.write_page(vkey, &image)
+            };
+            // Deregister before surfacing an error so a failed write can
+            // never wedge a draining flush.
+            if !mutant {
+                self.gate_release();
+            }
+            written?;
+            self.counters.backend_writes.fetch_add(1, Relaxed);
         }
         Ok(true)
     }
 
-    /// Write one page image through the pool: in place if resident
-    /// (dirty, deferred write-back), write-around to the backend
-    /// otherwise. Writes never establish residency.
+    /// Write one page image through the pool: if the page is resident
+    /// its frame keeps a handle to `image` (dirty, deferred write-back),
+    /// otherwise the image goes around the pool to the backend. Writes
+    /// never establish residency.
     pub fn write_through(
         &self,
         key: PageKey,
-        bytes: &[u8; PAGE_SIZE],
+        image: &PageImage,
         backend: &SharedBackend,
     ) -> RssResult<()> {
         let slot = self.shard_slot(key)?;
         {
             let mut shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(frame) = shard.bump(key, self.tick()) {
-                *frame.buf = *bytes;
-                frame.dirty = true;
+                frame.dirty = Some(Arc::clone(image));
                 return Ok(());
             }
         }
         {
             let mut backend = backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            backend.write_page(key, bytes)?;
+            backend.write_page(key, image)?;
         }
         self.counters.backend_writes.fetch_add(1, Relaxed);
         Ok(())
     }
 
     /// Write every dirty frame back, in key order within each shard,
-    /// visiting shards in ascending id. Frames stay resident. The dirty
-    /// bit is cleared only after its image reaches the backend, so an
-    /// I/O error leaves the remaining pages still marked.
+    /// visiting shards in ascending id. Frames stay resident; each drops
+    /// its image once that image has reached the backend, so an I/O
+    /// error leaves the remaining pages still dirty.
     ///
     /// After the shard sweep the write-back gate is drained, so when
     /// this returns every page that was dirty at the time of the call —
@@ -405,28 +591,17 @@ impl ShardedBufferPool {
     /// to be sound from `&self` against concurrent readers.
     pub fn flush(&self, backend: &SharedBackend) -> RssResult<()> {
         for slot in &self.shards {
-            let dirty: Vec<(PageKey, Box<[u8; PAGE_SIZE]>)> = {
-                let shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let mut v: Vec<_> = shard
-                    .frames
-                    .iter()
-                    .filter(|(_, f)| f.dirty)
-                    .map(|(k, f)| (*k, f.buf.clone()))
-                    .collect();
-                v.sort_by_key(|(k, _)| *k);
-                v
-            };
-            for (key, buf) in dirty {
+            let dirty =
+                slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).dirty_images();
+            for (key, image) in dirty {
                 {
                     let mut backend =
                         backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    backend.write_page(key, &buf)?;
+                    backend.write_page(key, &image)?;
                 }
                 self.counters.backend_writes.fetch_add(1, Relaxed);
                 let mut shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(f) = shard.frames.get_mut(&key) {
-                    f.dirty = false;
-                }
+                shard.written(key, &image);
             }
         }
         self.gate_drain();
@@ -438,9 +613,7 @@ impl ShardedBufferPool {
     /// first.
     pub fn clear(&self) {
         for slot in &self.shards {
-            let mut shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            shard.frames.clear();
-            shard.lru.clear();
+            slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
         }
     }
 
@@ -448,14 +621,7 @@ impl ShardedBufferPool {
     /// rebuilds).
     pub fn invalidate_file(&self, file: FileId) {
         for slot in &self.shards {
-            let mut shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let stale: Vec<PageKey> =
-                shard.frames.keys().filter(|k| k.file == file).copied().collect();
-            for key in stale {
-                if let Some(f) = shard.frames.remove(&key) {
-                    shard.lru.remove(&f.stamp);
-                }
-            }
+            slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).invalidate(file);
         }
     }
 
@@ -463,47 +629,49 @@ impl ShardedBufferPool {
     pub fn resident_pages(&self) -> usize {
         self.shards
             .iter()
-            .map(|slot| slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).frames.len())
+            .map(|slot| slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len())
             .sum()
     }
 
     /// Change capacity, re-partitioning if the shard count changes.
     /// Growing keeps every resident page; shrinking evicts in global LRU
-    /// order, writing dirty victims back through `backend`. Requires
-    /// exclusive access — capacity is a `&mut Database` configuration
-    /// action, never a serving-path one.
+    /// order, writing dirty victims back through `backend`. All or
+    /// nothing: the victims are written before the new partition
+    /// replaces the old, so on a write error the pool keeps its old
+    /// shards and every dirty image in them. Requires exclusive access —
+    /// capacity is a `&mut Database` configuration action, never a
+    /// serving-path one.
     pub fn resize(&mut self, capacity: usize, backend: &SharedBackend) -> RssResult<()> {
         assert!(capacity > 0, "buffer pool needs at least one page");
         let n = shard_count_for(capacity);
         let per_shard = capacity.div_ceil(n);
-        // Collect every frame; ascending stamp order preserves true LRU
-        // recency across the re-partition (the clock is pool-wide).
-        let mut all: Vec<(PageKey, ShardFrame)> = Vec::new();
+        // Every frame in ascending stamp order: true LRU recency across
+        // the re-partition (the clock is pool-wide).
+        let mut all: Vec<(u64, PageKey, Option<PageImage>)> = Vec::new();
         for slot in &mut self.shards {
-            let shard = slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner);
-            all.extend(shard.frames.drain());
-            shard.lru.clear();
+            all.extend(slot.get_mut().unwrap_or_else(std::sync::PoisonError::into_inner).frames());
         }
-        all.sort_by_key(|(_, f)| f.stamp);
-        self.shards = (0..n).map(|_| Mutex::new(Shard::new(per_shard))).collect();
-        self.capacity = capacity;
-        for (key, frame) in all {
-            let victim = {
-                let slot = self.shard_slot(key)?;
-                let mut shard = slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                shard.install(key, frame)
-            };
-            if let Some((vkey, vframe)) = victim {
-                if vframe.dirty {
-                    {
-                        let mut backend =
-                            backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        backend.write_page(vkey, &vframe.buf)?;
-                    }
-                    self.counters.backend_writes.fetch_add(1, Relaxed);
-                }
+        all.sort_unstable_by_key(|(stamp, _, _)| *stamp);
+        let mut shards: Vec<Shard> = (0..n).map(|_| Shard::new(per_shard)).collect();
+        let mut victims = Vec::new();
+        for (stamp, key, dirty) in all {
+            let s = shard_of(key, n);
+            let shard = shards
+                .get_mut(s)
+                .ok_or_else(|| RssError::Corrupt(format!("shard {s} out of range")))?;
+            if let Some((vkey, Some(image))) = shard.install(key, stamp, dirty) {
+                victims.push((vkey, image));
             }
         }
+        for (key, image) in victims {
+            {
+                let mut backend = backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                backend.write_page(key, &image)?;
+            }
+            self.counters.backend_writes.fetch_add(1, Relaxed);
+        }
+        self.shards = shards.into_iter().map(Mutex::new).collect();
+        self.capacity = capacity;
         Ok(())
     }
 
@@ -546,15 +714,35 @@ mod tests {
         FileId::Segment(i)
     }
 
+    /// A stamped image whose last byte is `marker`.
+    fn image(marker: u8, lsn: u32) -> PageImage {
+        let mut img = [0u8; PAGE_SIZE];
+        img[PAGE_SIZE - 1] = marker;
+        stamp_page(&mut img, lsn);
+        Arc::new(img)
+    }
+
     /// `backend` pre-loaded with `pages` stamped pages of `file(0)`.
     fn preloaded(mut b: impl PageBackend + Send + 'static, pages: u32) -> SharedBackend {
         for p in 0..pages {
-            let mut img = [0u8; PAGE_SIZE];
-            img[PAGE_SIZE - 1] = p as u8;
-            stamp_page(&mut img, p + 1);
-            b.write_page(PageKey::new(file(0), p), &img).unwrap();
+            b.write_page(PageKey::new(file(0), p), &image(p as u8, p + 1)).unwrap();
         }
         Mutex::new(Box::new(b) as Box<dyn PageBackend + Send>)
+    }
+
+    /// The last byte of `key`'s image in the backend.
+    fn backend_marker(backend: &SharedBackend, key: PageKey) -> u8 {
+        let mut buf = [0u8; PAGE_SIZE];
+        backend.lock().unwrap().read_page(key, &mut buf).unwrap();
+        buf[PAGE_SIZE - 1]
+    }
+
+    /// The dirty image `key`'s frame holds: `None` if the frame is clean,
+    /// and a panic if the page is not resident.
+    fn frame_image(pool: &ShardedBufferPool, key: PageKey) -> Option<PageImage> {
+        let shard = pool.shard_slot(key).unwrap().lock().unwrap();
+        let i = shard.index[&key];
+        shard.slab[i as usize].dirty.clone()
     }
 
     fn backend_with(pages: u32) -> SharedBackend {
@@ -606,20 +794,52 @@ mod tests {
         let pool = ShardedBufferPool::new(2);
         let k0 = PageKey::new(file(0), 0);
         pool.read(k0, &backend).unwrap();
-        let mut img = [0u8; PAGE_SIZE];
-        img[PAGE_SIZE - 1] = 0xAB;
-        stamp_page(&mut img, 99);
-        pool.write_through(k0, &img, &backend).unwrap();
+        pool.write_through(k0, &image(0xAB, 99), &backend).unwrap();
         assert_eq!(pool.stats().backend_writes, 0, "resident write defers");
+        assert_eq!(backend_marker(&backend, k0), 0, "the backend still holds the old image");
         // Force k0 out (capacity 2, single shard at this size).
         pool.read(PageKey::new(file(0), 1), &backend).unwrap();
         pool.read(PageKey::new(file(0), 2), &backend).unwrap();
         assert_eq!(pool.stats().backend_writes, 1, "dirty victim written back");
-        // The written-back image is what a re-read now returns.
+        assert_eq!(backend_marker(&backend, k0), 0xAB, "the backend holds the written image");
+        // A re-read is a miss that verifies the written-back image.
+        assert!(pool.read(k0, &backend).unwrap());
+        assert_eq!(frame_image(&pool, k0), None, "and keeps no bytes");
+    }
+
+    #[test]
+    fn a_miss_installs_no_image() {
+        let backend = backend_with(4);
+        let pool = ShardedBufferPool::new(8);
+        for p in 0..4 {
+            let key = PageKey::new(file(0), p);
+            assert!(pool.read(key, &backend).unwrap());
+            assert_eq!(frame_image(&pool, key), None, "page {p}");
+        }
+        assert_eq!(pool.resident_pages(), 4);
+    }
+
+    /// A resident write keeps a handle to exactly the image it was given
+    /// (no copy), a second write replaces it, and `flush` drops it once
+    /// it has reached the backend.
+    #[test]
+    fn write_through_holds_the_written_image_until_flush() {
+        let backend = backend_with(2);
+        let pool = ShardedBufferPool::new(8);
+        let k0 = PageKey::new(file(0), 0);
         pool.read(k0, &backend).unwrap();
-        let slot = pool.shard_slot(k0).unwrap();
-        let shard = slot.lock().unwrap();
-        assert_eq!(shard.frames.get(&k0).unwrap().buf[PAGE_SIZE - 1], 0xAB);
+        let first = image(0x11, 50);
+        pool.write_through(k0, &first, &backend).unwrap();
+        assert!(Arc::ptr_eq(&frame_image(&pool, k0).unwrap(), &first), "a handle, not a copy");
+        let second = image(0x22, 51);
+        pool.write_through(k0, &second, &backend).unwrap();
+        assert!(Arc::ptr_eq(&frame_image(&pool, k0).unwrap(), &second));
+        assert_eq!(Arc::strong_count(&first), 1, "the replaced image is released");
+        pool.flush(&backend).unwrap();
+        assert_eq!(frame_image(&pool, k0), None, "flush drops the image");
+        assert_eq!(pool.resident_pages(), 1, "but keeps the frame");
+        assert_eq!(backend_marker(&backend, k0), 0x22);
+        assert_eq!(pool.stats().backend_writes, 1, "only the last image is written");
     }
 
     #[test]
@@ -648,9 +868,7 @@ mod tests {
         let pool = ShardedBufferPool::new(2);
         let k0 = PageKey::new(file(0), 0);
         pool.read(k0, &backend).unwrap();
-        let mut img = [0u8; PAGE_SIZE];
-        stamp_page(&mut img, 99);
-        pool.write_through(k0, &img, &backend).unwrap();
+        pool.write_through(k0, &image(0, 99), &backend).unwrap();
         pool.read(PageKey::new(file(0), 1), &backend).unwrap();
         let err = pool.read(PageKey::new(file(0), 2), &backend).unwrap_err();
         assert!(matches!(err, RssError::Io(_)), "got {err:?}");
@@ -663,9 +881,7 @@ mod tests {
     fn write_around_when_not_resident() {
         let backend = backend_with(1);
         let pool = ShardedBufferPool::new(4);
-        let mut img = [0u8; PAGE_SIZE];
-        stamp_page(&mut img, 7);
-        pool.write_through(PageKey::new(file(0), 0), &img, &backend).unwrap();
+        pool.write_through(PageKey::new(file(0), 0), &image(0, 7), &backend).unwrap();
         assert_eq!(pool.stats().backend_writes, 1, "write-around goes straight down");
         assert_eq!(pool.resident_pages(), 0, "writes never establish residency");
     }
@@ -676,9 +892,7 @@ mod tests {
         let pool = ShardedBufferPool::new(8);
         for p in 0..4 {
             pool.read(PageKey::new(file(0), p), &backend).unwrap();
-            let mut img = [0u8; PAGE_SIZE];
-            stamp_page(&mut img, 50 + p);
-            pool.write_through(PageKey::new(file(0), p), &img, &backend).unwrap();
+            pool.write_through(PageKey::new(file(0), p), &image(0, 50 + p), &backend).unwrap();
         }
         pool.flush(&backend).unwrap();
         assert_eq!(pool.stats().backend_writes, 4);
@@ -702,6 +916,32 @@ mod tests {
         assert_eq!(pool.resident_pages(), 8);
         assert!(!pool.read(PageKey::new(file(0), 0), &backend).unwrap(), "MRU page survived");
         assert!(pool.read(PageKey::new(file(0), 1), &backend).unwrap(), "LRU page was evicted");
+    }
+
+    /// A shrink whose first dirty-victim write fails loses nothing: the
+    /// pool keeps its old shards, every dirty image in them, and its
+    /// capacity, so the next flush brings the backend up to date.
+    #[test]
+    fn failed_resize_keeps_every_dirty_page() {
+        // Writes 0..16 are the preload; write 16 is the first victim's.
+        let backend =
+            preloaded(FaultBackend::failing_nth(FaultOp::Write, FileKind::Segment, 16), 16);
+        let mut pool = ShardedBufferPool::new(16);
+        for p in 0..16 {
+            let key = PageKey::new(file(0), p);
+            pool.read(key, &backend).unwrap();
+            pool.write_through(key, &image(0x80 + p as u8, 100 + p), &backend).unwrap();
+        }
+        let err = pool.resize(4, &backend).unwrap_err();
+        assert!(matches!(err, RssError::Io(_)), "got {err:?}");
+        assert_eq!((pool.capacity(), pool.shard_count(), pool.resident_pages()), (16, 2, 16));
+        pool.flush(&backend).unwrap();
+        for p in 0..16 {
+            let marker = backend_marker(&backend, PageKey::new(file(0), p));
+            assert_eq!(marker, 0x80 + p as u8, "page {p} lost its dirty image");
+        }
+        pool.resize(4, &backend).unwrap();
+        assert_eq!((pool.capacity(), pool.resident_pages()), (4, 4));
     }
 
     #[test]
@@ -734,10 +974,8 @@ mod tests {
             for p in 0..DIRTY {
                 let key = PageKey::new(file(0), p);
                 pool.read(key, &backend).unwrap();
-                let mut img = [0u8; PAGE_SIZE];
-                img[PAGE_SIZE - 1] = marker;
-                stamp_page(&mut img, 1000 + u32::from(marker));
-                pool.write_through(key, &img, &backend).unwrap();
+                pool.write_through(key, &image(marker, 1000 + u32::from(marker)), &backend)
+                    .unwrap();
             }
             std::thread::scope(|scope| {
                 for t in 0..3u32 {
@@ -754,12 +992,9 @@ mod tests {
                 pool.flush(&backend).unwrap();
                 // flush returned: every image dirtied before it was
                 // called must already be in the backend, evicted or not.
-                let mut buf = Box::new([0u8; PAGE_SIZE]);
-                let mut b = backend.lock().unwrap();
                 for p in 0..DIRTY {
-                    b.read_page(PageKey::new(file(0), p), &mut buf).unwrap();
                     assert_eq!(
-                        buf[PAGE_SIZE - 1],
+                        backend_marker(&backend, PageKey::new(file(0), p)),
                         marker,
                         "round {round}: page {p} image missing from backend after flush"
                     );

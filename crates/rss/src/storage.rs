@@ -54,7 +54,7 @@
 use crate::btree::{BTreeConfig, BTreeIndex, IndexId};
 use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
-use crate::page::{Page, PAGE_HEADER_SIZE, PAGE_SIZE};
+use crate::page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::pagefile::{stamp_page, verify_page, DirBackend, MemBackend, PageBackend};
 use crate::rid::Rid;
 use crate::segment::{Segment, SegmentId};
@@ -65,6 +65,7 @@ use crate::value::Value;
 use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// Name of the storage descriptor file inside a database directory.
 pub const STORAGE_META: &str = "storage.meta";
@@ -178,13 +179,13 @@ impl Storage {
     }
 
     /// Stamp (LSN + checksum) and write one page image through the pool:
-    /// in place if resident (dirty, deferred write-back), write-around to
-    /// the backend otherwise. Writes never establish residency.
-    /// The stamp goes into `img` itself, so the only copy of the image is
-    /// the one into the frame or the backend.
-    fn write_image(&self, key: PageKey, img: &mut [u8; PAGE_SIZE]) -> RssResult<()> {
-        stamp_page(img, self.next_lsn.fetch_add(1, Relaxed));
-        self.buffer.write_through(key, img, &self.backend)
+    /// held by the frame if resident (dirty, deferred write-back),
+    /// write-around to the backend otherwise. Writes never establish
+    /// residency. The stamp goes into `img` itself, which nobody else
+    /// holds yet, so stamping copies nothing.
+    fn write_image(&self, key: PageKey, mut img: PageImage) -> RssResult<()> {
+        stamp_page(Arc::make_mut(&mut img), self.next_lsn.fetch_add(1, Relaxed));
+        self.buffer.write_through(key, &img, &self.backend)
     }
 
     /// Flush every page mutated since the last call — segment pages and
@@ -199,9 +200,10 @@ impl Storage {
             let file = FileId::Segment(self.segments[si].id());
             let mut pending = self.segments[si].drain_dirty().into_iter();
             while let Some(p) = pending.next() {
-                // A segment page is stamped where it lives (`write_image`
-                // without the scratch copy): the borrow of the page rules
-                // out the `&self` helper, not the field accesses.
+                // A segment page is stamped where it lives and its image
+                // handle is what the frame or the backend keeps: the
+                // borrow of the page rules out the `&self` helper, not
+                // the field accesses.
                 let lsn = self.next_lsn.fetch_add(1, Relaxed);
                 let Some(img) = self.segments[si].stamp(p, lsn) else { continue };
                 if let Err(e) = self.buffer.write_through(PageKey::new(file, p), img, &self.backend)
@@ -216,8 +218,7 @@ impl Storage {
             while let Some(n) = pending.next() {
                 let tree = &self.indexes[ii].tree;
                 let key = PageKey::new(FileId::Index(tree.id()), n);
-                let written =
-                    tree.encode_node_page(n).and_then(|mut img| self.write_image(key, &mut img));
+                let written = tree.encode_node_page(n).and_then(|img| self.write_image(key, img));
                 if let Err(e) = written {
                     self.indexes[ii].tree.mark_dirty(std::iter::once(n).chain(pending));
                     return Err(e);
@@ -252,10 +253,11 @@ impl Storage {
     /// Write one temporary-list page image (concatenated tuple encodings,
     /// truncated to the page payload) to the backend.
     pub fn write_temp_page(&self, file: u32, page: u32, payload: &[u8]) -> RssResult<()> {
-        let mut img = [0u8; PAGE_SIZE];
+        let mut img = PageImage::new([0u8; PAGE_SIZE]);
         let n = payload.len().min(PAGE_SIZE - PAGE_HEADER_SIZE);
-        img[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + n].copy_from_slice(&payload[..n]);
-        self.write_image(PageKey::new(FileId::Temp(file), page), &mut img)
+        Arc::make_mut(&mut img)[PAGE_HEADER_SIZE..PAGE_HEADER_SIZE + n]
+            .copy_from_slice(&payload[..n]);
+        self.write_image(PageKey::new(FileId::Temp(file), page), img)
     }
 
     pub fn io_stats(&self) -> IoStats {
@@ -599,7 +601,8 @@ impl Storage {
         // write-back gate, so no dirty image is still in flight).
         self.buffer.flush(&self.backend)?;
         let mut dst = DirBackend::open(dir)?;
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
+        // `dst` keeps no handle, so the one buffer is reused in place.
+        let mut buf = PageImage::new([0u8; PAGE_SIZE]);
         let mut copy = |key: PageKey| -> RssResult<()> {
             {
                 // Latch the source backend per page: holding its guard
@@ -607,7 +610,7 @@ impl Storage {
                 // whole copy (latch-discipline: latches never span I/O).
                 let mut src =
                     self.backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                src.read_page(key, &mut buf)?;
+                src.read_page(key, Arc::make_mut(&mut buf))?;
             }
             verify_page(&buf, key)?;
             dst.write_page(key, &buf)
@@ -670,11 +673,12 @@ impl Storage {
         let meta = StorageMeta::parse(&text)?;
         let mut backend: Box<dyn PageBackend + Send> = Box::new(DirBackend::open(dir)?);
 
-        let mut read = |key: PageKey| -> RssResult<Box<[u8; PAGE_SIZE]>> {
-            let mut buf = Box::new([0u8; PAGE_SIZE]);
-            backend.read_page(key, &mut buf)?;
-            verify_page(&buf, key)?;
-            Ok(buf)
+        let mut read = |key: PageKey| -> RssResult<PageImage> {
+            let mut img = PageImage::new([0u8; PAGE_SIZE]);
+            let buf = Arc::make_mut(&mut img);
+            backend.read_page(key, buf)?;
+            verify_page(buf, key)?;
+            Ok(img)
         };
 
         let mut segments = Vec::with_capacity(meta.segments.len());
@@ -687,7 +691,7 @@ impl Storage {
             }
             let mut pages = Vec::with_capacity(sm.page_count);
             for p in 0..sm.page_count as u32 {
-                pages.push(Page::from_bytes(read(PageKey::new(FileId::Segment(sm.id), p))?));
+                pages.push(Page::from_image(read(PageKey::new(FileId::Segment(sm.id), p))?));
             }
             segments.push(Segment::from_pages(sm.id, pages, sm.fill_hint));
         }
@@ -936,6 +940,33 @@ mod tests {
         }
         assert_eq!(st.io_stats().backend_writes, singles.len() as u64);
         assert_eq!(st.segment(seg).unwrap().count_tuples(1), 2000 - batch.len() - singles.len());
+    }
+
+    /// On an in-memory database a segment page and the backend's copy of
+    /// it are one allocation once a statement has flushed it (the pool
+    /// holds no frame: writes never establish residency). A mutation
+    /// that is not flushed yet copies the page, leaving the backend with
+    /// the image it was given.
+    #[test]
+    fn mem_backend_shares_segment_pages_copy_on_write() {
+        let (mut st, seg) = loaded_storage(10);
+        let key = PageKey::new(FileId::Segment(seg), 0);
+        let flushed = Arc::clone(st.segment(seg).unwrap().page(0).unwrap().image());
+        assert_eq!(Arc::strong_count(&flushed), 3, "the page, the backend's copy and ours");
+        st.segment_mut(seg).unwrap().insert(1, &row(99)).unwrap();
+        let page = st.segment(seg).unwrap().page(0).unwrap();
+        assert!(!Arc::ptr_eq(page.image(), &flushed), "the mutation copied the page");
+        assert_eq!(Arc::strong_count(&flushed), 2, "the backend still holds the old image");
+        let mut stored = [0u8; PAGE_SIZE];
+        st.backend.lock().unwrap().read_page(key, &mut stored).unwrap();
+        assert_eq!(stored, *flushed, "an unflushed mutation leaves the backend image unchanged");
+        // The next statement's flush shares the new image instead.
+        st.insert(seg, 1, &row(100)).unwrap();
+        assert_eq!(Arc::strong_count(&flushed), 1, "the backend let go of the old image");
+        let image = Arc::clone(st.segment(seg).unwrap().page(0).unwrap().image());
+        assert_eq!(Arc::strong_count(&image), 3);
+        st.backend.lock().unwrap().read_page(key, &mut stored).unwrap();
+        assert_eq!(stored, *image);
     }
 
     /// `update_many` validates against the unique index net of the keys

@@ -44,6 +44,13 @@ sed "$mask_us" results/fig_search_tree.txt | diff - "$out/fig_search_tree.txt"
 size_cols='NF == 8 && $2 ~ /^[0-9]+$/ { print $1, $2, $3, $4, $5, $6, $8 }'
 cargo run --release -p sysr-bench --bin exp_scaling | awk "$size_cols" > "$out/exp_scaling.txt"
 awk "$size_cols" results/exp_scaling.txt | diff - "$out/exp_scaling.txt"
+# The buffer sweep is deterministic too, and all of it is counts: the
+# chosen path, predicted and measured fetches and the hit ratio of one
+# query at 7 pool sizes. It must equal results/exp_buffer_sweep.txt byte
+# for byte, which pins the pool's LRU semantics (hit/miss decisions,
+# eviction order) at the workload level.
+cargo run --release -p sysr-bench --bin exp_buffer_sweep > "$out/exp_buffer_sweep.txt"
+diff results/exp_buffer_sweep.txt "$out/exp_buffer_sweep.txt"
 rm -r "$out"
 # DML by RID: the seeded INSERT/UPDATE/DELETE oracle (affected rows,
 # segment and every index against a Vec model after each statement) ends

@@ -14,7 +14,9 @@ use common::fig1_db;
 use std::sync::Arc;
 use system_r::audit::model::{audit_model_with, scenario_named, ModelConfig};
 use system_r::rss::sync::model::{execute, Policy};
-use system_r::rss::{FileId, MemBackend, PageKey, ShardedBufferPool, SharedBackend, PAGE_SIZE};
+use system_r::rss::{
+    FileId, MemBackend, PageImage, PageKey, ShardedBufferPool, SharedBackend, PAGE_SIZE,
+};
 use system_r::DbError;
 
 /// A small deterministic budget: the tests below assert behavior, not
@@ -77,7 +79,7 @@ fn seeded_backend(pages: u32) -> Arc<SharedBackend> {
         let mut img = [0u8; PAGE_SIZE];
         img[0] = p as u8;
         system_r::rss::pagefile::stamp_page(&mut img, p + 1);
-        mem.write_page(seg(p), &img).expect("seed backend");
+        mem.write_page(seg(p), &PageImage::new(img)).expect("seed backend");
     }
     Arc::new(SharedBackend::new(Box::new(mem)))
 }
