@@ -40,8 +40,7 @@ const THREADS: usize = 8;
 /// successfully, or the rule reports a vacuity violation.
 const MIN_EXECUTED: usize = 8;
 
-/// Dynamic analog of the latch lint's `audit:allow` comments:
-/// corpus labels whose divergence is tolerated, each with a written
+/// Corpus labels whose divergence is tolerated, each with a written
 /// justification. Empty in production — populated only by negative
 /// tests proving the suppression path works.
 const ALLOWED: &[(&str, &str)] = &[];
@@ -444,18 +443,6 @@ mod tests {
         assert!(
             check_outcome("q", 2, &Err("a".into()), &Err("a".into()), &[]).is_none(),
             "identical deterministic failures are not divergence"
-        );
-    }
-
-    #[test]
-    fn allowed_table_suppresses_like_an_audit_allow_comment() {
-        let base: RunOutcome = Ok(Executed { plan: "p".into(), rows: "r".into() });
-        let diff: RunOutcome = Ok(Executed { plan: "q".into(), rows: "r".into() });
-        assert!(
-            check_outcome("noisy/query", 0, &base, &diff, &[("noisy/query", "known")]).is_none()
-        );
-        assert!(
-            check_outcome("other/query", 0, &base, &diff, &[("noisy/query", "known")]).is_some()
         );
     }
 }

@@ -1,4 +1,4 @@
-//! # sysr-audit — plan-invariant verifier + in-tree latch lint
+//! # sysr-audit — plan-invariant verifier
 //!
 //! The optimizer is only trustworthy if its outputs provably respect the
 //! paper's own rules: Table 1 selectivities in `[0, 1]`, Table 2 cost
@@ -28,16 +28,6 @@
 //!   checksums and LSN stamps, corruption is detected on open, and a
 //!   reopened database returns identical scan results and catalog
 //!   statistics.
-//! * [`lexer`] — a zero-dependency Rust lexer + block/item scanner: the
-//!   token stream (idents, literals incl. raw strings, comments,
-//!   nesting depth) and per-`fn` scope model the lint rules run on, so
-//!   a pattern inside a string or comment can never fire a rule.
-//! * [`lint`] — the latch lint: a token-level pass over `crates/*/src`
-//!   enforcing `latch-discipline`, `latch-ordering` and `latch-scope`,
-//!   the concurrency rules clippy cannot express; suppressions via
-//!   `// audit:allow(latch-ordering)`-style comments, validated by the
-//!   `stale-allow` self-check. Panic-freedom, indexing, casts and
-//!   `unsafe` are clippy lints denied at the crate roots instead.
 //! * [`costprops`] — the Table 1/2 cost-property verifier
 //!   (`--cost-props`): exhaustive boundary grids plus SplitMix64-seeded
 //!   samples check every selectivity factor lands in `[0, 1]` and every
@@ -53,7 +43,11 @@
 //!   races and demands the explorer find them.
 //!
 //! The `sysr-audit` binary runs every engine (`--all`) and exits nonzero
-//! on any violation; `scripts/ci.sh` gates every PR on it.
+//! on any violation; `scripts/ci.sh` gates every PR on it. The latch
+//! rules are not an engine here: `sysr_rss::sync` checks the latch order
+//! at every acquisition in debug builds, and clippy's `disallowed_types`
+//! keeps every latch inside that facade. Panic-freedom, indexing, casts
+//! and `unsafe` are clippy lints denied at the crate roots.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -72,21 +66,18 @@ pub mod corpus;
 pub mod costprops;
 pub mod differential;
 pub mod invariants;
-pub mod lexer;
-pub mod lint;
 pub mod model;
 pub mod recovery;
 
 use std::fmt;
 
-/// One broken invariant or lint rule, pinned to a rule id and location.
+/// One broken invariant, pinned to a rule id and location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Stable rule id, e.g. `cost-admissible` or `latch-ordering`. DESIGN.md §8
+    /// Stable rule id, e.g. `cost-admissible`. DESIGN.md §8
     /// catalogues every rule with its paper anchor.
     pub rule: &'static str,
-    /// Where: `file:line` for lint findings, `corpus case / node path` for
-    /// plan findings.
+    /// Where: the corpus case / node path, scenario or formula.
     pub location: String,
     /// What went wrong, with the offending values.
     pub detail: String,
@@ -107,8 +98,8 @@ impl fmt::Display for Violation {
 /// Outcome of one audit engine run: how much was checked, what failed.
 #[derive(Debug, Clone, Default)]
 pub struct AuditReport {
-    /// Individual checks evaluated (plans audited, lines linted, plans
-    /// re-enumerated, ...). Reported so "0 violations" can be told apart
+    /// Individual checks evaluated (plans audited, plans re-enumerated,
+    /// schedules explored, ...). Reported so "0 violations" can be told apart
     /// from "checked nothing".
     pub checks: u64,
     pub violations: Vec<Violation>,

@@ -1,4 +1,4 @@
-//! `sysr-audit` — run the plan auditor and the latch lint.
+//! `sysr-audit` — run the plan auditor.
 //!
 //! ```text
 //! sysr-audit --all               # every engine below (CI mode)
@@ -7,11 +7,9 @@
 //! sysr-audit --concurrent        # 8-thread serving must match single-thread plans + rows
 //! sysr-audit --exec              # traced corpus replay: batched-executor accounting identities
 //! sysr-audit --recovery          # page-checksum + reopen-equivalence rules
-//! sysr-audit --lint              # latch lint over crates/*/src
 //! sysr-audit --cost-props        # Table 1/2 formula property verifier
 //! sysr-audit --model             # bounded schedule exploration of the RSS latches
 //! sysr-audit --mutant <name>     # with --model/--cost-props: the seeded bug must be *found*
-//! sysr-audit --root <dir>        # repo root for --lint (default: .)
 //! sysr-audit --seed <n>          # seed for the random corpus (default 0xA0D17)
 //! sysr-audit --random <n>        # number of random cases (default 12)
 //! ```
@@ -32,11 +30,10 @@
     clippy::allow_attributes_without_reason
 )]
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use sysr_audit::corpus::{builtin_cases, parse_select, random_chain_cases, CorpusCase};
 use sysr_audit::invariants::{audit_query_plan, audit_traces};
-use sysr_audit::{differential, lint, AuditReport, Violation};
+use sysr_audit::{differential, AuditReport, Violation};
 use sysr_core::{Optimizer, OptimizerConfig};
 
 struct Options {
@@ -45,11 +42,9 @@ struct Options {
     concurrent: bool,
     exec: bool,
     recovery: bool,
-    lint: bool,
     cost_props: bool,
     model: bool,
     mutant: Option<String>,
-    root: PathBuf,
     seed: u64,
     random: usize,
 }
@@ -61,11 +56,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         concurrent: false,
         exec: false,
         recovery: false,
-        lint: false,
         cost_props: false,
         model: false,
         mutant: None,
-        root: PathBuf::from("."),
         seed: 0xA0D17,
         random: 12,
     };
@@ -78,7 +71,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.concurrent = true;
                 opts.exec = true;
                 opts.recovery = true;
-                opts.lint = true;
                 opts.cost_props = true;
                 opts.model = true;
             }
@@ -87,14 +79,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--concurrent" => opts.concurrent = true,
             "--exec" => opts.exec = true,
             "--recovery" => opts.recovery = true,
-            "--lint" => opts.lint = true,
             "--cost-props" => opts.cost_props = true,
             "--model" => opts.model = true,
             "--mutant" => {
                 opts.mutant = Some(it.next().ok_or("--mutant needs a name")?.clone());
-            }
-            "--root" => {
-                opts.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a number")?;
@@ -125,12 +113,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         || opts.concurrent
         || opts.exec
         || opts.recovery
-        || opts.lint
         || opts.cost_props
         || opts.model)
     {
         return Err("pick at least one of --all / --plans / --diff / --concurrent / --exec / \
-             --recovery / --lint / --cost-props / --model"
+             --recovery / --cost-props / --model"
             .into());
     }
     Ok(opts)
@@ -173,7 +160,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(msg) => {
             if msg == "help" {
-                eprintln!("usage: sysr-audit [--all|--plans|--diff|--concurrent|--exec|--recovery|--lint|--cost-props|--model] [--mutant NAME] [--root DIR] [--seed N] [--random N]");
+                eprintln!("usage: sysr-audit [--all|--plans|--diff|--concurrent|--exec|--recovery|--cost-props|--model] [--mutant NAME] [--seed N] [--random N]");
                 return ExitCode::SUCCESS;
             }
             eprintln!("sysr-audit: {msg}");
@@ -210,11 +197,6 @@ fn main() -> ExitCode {
     if opts.recovery {
         let r = sysr_audit::recovery::audit_recovery();
         println!("recovery: {} checks, {} violations", r.checks, r.violations.len());
-        report.merge(r);
-    }
-    if opts.lint {
-        let r = lint::lint_workspace(&opts.root);
-        println!("lint: {} lines checked, {} violations", r.checks, r.violations.len());
         report.merge(r);
     }
     // A named mutant drills the engine that owns it; unknown names go to

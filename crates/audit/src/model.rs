@@ -1,7 +1,7 @@
 //! `--model`: deterministic schedule exploration over the RSS
 //! concurrency layer.
 //!
-//! The static `latch-ordering` lint proves acquisition *order*; it
+//! The `sync` facade's rank check proves acquisition *order*; it
 //! cannot prove the absence of lost-update interleavings — the PR-6
 //! dirty-victim/flush race obeyed the latch order perfectly. This engine
 //! closes that gap: it drives small scripted scenarios of virtual
@@ -42,9 +42,10 @@
 use crate::{AuditReport, Violation};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 use sysr_rss::pagefile::stamp_page;
 use sysr_rss::sync::model::{execute, preemptions_of, ModelRun, Policy};
+use sysr_rss::sync::Rank;
 use sysr_rss::{
     FileId, MemBackend, PageBackend, PageImage, PageKey, ShardedBufferPool, SharedBackend,
     SplitMix64, VersionedCache, PAGE_SIZE,
@@ -66,9 +67,8 @@ pub const RULES: &[&str] = &[
 /// previously fixed — or deliberately seeded — concurrency bug.
 pub const MUTANTS: &[(&str, &str)] = &[("dirty-victim-gate", "dirty-victim-flush")];
 
-/// Justified `(scenario, rule, why)` suppressions, the model analog of
-/// `audit:allow`. Empty in production — populated only by negative tests
-/// proving the suppression path works.
+/// Justified `(scenario, rule, why)` suppressions. Empty in production —
+/// populated only by negative tests proving the suppression path works.
 const ALLOWED: &[(&str, &str, &str)] = &[];
 
 /// Exploration budget. Defaults hold the whole `--model` run to a few
@@ -101,7 +101,14 @@ pub struct ModelOutcome {
 }
 
 type Bodies = Vec<Box<dyn FnOnce() + Send + 'static>>;
-type Log = Arc<StdMutex<Vec<(&'static str, String)>>>;
+/// The invariant breaches a scenario's virtual threads record. A std
+/// mutex, not the facade's: recording a breach must not be a yield point
+/// of the schedule it reports on.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the violation log sits outside the model, so it must bypass the facade"
+)]
+pub type Log = Arc<std::sync::Mutex<Vec<(&'static str, String)>>>;
 
 /// A scripted concurrency scenario: a name (the violation `location`)
 /// and a builder producing fresh virtual-thread bodies plus the shared
@@ -147,7 +154,7 @@ fn backend_with(pages: u32, log: &Log) -> Arc<SharedBackend> {
         stamp_page(&mut img, p + 1);
         let _ = log_err(log, "backend preload", b.write_page(seg_key(p), &PageImage::new(img)));
     }
-    Arc::new(SharedBackend::new(Box::new(b)))
+    Arc::new(SharedBackend::ranked(Rank::Backend, Box::new(b)))
 }
 
 /// Marker byte the dirty-victim scenario writes into page 0.
@@ -160,7 +167,7 @@ const DIRTY_MARK: u8 = 0xAB;
 /// backend: the dirty image must be there the moment `flush` returns,
 /// whether it was still resident or mid-eviction in t0.
 fn build_dirty_victim() -> (Bodies, Log) {
-    let log: Log = Arc::new(StdMutex::new(Vec::new()));
+    let log = Log::default();
     let backend = backend_with(4, &log);
     let pool = Arc::new(ShardedBufferPool::new(2));
     // Setup runs on the harness thread (no model context): page 0 dirty
@@ -213,7 +220,7 @@ fn build_dirty_victim() -> (Bodies, Log) {
 /// their stamp, so any schedule that serves a stale plan is caught by a
 /// payload/version mismatch.
 fn build_plan_cache() -> (Bodies, Log) {
-    let log: Log = Arc::new(StdMutex::new(Vec::new()));
+    let log = Log::default();
     let cache = Arc::new(VersionedCache::<u64>::new());
     let version = Arc::new(StdAtomicU64::new(1));
     cache.insert("q".into(), 1, 1);
@@ -248,7 +255,7 @@ fn build_plan_cache() -> (Bodies, Log) {
 /// the snapshots must clamp the window to zero, never wrap it to
 /// `u64::MAX - ε`.
 fn build_iostats_reset() -> (Bodies, Log) {
-    let log: Log = Arc::new(StdMutex::new(Vec::new()));
+    let log = Log::default();
     let backend = backend_with(2, &log);
     let pool = Arc::new(ShardedBufferPool::new(8));
     let _ = log_err(&log, "setup read p0", pool.read(seg_key(0), &backend));
@@ -287,8 +294,8 @@ fn is_allowed(scenario: &str, rule: &str, allowed: &[(&str, &str, &str)]) -> boo
     allowed.iter().any(|(s, r, _)| *s == scenario && *r == rule)
 }
 
-/// Split raw findings into violations and suppressed-by-table count —
-/// the model analog of `audit:allow`, used directly by negative tests.
+/// Split raw findings into violations and suppressed-by-table count,
+/// used directly by negative tests.
 pub fn apply_allowed(
     scenario: &str,
     found: Vec<Violation>,

@@ -1,14 +1,13 @@
 //! Negative coverage: the auditor must *fail* when fed broken inputs.
 //!
 //! Every engine gets an injected violation — a mutated plan, a cooked
-//! search trace, mismatched executor measurements, lint-rule fixtures —
-//! and the test asserts the specific rule fires. The final test runs the
-//! real `sysr-audit` binary against a synthesized workspace containing a
-//! lint violation and asserts the process exits nonzero, which is the
-//! contract CI relies on.
+//! search trace, mismatched executor measurements, a planted race — and
+//! the test asserts the specific rule fires. The final test runs the real
+//! `sysr-audit` binary on a mutant its model engine cannot catch and
+//! asserts the process exits nonzero, which is the contract CI relies on.
 
 use std::collections::HashMap;
-use sysr_audit::{corpus, differential, invariants, lint};
+use sysr_audit::{corpus, differential, invariants};
 use sysr_core::{ColId, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
 use sysr_rss::IoStats;
 
@@ -157,53 +156,6 @@ fn differential_oracle_checks_the_builtin_corpus() {
     assert!(report.checks > 0);
 }
 
-// ---- lint rules fire on fixture sources -------------------------------
-
-#[test]
-fn lint_flags_latch_held_across_io_and_respects_drop() {
-    let held = "fn f(b: &RefCell<Mem>, disk: &mut Disk, key: PageKey, buf: &mut Page) {\n    let g = b.borrow_mut();\n    disk.read_page(key, buf);\n}\n";
-    let report = lint::lint_source("crates/rss/src/sharded.rs", held);
-    assert_eq!(rules(&report), vec!["latch-discipline"], "got:\n{}", report.render());
-
-    // Dropping the guard before the I/O call satisfies the rule.
-    let dropped = "fn f(b: &RefCell<Mem>, disk: &mut Disk, key: PageKey, buf: &mut Page) {\n    let g = b.borrow_mut();\n    drop(g);\n    disk.read_page(key, buf);\n}\n";
-    assert!(lint::lint_source("crates/rss/src/sharded.rs", dropped).ok());
-
-    // And a scoped allow silences a justified exception.
-    let allowed = "fn f(b: &RefCell<Mem>, disk: &mut Disk, key: PageKey, buf: &mut Page) {\n    let g = b.borrow_mut();\n    // audit:allow(latch-discipline) — single-threaded recovery path\n    disk.read_page(key, buf);\n}\n";
-    assert!(lint::lint_source("crates/rss/src/sharded.rs", allowed).ok());
-}
-
-#[test]
-fn lint_flags_latch_order_inversion_and_respects_allow() {
-    // A backend (rank 1) guard live while a shard (rank 0) latch is
-    // acquired: the shard → backend total order is inverted.
-    let inverted = "fn f(&self, key: PageKey) {\n    let backend = self.backend.lock().unwrap_or_else(PoisonError::into_inner);\n    let shard = self.shard_slot(key).lock().unwrap_or_else(PoisonError::into_inner);\n}\n";
-    let report = lint::lint_source("crates/rss/src/sharded.rs", inverted);
-    assert_eq!(rules(&report), vec!["latch-ordering"], "got:\n{}", report.render());
-
-    // The documented order — shard first, then backend — passes.
-    let ordered = "fn f(&self, key: PageKey) {\n    let shard = self.shard_slot(key).lock().unwrap_or_else(PoisonError::into_inner);\n    drop(shard);\n    let backend = self.backend.lock().unwrap_or_else(PoisonError::into_inner);\n}\n";
-    assert!(lint::lint_source("crates/rss/src/sharded.rs", ordered).ok());
-
-    // Two same-rank shard latches: deadlock-prone, flagged.
-    let double = "fn f(&self, a: PageKey, b: PageKey) {\n    let first = self.shard_slot(a).lock().unwrap_or_else(PoisonError::into_inner);\n    let second = self.shard_slot(b).lock().unwrap_or_else(PoisonError::into_inner);\n}\n";
-    let report = lint::lint_source("crates/rss/src/sharded.rs", double);
-    assert_eq!(rules(&report), vec!["latch-ordering"], "got:\n{}", report.render());
-
-    // A scoped allow marker silences a justified exception.
-    let allowed = "fn f(&self, a: PageKey, b: PageKey) {\n    let first = self.shard_slot(a).lock().unwrap_or_else(PoisonError::into_inner);\n    // audit:allow(latch-ordering) — shards ordered by index upstream\n    let second = self.shard_slot(b).lock().unwrap_or_else(PoisonError::into_inner);\n}\n";
-    assert!(lint::lint_source("crates/rss/src/sharded.rs", allowed).ok());
-
-    // Files outside the latch scope skip the ordering rules — but a
-    // latch-acquiring product file missing from sync::LATCHED_FILES is
-    // exactly what the `latch-scope` rule exists to flag.
-    let report = lint::lint_source("crates/core/src/foo.rs", inverted);
-    assert_eq!(rules(&report), vec!["latch-scope"], "got:\n{}", report.render());
-    // Non-product crates (the bench harness) stay unscoped entirely.
-    assert!(lint::lint_source("crates/bench/src/bin/foo.rs", inverted).ok());
-}
-
 // ---- the concurrent-differential rule's comparator --------------------
 
 #[test]
@@ -230,8 +182,8 @@ fn concurrent_divergence_fires_and_allow_table_suppresses() {
         .expect("error divergence must fire");
     assert!(v.detail.contains("latch poisoned"), "{v}");
 
-    // The allowed table is the dynamic analog of `audit:allow`: the same
-    // divergence under a listed label is suppressed…
+    // The same divergence under a label in the allowed table is
+    // suppressed…
     let allowed = [("fig1/join3", "row order differs on this workload — tracked upstream")];
     assert!(check_outcome("fig1/join3", 5, &ok("p", "r"), &ok("P", "r"), &allowed).is_none());
     // …but only for that label.
@@ -243,26 +195,11 @@ fn concurrent_divergence_fires_and_allow_table_suppresses() {
     assert!(check_outcome("q", 1, &Err("x".into()), &Err("x".into()), &[]).is_none());
 }
 
-#[test]
-fn stale_allow_flags_markers_for_retired_rules() {
-    // Retired rules are clippy lints now; a marker naming one is stale.
-    // Built with `format!` so this file holds no such marker itself.
-    for rule in ["no-unwrap", "no-index", "cast-soundness", "div-guard", "no-such-rule"] {
-        let src = format!(
-            "fn f() {{\n    // audit:{}({rule}) — obsolete marker\n    let _x = 1;\n}}\n",
-            "allow"
-        );
-        let report = lint::lint_source("crates/core/src/foo.rs", &src);
-        assert_eq!(rules(&report), vec!["stale-allow"], "got:\n{}", report.render());
-    }
-}
-
 // ---- model engine: injected races must fire, the allow table must
 // ---- suppress -----------------------------------------------------------
 
 mod model_negative {
-    use std::sync::Arc;
-    use sysr_audit::model::{self, apply_allowed, run_violations, ModelConfig};
+    use sysr_audit::model::{self, apply_allowed, run_violations, Log, ModelConfig};
     use sysr_rss::sync::model::{execute, Policy};
     use sysr_rss::sync::Mutex;
 
@@ -287,7 +224,7 @@ mod model_negative {
             let a = LATCH_A.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             drop((b, a));
         }));
-        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Log::default();
         // Serial schedule: both orders still land in the order graph, so
         // the cycle is caught without needing the deadlocking interleaving.
         let run = execute(bodies, &[], Policy::NonPreemptive, None);
@@ -338,47 +275,22 @@ mod model_negative {
 
 // ---- the binary's exit status is the CI contract ----------------------
 
-/// Build a throwaway workspace containing one latch-order inversion and
-/// check the `sysr-audit` binary exits nonzero on it — and zero once it's
-/// allowed. A bare `unwrap()` is clippy's to reject, not this binary's.
+/// A mutant the model engine cannot catch is a violation, so the
+/// `sysr-audit` binary must exit 1 and name the rule; an unknown flag is
+/// bad usage, exit 2.
 #[test]
 fn binary_exits_nonzero_on_injected_violation() {
     use std::process::Command;
 
-    let dir = std::env::temp_dir().join(format!("sysr-audit-neg-{}", std::process::id()));
-    let src_dir = dir.join("crates/rss/src");
-    std::fs::create_dir_all(&src_dir).expect("temp workspace");
-    let fixture = |marker: &str| {
-        format!(
-            "fn f(&self, key: PageKey) {{\n    let backend = self.backend.lock().unwrap();\n{marker}    let shard = self.shard_slot(key).lock().unwrap();\n}}\n"
-        )
-    };
-    std::fs::write(src_dir.join("sharded.rs"), fixture("")).expect("write fixture");
-
     let bin = env!("CARGO_BIN_EXE_sysr-audit");
-    let out =
-        Command::new(bin).args(["--lint", "--root"]).arg(&dir).output().expect("run sysr-audit");
-    assert!(
-        !out.status.success(),
-        "expected nonzero exit on injected violation; stdout:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
+    let out = Command::new(bin)
+        .args(["--model", "--mutant", "no-such-mutant"])
+        .output()
+        .expect("run sysr-audit");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("latch-ordering"), "violation not reported:\n{stdout}");
+    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
+    assert!(stdout.contains("model-mutant-uncaught"), "violation not reported:\n{stdout}");
 
-    // Suppress it and the same tree goes green.
-    std::fs::write(
-        src_dir.join("sharded.rs"),
-        fixture("    // audit:allow(latch-ordering) — fixture\n"),
-    )
-    .expect("rewrite fixture");
-    let out =
-        Command::new(bin).args(["--lint", "--root"]).arg(&dir).output().expect("run sysr-audit");
-    assert!(
-        out.status.success(),
-        "expected exit 0 after allow marker; stdout:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(bin).arg("--lint").output().expect("run sysr-audit");
+    assert_eq!(out.status.code(), Some(2), "--lint is not a flag");
 }

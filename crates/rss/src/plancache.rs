@@ -23,7 +23,7 @@
 //! so `sysr-audit --model` can exhaustively interleave lookups, inserts,
 //! and version bumps (DESIGN.md §12).
 
-use crate::sync::{AtomicU64, Mutex};
+use crate::sync::{AtomicU64, Mutex, Rank};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -60,7 +60,7 @@ impl<V> Default for VersionedCache<V> {
 impl<V> VersionedCache<V> {
     pub fn new() -> Self {
         VersionedCache {
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripes: (0..STRIPES).map(|_| Mutex::ranked(Rank::Shard, HashMap::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }

@@ -35,8 +35,10 @@
 //!   victims are removed under the shard latch and written back after it
 //!   is released (gated as above).
 //!
-//! `sysr-audit`'s `latch-discipline` rule enforces the I/O-span half of
-//! this contract and `latch-ordering` enforces the rank order.
+//! Each latch is built with its [`Rank`], and debug builds check both
+//! halves of this contract at every acquisition: the rank order
+//! (`latch-ordering`) and no other latch held under the backend latch
+//! (`latch-discipline`). See [`crate::sync`].
 //!
 //! # Frames: recency plus dirty images
 //!
@@ -77,7 +79,7 @@ use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
 use crate::page::{PageImage, PAGE_SIZE};
 use crate::pagefile::{verify_page, PageBackend};
-use crate::sync::{model, AtomicU64, Condvar, Mutex};
+use crate::sync::{model, AtomicU64, Condvar, Mutex, Rank};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering::Relaxed;
@@ -413,11 +415,11 @@ impl ShardedBufferPool {
         let n = shard_count_for(capacity);
         let per_shard = capacity.div_ceil(n);
         ShardedBufferPool {
-            shards: (0..n).map(|_| Mutex::new(Shard::new(per_shard))).collect(),
+            shards: (0..n).map(|_| Mutex::ranked(Rank::Shard, Shard::new(per_shard))).collect(),
             clock: AtomicU64::new(0),
             counters: Counters::default(),
             capacity,
-            gate: Mutex::new(0),
+            gate: Mutex::ranked(Rank::Gate, 0),
             gate_drained: Condvar::new(),
         }
     }
@@ -670,7 +672,7 @@ impl ShardedBufferPool {
             }
             self.counters.backend_writes.fetch_add(1, Relaxed);
         }
-        self.shards = shards.into_iter().map(Mutex::new).collect();
+        self.shards = shards.into_iter().map(|s| Mutex::ranked(Rank::Shard, s)).collect();
         self.capacity = capacity;
         Ok(())
     }
@@ -727,7 +729,7 @@ mod tests {
         for p in 0..pages {
             b.write_page(PageKey::new(file(0), p), &image(p as u8, p + 1)).unwrap();
         }
-        Mutex::new(Box::new(b) as Box<dyn PageBackend + Send>)
+        Mutex::ranked(Rank::Backend, Box::new(b) as Box<dyn PageBackend + Send>)
     }
 
     /// The last byte of `key`'s image in the backend.

@@ -59,7 +59,7 @@ use crate::pagefile::{stamp_page, verify_page, DirBackend, MemBackend, PageBacke
 use crate::rid::Rid;
 use crate::segment::{Segment, SegmentId};
 use crate::sharded::{ShardedBufferPool, SharedBackend};
-use crate::sync::{AtomicU32, Mutex};
+use crate::sync::{AtomicU32, Mutex, Rank};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::borrow::Borrow;
@@ -113,7 +113,7 @@ impl Storage {
             segments: Vec::new(),
             indexes: Vec::new(),
             buffer: ShardedBufferPool::new(buffer_pages),
-            backend: Mutex::new(Box::new(MemBackend::new())),
+            backend: Mutex::ranked(Rank::Backend, Box::new(MemBackend::new())),
             next_temp: AtomicU32::new(0),
             next_lsn: AtomicU32::new(1),
             btree_config: BTreeConfig::default(),
@@ -129,7 +129,7 @@ impl Storage {
             segments: Vec::new(),
             indexes: Vec::new(),
             buffer: ShardedBufferPool::new(buffer_pages),
-            backend: Mutex::new(backend),
+            backend: Mutex::ranked(Rank::Backend, backend),
             next_temp: AtomicU32::new(0),
             next_lsn: AtomicU32::new(1),
             btree_config: BTreeConfig::default(),
@@ -732,7 +732,7 @@ impl Storage {
             segments,
             indexes,
             buffer: ShardedBufferPool::new(buffer_pages),
-            backend: Mutex::new(backend),
+            backend: Mutex::ranked(Rank::Backend, backend),
             next_temp: AtomicU32::new(meta.next_temp),
             next_lsn: AtomicU32::new(meta.next_lsn),
             btree_config: meta.btree_config,

@@ -25,7 +25,25 @@
 //! `LockResult` reuses `std::sync::PoisonError`, so existing
 //! `.lock().unwrap_or_else(std::sync::PoisonError::into_inner)` call
 //! sites compile unchanged against the facade.
+//!
+//! # Latch order
+//!
+//! Every product latch is built with [`Mutex::ranked`], and debug builds
+//! check the RSS latch order (DESIGN.md §11) at each acquisition: a
+//! thread may take a ranked latch only while every ranked latch it holds
+//! ranks lower (`latch-ordering`, which also forbids two shards at once),
+//! and the backend latch only while it holds no other ranked latch, so
+//! no latch spans backend I/O (`latch-discipline`). A violation panics
+//! naming the acquisition's `file:line`. The held ranks are one
+//! thread-local bitmask; release builds compile the check out, so the
+//! shipped hot path is the plain delegation to `std`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the facade is the one place the std latches it wraps may be named"
+)]
+
+use std::cell::Cell;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
@@ -35,20 +53,6 @@ use std::sync::{LockResult, PoisonError};
 
 pub mod model;
 
-/// Every file whose latches ride this facade, by workspace-relative
-/// label. This is the single source of truth for `sysr-audit`'s
-/// `latch-ordering` file scope (the lint imports it): a file that
-/// acquires guards without appearing here fails the `latch-scope` rule
-/// instead of silently escaping the ordering analysis.
-pub const LATCHED_FILES: &[&str] = &[
-    "crates/rss/src/pagefile.rs",
-    "crates/rss/src/plancache.rs",
-    "crates/rss/src/sharded.rs",
-    "crates/rss/src/storage.rs",
-    "crates/rss/src/sync.rs",
-    "crates/rss/src/sync/model.rs",
-];
-
 /// The address identity of a facade object: how the model names a latch
 /// or atomic across an execution (objects are compared by location, never
 /// dereferenced through this).
@@ -56,15 +60,79 @@ fn addr<T>(x: &T) -> usize {
     x as *const T as usize
 }
 
+/// A latch's place in the RSS acquisition order, lowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rank {
+    /// A buffer-pool shard or a plan-cache stripe. At most one is held.
+    Shard,
+    /// The buffer pool's write-back gate.
+    Gate,
+    /// The page backend: taken only with no other ranked latch held.
+    Backend,
+}
+
+impl Rank {
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
+thread_local! {
+    /// The ranks of the ranked latches this thread holds, one bit each.
+    static HELD: Cell<u8> = const { Cell::new(0) };
+}
+
+/// Panic if taking a latch of `rank` at `at` would break the latch
+/// order. Compiled out of release builds.
+#[inline]
+fn check_order(rank: Option<Rank>, at: &'static Location<'static>) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let Some(rank) = rank else { return };
+    let held = HELD.get();
+    // Every bit at or above `rank`'s: a held latch that does not rank lower.
+    let not_lower = held & !(rank.bit() - 1);
+    assert!(
+        not_lower == 0,
+        "latch-ordering: {rank:?} latch taken at {at} while holding ranks {held:#05b}"
+    );
+    assert!(
+        rank != Rank::Backend || held == 0,
+        "latch-discipline: Backend latch taken at {at} while holding ranks {held:#05b}"
+    );
+}
+
+/// Record that this thread now holds (`true`) or no longer holds a latch
+/// of `rank`. Compiled out of release builds.
+#[inline]
+fn set_held(rank: Option<Rank>, holds: bool) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    if let Some(rank) = rank {
+        let held = HELD.get();
+        HELD.set(if holds { held | rank.bit() } else { held & !rank.bit() });
+    }
+}
+
 /// A mutex that yields to the model scheduler at acquire and release
 /// when the current thread is a model virtual thread.
 pub struct Mutex<T> {
     raw: std::sync::Mutex<T>,
+    rank: Option<Rank>,
 }
 
 impl<T> Mutex<T> {
+    /// An unranked mutex: outside the latch order, never checked.
     pub const fn new(value: T) -> Self {
-        Mutex { raw: std::sync::Mutex::new(value) }
+        Mutex { raw: std::sync::Mutex::new(value), rank: None }
+    }
+
+    /// A latch of `rank`, checked against the latch order on every
+    /// acquisition in debug builds.
+    pub const fn ranked(rank: Rank, value: T) -> Self {
+        Mutex { raw: std::sync::Mutex::new(value), rank: Some(rank) }
     }
 
     /// Acquire. Under the model this is a yield point; the scheduler
@@ -73,8 +141,11 @@ impl<T> Mutex<T> {
     #[track_caller]
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         let acquired = Location::caller();
+        check_order(self.rank, acquired);
         model::on_acquire(addr(self), acquired);
-        match self.raw.lock() {
+        let result = self.raw.lock();
+        set_held(self.rank, true);
+        match result {
             Ok(inner) => Ok(MutexGuard { lock: self, inner: ManuallyDrop::new(inner), acquired }),
             Err(poisoned) => Err(PoisonError::new(MutexGuard {
                 lock: self,
@@ -131,6 +202,7 @@ impl<T> Drop for MutexGuard<'_, T> {
         // SAFETY: `inner` is taken exactly once — here, or in
         // `Condvar::wait`, which then forgets the guard (skipping this).
         unsafe { ManuallyDrop::drop(&mut self.inner) };
+        set_held(self.lock.rank, false);
         // The real lock is released *before* the model learns of it, so
         // the model's holder entry (cleared at the announce) can never
         // claim a lock the OS still holds.
@@ -160,30 +232,25 @@ impl Condvar {
         // its Drop can never observe the vacated slot.
         let inner = unsafe { ManuallyDrop::take(&mut guard.inner) };
         std::mem::forget(guard);
-        if model::in_model() {
+        // The latch is released for the wait and held again on return;
+        // nothing is acquired in between, so the order still holds.
+        set_held(lock.rank, false);
+        let result = if model::in_model() {
             // Drop the real guard first: the announce parks this thread,
             // and the notifier needs the real lock to make progress.
             drop(inner);
             model::on_cv_wait(addr(self), addr(lock), loc);
             // Granted: the scheduler converted us into an acquire of
             // `lock` and chose us while no model thread held it.
-            match lock.raw.lock() {
-                Ok(g) => Ok(MutexGuard { lock, inner: ManuallyDrop::new(g), acquired: loc }),
-                Err(poisoned) => Err(PoisonError::new(MutexGuard {
-                    lock,
-                    inner: ManuallyDrop::new(poisoned.into_inner()),
-                    acquired: loc,
-                })),
-            }
+            lock.raw.lock()
         } else {
-            match self.raw.wait(inner) {
-                Ok(g) => Ok(MutexGuard { lock, inner: ManuallyDrop::new(g), acquired: loc }),
-                Err(poisoned) => Err(PoisonError::new(MutexGuard {
-                    lock,
-                    inner: ManuallyDrop::new(poisoned.into_inner()),
-                    acquired: loc,
-                })),
-            }
+            self.raw.wait(inner)
+        };
+        set_held(lock.rank, true);
+        let wrap = |g| MutexGuard { lock, inner: ManuallyDrop::new(g), acquired: loc };
+        match result {
+            Ok(g) => Ok(wrap(g)),
+            Err(poisoned) => Err(PoisonError::new(wrap(poisoned.into_inner()))),
         }
     }
 
@@ -298,9 +365,95 @@ mod tests {
         assert!(*g);
     }
 
-    #[test]
-    fn latched_files_is_sorted_and_self_referential() {
-        assert!(LATCHED_FILES.contains(&"crates/rss/src/sync.rs"));
-        assert!(LATCHED_FILES.contains(&"crates/rss/src/sharded.rs"));
+    /// The latch-order check's teeth. Debug builds only: release builds
+    /// compile the check out.
+    #[cfg(debug_assertions)]
+    mod order {
+        use super::super::*;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// Hold `held`, then take `taken`: the second acquisition must panic
+        /// with `rule`, naming this function's `taken.lock()` line.
+        fn second_lock_panics(rule: &str, held: &Mutex<()>, taken: &Mutex<()>) {
+            let _held = held.lock();
+            let (line, result) = (line!(), catch_unwind(AssertUnwindSafe(|| drop(taken.lock()))));
+            let payload = result.expect_err("the second acquisition must panic");
+            let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.starts_with(rule), "wrong rule: {msg}");
+            assert!(msg.contains(&format!("{}:{line}:", file!())), "no location: {msg}");
+        }
+
+        #[test]
+        fn backend_then_shard_panics() {
+            let (backend, shard) =
+                (Mutex::ranked(Rank::Backend, ()), Mutex::ranked(Rank::Shard, ()));
+            second_lock_panics("latch-ordering", &backend, &shard);
+        }
+
+        #[test]
+        fn two_shards_panic() {
+            let (a, b) = (Mutex::ranked(Rank::Shard, ()), Mutex::ranked(Rank::Shard, ()));
+            second_lock_panics("latch-ordering", &a, &b);
+        }
+
+        #[test]
+        fn two_backends_panic() {
+            let (a, b) = (Mutex::ranked(Rank::Backend, ()), Mutex::ranked(Rank::Backend, ()));
+            second_lock_panics("latch-ordering", &a, &b);
+        }
+
+        #[test]
+        fn shard_held_across_backend_panics() {
+            let (shard, backend) =
+                (Mutex::ranked(Rank::Shard, ()), Mutex::ranked(Rank::Backend, ()));
+            second_lock_panics("latch-discipline", &shard, &backend);
+        }
+
+        #[test]
+        fn gate_then_shard_panics() {
+            let (gate, shard) = (Mutex::ranked(Rank::Gate, ()), Mutex::ranked(Rank::Shard, ()));
+            second_lock_panics("latch-ordering", &gate, &shard);
+        }
+
+        #[test]
+        fn the_documented_order_and_every_release_pass() {
+            let shard = Mutex::ranked(Rank::Shard, ());
+            let gate = Mutex::ranked(Rank::Gate, ());
+            let backend = Mutex::ranked(Rank::Backend, ());
+            // Shard then gate, as a dirty victim is registered.
+            let (s, g) = (shard.lock(), gate.lock());
+            assert_eq!(HELD.get(), Rank::Shard.bit() | Rank::Gate.bit());
+            // A drop, then the backend alone, then the shard again.
+            drop((g, s));
+            drop(backend.lock());
+            {
+                let _shard = shard.lock();
+            }
+            // The scoped block released the shard: the backend may follow.
+            drop(backend.lock());
+            assert_eq!(HELD.get(), 0);
+        }
+
+        #[test]
+        fn condvar_wait_on_a_ranked_gate_leaves_the_mask_empty() {
+            use std::sync::Arc;
+            let pair = Arc::new((Mutex::ranked(Rank::Gate, 1u32), Condvar::new()));
+            let (gate, cv) = &*pair;
+            // Taken before the notifier starts, so the loop must wait.
+            let mut g = gate.lock().unwrap();
+            let p2 = Arc::clone(&pair);
+            let h = std::thread::spawn(move || {
+                let (gate, cv) = &*p2;
+                *gate.lock().unwrap() = 0;
+                cv.notify_all();
+            });
+            while *g > 0 {
+                g = cv.wait(g).unwrap();
+                assert_eq!(HELD.get(), Rank::Gate.bit(), "the wait re-takes the gate");
+            }
+            drop(g);
+            h.join().unwrap();
+            assert_eq!(HELD.get(), 0);
+        }
     }
 }

@@ -27,6 +27,11 @@
 //! thread is woken into a [`ModelAbort`] unwind so its real guards drop
 //! and the harness can join it.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the scheduler's own latch must not be a yield point: it is what grants them"
+)]
+
 use crate::prng::SplitMix64;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 use sysr_rss::pagefile::stamp_page;
+use sysr_rss::sync::Rank;
 use sysr_rss::{
     FileId, MemBackend, PageImage, PageKey, ShardedBufferPool, SharedBackend, SplitMix64, PAGE_SIZE,
 };
@@ -162,7 +163,7 @@ fn pool_matches_reference_model() {
         let mut pool = ShardedBufferPool::new(capacity);
         assert_eq!(pool.shard_count(), 1, "case {case}: capacity {capacity}");
         // Never-written pages read back as all-zero images, which verify.
-        let backend = SharedBackend::new(Box::new(MemBackend::new()));
+        let backend = SharedBackend::ranked(Rank::Backend, Box::new(MemBackend::new()));
         let mut model = ModelLru::new(capacity);
         let mut misses = 0u64;
         let mut hits = 0u64;

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # CI gate: formatting, lints, docs, release build, the full test suite,
 # the persistence round-trip and the DML oracle in release mode, and the
-# sysr-audit invariant/recovery/latch-lint pass (see DESIGN.md §8–§9).
+# sysr-audit invariant/recovery/model pass (see DESIGN.md §8–§9).
 # Runs offline — zero external crates.
 set -eux
 
@@ -13,9 +13,14 @@ cargo fmt --all --check
 # every suppression is an `#[expect(lint, reason = …)]`, and an
 # expectation that no longer fires fails here as
 # `unfulfilled_lint_expectations`.
+# It is also the latch-scope gate: clippy.toml disallows std's Mutex,
+# RwLock and Condvar outside the sysr_rss::sync facade.
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo build --release --workspace --bins --benches --examples
+# The latch order (shard -> gate -> backend, no latch held under the
+# backend latch) is checked at runtime at every acquisition in every debug
+# test run, so this step checks it too (DESIGN.md §8.2).
 cargo test --workspace
 # Save/reopen round-trip against real page files in a temp dir; pins the
 # fetches == device-reads identity and clean errors on torn/corrupt files.
@@ -76,10 +81,7 @@ env -u RUST_TEST_THREADS cargo test --release --test plan_cache
 # exec-accounting rule (traced corpus replay: per-node I/O sums to the
 # whole-query delta, RSI-call/page-fetch sums match component-wise, and
 # no scan emits more rows than it charged RSI calls — the identities the
-# batched NEXT path must preserve) + the
-# token-level latch lint (latch-discipline, latch-ordering, latch-scope,
-# and stale-allow for `audit:allow` markers that name anything else —
-# the rules clippy cannot express) + the cost-property verifier
+# batched NEXT path must preserve) + the cost-property verifier
 # (exhaustive-boundary + seeded-sample domain checks that every Table 1
 # selectivity and Table 2 cost formula is non-negative, finite, and
 # monotone where the paper requires — see DESIGN.md §15) + the

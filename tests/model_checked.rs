@@ -14,6 +14,7 @@ use common::fig1_db;
 use std::sync::Arc;
 use system_r::audit::model::{audit_model_with, scenario_named, ModelConfig};
 use system_r::rss::sync::model::{execute, Policy};
+use system_r::rss::sync::Rank;
 use system_r::rss::{
     FileId, MemBackend, PageImage, PageKey, ShardedBufferPool, SharedBackend, PAGE_SIZE,
 };
@@ -81,7 +82,7 @@ fn seeded_backend(pages: u32) -> Arc<SharedBackend> {
         system_r::rss::pagefile::stamp_page(&mut img, p + 1);
         mem.write_page(seg(p), &PageImage::new(img)).expect("seed backend");
     }
-    Arc::new(SharedBackend::new(Box::new(mem)))
+    Arc::new(SharedBackend::ranked(Rank::Backend, Box::new(mem)))
 }
 
 use system_r::rss::PageBackend;
