@@ -15,9 +15,14 @@
 //! how many *pages* tuples occupy, not about encoding cleverness — but it is
 //! a real serialization boundary: every tuple that crosses the RSI has been
 //! decoded from page bytes.
+//!
+//! The module also holds the one evaluator of SARGs over these bytes,
+//! `EncodedEval`: a segment scan compiles its SARG list at OPEN and
+//! runs it on each slot in place, so a tuple the SARGs reject is never
+//! decoded (DESIGN.md §13).
 
 use crate::error::{RssError, RssResult};
-use crate::sarg::{SargExpr, SargList, SargPred};
+use crate::sarg::{CompareOp, SargExpr, SargList, SargPred};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -120,119 +125,104 @@ pub fn decode_tuple(bytes: &[u8]) -> RssResult<Tuple> {
     Ok(Tuple::new(values))
 }
 
-/// A borrowed view of one encoded column value. Lets SARGs compare
-/// against page bytes without allocating a [`Value`] (the `Str` arm is
-/// the expensive one: a `String` per column per visited slot).
-enum ValueRef<'a> {
-    Null,
-    Int(i64),
-    Float(f64),
-    Str(&'a str),
-}
-
-impl ValueRef<'_> {
-    fn kind_rank(&self) -> u8 {
-        match self {
-            ValueRef::Null => 0,
-            ValueRef::Int(_) | ValueRef::Float(_) => 1,
-            ValueRef::Str(_) => 2,
-        }
-    }
-
-    fn is_null(&self) -> bool {
-        matches!(self, ValueRef::Null)
-    }
-
-    /// Mirror of [`Value::cmp`] with a borrowed left side: NULL first,
-    /// numbers compare across the Int/Float divide, NaN via `total_cmp`.
-    fn cmp_value(&self, other: &Value) -> Ordering {
-        match (self, other) {
-            (ValueRef::Null, Value::Null) => Ordering::Equal,
-            (ValueRef::Int(a), Value::Int(b)) => a.cmp(b),
-            (ValueRef::Str(a), Value::Str(b)) => (*a).cmp(b.as_str()),
-            (ValueRef::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (ValueRef::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (ValueRef::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
-            _ => {
-                let other_rank = match other {
-                    Value::Null => 0u8,
-                    Value::Int(_) | Value::Float(_) => 1,
-                    Value::Str(_) => 2,
-                };
-                self.kind_rank().cmp(&other_rank)
-            }
-        }
-    }
-}
-
-/// Decode one value as a borrowed view from a cursor positioned at its
-/// tag byte. Validates exactly what [`decode_value`] validates.
-fn decode_value_ref<'a>(cursor: &mut Cursor<'a>) -> RssResult<ValueRef<'a>> {
-    let tag = cursor.u8()?;
-    Ok(match tag {
-        TAG_NULL => ValueRef::Null,
-        TAG_INT => ValueRef::Int(i64::from_le_bytes(cursor.array::<8>()?)),
-        TAG_FLOAT => ValueRef::Float(f64::from_bits(u64::from_le_bytes(cursor.array::<8>()?))),
-        TAG_STR => {
-            let len = cursor.u16()? as usize;
-            let raw = cursor.slice(len)?;
-            let s = std::str::from_utf8(raw)
-                .map_err(|_| RssError::Corrupt("invalid utf-8 in string column".into()))?;
-            ValueRef::Str(s)
-        }
-        t => return Err(RssError::Corrupt(format!("unknown value tag {t}"))),
-    })
-}
-
-/// Skip one encoded value without materializing or validating its
-/// payload (a string's bytes are length-skipped, not UTF-8 checked —
-/// [`decode_tuple`] performs the full check on every tuple that is
-/// actually returned).
-fn skip_value(cursor: &mut Cursor<'_>) -> RssResult<()> {
-    let tag = cursor.u8()?;
-    match tag {
-        TAG_NULL => {}
-        TAG_INT | TAG_FLOAT => {
-            cursor.slice(8)?;
-        }
-        TAG_STR => {
-            let len = cursor.u16()? as usize;
-            cursor.slice(len)?;
-        }
-        t => return Err(RssError::Corrupt(format!("unknown value tag {t}"))),
-    }
-    Ok(())
-}
-
-/// SARG evaluation directly over an encoded tuple image.
+/// A compiled SARG list over encoded tuple images: the one evaluator a
+/// segment scan applies to its slots.
 ///
-/// A scan builds one of these per OPEN and applies it to every slot.
-/// `matches` walks the encoding **lazily, in column order**: factors are
-/// tested in ascending order of the rightmost column each reads, the
-/// walk advances only as far right as the predicate under test reads,
-/// and the first false factor ends it. A predicate whose column lies
-/// ahead of the walk is decoded straight off the cursor, so a
-/// one-predicate conjunction costs one length-skip per preceding column
-/// and one compare. Only a read *behind* the walk — an OR factor, a
-/// second factor on the same column, a conjunction listed right to left
-/// — walks a fresh cursor from the first column; no offset table is
-/// kept, so evaluation allocates nothing.
+/// [`EncodedEval::for_sargs`] compiles the list once per OPEN into a flat
+/// program of [`Step`]s, one per predicate. Factors are laid out in
+/// ascending order of the rightmost column each reads, and the predicates
+/// of a conjunction in column order, so Fig. 1's DEPT probe, listed
+/// `[LOC = 'DENVER', DNO = ?]`, tests DNO first. A step holds its column,
+/// the orderings its operator accepts (a 3-bit mask) and its literal,
+/// typed. It names the step to run next when it holds and when it does
+/// not: a false step jumps to the next disjunct of its factor or rejects,
+/// and the last step of a disjunct jumps past its factor. A jump past the
+/// last step accepts. Every jump goes forward. A predicate that can never
+/// hold (a NULL literal, or a column no tuple can have) is dropped with
+/// its conjunction at compile time; a factor left with no disjunct
+/// rejects every tuple, and a factor with an empty conjunction accepts.
 ///
-/// Columns the walk passes are length-skipped, not validated; a column a
-/// predicate reads is fully decoded (a string's bytes are UTF-8
-/// checked). So truncation or a bad tag inside the columns the rejecting
-/// factor reads is an error, while bytes past the column that rejected a
-/// tuple are never read. Rejected tuples are never materialized; that is
-/// the batch executor's main CPU saving on selective scans. Every
+/// [`EncodedEval::matches`] runs the program over one slot's bytes. It
+/// walks the encoding left to right only as far as the step under test
+/// reads, length-skipping the columns it passes, and compares the column
+/// in place against the literal, with [`Value::cmp`]'s semantics (NULL
+/// never satisfies, Int against Float numerically, `total_cmp`): no value
+/// is built. A step that reads behind the walk — a second factor on the
+/// column just read, such as `K < b AND K > -n`, or a later disjunct of an
+/// OR factor — starts at that column's start offset, which the walk
+/// recorded as it passed it. The walk keeps the start of the column it
+/// read last; a table of every column's start exists only when the layout
+/// reads further back than that. Nothing is allocated per slot.
+///
+/// A column a step reads is fully checked (a string's bytes are UTF-8
+/// checked, whatever the literal) and a column the walk passes is
+/// length-skipped, so truncation or a bad tag inside the columns the
+/// program reads is an error, while bytes past the last column it read
+/// are never read. Rejected tuples are never materialized. Every
 /// *accepted* tuple still goes through [`decode_tuple`]'s full
 /// structural/UTF-8/trailing-bytes validation before it crosses the RSI,
-/// so returned data is exactly as checked as before; only corruption
-/// confined to tuples a SARG rejects can go unreported.
+/// so only corruption confined to tuples a SARG rejects can go unreported.
 pub(crate) struct EncodedEval {
-    /// Factor indices in evaluation order, ascending by the rightmost
-    /// column each reads. Empty when the list's own order already is —
-    /// always so for a one-factor probe, which then allocates nothing.
-    order: Vec<usize>,
+    steps: Vec<Step>,
+    /// Where the program starts: 0, or [`REJECT`] when a factor can never
+    /// hold.
+    start: u32,
+    /// The start offset of every column up to the last one a step reads,
+    /// recorded as the walk passes it. Empty when the layout reads its
+    /// columns in ascending order, so that a step reads behind the walk
+    /// only on the column read last.
+    starts: Vec<u32>,
+}
+
+/// One compiled predicate.
+struct Step {
+    col: u16,
+    /// The orderings of `column <=> literal` that satisfy the operator.
+    mask: u8,
+    lit: Lit,
+    /// The step to run next when this one holds and when it does not.
+    on_true: u32,
+    on_false: u32,
+}
+
+/// A step's literal, typed at compile time (a NULL literal compiles to no
+/// step).
+#[derive(Clone, Copy)]
+enum Lit {
+    Int(i64),
+    Float(f64),
+    /// A string literal, by the position of its predicate in the list
+    /// (factor, disjunct, predicate): the program refers to it rather than
+    /// copying it.
+    Str(u32, u32, u32),
+}
+
+const LT: u8 = 1;
+const EQ: u8 = 2;
+const GT: u8 = 4;
+/// The jump target that rejects the tuple.
+const REJECT: u32 = u32::MAX;
+/// Placeholder for the last step of a disjunct until its factor's end is
+/// known.
+const FACTOR_END: u32 = u32::MAX - 1;
+
+fn op_mask(op: CompareOp) -> u8 {
+    match op {
+        CompareOp::Eq => EQ,
+        CompareOp::Ne => LT | GT,
+        CompareOp::Lt => LT,
+        CompareOp::Le => LT | EQ,
+        CompareOp::Gt => GT,
+        CompareOp::Ge => GT | EQ,
+    }
+}
+
+fn ord_bit(ord: Ordering) -> u8 {
+    match ord {
+        Ordering::Less => LT,
+        Ordering::Equal => EQ,
+        Ordering::Greater => GT,
+    }
 }
 
 /// The rightmost column a factor reads (0 for a trivial factor).
@@ -240,106 +230,226 @@ fn last_col(factor: &SargExpr) -> usize {
     factor.disjuncts.iter().flatten().map(|p| p.col).max().unwrap_or(0)
 }
 
+/// Whether some tuple can satisfy `pred`: its literal is not NULL and its
+/// column fits a tuple's `u16` column count.
+fn can_hold(pred: &SargPred) -> bool {
+    !pred.value.is_null() && pred.col < usize::from(u16::MAX)
+}
+
+#[cold]
+fn truncated() -> RssError {
+    RssError::Corrupt("truncated tuple bytes".into())
+}
+
+#[cold]
+fn unknown_tag(tag: u8) -> RssError {
+    RssError::Corrupt(format!("unknown value tag {tag}"))
+}
+
 impl EncodedEval {
-    /// Build the evaluator for a fixed SARG list (the scan's own).
+    /// Compile the evaluator for a fixed SARG list (the scan's own).
     pub(crate) fn for_sargs(sargs: &SargList) -> Self {
-        let factors = &sargs.factors;
-        let mut order = Vec::new();
-        if factors.iter().zip(factors.iter().skip(1)).any(|(a, b)| last_col(a) > last_col(b)) {
-            order.extend(0..factors.len());
-            order.sort_by_key(|&i| factors.get(i).map_or(0, last_col));
-        }
-        EncodedEval { order }
-    }
-
-    /// Whether the encoded tuple satisfies every factor of `sargs`
-    /// (which must be the list this evaluator was built for).
-    pub(crate) fn matches(&self, bytes: &[u8], sargs: &SargList) -> RssResult<bool> {
-        let mut walk = Walk::new(bytes)?;
-        for i in 0..sargs.factors.len() {
-            let f = self.order.get(i).copied().unwrap_or(i);
+        let mut eval = Self::empty(0);
+        eval.steps.reserve_exact(sargs.factors.iter().map(SargExpr::pred_count).sum());
+        // Factors in ascending (rightmost column, position) order, picked
+        // by selection so that compiling allocates only the program.
+        let mut prev = None;
+        while let Some((col, f)) = (sargs.factors.iter().enumerate())
+            .map(|(f, factor)| (last_col(factor), f))
+            .filter(|&key| prev.map_or(true, |p| key > p))
+            .min()
+        {
+            prev = Some((col, f));
             if let Some(factor) = sargs.factors.get(f) {
-                if !walk.factor_holds(factor)? {
-                    return Ok(false);
+                if !eval.push_factor(f, factor) {
+                    return Self::empty(REJECT);
                 }
             }
         }
-        Ok(true)
-    }
-}
-
-/// One tuple image under evaluation: `cursor` sits at the tag of column
-/// `next`, the first column the walk has not passed.
-struct Walk<'a> {
-    bytes: &'a [u8],
-    ncols: usize,
-    cursor: Cursor<'a>,
-    next: usize,
-}
-
-impl<'a> Walk<'a> {
-    fn new(bytes: &'a [u8]) -> RssResult<Self> {
-        let mut cursor = Cursor::new(bytes);
-        let ncols = cursor.u16()? as usize;
-        Ok(Walk { bytes, ncols, cursor, next: 0 })
-    }
-
-    /// A DNF factor; an empty one is trivially true.
-    fn factor_holds(&mut self, factor: &SargExpr) -> RssResult<bool> {
-        if factor.disjuncts.is_empty() {
-            return Ok(true);
+        if !eval.steps.windows(2).all(|w| matches!(w, [a, b] if a.col <= b.col)) {
+            let last = eval.steps.iter().map(|s| usize::from(s.col)).max().unwrap_or(0);
+            eval.starts = vec![0; last + 1];
         }
-        for conj in &factor.disjuncts {
-            let mut all = true;
-            for pred in conj {
-                if !self.pred_holds(pred)? {
-                    all = false;
-                    break;
+        eval
+    }
+
+    /// A program with no steps that starts at `start`: it accepts every
+    /// tuple from 0 and rejects every tuple from [`REJECT`].
+    fn empty(start: u32) -> Self {
+        EncodedEval { steps: Vec::new(), start, starts: Vec::new() }
+    }
+
+    /// Append the steps of factor `f`; `false` when it can never hold.
+    fn push_factor(&mut self, f: usize, factor: &SargExpr) -> bool {
+        if factor.disjuncts.is_empty() || factor.disjuncts.iter().any(Vec::is_empty) {
+            return true;
+        }
+        let live = |conj: &Vec<SargPred>| conj.iter().all(can_hold);
+        let mut left = factor.disjuncts.iter().filter(|conj| live(conj)).count();
+        if left == 0 {
+            return false;
+        }
+        let first = self.steps.len();
+        for (d, conj) in factor.disjuncts.iter().enumerate().filter(|(_, conj)| live(conj)) {
+            left -= 1;
+            let start = self.steps.len();
+            for (p, pred) in conj.iter().enumerate() {
+                let lit = match &pred.value {
+                    Value::Int(i) => Lit::Int(*i),
+                    Value::Float(x) => Lit::Float(*x),
+                    // A NULL literal never gets here (`can_hold`).
+                    Value::Str(_) | Value::Null => Lit::Str(f as u32, d as u32, p as u32),
+                };
+                let (col, mask) = (pred.col as u16, op_mask(pred.op));
+                self.steps.push(Step { col, mask, lit, on_true: 0, on_false: 0 });
+            }
+            let end = self.steps.len() as u32;
+            let on_false = if left == 0 { REJECT } else { end };
+            let block = self.steps.get_mut(start..).unwrap_or_default();
+            block.sort_by_key(|s| s.col);
+            for (pc, step) in (start as u32 + 1..).zip(block) {
+                step.on_true = if pc == end { FACTOR_END } else { pc };
+                step.on_false = on_false;
+            }
+        }
+        let end = self.steps.len() as u32;
+        for step in self.steps.get_mut(first..).unwrap_or_default() {
+            if step.on_true == FACTOR_END {
+                step.on_true = end;
+            }
+        }
+        true
+    }
+
+    /// Whether the encoded tuple satisfies every factor of `sargs`, which
+    /// must be the list this evaluator was compiled from (string literals
+    /// are read from it).
+    #[inline]
+    pub(crate) fn matches(&mut self, bytes: &[u8], sargs: &SargList) -> RssResult<bool> {
+        let mut pc = self.start;
+        if self.steps.is_empty() {
+            return Ok(pc != REJECT);
+        }
+        let ncols = usize::from(u16::from_le_bytes(*bytes.first_chunk().ok_or_else(truncated)?));
+        // The walk: column `next` starts at byte `pos`, and column
+        // `next - 1` at byte `last`.
+        let (mut pos, mut next, mut last) = (2, 0, 2);
+        while let Some(step) = self.steps.get(pc as usize) {
+            let col = usize::from(step.col);
+            let holds = if col >= ncols {
+                false
+            } else if col < next {
+                let at = match self.starts.get(col) {
+                    _ if col + 1 == next => last,
+                    Some(&at) => at as usize,
+                    None => {
+                        return Err(RssError::Corrupt(format!(
+                            "SARG program read column {col} behind its walk"
+                        )))
+                    }
+                };
+                compare(bytes, at, step, sargs)?.0
+            } else {
+                while next < col {
+                    if let Some(at) = self.starts.get_mut(next) {
+                        *at = pos as u32;
+                    }
+                    pos = skip(bytes, pos)?;
+                    next += 1;
                 }
-            }
-            if all {
-                return Ok(true);
-            }
+                if let Some(at) = self.starts.get_mut(col) {
+                    *at = pos as u32;
+                }
+                let (holds, end) = compare(bytes, pos, step, sargs)?;
+                (last, pos, next) = (pos, end, col + 1);
+                holds
+            };
+            pc = if holds { step.on_true } else { step.on_false };
         }
-        Ok(false)
-    }
-
-    /// One predicate; out-of-range columns and NULLs never satisfy,
-    /// mirroring [`SargPred::eval`]. Neither case reads the tuple.
-    fn pred_holds(&mut self, pred: &SargPred) -> RssResult<bool> {
-        if pred.value.is_null() || pred.col >= self.ncols {
-            return Ok(false);
-        }
-        let left = self.column(pred.col)?;
-        Ok(!left.is_null() && op_holds(pred.op, left.cmp_value(&pred.value)))
-    }
-
-    /// Decode column `col` (< `ncols`), skipping the columns before it.
-    fn column(&mut self, col: usize) -> RssResult<ValueRef<'a>> {
-        if col < self.next {
-            // Behind the walk: the columns before `col` were skipped once
-            // already, so a fresh walk re-reads them without new errors.
-            return Walk::new(self.bytes)?.column(col);
-        }
-        while self.next < col {
-            skip_value(&mut self.cursor)?;
-            self.next += 1;
-        }
-        self.next += 1;
-        decode_value_ref(&mut self.cursor)
+        Ok(pc != REJECT)
     }
 }
 
-/// Whether a comparison outcome satisfies an operator.
-fn op_holds(op: crate::sarg::CompareOp, ord: Ordering) -> bool {
-    match op {
-        crate::sarg::CompareOp::Eq => ord.is_eq(),
-        crate::sarg::CompareOp::Ne => ord.is_ne(),
-        crate::sarg::CompareOp::Lt => ord.is_lt(),
-        crate::sarg::CompareOp::Le => ord.is_le(),
-        crate::sarg::CompareOp::Gt => ord.is_gt(),
-        crate::sarg::CompareOp::Ge => ord.is_ge(),
+/// Test `step` against the column whose tag is at byte `at`: whether it
+/// holds, and where the column ends. Mirrors [`Value::cmp`] with NULL
+/// never satisfying: numbers compare across the Int/Float divide (NaN via
+/// `total_cmp`) and sort before strings. An Int or Float column is one
+/// 8-byte load and one compare, inline; a NULL or string column, and
+/// damage, take [`compare_rest`].
+#[inline(always)]
+fn compare(bytes: &[u8], at: usize, step: &Step, sargs: &SargList) -> RssResult<(bool, usize)> {
+    let Some(&[tag @ (TAG_INT | TAG_FLOAT), ref word @ ..]) =
+        bytes.get(at..).and_then(<[u8]>::first_chunk::<9>)
+    else {
+        return compare_rest(bytes, at, step, sargs);
+    };
+    let bits = u64::from_le_bytes(*word);
+    let ord = match step.lit {
+        Lit::Int(b) if tag == TAG_INT => (bits as i64).cmp(&b),
+        Lit::Int(b) => f64::from_bits(bits).total_cmp(&(b as f64)),
+        Lit::Float(b) if tag == TAG_INT => (bits as i64 as f64).total_cmp(&b),
+        Lit::Float(b) => f64::from_bits(bits).total_cmp(&b),
+        Lit::Str(..) => Ordering::Less,
+    };
+    Ok((step.mask & ord_bit(ord) != 0, at + 9))
+}
+
+/// [`compare`] for a NULL or string column, and for a bad tag or
+/// truncated bytes.
+#[inline(never)]
+fn compare_rest(
+    bytes: &[u8],
+    at: usize,
+    step: &Step,
+    sargs: &SargList,
+) -> RssResult<(bool, usize)> {
+    match bytes.get(at) {
+        Some(&TAG_NULL) => Ok((false, at + 1)),
+        Some(&TAG_STR) => {
+            let len = bytes.get(at + 1..).and_then(<[u8]>::first_chunk).ok_or_else(truncated)?;
+            let end = at + 3 + usize::from(u16::from_le_bytes(*len));
+            let raw = bytes.get(at + 3..end).ok_or_else(truncated)?;
+            let s = std::str::from_utf8(raw)
+                .map_err(|_| RssError::Corrupt("invalid utf-8 in string column".into()))?;
+            let ord = match step.lit {
+                Lit::Str(f, d, p) => {
+                    let lit = (sargs.factors.get(f as usize))
+                        .and_then(|factor| factor.disjuncts.get(d as usize)?.get(p as usize))
+                        .and_then(|pred| pred.value.as_str())
+                        .ok_or_else(|| {
+                            RssError::Corrupt("SARG program and list disagree".into())
+                        })?;
+                    s.cmp(lit)
+                }
+                Lit::Int(_) | Lit::Float(_) => Ordering::Greater,
+            };
+            Ok((step.mask & ord_bit(ord) != 0, end))
+        }
+        Some(&(TAG_INT | TAG_FLOAT)) | None => Err(truncated()),
+        Some(&t) => Err(unknown_tag(t)),
     }
+}
+
+/// The end of the column whose tag is at byte `at`, without validating
+/// its payload (a string's bytes are length-skipped, not UTF-8 checked —
+/// [`decode_tuple`] performs the full check on every tuple that is
+/// actually returned).
+#[inline(always)]
+fn skip(bytes: &[u8], at: usize) -> RssResult<usize> {
+    let end = match bytes.get(at) {
+        Some(&TAG_NULL) => at + 1,
+        Some(&(TAG_INT | TAG_FLOAT)) => at + 9,
+        Some(&TAG_STR) => match bytes.get(at + 1..).and_then(<[u8]>::first_chunk) {
+            Some(len) => at + 3 + usize::from(u16::from_le_bytes(*len)),
+            None => return Err(truncated()),
+        },
+        Some(&t) => return Err(unknown_tag(t)),
+        None => return Err(truncated()),
+    };
+    if end > bytes.len() {
+        return Err(truncated());
+    }
+    Ok(end)
 }
 
 /// Bounds-checked reader over a byte slice; every overrun is a
@@ -497,7 +607,7 @@ mod tests {
                 })
                 .collect();
             let sargs = SargList { factors };
-            let eval = EncodedEval::for_sargs(&sargs);
+            let mut eval = EncodedEval::for_sargs(&sargs);
             assert_eq!(
                 eval.matches(&bytes, &sargs).unwrap(),
                 sargs.eval(&t),
@@ -521,7 +631,7 @@ mod tests {
                 SargExpr::single(SargPred::new(1, CompareOp::Eq, 999i64)),
             ],
         };
-        let eval = EncodedEval::for_sargs(&sargs);
+        let mut eval = EncodedEval::for_sargs(&sargs);
         assert!(!eval.matches(&bytes, &sargs).unwrap());
         // Truncation inside the columns the rejecting factor reads
         // (skipped column 0, compared column 1) is an error...
@@ -539,7 +649,7 @@ mod tests {
         }
         // ...while a factor that reads column 2 does see the damage.
         let loc: SargList = SargExpr::single(SargPred::new(2, CompareOp::Eq, "DENVER")).into();
-        let loc_eval = EncodedEval::for_sargs(&loc);
+        let mut loc_eval = EncodedEval::for_sargs(&loc);
         assert!(loc_eval.matches(&bad_utf8, &loc).is_err());
         // An accepted tuple still goes through `decode_tuple`, which
         // checks every byte: trailing garbage the SARG never read is

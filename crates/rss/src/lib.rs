@@ -65,7 +65,9 @@ pub use btree::{BTreeConfig, BTreeIndex, IndexId};
 pub use buffer::{FileId, IoStats, PageKey};
 pub use error::{RssError, RssResult};
 pub use page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
-pub use pagefile::{DirBackend, FaultBackend, FaultOp, FileKind, MemBackend, PageBackend};
+pub use pagefile::{
+    write_file_atomic, DirBackend, FaultBackend, FaultOp, FileKind, MemBackend, PageBackend,
+};
 pub use plancache::{VersionedCache, PLAN_CACHE_CAP};
 pub use prng::SplitMix64;
 pub use rid::Rid;

@@ -42,6 +42,8 @@ const OFF_LOWER: usize = 2;
 const OFF_UPPER: usize = 4;
 const OFF_LIVE: usize = 6;
 
+/// Byte offset of the flags within a slot-directory entry.
+const SLOT_FLAGS: usize = 6;
 const FLAG_LIVE: u16 = 1;
 
 fn u16_at(bytes: &[u8; PAGE_SIZE], off: usize) -> u16 {
@@ -64,7 +66,7 @@ fn write_slot(
     set_u16(bytes, base, rel_id);
     set_u16(bytes, base + 2, offset);
     set_u16(bytes, base + 4, len);
-    set_u16(bytes, base + 6, flags);
+    set_u16(bytes, base + SLOT_FLAGS, flags);
 }
 
 /// A slotted 4 KB page. Its image is shared copy-on-write: after a flush
@@ -144,7 +146,7 @@ impl Page {
 
     /// Contiguous free bytes between the data area and the slot directory.
     pub fn free_space(&self) -> usize {
-        self.upper() - self.lower()
+        self.upper().saturating_sub(self.lower())
     }
 
     /// Largest tuple that could ever fit on an empty page.
@@ -156,14 +158,18 @@ impl Page {
         PAGE_SIZE - (slot as usize + 1) * SLOT_SIZE
     }
 
-    fn read_slot(&self, slot: u16) -> (u16, u16, u16, u16) {
-        let base = Self::slot_offset(slot);
-        (
-            self.u16_at(base),     // rel_id
-            self.u16_at(base + 2), // offset
-            self.u16_at(base + 4), // len
-            self.u16_at(base + 6), // flags
-        )
+    /// The slot directory, checked once: its `slot_count` entries must
+    /// fit between the header and the page end. Every read of a stored
+    /// tuple goes through it, so a corrupt directory is an
+    /// [`RssError::Corrupt`], never an out-of-range read.
+    #[inline]
+    pub(crate) fn slot_dir(&self) -> RssResult<SlotDir<'_>> {
+        let n = self.slot_count() as usize;
+        let start = PAGE_SIZE
+            .checked_sub(n * SLOT_SIZE)
+            .filter(|&start| start >= PAGE_HEADER_SIZE)
+            .ok_or_else(|| RssError::Corrupt(format!("slot count {n} overruns the page")))?;
+        Ok(SlotDir { bytes: &self.bytes, entries: &self.bytes[start..] })
     }
 
     /// Whether an insertion of `len` tuple bytes would fit, counting the
@@ -175,16 +181,14 @@ impl Page {
     }
 
     /// Insert tuple bytes tagged with `rel_id`. Returns the slot number, or
-    /// `None` if the page is full. Dead slots are reused to keep slot
-    /// numbers dense over long update workloads.
+    /// `None` if the page is full (or its directory is corrupt). Dead
+    /// slots are reused to keep slot numbers dense over long update
+    /// workloads.
     pub fn insert(&mut self, rel_id: u16, data: &[u8]) -> Option<u16> {
         if data.len() > u16::MAX as usize {
             return None;
         }
-        let reuse = (0..self.slot_count()).find(|&s| {
-            let (_, _, _, flags) = self.read_slot(s);
-            flags & FLAG_LIVE == 0
-        });
+        let reuse = self.slot_dir().ok()?.from(0).find(|(_, e)| !e.is_live()).map(|(s, _)| s);
         let need = data.len() + if reuse.is_some() { 0 } else { SLOT_SIZE };
         if need > self.free_space() {
             return None;
@@ -208,46 +212,44 @@ impl Page {
     }
 
     /// The tuple bytes stored in `slot`, with the owning relation id, or
-    /// `None` if the slot is dead or out of range.
-    pub fn get(&self, slot: u16) -> Option<(u16, &[u8])> {
-        if slot >= self.slot_count() {
-            return None;
+    /// `None` if the slot is dead or out of range. A directory or a live
+    /// entry that points outside the page is [`RssError::Corrupt`].
+    #[inline]
+    pub fn get(&self, slot: u16) -> RssResult<Option<(u16, &[u8])>> {
+        let dir = self.slot_dir()?;
+        match dir.entry(slot) {
+            Some(entry) if entry.is_live() => Ok(Some((entry.rel_id(), dir.data(entry)?))),
+            _ => Ok(None),
         }
-        let (rel_id, offset, len, flags) = self.read_slot(slot);
-        if flags & FLAG_LIVE == 0 {
-            return None;
-        }
-        Some((rel_id, &self.bytes[offset as usize..(offset + len) as usize]))
     }
 
     /// Delete the tuple in `slot`. The data bytes become garbage until
     /// [`Page::compact`] runs.
     pub fn delete(&mut self, slot: u16) -> RssResult<()> {
-        if slot >= self.slot_count() {
-            return Err(RssError::BadRid(format!("slot {slot} out of range")));
-        }
-        let (rel_id, offset, len, flags) = self.read_slot(slot);
-        if flags & FLAG_LIVE == 0 {
-            return Err(RssError::BadRid(format!("slot {slot} already deleted")));
+        match self.slot_dir()?.entry(slot) {
+            None => return Err(RssError::BadRid(format!("slot {slot} out of range"))),
+            Some(entry) if !entry.is_live() => {
+                return Err(RssError::BadRid(format!("slot {slot} already deleted")))
+            }
+            Some(_) => {}
         }
         let live = self.live_count();
         let bytes = Arc::make_mut(&mut self.bytes);
-        write_slot(bytes, slot, rel_id, offset, len, 0);
-        set_u16(bytes, OFF_LIVE, live - 1);
+        set_u16(bytes, Self::slot_offset(slot) + SLOT_FLAGS, 0);
+        set_u16(bytes, OFF_LIVE, live.saturating_sub(1));
         Ok(())
     }
 
     /// Reclaim the space of deleted tuples by sliding live tuple data
-    /// together. Slot numbers (and therefore RIDs) are preserved.
+    /// together. Slot numbers (and therefore RIDs) are preserved. A page
+    /// whose directory does not read back is left as it is, for the next
+    /// read to report.
     pub fn compact(&mut self) {
-        let mut live: Vec<(u16, u16, Vec<u8>)> = Vec::new();
-        for s in 0..self.slot_count() {
-            let (rel_id, offset, len, flags) = self.read_slot(s);
-            if flags & FLAG_LIVE != 0 {
-                let data = self.bytes[offset as usize..(offset + len) as usize].to_vec();
-                live.push((s, rel_id, data));
-            }
-        }
+        let live: RssResult<Vec<(u16, u16, Vec<u8>)>> = self
+            .iter()
+            .map(|(s, item)| item.map(|(rel_id, data)| (s, rel_id, data.to_vec())))
+            .collect();
+        let Ok(live) = live else { return };
         let bytes = Arc::make_mut(&mut self.bytes);
         let mut cursor = PAGE_HEADER_SIZE;
         for (s, rel_id, data) in live {
@@ -258,19 +260,112 @@ impl Page {
         set_u16(bytes, OFF_LOWER, cursor as u16);
     }
 
-    /// Iterate over live slots as `(slot, rel_id, bytes)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, u16, &[u8])> + '_ {
-        (0..self.slot_count()).filter_map(move |s| self.get(s).map(|(rel, data)| (s, rel, data)))
+    /// Iterate over live slots as `(slot, Ok((rel_id, bytes)))`, the
+    /// shape of [`Page::get`]. A live entry that points outside the page
+    /// yields its error in place of the pair; a corrupt directory yields
+    /// one error, at slot 0, and nothing else.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, RssResult<(u16, &[u8])>)> + '_ {
+        let (dir, bad_dir) = match self.slot_dir() {
+            Ok(dir) => (Some(dir), None),
+            Err(e) => (None, Some((0, Err(e)))),
+        };
+        let live = dir.into_iter().flat_map(|dir| {
+            dir.from(0)
+                .filter(|(_, entry)| entry.is_live())
+                .map(move |(s, entry)| (s, dir.data(entry).map(|data| (entry.rel_id(), data))))
+        });
+        bad_dir.into_iter().chain(live)
     }
 
-    /// Whether any live tuple on this page belongs to `rel_id`.
+    /// Whether any live tuple on this page belongs to `rel_id`. Reads the
+    /// directory only; a corrupt one holds nothing.
     pub fn holds_relation(&self, rel_id: u16) -> bool {
-        self.iter().any(|(_, rel, _)| rel == rel_id)
+        self.slot_dir()
+            .is_ok_and(|dir| dir.from(0).any(|(_, e)| e.is_live() && e.rel_id() == rel_id))
     }
 
-    /// Count of live tuples belonging to `rel_id`.
+    /// Count of live tuples belonging to `rel_id`. Reads the directory
+    /// only; a corrupt one holds nothing.
     pub fn count_relation(&self, rel_id: u16) -> usize {
-        self.iter().filter(|&(_, rel, _)| rel == rel_id).count()
+        self.slot_dir().map_or(0, |dir| {
+            dir.from(0).filter(|(_, e)| e.is_live() && e.rel_id() == rel_id).count()
+        })
+    }
+}
+
+/// A page's slot directory, checked by [`Page::slot_dir`]. Reading an
+/// entry is then a plain read of an 8-byte array; only the tuple bytes a
+/// live entry points at are range-checked, by [`SlotDir::data`].
+#[derive(Clone, Copy)]
+pub(crate) struct SlotDir<'a> {
+    bytes: &'a [u8; PAGE_SIZE],
+    /// The directory bytes, `SLOT_SIZE` per entry. It grows down from
+    /// the page end, so slot 0 is the last entry.
+    entries: &'a [u8],
+}
+
+impl<'a> SlotDir<'a> {
+    /// The entry of `slot`, or `None` past the directory.
+    #[inline]
+    pub(crate) fn entry(&self, slot: u16) -> Option<Slot> {
+        let end = self.entries.len().checked_sub(slot as usize * SLOT_SIZE)?;
+        self.entries.get(end.checked_sub(SLOT_SIZE)?..end).map(Slot::read)
+    }
+
+    /// The entries of slots `first..`, in slot order.
+    #[inline]
+    pub(crate) fn from(&self, first: u16) -> impl Iterator<Item = (u16, Slot)> + 'a {
+        let head = self.entries.len().saturating_sub(first as usize * SLOT_SIZE);
+        (first..).zip(self.entries[..head].rchunks_exact(SLOT_SIZE).map(Slot::read))
+    }
+
+    /// The tuple bytes `entry` points at. They must lie between the
+    /// header and the directory; anything else is [`RssError::Corrupt`].
+    #[inline]
+    pub(crate) fn data(&self, entry: Slot) -> RssResult<&'a [u8]> {
+        let (offset, end) = (entry.offset(), entry.offset() + entry.len());
+        let dir_start = PAGE_SIZE - self.entries.len();
+        if offset < PAGE_HEADER_SIZE || end > dir_start {
+            return Err(RssError::Corrupt(format!(
+                "slot data {offset}..{end} outside the data area {PAGE_HEADER_SIZE}..{dir_start}"
+            )));
+        }
+        Ok(&self.bytes[offset..end])
+    }
+}
+
+/// One slot-directory entry: relation id, data offset, data length and
+/// flags, four little-endian `u16`s.
+#[derive(Clone, Copy)]
+pub(crate) struct Slot([u8; SLOT_SIZE]);
+
+impl Slot {
+    /// The entry in `raw`, one `SLOT_SIZE` chunk of the directory.
+    #[inline]
+    fn read(raw: &[u8]) -> Slot {
+        Slot(raw.first_chunk().copied().unwrap_or_default())
+    }
+
+    /// The relation the slot's tuple belongs to.
+    #[inline]
+    pub(crate) fn rel_id(self) -> u16 {
+        u16::from_le_bytes([self.0[0], self.0[1]])
+    }
+
+    #[inline]
+    fn offset(self) -> usize {
+        u16::from_le_bytes([self.0[2], self.0[3]]) as usize
+    }
+
+    #[inline]
+    fn len(self) -> usize {
+        u16::from_le_bytes([self.0[4], self.0[5]]) as usize
+    }
+
+    /// Whether the slot holds a tuple (a deleted slot keeps its entry).
+    #[inline]
+    pub(crate) fn is_live(self) -> bool {
+        u16::from_le_bytes([self.0[6], self.0[7]]) & FLAG_LIVE != 0
     }
 }
 
@@ -293,7 +388,7 @@ mod tests {
     fn insert_and_get() {
         let mut p = Page::new();
         let s = p.insert(7, b"hello").unwrap();
-        assert_eq!(p.get(s), Some((7u16, &b"hello"[..])));
+        assert_eq!(p.get(s), Ok(Some((7u16, &b"hello"[..]))));
         assert_eq!(p.live_count(), 1);
         assert!(!p.is_empty());
     }
@@ -317,12 +412,12 @@ mod tests {
         let a = p.insert(1, b"aaaa").unwrap();
         let b = p.insert(1, b"bbbb").unwrap();
         p.delete(a).unwrap();
-        assert_eq!(p.get(a), None);
+        assert_eq!(p.get(a), Ok(None));
         assert_eq!(p.live_count(), 1);
         let c = p.insert(2, b"cc").unwrap();
         assert_eq!(c, a, "dead slot should be reused");
-        assert_eq!(p.get(b), Some((1u16, &b"bbbb"[..])));
-        assert_eq!(p.get(c), Some((2u16, &b"cc"[..])));
+        assert_eq!(p.get(b), Ok(Some((1u16, &b"bbbb"[..]))));
+        assert_eq!(p.get(c), Ok(Some((2u16, &b"cc"[..]))));
     }
 
     #[test]
@@ -351,8 +446,8 @@ mod tests {
         p.compact();
         assert!(p.insert(1, &blob).is_some());
         // Survivors intact, same slots.
-        assert_eq!(p.get(s1).unwrap().1, &blob[..]);
-        assert_eq!(p.get(s3).unwrap().1, &blob[..]);
+        assert_eq!(p.get(s1).unwrap().unwrap().1, &blob[..]);
+        assert_eq!(p.get(s3).unwrap().unwrap().1, &blob[..]);
     }
 
     #[test]
@@ -435,11 +530,11 @@ mod tests {
                 }
             }
             for (slot, data) in &kept {
-                assert_eq!(p.get(*slot).unwrap().1, &data[..], "case {case}");
+                assert_eq!(p.get(*slot).unwrap().unwrap().1, &data[..], "case {case}");
             }
             p.compact();
             for (slot, data) in &kept {
-                assert_eq!(p.get(*slot).unwrap().1, &data[..], "case {case}");
+                assert_eq!(p.get(*slot).unwrap().unwrap().1, &data[..], "case {case}");
             }
             assert_eq!(p.live_count() as usize, kept.len(), "case {case}");
         }

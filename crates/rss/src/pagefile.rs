@@ -365,6 +365,29 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> RssError {
     RssError::Io(format!("{op} {}: {e}", path.display()))
 }
 
+/// Replace the file at `path` with `contents` atomically and durably:
+/// write a sibling temp file, fsync it, rename it over `path`, then
+/// fsync the directory so the rename itself survives a crash. A reader
+/// (or a crash) sees the old file or the new one, never a mix. Every call
+/// writes its own temp file, so two threads syncing at once each rename a
+/// whole file. Both manifests, `storage.meta` and `catalog.meta`, are
+/// written this way.
+pub fn write_file_atomic(path: &Path, contents: &[u8]) -> RssResult<()> {
+    use std::io::Write;
+    static NEXT_TMP: crate::sync::AtomicU64 = crate::sync::AtomicU64::new(0);
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    let seq = NEXT_TMP.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    tmp_name.push(format!(".tmp-{}-{seq}", std::process::id()));
+    let tmp = dir.join(tmp_name);
+    let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+    f.write_all(contents).map_err(|e| io_err("write", &tmp, e))?;
+    f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
+    drop(f);
+    std::fs::rename(&tmp, path).map_err(|e| io_err("rename to", path, e))?;
+    File::open(dir).and_then(|d| d.sync_all()).map_err(|e| io_err("sync dir", dir, e))
+}
+
 /// One open page file with its length, so reads past the end and
 /// `page_count` need no `stat`. Only this backend writes the file while
 /// it is open, so the cached length is exact.

@@ -137,7 +137,7 @@ impl Segment {
             .get(rid.page as usize)
             .ok_or_else(|| RssError::BadRid(format!("page {} of segment {}", rid.page, self.id)))?;
         let (tag, bytes) = page
-            .get(rid.slot)
+            .get(rid.slot)?
             .ok_or_else(|| RssError::BadRid(format!("slot {rid} empty in segment {}", self.id)))?;
         if tag != rel_id {
             return Err(RssError::BadRid(format!(
@@ -167,36 +167,41 @@ impl Segment {
     /// Iterate `(rid, tuple)` for all live tuples of `rel_id`, in physical
     /// order. Used by `UPDATE STATISTICS` and index builds; query
     /// execution goes through [`crate::SegmentScan`] so page fetches are
-    /// accounted.
+    /// accounted. A corrupt directory entry is an `Err` item at its RID.
     pub fn iter_relation<'a>(
         &'a self,
         rel_id: u16,
     ) -> impl Iterator<Item = (Rid, RssResult<Tuple>)> + 'a {
         self.pages.iter().enumerate().flat_map(move |(page_no, page)| {
-            page.iter()
-                .filter(move |&(_, rel, _)| rel == rel_id)
-                .map(move |(slot, _, bytes)| (Rid::new(page_no as u32, slot), decode_tuple(bytes)))
+            page.iter().filter_map(move |(slot, item)| {
+                let tuple = match item {
+                    Ok((rel, bytes)) if rel == rel_id => decode_tuple(bytes),
+                    Ok(_) => return None,
+                    Err(e) => Err(e),
+                };
+                Some((Rid::new(page_no as u32, slot), tuple))
+            })
         })
+    }
+
+    /// Encoded lengths of the live tuples whose directory entries read
+    /// back, with their relation ids.
+    fn live_lens(&self) -> impl Iterator<Item = (u16, usize)> + '_ {
+        self.pages
+            .iter()
+            .flat_map(Page::iter)
+            .filter_map(|(_, item)| item.ok().map(|(rel, bytes)| (rel, bytes.len())))
     }
 
     /// Total encoded bytes of live tuples belonging to `rel_id` (statistic
     /// source for the relation's average tuple width).
     pub fn bytes_of_relation(&self, rel_id: u16) -> usize {
-        self.pages
-            .iter()
-            .flat_map(|p| p.iter())
-            .filter(|&(_, rel, _)| rel == rel_id)
-            .map(|(_, _, bytes)| bytes.len())
-            .sum()
+        self.live_lens().filter(|&(rel, _)| rel == rel_id).map(|(_, len)| len).sum()
     }
 
     /// Approximate bytes of live data, for reporting.
     pub fn live_bytes(&self) -> usize {
-        self.pages
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(|(_, _, bytes)| bytes.len() + SLOT_SIZE)
-            .sum::<usize>()
+        self.live_lens().map(|(_, len)| len + SLOT_SIZE).sum::<usize>()
             + self.pages.len() * PAGE_HEADER_SIZE
     }
 }

@@ -55,7 +55,9 @@ use crate::btree::{BTreeConfig, BTreeIndex, IndexId};
 use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
 use crate::page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE};
-use crate::pagefile::{stamp_page, verify_page, DirBackend, MemBackend, PageBackend};
+use crate::pagefile::{
+    stamp_page, verify_page, write_file_atomic, DirBackend, MemBackend, PageBackend,
+};
 use crate::rid::Rid;
 use crate::segment::{Segment, SegmentId};
 use crate::sharded::{ShardedBufferPool, SharedBackend};
@@ -289,14 +291,29 @@ impl Storage {
         Ok(())
     }
 
-    /// Flush dirty frames and fsync the page files (no-op backend sync for
-    /// in-memory storage). Sound against concurrent readers: the flush
-    /// drains dirty-victim write-backs still in flight from evicting
-    /// readers, so the fsync cannot miss a committed page image.
+    /// Flush dirty frames, fsync the page files, then replace
+    /// `storage.meta` atomically ([`write_file_atomic`]) so the manifest
+    /// names every page the fsync made durable (no-op backend sync and no
+    /// manifest for in-memory storage). Sound against concurrent readers:
+    /// the flush drains dirty-victim write-backs still in flight from
+    /// evicting readers, so the fsync cannot miss a committed page image.
     pub fn sync(&self) -> RssResult<()> {
         self.buffer.flush(&self.backend)?;
-        let mut backend = self.backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        backend.sync()
+        let dir = {
+            let mut backend =
+                self.backend.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            backend.sync()?;
+            backend.dir().map(Path::to_path_buf)
+        };
+        match dir {
+            Some(dir) => self.write_meta(&dir),
+            None => Ok(()),
+        }
+    }
+
+    /// Write this storage's `storage.meta` into `dir`.
+    fn write_meta(&self, dir: &Path) -> RssResult<()> {
+        write_file_atomic(&dir.join(STORAGE_META), self.render_meta().as_bytes())
     }
 
     /// Allocate a fresh file id for a temporary list.
@@ -492,12 +509,6 @@ impl Storage {
         self.segment(seg)?.get(rel_id, rid)
     }
 
-    /// Fetch a tuple by RID without page accounting (statistics collection,
-    /// index builds, tests).
-    pub fn fetch_unaccounted(&self, seg: SegmentId, rel_id: u16, rid: Rid) -> RssResult<Tuple> {
-        self.segment(seg)?.get(rel_id, rid)
-    }
-
     // ---- indexes ---------------------------------------------------------
 
     /// Create a B-tree index over `key_cols` of relation `rel_id` in
@@ -626,9 +637,7 @@ impl Storage {
             }
         }
         dst.sync()?;
-        let meta_path = dir.join(STORAGE_META);
-        std::fs::write(&meta_path, self.render_meta())
-            .map_err(|e| RssError::Io(format!("write {}: {e}", meta_path.display())))
+        self.write_meta(dir)
     }
 
     fn render_meta(&self) -> String {
@@ -1053,7 +1062,7 @@ mod tests {
         // Index RIDs point at valid tuples.
         for item in tree.iter() {
             let (key, rid) = item.unwrap();
-            let t = st.fetch_unaccounted(seg, 1, rid).unwrap();
+            let t = st.segment(seg).unwrap().get(1, rid).unwrap();
             assert_eq!(&t[0], &key[0]);
         }
     }

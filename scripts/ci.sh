@@ -25,16 +25,20 @@ cargo test --workspace
 # Save/reopen round-trip against real page files in a temp dir; pins the
 # fetches == device-reads identity and clean errors on torn/corrupt files.
 cargo test --release --test persistence
-# The storage substrate again, optimized: the page-digest kernel is
-# exactly the kind of code whose debug and release builds differ, so the
-# golden vector, the 98 304-flip sweep, the backend fault tests and the
-# temp-file leak test must hold in the build that ships.
+# The storage substrate again, optimized: the page-digest kernel and the
+# SARG kernel (the segment scan's slot-directory walk and its compiled
+# evaluator over encoded bytes) are exactly the kind of code whose debug
+# and release builds differ, so the golden vector, the 98 304-flip sweep,
+# the SARG differential test, the backend fault tests and the temp-file
+# leak test must hold in the build that ships.
 cargo test --release -p sysr-rss
 # The executor optimized: a nested-loop join builds its inner probe once
 # and rewrites only the outer-bound operands per OPEN, so the probe-reuse
 # tests and the EXPLAIN ANALYZE goldens must hold in the build that ships.
+# The random AND/OR/NOT/NULL predicate trees of property_random_queries
+# reach the SARG kernel through the planner, so they run optimized too.
 cargo test --release -p sysr-executor
-cargo test --release --test sql_correctness --test explain_analyze
+cargo test --release --test sql_correctness --test explain_analyze --test property_random_queries
 # The join-order search is deterministic, so its output is a golden: the
 # Fig. 1-6 search tree must equal results/fig_search_tree.txt with the µs
 # figure on its `search:` line masked, and exp_scaling's plans, kept,

@@ -285,10 +285,17 @@ impl Database {
     pub fn save(&self, dir: impl AsRef<Path>) -> DbResult<()> {
         let dir = dir.as_ref();
         self.storage.save_to(dir)?;
+        self.write_catalog_meta(dir)
+    }
+
+    /// Replace `catalog.meta` in `dir` atomically (see
+    /// [`sysr_rss::write_file_atomic`]).
+    fn write_catalog_meta(&self, dir: &Path) -> DbResult<()> {
         let path = dir.join(sysr_catalog::persist::CATALOG_META);
-        std::fs::write(&path, sysr_catalog::persist::render(&self.catalog)).map_err(|e| {
-            DbError::Storage(RssError::Io(format!("write {}: {e}", path.display())))
-        })?;
+        sysr_rss::write_file_atomic(
+            &path,
+            sysr_catalog::persist::render(&self.catalog).as_bytes(),
+        )?;
         Ok(())
     }
 
@@ -319,13 +326,19 @@ impl Database {
         })
     }
 
-    /// Flush dirty buffer frames and fsync the page files (no-op for an
-    /// in-memory database). Safe to call while other threads read: the
-    /// flush drains in-flight dirty write-backs before the fsync, so no
-    /// committed page image can be skipped.
+    /// Make every statement that has returned durable: flush dirty buffer
+    /// frames, fsync the page files, then replace `storage.meta` and
+    /// `catalog.meta` atomically (no-op for an in-memory database). A
+    /// database reopened after a clean `sync` holds exactly what this one
+    /// held; DESIGN.md §9 states what a crash leaves. Safe to call while
+    /// other threads read: the flush drains in-flight dirty write-backs
+    /// before the fsync, so no committed page image can be skipped.
     pub fn sync(&self) -> DbResult<()> {
         self.storage.sync()?;
-        Ok(())
+        match self.storage.dir() {
+            Some(dir) => self.write_catalog_meta(&dir),
+            None => Ok(()),
+        }
     }
 
     /// The directory backing this database, if it was opened from disk.

@@ -7,7 +7,7 @@ mod common;
 
 use common::fig1_db;
 use std::path::PathBuf;
-use system_r::Database;
+use system_r::{tuple, Database};
 
 /// The query corpus re-run before and after the round-trip: the same
 /// shapes `sql_correctness` pins (filters, joins, the Fig. 1 three-way
@@ -204,4 +204,31 @@ fn save_into_and_reopen_from_a_nested_directory() {
     let _ = std::fs::remove_dir_all(
         std::env::temp_dir().join(format!("sysr-persist-{}-nested", std::process::id())),
     );
+}
+
+#[test]
+fn clean_sync_after_reopen_is_durable() {
+    // A reopened database writes its page files in place, so `sync` is
+    // its durability point: the segment pages allocated and the index
+    // nodes split since the open must be reachable after a reopen.
+    let dir = scratch_dir("sync");
+    let mut db = Database::new();
+    db.execute("CREATE TABLE T (K INTEGER, V VARCHAR(20))").expect("create");
+    db.insert_rows("T", (0..10i64).map(|k| tuple![k, format!("value-{k}")])).expect("load");
+    db.execute("CREATE INDEX T_K ON T (K)").expect("index");
+    db.save(&dir).expect("save");
+    drop(db);
+
+    let mut db = Database::open(&dir).expect("open");
+    db.insert_rows("T", (10..5_000i64).map(|k| tuple![k, format!("value-{k}")])).expect("insert");
+    db.execute("DELETE FROM T WHERE K < 100").expect("delete");
+    db.sync().expect("sync");
+    drop(db);
+
+    let db = Database::open(&dir).expect("reopen after sync");
+    let count = db.query("SELECT COUNT(*) FROM T").expect("count");
+    assert_eq!(count.rows, vec![tuple![4_900i64]], "every synced row survives");
+    let probe = db.query("SELECT V FROM T WHERE K = 4321").expect("probe");
+    assert_eq!(probe.rows, vec![tuple!["value-4321"]], "the index reaches a synced row");
+    let _ = std::fs::remove_dir_all(&dir);
 }
