@@ -3,11 +3,15 @@
 //! Everything needed to regenerate the paper's tables, figures, and §7
 //! claims: parameterized workload generators over the paper's schemas, a
 //! measurement harness that executes raw plans cold and reports
-//! `PAGE FETCHES + W * RSI CALLS`, and small reporting utilities.
+//! `PAGE FETCHES + W * RSI CALLS`, and the golden comparator behind
+//! `sysr-experiments --check`.
 //!
-//! Each experiment binary under `src/bin/` regenerates one table or
-//! figure; see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-//! recorded outputs.
+//! The `sysr-experiments` binary writes one report per
+//! `results/<name>.txt` (`sysr-experiments <name>`) and checks every
+//! report's deterministic section against its committed file
+//! (`sysr-experiments --check [name…]`); see DESIGN.md's per-experiment
+//! index and EXPERIMENTS.md for the recorded outputs. `bench_concurrency`
+//! measures multi-session throughput into `BENCH_concurrency.json`.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -21,10 +25,6 @@
     clippy::allow_attributes_without_reason
 )]
 
+pub mod golden;
 pub mod harness;
-pub mod timing;
 pub mod workloads;
-
-pub use harness::{measure_plan, run_all_plans, spearman, summarize_plan, PlanMeasurement};
-pub use timing::BenchGroup;
-pub use workloads::{employee_db, fig1_db, star_db, synth_chain_db, two_table_db, Fig1Params};

@@ -222,9 +222,8 @@ pub fn employee_db(n: i64, manager_span: i64) -> DbResult<Database> {
 /// its numbers land in EXPERIMENTS.md: optimize with tracing, statically
 /// verify the plan and search-trace accounting, execute with per-node
 /// measurement and verify the executor's I/O accounting. Returns the
-/// rendered violation report as the error, so experiment binaries can
-/// `?` it (or unwrap it, in the experiment binaries that do not deny
-/// `clippy::unwrap_used`) ahead of the measured run.
+/// rendered violation report as the error, so a report can `?` it ahead
+/// of the measured run.
 ///
 /// Call this *before* `evict_buffers`/`reset_io_stats`: the audit
 /// executes the query once and would otherwise pollute the measurement.

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: formatting, lints, docs, release build, the full test suite,
 # the persistence round-trip and the DML oracle in release mode, and the
-# sysr-audit invariant/recovery/model pass (see DESIGN.md §8–§9).
+# sysr-audit invariant/recovery/model pass (see DESIGN.md §8–§9), the
+# benchmark's smoke run and the paper's results/*.txt as goldens.
 # Runs offline — zero external crates.
 set -eux
 
@@ -17,7 +18,7 @@ cargo fmt --all --check
 # RwLock and Condvar outside the sysr_rss::sync facade.
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-cargo build --release --workspace --bins --benches --examples
+cargo build --release --workspace --bins --examples
 # The latch order (shard -> gate -> backend, no latch held under the
 # backend latch) is checked at runtime at every acquisition in every debug
 # test run, so this step checks it too (DESIGN.md §8.2).
@@ -39,28 +40,6 @@ cargo test --release -p sysr-rss
 # reach the SARG kernel through the planner, so they run optimized too.
 cargo test --release -p sysr-executor
 cargo test --release --test sql_correctness --test explain_analyze --test property_random_queries
-# The join-order search is deterministic, so its output is a golden: the
-# Fig. 1-6 search tree must equal results/fig_search_tree.txt with the µs
-# figure on its `search:` line masked, and exp_scaling's plans, kept,
-# skips and bytes columns (everything but µs) must equal the committed
-# results/exp_scaling.txt. A change to candidate generation or pruning
-# fails here unless it regenerates both files on purpose. (Neither output
-# holds a cost tie; the keep-the-first tie rule is pinned by a unit test.)
-out=$(mktemp -d)
-mask_us='s/, [0-9]* µs$/, _ µs/'
-cargo run --release -p sysr-bench --bin fig_search_tree | sed "$mask_us" > "$out/fig_search_tree.txt"
-sed "$mask_us" results/fig_search_tree.txt | diff - "$out/fig_search_tree.txt"
-size_cols='NF == 8 && $2 ~ /^[0-9]+$/ { print $1, $2, $3, $4, $5, $6, $8 }'
-cargo run --release -p sysr-bench --bin exp_scaling | awk "$size_cols" > "$out/exp_scaling.txt"
-awk "$size_cols" results/exp_scaling.txt | diff - "$out/exp_scaling.txt"
-# The buffer sweep is deterministic too, and all of it is counts: the
-# chosen path, predicted and measured fetches and the hit ratio of one
-# query at 7 pool sizes. It must equal results/exp_buffer_sweep.txt byte
-# for byte, which pins the pool's LRU semantics (hit/miss decisions,
-# eviction order) at the workload level.
-cargo run --release -p sysr-bench --bin exp_buffer_sweep > "$out/exp_buffer_sweep.txt"
-diff results/exp_buffer_sweep.txt "$out/exp_buffer_sweep.txt"
-rm -r "$out"
 # DML by RID: the seeded INSERT/UPDATE/DELETE oracle (affected rows,
 # segment and every index against a Vec model after each statement) ends
 # with save -> open on real page files, so it also runs optimized — the
@@ -114,13 +93,6 @@ cargo run --release -p sysr-audit -- --cost-props --mutant cost-monotone
 # container).
 cargo run --release -p sysr-bench --bin bench_concurrency -- --smoke
 cargo run --release -p sysr-bench --bin bench_concurrency -- --check
-# Executor bench: smoke exercises the batched-RSI measurement pipeline
-# (interleaved calibration, writes BENCH_executor.smoke.json); --check
-# validates the committed BENCH_executor.json and enforces the
-# normalized-speedup gates (per-query floor and geomean — see
-# EXPERIMENTS.md for the methodology and the honest 5×-target shortfall).
-cargo run --release -p sysr-bench --bin bench_executor -- --smoke
-cargo run --release -p sysr-bench --bin bench_executor -- --check
 # The end-to-end benchmark (BENCHMARK.json) is a package of its own that
 # depends on this repo by path, so the workspace commands above never
 # compile it: build and test it, run every workload at tenth size, and
@@ -129,3 +101,12 @@ cargo run --release -p sysr-bench --bin bench_executor -- --check
 cargo test --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --check
+# The paper's claims, gated: every results/<name>.txt is one report of
+# sysr-experiments, and --check reruns them all and compares each report's
+# deterministic section (plans, predicted costs, F values, plan counts,
+# measured fetch/RSI/cost-unit counts; everything above its
+# `-- timing (not checked) --` line) byte for byte with the committed file.
+# A change to candidate generation, pruning, the cost formulas or the
+# pool's LRU semantics (exp_buffer_sweep's hit ratios) fails here unless it
+# regenerates the file on purpose (`sysr-experiments <name> > results/<name>.txt`).
+cargo run --release -p sysr-bench --bin sysr-experiments -- --check

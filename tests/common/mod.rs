@@ -84,6 +84,24 @@ pub fn fig1_clustered_db(n_emp: i64, n_dept: i64, n_job: i64) -> Database {
     db
 }
 
+/// A 4-relation FK chain `T0 → T1 → T2 → T3` with a unique key index per
+/// table and a non-unique index on each FK column.
+pub fn chain_db(rows: i64) -> Database {
+    let mut db = Database::new();
+    for i in 0..4 {
+        db.execute(&format!("CREATE TABLE T{i} (K INTEGER, FK INTEGER, V INTEGER)")).unwrap();
+        db.insert_rows(
+            &format!("T{i}"),
+            (0..rows).map(|r| tuple![r, (r * 7 + i) % rows, (r * 13) % 100]),
+        )
+        .unwrap();
+        db.execute(&format!("CREATE UNIQUE INDEX T{i}_K ON T{i} (K)")).unwrap();
+        db.execute(&format!("CREATE INDEX T{i}_FK ON T{i} (FK)")).unwrap();
+    }
+    db.execute("UPDATE STATISTICS").unwrap();
+    db
+}
+
 /// The paper's §6 EMPLOYEE relation for nested-query tests: employee `i`
 /// has number `i`, salary varying non-monotonically, manager `i / span`
 /// (so managers repeat — NCARD > ICARD), and department `i % 10`.

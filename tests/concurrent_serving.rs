@@ -14,11 +14,11 @@
 
 mod common;
 
-use common::fig1_db;
+use common::{chain_db, fig1_db};
 use std::path::PathBuf;
 use std::sync::Arc;
 use system_r::core::QueryPlan;
-use system_r::{tuple, Database};
+use system_r::Database;
 
 /// Worker threads per stress run — matches the audit rule and the plan
 /// cache's stripe count.
@@ -46,24 +46,6 @@ const CHAIN_CORPUS: &[&str] = &[
     "SELECT T0.K, T1.FK FROM T0, T1 WHERE T0.FK = T1.K AND T1.V < 40 ORDER BY T0.K",
     "SELECT T2.V FROM T2 WHERE T2.K BETWEEN 10 AND 60 ORDER BY T2.V, T2.K",
 ];
-
-/// A 4-relation FK chain `T0 → T1 → T2 → T3` with a unique key index per
-/// table and a non-unique index on each FK column.
-fn chain_db(rows: i64) -> Database {
-    let mut db = Database::new();
-    for i in 0..4 {
-        db.execute(&format!("CREATE TABLE T{i} (K INTEGER, FK INTEGER, V INTEGER)")).unwrap();
-        db.insert_rows(
-            &format!("T{i}"),
-            (0..rows).map(|r| tuple![r, (r * 7 + i) % rows, (r * 13) % 100]),
-        )
-        .unwrap();
-        db.execute(&format!("CREATE UNIQUE INDEX T{i}_K ON T{i} (K)")).unwrap();
-        db.execute(&format!("CREATE INDEX T{i}_FK ON T{i} (FK)")).unwrap();
-    }
-    db.execute("UPDATE STATISTICS").unwrap();
-    db
-}
 
 /// `Debug`-render a plan with wall-clock time zeroed, so comparisons see
 /// only the deterministic parts.

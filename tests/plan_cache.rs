@@ -1,13 +1,13 @@
 //! Statement plan cache behavior: repeated statements are answered from
 //! the cache, any catalog change (DDL, UPDATE STATISTICS) forces
 //! re-optimization, reopening a saved database starts cold, and a cached
-//! plan executes exactly like a freshly optimized one. The key is the
-//! statement's SQL text, so a hit must never turn EXPLAIN text into a
-//! query.
+//! plan executes exactly like a freshly optimized one, every time it
+//! runs. The key is the statement's SQL text, so a hit must never turn
+//! EXPLAIN text into a query.
 
 mod common;
 
-use common::fig1_db;
+use common::{chain_db, fig1_clustered_db, fig1_db};
 use std::path::PathBuf;
 use system_r::{Database, DbError};
 
@@ -279,4 +279,48 @@ fn execute_script_serves_repeated_selects_from_the_cache() {
     assert_eq!(db.query(JOIN).unwrap(), first, "the facade shares the script's entry");
     assert_eq!(db.plan_cache_stats(), (5, 2));
     assert_eq!(db.plan_cache_len(), 2);
+}
+
+#[test]
+fn a_cached_plan_executes_identically_every_time() {
+    let fig1 = fig1_db(1000, 40, 10);
+    // EMP clustered on DNO: the DNO index delivers ORDER BY's leading
+    // column, so `ORDER BY DNO, SAL` sorts within runs only.
+    let clustered = fig1_clustered_db(1000, 40, 10);
+    let chain = chain_db(200);
+    let corpus: [(&Database, &str); 8] = [
+        (&fig1, "SELECT NAME FROM EMP"),
+        (&fig1, "SELECT NAME FROM EMP WHERE JOB = 7"),
+        (
+            &fig1,
+            "SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB \
+             WHERE TITLE = 'CLERK' AND LOC = 'DENVER' AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB",
+        ),
+        (&fig1, "SELECT NAME, DNAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO ORDER BY DEPT.DNO"),
+        (&fig1, "SELECT DNO, COUNT(*), AVG(SAL) FROM EMP GROUP BY DNO"),
+        (
+            &chain,
+            "SELECT T0.K FROM T0, T1, T2, T3 WHERE T0.FK = T1.K AND T1.FK = T2.K AND T2.FK = T3.K",
+        ),
+        (&clustered, "SELECT NAME FROM EMP ORDER BY DNO, SAL"),
+        (&clustered, "SELECT NAME FROM EMP ORDER BY SAL, DNO"),
+    ];
+    for (db, sql) in corpus {
+        let plan = db.plan(sql).unwrap();
+        let before = db.io_stats();
+        let first = db.execute_plan(&plan).unwrap();
+        let rsi_calls = db.io_stats().since(&before).rsi_calls;
+        assert!(!first.is_empty() && rsi_calls > 0, "{sql}: the corpus query does work");
+        for run in 1..4 {
+            let before = db.io_stats();
+            let rows = db.execute_plan(&plan).unwrap();
+            assert_eq!(rows.len(), first.len(), "{sql}: row count drifted on run {run}");
+            assert_eq!(rows, first, "{sql}: rows drifted on run {run}");
+            assert_eq!(
+                db.io_stats().since(&before).rsi_calls,
+                rsi_calls,
+                "{sql}: RSI calls per execution drifted on run {run}"
+            );
+        }
+    }
 }
