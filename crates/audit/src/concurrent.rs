@@ -19,8 +19,10 @@
 //!
 //! A failure here means shared state leaked between sessions — a torn
 //! page read, a latch-ordering bug manifesting as corruption, or
-//! nondeterministic planning — exactly the class of bug the stress tests
-//! in `tests/concurrent_serving.rs` hunt from the facade side.
+//! nondeterministic planning. This is the repo's one 8-thread corpus
+//! replay; from the `Database` facade side, `tests/plan_cache.rs` checks
+//! exact per-session and global cache counters and 8 threads executing
+//! one shared cached plan.
 
 use crate::corpus::{builtin_cases, chain_catalog, fig1_catalog, parse_select};
 use crate::{AuditReport, Violation};

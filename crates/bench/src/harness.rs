@@ -15,66 +15,74 @@ pub struct PlanMeasurement {
     pub summary: String,
 }
 
-/// Execute a raw plan with a cold buffer and return its measured weighted
-/// cost. The plan must come from the same bound query.
-pub fn measure_plan(db: &Database, query: &BoundQuery, plan: PlanExpr) -> DbResult<(f64, f64)> {
-    let full = QueryPlan {
+/// Wrap a raw plan of `query` so it executes on its own: no subqueries,
+/// no block filters, no prediction attached.
+fn executable(query: &BoundQuery, root: PlanExpr) -> QueryPlan {
+    QueryPlan {
         query: query.clone(),
-        root: plan,
+        root,
         subplans: vec![],
         block_filters: vec![],
         predicted: Cost::ZERO,
         qcard: 0.0,
         stats: Default::default(),
-    };
-    db.evict_buffers()?;
-    db.reset_io_stats();
-    db.execute_plan(&full)?;
-    let io = db.io_stats();
-    Ok((Cost::from_io(&io).total(db.config().w), io.page_fetches() as f64))
+    }
 }
 
-/// Enumerate every complete plan for `sql` (heuristic off so genuinely
-/// *all* join orders appear), execute each cold, and return the
-/// measurements plus the index of the optimizer's chosen plan.
-pub fn run_all_plans(
-    db: &Database,
-    sql: &str,
-    cap: usize,
-) -> DbResult<(Vec<PlanMeasurement>, usize)> {
+/// Every complete plan for the SELECT `sql`, at most `cap` of them, each
+/// ready to execute, and the optimizer's chosen plan last. The heuristic
+/// is off, so genuinely *all* join orders appear, Cartesian ones included.
+pub fn all_plans(db: &Database, sql: &str, cap: usize) -> DbResult<(Vec<QueryPlan>, QueryPlan)> {
     let Statement::Select(stmt) = parse_statement(sql)? else {
-        return Err(DbError::Unsupported("run_all_plans takes a SELECT".into()));
+        return Err(DbError::Unsupported("all_plans takes a SELECT".into()));
     };
     let bound = bind_select(db.catalog(), &stmt)?;
     let config = Config { defer_cartesian: false, ..db.config() };
     let enumerator = Enumerator::new(db.catalog(), &bound, config);
     let (chosen, _) = enumerator.best_plan();
-    let w = db.config().w;
+    let plans = enumerator.all_plans(cap).into_iter().map(|p| executable(&bound, p)).collect();
+    Ok((plans, executable(&bound, chosen)))
+}
 
-    let mut out = Vec::new();
-    for plan in enumerator.all_plans(cap) {
-        let predicted = plan.cost.total(w);
-        let predicted_pages = plan.cost.pages;
-        let summary = summarize_plan(&plan);
-        let (measured, measured_pages) = measure_plan(db, &bound, plan)?;
-        out.push(PlanMeasurement { predicted, measured, predicted_pages, measured_pages, summary });
-    }
-    let chosen_summary = summarize_plan(&chosen);
-    let chosen_pred = chosen.cost.total(w);
+/// Execute a plan with a cold buffer and return its measured weighted
+/// cost and page fetches.
+pub fn measure_plan(db: &Database, plan: &QueryPlan) -> DbResult<(f64, f64)> {
+    db.evict_buffers()?;
+    db.reset_io_stats();
+    db.execute_plan(plan)?;
+    let io = db.io_stats();
+    Ok((Cost::from_io(&io).total(db.config().w), io.page_fetches() as f64))
+}
+
+/// Execute every plan of [`all_plans`] cold and return the measurements
+/// plus the index of the optimizer's chosen plan.
+pub fn run_all_plans(
+    db: &Database,
+    sql: &str,
+    cap: usize,
+) -> DbResult<(Vec<PlanMeasurement>, usize)> {
+    let (plans, chosen) = all_plans(db, sql, cap)?;
+    let w = db.config().w;
+    let measure = |plan: &QueryPlan| -> DbResult<PlanMeasurement> {
+        let (measured, measured_pages) = measure_plan(db, plan)?;
+        Ok(PlanMeasurement {
+            predicted: plan.root.cost.total(w),
+            measured,
+            predicted_pages: plan.root.cost.pages,
+            measured_pages,
+            summary: summarize_plan(&plan.root),
+        })
+    };
+    let mut out = plans.iter().map(measure).collect::<DbResult<Vec<_>>>()?;
+    let chosen_summary = summarize_plan(&chosen.root);
+    let chosen_pred = chosen.root.cost.total(w);
     let idx = match out
         .iter()
         .position(|m| m.summary == chosen_summary && (m.predicted - chosen_pred).abs() < 1e-6)
     {
         Some(i) => i,
         None => {
-            let (measured, measured_pages) = measure_plan(db, &bound, chosen.clone())?;
-            out.push(PlanMeasurement {
-                predicted: chosen_pred,
-                measured,
-                predicted_pages: chosen.cost.pages,
-                measured_pages,
-                summary: chosen_summary,
-            });
+            out.push(measure(&chosen)?);
             out.len() - 1
         }
     };

@@ -4,7 +4,8 @@
 //! claims: parameterized workload generators over the paper's schemas, a
 //! measurement harness that executes raw plans cold and reports
 //! `PAGE FETCHES + W * RSI CALLS`, and the golden comparator behind
-//! `sysr-experiments --check`.
+//! `sysr-experiments --check`. The workloads and the harness are also the
+//! integration tests' fixtures and every-plan oracle.
 //!
 //! The `sysr-experiments` binary writes one report per
 //! `results/<name>.txt` (`sysr-experiments <name>`) and checks every

@@ -4,7 +4,8 @@
 //! DESIGN.md's substitution table, these generators produce synthetic
 //! databases over the paper's own schemas with the knobs the cost model
 //! actually responds to: cardinalities, value distributions, clustering,
-//! and the index inventory.
+//! and the index inventory. The repo's integration tests build their
+//! databases here too, through a dev-dependency.
 
 use system_r::rss::SplitMix64;
 use system_r::{tuple, Config, Database, DbResult};
@@ -154,6 +155,24 @@ pub fn synth_chain_db(n: usize, rows_per_table: i64) -> DbResult<(Database, Stri
     let joins: Vec<String> = (0..n - 1).map(|i| format!("T{i}.FK = T{}.K", i + 1)).collect();
     let sql = format!("SELECT T0.K FROM {} WHERE {}", tables.join(","), joins.join(" AND "));
     Ok((db, sql))
+}
+
+/// A 4-relation FK chain `T0 → T1 → T2 → T3` with a unique key index per
+/// table and a non-unique index on each FK column; `V` cycles through 100
+/// values.
+pub fn chain_db(rows: i64) -> DbResult<Database> {
+    let mut db = Database::new();
+    for i in 0..4 {
+        db.execute(&format!("CREATE TABLE T{i} (K INTEGER, FK INTEGER, V INTEGER)"))?;
+        db.insert_rows(
+            &format!("T{i}"),
+            (0..rows).map(|r| tuple![r, (r * 7 + i) % rows, (r * 13) % 100]),
+        )?;
+        db.execute(&format!("CREATE UNIQUE INDEX T{i}_K ON T{i} (K)"))?;
+        db.execute(&format!("CREATE INDEX T{i}_FK ON T{i} (FK)"))?;
+    }
+    db.execute("UPDATE STATISTICS")?;
+    Ok(db)
 }
 
 /// An n-table star: fact F joined to n-1 dimensions on distinct columns.

@@ -280,15 +280,6 @@ impl CostModel {
         (input + Cost { pages, rsi: 0.0 }, pages)
     }
 
-    /// C-partialsort(path): enforce an order whose leading prefix the
-    /// input already delivers, grouped into `run_count` runs — see
-    /// [`partial_sort_delta`] for the formula. Returns the total cost and
-    /// the per-run spill pages × run count.
-    pub fn partial_sort(&self, input: Cost, rows: f64, width: f64, run_count: f64) -> (Cost, f64) {
-        let (delta, tp) = partial_sort_delta(rows, width, run_count);
-        (input + delta, tp)
-    }
-
     /// C-inner(sorted list) = `TEMPPAGES/N + W*RSICARD` — the per-probe
     /// cost of the merging scan against a sorted temporary list, where
     /// RSICARD here is the matching group size per outer tuple.

@@ -65,17 +65,6 @@ pub enum Operand {
     Subquery(usize),
 }
 
-impl Operand {
-    /// Whether the operand's value is known at access path selection time —
-    /// the condition Table 1 puts on interpolation selectivities.
-    pub fn known_at_plan_time(&self) -> Option<&Value> {
-        match self {
-            Operand::Lit(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -14,7 +14,7 @@
 
 use crate::codec::{decode_tuple, tuple_bytes};
 use crate::error::{RssError, RssResult};
-use crate::page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
+use crate::page::{Page, PageImage, PAGE_SIZE};
 use crate::rid::Rid;
 use crate::tuple::Tuple;
 use std::collections::BTreeSet;
@@ -197,12 +197,6 @@ impl Segment {
     /// source for the relation's average tuple width).
     pub fn bytes_of_relation(&self, rel_id: u16) -> usize {
         self.live_lens().filter(|&(rel, _)| rel == rel_id).map(|(_, len)| len).sum()
-    }
-
-    /// Approximate bytes of live data, for reporting.
-    pub fn live_bytes(&self) -> usize {
-        self.live_lens().map(|(_, len)| len + SLOT_SIZE).sum::<usize>()
-            + self.pages.len() * PAGE_HEADER_SIZE
     }
 }
 

@@ -167,10 +167,6 @@ impl Storage {
         self.segments.get_mut(id as usize).ok_or(RssError::UnknownSegment(id))
     }
 
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     // ---- buffer pool / page I/O -----------------------------------------
 
     /// Access a page; a miss reads and verifies its image from the page
@@ -268,10 +264,6 @@ impl Storage {
 
     pub fn reset_io_stats(&self) {
         self.buffer.reset_stats();
-    }
-
-    pub fn buffer_capacity(&self) -> usize {
-        self.buffer.capacity()
     }
 
     /// Resize the buffer pool. Growing keeps resident pages; shrinking
@@ -535,10 +527,6 @@ impl Storage {
 
     pub fn index(&self, id: IndexId) -> RssResult<&IndexEntry> {
         self.indexes.get(id as usize).ok_or(RssError::UnknownIndex(id))
-    }
-
-    pub fn index_count(&self) -> usize {
-        self.indexes.len()
     }
 
     /// Physically rewrite relation `rel_id` of segment `seg` in the key

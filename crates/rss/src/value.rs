@@ -55,17 +55,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The type of this value, or `None` for NULL (which belongs to every
-    /// type).
-    pub fn col_type(&self) -> Option<ColType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ColType::Int),
-            Value::Float(_) => Some(ColType::Float),
-            Value::Str(_) => Some(ColType::Str),
-        }
-    }
-
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }

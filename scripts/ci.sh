@@ -24,7 +24,8 @@ cargo build --release --workspace --bins --examples
 # test run, so this step checks it too (DESIGN.md §8.2).
 cargo test --workspace
 # Save/reopen round-trip against real page files in a temp dir; pins the
-# fetches == device-reads identity and clean errors on torn/corrupt files.
+# fetches == device-reads identity, clean errors on torn/corrupt files,
+# and readers that see unchanged rows while `sync` flushes beside them.
 cargo test --release --test persistence
 # The storage substrate again, optimized: the page-digest kernel and the
 # SARG kernel (the segment scan's slot-directory walk and its compiled
@@ -45,14 +46,11 @@ cargo test --release --test sql_correctness --test explain_analyze --test proper
 # with save -> open on real page files, so it also runs optimized — the
 # one-flush-per-statement path must reach the files in release builds too.
 cargo test --release --test dml_by_rid
-# 8-thread stress: plans and rows must be bit-identical to a serial
-# baseline, session/cache accounting exact, and save-under-load must
-# round-trip. RUST_TEST_THREADS is force-unset so the harness does not
-# serialize the scoped worker threads.
-env -u RUST_TEST_THREADS cargo test --release --test concurrent_serving
 # The text-keyed plan cache's own 8-thread tests (exact hit/miss counts,
-# no stale serve across a catalog bump), optimized and genuinely parallel
-# for the same reason.
+# one shared cached plan executed from 8 threads with rows equal to a
+# serial run, no stale serve across a catalog bump), optimized.
+# RUST_TEST_THREADS is unset so several of these tests run at once and
+# their threads contend; it never limits the threads inside one test.
 env -u RUST_TEST_THREADS cargo test --release --test plan_cache
 # --all = plan invariants + DP oracle (per query block, nested subquery
 # blocks included) & sampled orders + recovery

@@ -78,7 +78,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
-use sysr_catalog::{Catalog, CatalogError, ColumnMeta, RelId};
+use sysr_catalog::{Catalog, CatalogError, ColumnMeta};
 use sysr_core::{bind_select, BindError, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
 use sysr_executor::{execute, execute_victims, ExecEnv, ExecError, ResultSet};
 use sysr_rss::{IoStats, Rid, RssError, Storage, Tuple, Value};
@@ -170,9 +170,6 @@ pub struct Database {
     storage: Storage,
     catalog: Catalog,
     config: OptimizerConfig,
-    /// When set, new tables share this segment (the paper's interleaved
-    /// layout, giving `P(T) < 1`); otherwise each table gets its own.
-    shared_segment: Option<u32>,
     /// Plans for previously optimized statements; concurrent, so
     /// planning stays `&self` and sessions share warmed plans.
     plan_cache: PlanCache,
@@ -201,7 +198,6 @@ impl Database {
             storage: Storage::new(config.buffer_pages),
             catalog: Catalog::new(),
             config,
-            shared_segment: None,
             plan_cache: PlanCache::new(),
         }
     }
@@ -214,22 +210,8 @@ impl Database {
             storage: Storage::new(config.buffer_pages),
             catalog: Catalog::new(),
             config,
-            shared_segment: None,
             plan_cache: PlanCache::new(),
         }
-    }
-
-    /// Make subsequently created tables share one segment, interleaving
-    /// their tuples on common pages (exercises the `P(T)` statistic).
-    pub fn share_segment_for_new_tables(&mut self) {
-        if self.shared_segment.is_none() {
-            self.shared_segment = Some(self.storage.create_segment());
-        }
-    }
-
-    /// Give subsequently created tables their own segments again.
-    pub fn separate_segments_for_new_tables(&mut self) {
-        self.shared_segment = None;
     }
 
     pub fn config(&self) -> OptimizerConfig {
@@ -317,13 +299,7 @@ impl Database {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| DbError::Storage(RssError::Io(format!("read {}: {e}", path.display()))))?;
         let catalog = sysr_catalog::persist::parse(&text)?;
-        Ok(Database {
-            storage,
-            catalog,
-            config,
-            shared_segment: None,
-            plan_cache: PlanCache::new(),
-        })
+        Ok(Database { storage, catalog, config, plan_cache: PlanCache::new() })
     }
 
     /// Make every statement that has returned durable: flush dirty buffer
@@ -373,10 +349,7 @@ impl Database {
                 self.execute_plan(&plan)
             }
             Statement::CreateTable(ct) => {
-                let segment = match self.shared_segment {
-                    Some(s) => s,
-                    None => self.storage.create_segment(),
-                };
+                let segment = self.storage.create_segment();
                 let columns =
                     ct.columns.iter().map(|(n, t)| ColumnMeta::new(n.as_str(), *t)).collect();
                 self.catalog.create_relation(&ct.name, segment, columns)?;
@@ -750,11 +723,6 @@ impl Database {
         }
         self.storage.update_many(rel.segment, rel.id, &changes)?;
         Ok(count_result("UPDATED", changes.len()))
-    }
-
-    /// Relation id lookup helper for tests and experiment harnesses.
-    pub fn relation_id(&self, table: &str) -> DbResult<RelId> {
-        Ok(self.catalog.relation_by_name(table)?.id)
     }
 }
 

@@ -5,7 +5,8 @@
 
 mod common;
 
-use common::{employee_db, fig1_db};
+use common::fig1_db;
+use sysr_bench::workloads::employee_db;
 use system_r::core::{Optimizer, PlanExpr, PlanNode};
 use system_r::sql::{parse_statement, Statement};
 use system_r::Database;
@@ -60,7 +61,7 @@ fn per_node_io_sums_to_whole_query_delta() {
 
 #[test]
 fn per_node_io_sums_to_delta_with_subqueries() {
-    let db = employee_db(500, 7);
+    let db = employee_db(500, 7).unwrap();
     for sql in [
         "SELECT NAME FROM EMPLOYEE WHERE SALARY > (SELECT AVG(SALARY) FROM EMPLOYEE)",
         "SELECT NAME FROM EMPLOYEE X WHERE SALARY >
@@ -168,7 +169,7 @@ fn explain_analyze_single_table_shapes() {
 
 #[test]
 fn explain_analyze_correlated_subquery_reports_loops() {
-    let db = employee_db(500, 7);
+    let db = employee_db(500, 7).unwrap();
     let text = db
         .explain_analyze(
             "SELECT NAME FROM EMPLOYEE X WHERE SALARY >
@@ -278,7 +279,7 @@ fn search_trace_levels_cover_the_join() {
 
 #[test]
 fn search_trace_covers_subquery_blocks() {
-    let db = employee_db(500, 7);
+    let db = employee_db(500, 7).unwrap();
     let traces = traces_for(
         &db,
         "SELECT NAME FROM EMPLOYEE X WHERE SALARY >
@@ -298,7 +299,7 @@ fn search_trace_covers_subquery_blocks() {
 
 #[test]
 fn facade_search_trace_renders_all_blocks() {
-    let db = employee_db(500, 7);
+    let db = employee_db(500, 7).unwrap();
     let text = db
         .search_trace("SELECT NAME FROM EMPLOYEE WHERE SALARY > (SELECT AVG(SALARY) FROM EMPLOYEE)")
         .unwrap();

@@ -4,103 +4,28 @@
 //! ordering among the estimated costs … is precisely the same as that
 //! among the actual measured costs."
 //!
-//! For each scenario we enumerate *every* complete plan (heuristic off),
-//! execute each one cold, measure `PAGE FETCHES + W * RSI CALLS`, and
-//! compare the optimizer's choice against the measured optimum.
+//! For each scenario the experiments' harness
+//! (`sysr_bench::harness::run_all_plans`) enumerates *every* complete plan
+//! (heuristic off), executes each one cold and measures
+//! `PAGE FETCHES + W * RSI CALLS`; the tests compare the optimizer's choice
+//! against the measured optimum.
 
 mod common;
 
 use common::fig1_db;
-use system_r::core::{bind_select, Cost, Enumerator, PlanExpr, QueryPlan};
-use system_r::sql::{parse_statement, Statement};
+use std::sync::OnceLock;
+use sysr_bench::harness::{run_all_plans, spearman};
+use sysr_bench::workloads::scatter;
 use system_r::{tuple, Config, Database};
 
-/// Execute one raw plan cold and return its measured weighted cost.
-fn measure(db: &Database, query: &system_r::core::BoundQuery, plan: PlanExpr) -> f64 {
-    let full = QueryPlan {
-        query: query.clone(),
-        root: plan,
-        subplans: vec![],
-        block_filters: vec![],
-        predicted: Cost::ZERO,
-        qcard: 0.0,
-        stats: Default::default(),
-    };
-    db.evict_buffers().unwrap();
-    db.reset_io_stats();
-    db.execute_plan(&full).expect("plan executes");
-    Cost::from_io(&db.io_stats()).total(db.config().w)
-}
-
-/// Run one scenario: returns (chosen_measured, best_measured, rank
-/// correlation between predicted and measured over all plans).
-fn run_scenario(db: &Database, sql: &str) -> (f64, f64, f64, usize) {
-    let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
-    let bound = bind_select(db.catalog(), &stmt).unwrap();
-    let config = Config { defer_cartesian: false, ..db.config() };
-    let enumerator = Enumerator::new(db.catalog(), &bound, config);
-
-    let (chosen, _) = enumerator.best_plan();
-    let chosen_predicted = chosen.cost.total(db.config().w);
-    let chosen_measured = measure(db, &bound, chosen.clone());
-
-    let all = enumerator.all_plans(400);
-    assert!(!all.is_empty());
-    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(all.len());
-    for plan in all {
-        let predicted = plan.cost.total(db.config().w);
-        let measured = measure(db, &bound, plan);
-        pairs.push((predicted, measured));
-    }
-    // Include the chosen plan's point too.
-    pairs.push((chosen_predicted, chosen_measured));
-    let best_measured = pairs.iter().map(|&(_, m)| m).fold(f64::INFINITY, f64::min);
-    let rho = spearman(&pairs);
-    (chosen_measured, best_measured, rho, pairs.len())
-}
-
-/// Spearman rank correlation of (predicted, measured) pairs.
-fn spearman(pairs: &[(f64, f64)]) -> f64 {
-    let n = pairs.len();
-    if n < 3 {
-        return 1.0;
-    }
-    let rank = |values: Vec<f64>| -> Vec<f64> {
-        let mut idx: Vec<usize> = (0..values.len()).collect();
-        idx.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
-        let mut ranks = vec![0.0; values.len()];
-        let mut i = 0;
-        while i < idx.len() {
-            // Average ranks over ties.
-            let mut j = i;
-            while j + 1 < idx.len() && values[idx[j + 1]] == values[idx[i]] {
-                j += 1;
-            }
-            let avg = (i + j) as f64 / 2.0;
-            for &k in &idx[i..=j] {
-                ranks[k] = avg;
-            }
-            i = j + 1;
-        }
-        ranks
-    };
-    let rp = rank(pairs.iter().map(|&(p, _)| p).collect());
-    let rm = rank(pairs.iter().map(|&(_, m)| m).collect());
-    let mean = (n as f64 - 1.0) / 2.0;
-    let mut num = 0.0;
-    let mut dp = 0.0;
-    let mut dm = 0.0;
-    for i in 0..n {
-        let a = rp[i] - mean;
-        let b = rm[i] - mean;
-        num += a * b;
-        dp += a * a;
-        dm += b * b;
-    }
-    if dp == 0.0 || dm == 0.0 {
-        return 1.0;
-    }
-    num / (dp * dm).sqrt()
+/// One scenario's outcome: the chosen plan's and the best plan's measured
+/// cost, and the rank correlation between predicted and measured cost.
+struct Outcome {
+    name: &'static str,
+    n_plans: usize,
+    chosen: f64,
+    best: f64,
+    rho: f64,
 }
 
 struct Scenario {
@@ -139,8 +64,7 @@ fn scenarios() -> Vec<Scenario> {
     // Clustered range.
     let mut db = Database::with_config(small_buffer());
     db.execute("CREATE TABLE T (K INTEGER, GRP INTEGER, PAD VARCHAR(60))").unwrap();
-    db.insert_rows("T", (0..4000).map(|i| tuple![common::scatter(i, 4000), i % 40, pad(i)]))
-        .unwrap();
+    db.insert_rows("T", (0..4000).map(|i| tuple![scatter(i, 4000), i % 40, pad(i)])).unwrap();
     db.execute("CREATE CLUSTERED INDEX T_K ON T (K)").unwrap();
     db.execute("UPDATE STATISTICS").unwrap();
     out.push(Scenario {
@@ -152,8 +76,7 @@ fn scenarios() -> Vec<Scenario> {
     // Order-by: sort vs scattered ordered index.
     let mut db = Database::with_config(small_buffer());
     db.execute("CREATE TABLE T (K INTEGER, GRP INTEGER, PAD VARCHAR(60))").unwrap();
-    db.insert_rows("T", (0..3000).map(|i| tuple![common::scatter(i, 3000), i % 40, pad(i)]))
-        .unwrap();
+    db.insert_rows("T", (0..3000).map(|i| tuple![scatter(i, 3000), i % 40, pad(i)])).unwrap();
     db.execute("CREATE UNIQUE INDEX T_K ON T (K)").unwrap();
     db.execute("UPDATE STATISTICS").unwrap();
     out.push(Scenario { name: "order-by", db, sql: "SELECT PAD FROM T ORDER BY K" });
@@ -203,16 +126,39 @@ fn scenarios() -> Vec<Scenario> {
     out
 }
 
+/// Every scenario, each measured once for both tests.
+fn outcomes() -> &'static [Outcome] {
+    static OUTCOMES: OnceLock<Vec<Outcome>> = OnceLock::new();
+    OUTCOMES.get_or_init(|| {
+        scenarios()
+            .into_iter()
+            .map(|s| {
+                let (plans, idx) = run_all_plans(&s.db, s.sql, 400).expect("every plan executes");
+                let best = plans.iter().map(|m| m.measured).fold(f64::INFINITY, f64::min);
+                let pairs: Vec<(f64, f64)> =
+                    plans.iter().map(|m| (m.predicted, m.measured)).collect();
+                let rho = spearman(&pairs);
+                Outcome {
+                    name: s.name,
+                    n_plans: plans.len(),
+                    chosen: plans[idx].measured,
+                    best,
+                    rho,
+                }
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn optimizer_picks_near_optimal_plans() {
     let mut optimal = 0;
     let mut near = 0;
     let mut total = 0;
     let mut report = String::new();
-    for s in scenarios() {
-        let (chosen, best, rho, n_plans) = run_scenario(&s.db, s.sql);
+    for o in outcomes() {
         total += 1;
-        let ratio = if best > 0.0 { chosen / best } else { 1.0 };
+        let ratio = if o.best > 0.0 { o.chosen / o.best } else { 1.0 };
         // "True optimal" with a 5% tolerance: merge-join variants differ by
         // a handful of temp pages and tie in practice.
         if ratio <= 1.05 {
@@ -223,7 +169,7 @@ fn optimizer_picks_near_optimal_plans() {
         }
         report.push_str(&format!(
             "{:<16} plans={:<3} chosen={:>10.1} best={:>10.1} ratio={:>5.2} rho={:>5.2}\n",
-            s.name, n_plans, chosen, best, ratio, rho
+            o.name, o.n_plans, o.chosen, o.best, ratio, o.rho
         ));
     }
     eprintln!("{report}");
@@ -238,16 +184,8 @@ fn optimizer_picks_near_optimal_plans() {
 
 #[test]
 fn predicted_and_measured_orderings_correlate() {
-    let mut rho_sum = 0.0;
-    let mut n = 0;
-    for s in scenarios() {
-        let (_, _, rho, n_plans) = run_scenario(&s.db, s.sql);
-        if n_plans >= 4 {
-            rho_sum += rho;
-            n += 1;
-        }
-    }
-    let mean_rho = rho_sum / n as f64;
+    let rhos: Vec<f64> = outcomes().iter().filter(|o| o.n_plans >= 4).map(|o| o.rho).collect();
+    let mean_rho = rhos.iter().sum::<f64>() / rhos.len() as f64;
     assert!(
         mean_rho > 0.5,
         "mean Spearman correlation between predicted and measured cost orderings = {mean_rho}"

@@ -4,6 +4,7 @@
 mod common;
 
 use common::fig1_db;
+use sysr_bench::workloads::scatter;
 use system_r::core::{Access, PlanExpr, PlanNode, QueryPlan};
 use system_r::rss::RsiScan;
 use system_r::{tuple, Config, Database};
@@ -146,11 +147,8 @@ fn w_weighting_shifts_plan_choice() {
     // non-clustered index reads each once but fetches far more pages.
     let mut db = Database::with_config(Config { w: 0.0, buffer_pages: 8, ..Config::default() });
     db.execute("CREATE TABLE T (K INTEGER, PAD VARCHAR(40))").unwrap();
-    db.insert_rows(
-        "T",
-        (0..20_000).map(|i| tuple![common::scatter(i, 20_000), format!("p{i:037}")]),
-    )
-    .unwrap();
+    db.insert_rows("T", (0..20_000).map(|i| tuple![scatter(i, 20_000), format!("p{i:037}")]))
+        .unwrap();
     db.execute("CREATE UNIQUE INDEX T_K ON T (K)").unwrap();
     db.execute("UPDATE STATISTICS").unwrap();
 
@@ -246,7 +244,7 @@ fn index_only_scan_skips_data_pages_when_enabled() {
         db.execute("CREATE TABLE T (K INTEGER, GRP INTEGER, PAD VARCHAR(60))").unwrap();
         db.insert_rows(
             "T",
-            (0..8000).map(|i| tuple![common::scatter(i, 8000), i % 40, format!("p{i:056}")]),
+            (0..8000).map(|i| tuple![scatter(i, 8000), i % 40, format!("p{i:056}")]),
         )
         .unwrap();
         db.execute("CREATE UNIQUE INDEX T_K ON T (K)").unwrap();

@@ -1,7 +1,8 @@
 //! Persistence round-trip: a database saved to real page files must come
 //! back byte-for-byte equivalent — same query results, same catalog
 //! statistics — and the disk backend's I/O accounting must match the
-//! buffer pool's page-fetch counters exactly.
+//! buffer pool's page-fetch counters exactly, also while readers run
+//! beside a flushing `sync`.
 
 mod common;
 
@@ -230,5 +231,72 @@ fn clean_sync_after_reopen_is_durable() {
     assert_eq!(count.rows, vec![tuple![4_900i64]], "every synced row survives");
     let probe = db.query("SELECT V FROM T WHERE K = 4321").expect("probe");
     assert_eq!(probe.rows, vec![tuple!["value-4321"]], "the index reaches a synced row");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn readers_stay_consistent_while_sync_flushes() {
+    const THREADS: usize = 8;
+    let dir = scratch_dir("serve-under-sync");
+    // Build on disk so `sync` has real page files to flush to.
+    {
+        let db = fig1_db(300, 10, 5);
+        db.save(&dir).unwrap();
+    }
+    let db = Database::open(&dir).unwrap();
+    let base: Vec<(&str, String)> = CORPUS
+        .iter()
+        .map(|sql| {
+            let rows = db.query(sql).unwrap_or_else(|e| panic!("baseline query `{sql}`: {e}"));
+            (*sql, format!("{:?}", rows.rows))
+        })
+        .collect();
+
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let base = &base;
+        let db = &db;
+        let mut handles: Vec<_> = (0..THREADS - 1)
+            .map(|t| {
+                scope.spawn(move || {
+                    let session = db.session();
+                    let mut bad = Vec::new();
+                    for round in 0..8 {
+                        for (sql, want_rows) in base {
+                            match session.query(sql) {
+                                Ok(rows) if format!("{:?}", rows.rows) != *want_rows => {
+                                    bad.push(format!(
+                                        "reader {t} round {round}: row drift under sync for `{sql}`"
+                                    ));
+                                }
+                                Ok(_) => {}
+                                Err(e) => bad.push(format!("reader {t}: `{sql}` failed: {e}")),
+                            }
+                        }
+                    }
+                    bad
+                })
+            })
+            .collect();
+        handles.push(scope.spawn(move || {
+            let mut bad = Vec::new();
+            for i in 0..40 {
+                if let Err(e) = db.sync() {
+                    bad.push(format!("sync {i} failed: {e}"));
+                }
+            }
+            bad
+        }));
+        handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect()
+    });
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+
+    // The image on disk after concurrent syncs still round-trips.
+    db.sync().unwrap();
+    drop(db);
+    let reopened = Database::open(&dir).unwrap();
+    for (sql, want_rows) in &base {
+        let rows = reopened.query(sql).unwrap_or_else(|e| panic!("reopen `{sql}`: {e}"));
+        assert_eq!(&format!("{:?}", rows.rows), want_rows, "reopened rows differ for `{sql}`");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

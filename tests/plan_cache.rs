@@ -1,14 +1,15 @@
 //! Statement plan cache behavior: repeated statements are answered from
 //! the cache, any catalog change (DDL, UPDATE STATISTICS) forces
 //! re-optimization, reopening a saved database starts cold, and a cached
-//! plan executes exactly like a freshly optimized one, every time it
-//! runs. The key is the statement's SQL text, so a hit must never turn
-//! EXPLAIN text into a query.
+//! plan executes exactly like a freshly optimized one, every time it runs
+//! and from every thread that shares it. The key is the statement's SQL
+//! text, so a hit must never turn EXPLAIN text into a query.
 
 mod common;
 
-use common::{chain_db, fig1_clustered_db, fig1_db};
+use common::{fig1_clustered_db, fig1_db};
 use std::path::PathBuf;
+use sysr_bench::workloads::chain_db;
 use system_r::{Database, DbError};
 
 const JOIN: &str = "SELECT NAME, DNAME FROM EMP, DEPT \
@@ -126,14 +127,22 @@ fn concurrent_sessions_count_hits_and_misses_exactly() {
     const REPS: u64 = 25;
     let db = fig1_db(300, 10, 5);
     assert_eq!(db.plan_cache_stats(), (0, 0), "cold start");
+    // The serial run uses an identical database, so the shared one's
+    // counters see only the threads' requests.
+    let serial = fig1_db(300, 10, 5).query(JOIN).unwrap();
 
     std::thread::scope(|scope| {
         let db = &db;
-        for _ in 0..THREADS {
+        let serial = &serial;
+        for t in 0..THREADS {
             scope.spawn(move || {
                 let session = db.session();
-                for _ in 0..REPS {
-                    session.plan(JOIN).unwrap();
+                for rep in 0..REPS {
+                    // After the cold miss every thread is handed the one
+                    // cached `Arc<QueryPlan>`; executing it counts no request.
+                    let plan = session.plan(JOIN).unwrap();
+                    let rows = session.execute_plan(&plan).unwrap();
+                    assert_eq!(rows, *serial, "thread {t} rep {rep}: shared plan's rows drifted");
                 }
                 let (hits, misses) = session.cache_stats();
                 assert_eq!(hits + misses, REPS, "session accounting is per-request exact");
@@ -287,7 +296,7 @@ fn a_cached_plan_executes_identically_every_time() {
     // EMP clustered on DNO: the DNO index delivers ORDER BY's leading
     // column, so `ORDER BY DNO, SAL` sorts within runs only.
     let clustered = fig1_clustered_db(1000, 40, 10);
-    let chain = chain_db(200);
+    let chain = chain_db(200).unwrap();
     let corpus: [(&Database, &str); 8] = [
         (&fig1, "SELECT NAME FROM EMP"),
         (&fig1, "SELECT NAME FROM EMP WHERE JOB = 7"),

@@ -7,7 +7,8 @@
 
 mod common;
 
-use common::{employee_db, fig1_db};
+use common::fig1_db;
+use sysr_bench::workloads::employee_db;
 use system_r::audit::differential;
 use system_r::rss::SplitMix64;
 use system_r::Database;
@@ -51,7 +52,7 @@ fn fig1_corpus_passes_every_invariant_end_to_end() {
 
 #[test]
 fn section6_nested_queries_pass_every_invariant() {
-    let db = employee_db(400, 7);
+    let db = employee_db(400, 7).unwrap();
     audit_all(
         &db,
         &[

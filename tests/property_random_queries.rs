@@ -3,8 +3,6 @@
 //! must agree with a naive in-memory reference evaluator — whatever plan
 //! the optimizer picks.
 
-mod common;
-
 use system_r::rss::{SplitMix64, Tuple, Value};
 use system_r::{tuple, Database};
 

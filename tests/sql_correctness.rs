@@ -4,6 +4,7 @@
 mod common;
 
 use common::*;
+use sysr_bench::workloads::employee_db;
 use system_r::rss::Value;
 use system_r::{tuple, Database};
 
@@ -220,7 +221,7 @@ fn update_without_where_touches_all_rows() {
     let r = db.execute("UPDATE T SET A = A + 100").unwrap();
     assert_eq!(r.rows[0][0], Value::Int(3));
     let r = db.query("SELECT A FROM T ORDER BY A").unwrap();
-    assert_eq!(common::int_column(&r.rows, 0), vec![101, 102, 103]);
+    assert_eq!(int_column(&r.rows, 0), vec![101, 102, 103]);
 }
 
 #[test]
@@ -250,7 +251,7 @@ fn update_unknown_column_errors() {
 
 #[test]
 fn scalar_subquery_from_paper() {
-    let db = employee_db(100, 10);
+    let db = employee_db(100, 10).unwrap();
     // Everyone above the average salary.
     let r = db
         .query(
@@ -268,7 +269,7 @@ fn scalar_subquery_from_paper() {
 
 #[test]
 fn in_subquery_from_paper() {
-    let db = employee_db(100, 10);
+    let db = employee_db(100, 10).unwrap();
     let r = db
         .query(
             "SELECT NAME FROM EMPLOYEE WHERE DEPARTMENT_NUMBER IN
@@ -288,7 +289,7 @@ fn in_subquery_from_paper() {
 
 #[test]
 fn correlated_subquery_earn_more_than_manager() {
-    let db = employee_db(50, 5);
+    let db = employee_db(50, 5).unwrap();
     let r = db
         .query(
             "SELECT NAME FROM EMPLOYEE X WHERE SALARY >
@@ -325,7 +326,7 @@ fn correlated_subquery_earn_more_than_manager() {
 
 #[test]
 fn three_level_nesting_from_paper() {
-    let db = employee_db(60, 4);
+    let db = employee_db(60, 4).unwrap();
     // Earn more than their manager's manager.
     let r = db
         .query(
@@ -344,7 +345,7 @@ fn three_level_nesting_from_paper() {
 
 #[test]
 fn subquery_as_probe_value_uses_index() {
-    let db = employee_db(500, 10);
+    let db = employee_db(500, 10).unwrap();
     // The scalar subquery's value probes the unique EMPLOYEE_NUMBER index.
     let r = db
         .query(
@@ -352,7 +353,7 @@ fn subquery_as_probe_value_uses_index() {
                (SELECT MAX(DEPARTMENT_NUMBER) FROM DEPARTMENT)",
         )
         .unwrap();
-    assert_eq!(str_column(&r.rows, 0), vec!["E0009"]);
+    assert_eq!(str_column(&r.rows, 0), vec!["E00009"]);
     let plan = db
         .plan(
             "SELECT NAME FROM EMPLOYEE WHERE EMPLOYEE_NUMBER =
@@ -366,7 +367,7 @@ fn subquery_as_probe_value_uses_index() {
 
 #[test]
 fn scalar_subquery_multiple_rows_errors() {
-    let db = employee_db(20, 5);
+    let db = employee_db(20, 5).unwrap();
     let err = db
         .query("SELECT NAME FROM EMPLOYEE WHERE SALARY = (SELECT SALARY FROM EMPLOYEE)")
         .unwrap_err();
@@ -403,34 +404,17 @@ fn fig1_query_full_pipeline() {
 
 #[test]
 fn all_enumerated_plans_agree_on_fig1(/* plan-independence of results */) {
-    use system_r::core::{bind_select, Enumerator};
-    use system_r::sql::{parse_statement, Statement};
-
     let db = fig1_db(600, 20, 10);
     let sql = "SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB
                WHERE TITLE = 'CLERK' AND LOC = 'DENVER'
                  AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB";
-    let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
-    let bound = bind_select(db.catalog(), &stmt).unwrap();
-    let config = system_r::Config { defer_cartesian: false, ..system_r::Config::default() };
-    let enumerator = Enumerator::new(db.catalog(), &bound, config);
-    let plans = enumerator.all_plans(500);
+    let (plans, _) = sysr_bench::harness::all_plans(&db, sql, 500).unwrap();
     assert!(plans.len() >= 10, "expected many alternative plans, got {}", plans.len());
 
-    let reference = db.query(sql).unwrap();
-    let mut reference_rows = reference.rows.clone();
+    let mut reference_rows = db.query(sql).unwrap().rows;
     reference_rows.sort();
-    for plan_expr in plans {
-        let full = system_r::core::QueryPlan {
-            query: bound.clone(),
-            root: plan_expr,
-            subplans: vec![],
-            block_filters: vec![],
-            predicted: system_r::core::Cost::ZERO,
-            qcard: 0.0,
-            stats: Default::default(),
-        };
-        let mut rows = db.execute_plan(&full).unwrap().rows;
+    for plan in plans {
+        let mut rows = db.execute_plan(&plan).unwrap().rows;
         rows.sort();
         assert_eq!(rows, reference_rows, "every plan must produce the same result");
     }
