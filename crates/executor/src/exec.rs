@@ -16,10 +16,14 @@ use crate::block::{BlockRt, ExecEnv};
 use crate::error::{ExecError, ExecResult};
 use crate::eval::{eval_bexpr, resolve_operand};
 use crate::row::{combine, empty_row, flatten, row_value, Row};
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::ops::Range;
 use sysr_core::{Access, BExpr, ColId, Operand, PlanExpr, PlanNode, QueryPlan, ScanPlan};
+use sysr_rss::codec::encode_value;
 use sysr_rss::{
-    Batch, IndexId, IndexScan, Rid, RsiScan, SargExpr, SargList, SargPred, SegmentScan, StopKey,
-    TempGuard, TempList, Tuple, Value, MAX_BATCH,
+    Batch, IndexId, IndexScan, Rid, RsiScan, SargExpr, SargList, SargPred, SegmentSargs,
+    SegmentScan, StopKey, TempGuard, TempList, Tuple, Value, MAX_BATCH,
 };
 
 /// Where a scan's surviving rows go. A SELECT collects bare rows; a DML
@@ -85,7 +89,8 @@ fn exec_node_inner(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResu
             // attaches the inner tuples to it. The per-row OPEN/CLOSE (and
             // its measurement window) is the paper's join semantics and
             // stays tuple-at-a-time; each probe drains its scan in batches.
-            let mut probe = ScanProbe::new(rt.env, rt.plan, inner_scan)?;
+            // A segment-scan inner remembers each binding's answer.
+            let mut probe = ScanProbe::new(rt.env, rt.plan, inner_scan)?.remembering();
             for orow in outer_rows {
                 rt.trace_enter(inner_id);
                 let before = out.len();
@@ -267,17 +272,84 @@ pub fn scan_into<S: RowSink>(rt: &mut BlockRt<'_>, scan: &ScanPlan, out: &mut S)
 /// operands resolved, and an index scan's start/stop key vectors. Each
 /// OPEN rewrites only the operands it binds — outer-row columns,
 /// correlation values, subquery results — and the scan hands the SARG
-/// list and key vectors back at CLOSE for the next OPEN to reuse.
+/// list (with its compiled program) and key vectors back at CLOSE for the
+/// next OPEN to reuse.
 struct ScanProbe<'p> {
     scan: &'p ScanPlan,
     /// Residual factors above the RSI, borrowed from the plan.
     residuals: Vec<&'p BExpr>,
-    sargs: SargList,
+    sargs: SegmentSargs,
     /// Operands bound at OPEN, by (factor, disjunct, predicate) position
     /// in `sargs`.
     sarg_slots: Vec<(usize, usize, usize, &'p Operand)>,
     /// `None` for a segment scan.
     index: Option<IndexProbe<'p>>,
+    /// Each binding's answer, for a nested-loop inner segment scan with
+    /// an operand bound at OPEN ([`ScanProbe::remembering`]).
+    memo: Option<ProbeMemo>,
+}
+
+/// The RIDs a segment-scan inner's walk returned, by binding: a repeated
+/// binding replays them ([`SegmentScan::reopen`]) instead of running the
+/// SARG program over every slot again. The answer depends only on the
+/// SARG list, and within one join only the bound operands change, so the
+/// key is their encoded bytes — not `Value` equality, which equates
+/// `Float(2^53)` with `Int(2^53 + 1)` though they select different rows.
+/// The data cannot change under it: a SELECT holds the database shared
+/// and DML holds it exclusively. Keys and RIDs live end to end in two
+/// arenas, so remembering a binding allocates only when an arena grows.
+#[derive(Default)]
+struct ProbeMemo {
+    keys: Vec<u8>,
+    rids: Vec<Rid>,
+    entries: Vec<MemoEntry>,
+    /// Key hash → the newest entry with that hash.
+    heads: HashMap<u64, usize>,
+}
+
+struct MemoEntry {
+    key: Range<usize>,
+    rids: Range<usize>,
+    /// The previous entry whose key has the same hash.
+    next: Option<usize>,
+}
+
+impl ProbeMemo {
+    /// Append the bound operands' key to the key arena and look it up:
+    /// the remembered RIDs of an equal key, which is dropped again, or
+    /// the new key's hash, for [`ProbeMemo::insert`] to index it.
+    fn find(&mut self, sargs: &SargList, slots: &[(usize, usize, usize, &Operand)]) -> Found {
+        let start = self.keys.len();
+        for &(f, d, p, _) in slots {
+            encode_value(&sargs.factors[f].disjuncts[d][p].value, &mut self.keys);
+        }
+        let key = &self.keys[start..];
+        let hash = self.heads.hasher().hash_one(key);
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            let entry = &self.entries[i];
+            if self.keys[entry.key.clone()] == *key {
+                let rids = entry.rids.clone();
+                self.keys.truncate(start);
+                return Found::Hit(rids);
+            }
+            at = entry.next;
+        }
+        Found::Miss { hash, key_start: start, rids_start: self.rids.len() }
+    }
+
+    /// Remember the newest key (see [`ProbeMemo::find`]) with the RIDs
+    /// recorded after `rids_start`.
+    fn insert(&mut self, hash: u64, key_start: usize, rids_start: usize) {
+        let next = self.heads.insert(hash, self.entries.len());
+        let (key, rids) = (key_start..self.keys.len(), rids_start..self.rids.len());
+        self.entries.push(MemoEntry { key, rids, next });
+    }
+}
+
+enum Found {
+    Hit(Range<usize>),
+    Miss { hash: u64, key_start: usize, rids_start: usize },
 }
 
 /// The index-scan part of a [`ScanProbe`].
@@ -328,7 +400,7 @@ impl<'p> ScanProbe<'p> {
             }
             factors.push(SargExpr { disjuncts });
         }
-        let mut sargs = SargList { factors };
+        let mut sargs = SegmentSargs::from(SargList { factors });
         let index = match &scan.access {
             Access::Segment => None,
             Access::Index { index, eq_prefix, range, index_only, .. } => {
@@ -368,7 +440,7 @@ impl<'p> ScanProbe<'p> {
                     // is referenced).
                     let key_cols = env.storage.index(*index)?.key_cols.clone();
                     for pred in
-                        sargs.factors.iter_mut().flat_map(|e| e.disjuncts.iter_mut()).flatten()
+                        sargs.list.factors.iter_mut().flat_map(|e| e.disjuncts.iter_mut()).flatten()
                     {
                         pred.col =
                             key_cols.iter().position(|&k| k == pred.col).ok_or_else(|| {
@@ -400,7 +472,18 @@ impl<'p> ScanProbe<'p> {
             }
         };
         let residuals = scan.residual.iter().map(|&f| &plan.query.factors[f].expr).collect();
-        Ok(ScanProbe { scan, residuals, sargs, sarg_slots, index })
+        Ok(ScanProbe { scan, residuals, sargs, sarg_slots, index, memo: None })
+    }
+
+    /// Remember each binding's answer when the scan is a segment scan with
+    /// an operand bound at OPEN (a nested-loop inner; see [`ProbeMemo`]).
+    /// The memo lives as long as the probe, so it holds at most one entry
+    /// per outer row and one RID per tuple the inner returned.
+    fn remembering(mut self) -> Self {
+        if self.index.is_none() && !self.sarg_slots.is_empty() {
+            self.memo = Some(ProbeMemo::default());
+        }
+        self
     }
 
     /// OPEN the scan with its operands bound from `outer` (a nested-loop
@@ -413,7 +496,8 @@ impl<'p> ScanProbe<'p> {
         out: &mut S,
     ) -> ExecResult<()> {
         for &(f, d, p, op) in &self.sarg_slots {
-            self.sargs.factors[f].disjuncts[d][p].value = resolve_operand(rt, outer.as_ref(), op)?;
+            self.sargs.list.factors[f].disjuncts[d][p].value =
+                resolve_operand(rt, outer.as_ref(), op)?;
         }
         if let Some(ix) = &mut self.index {
             for &(start_at, stop_at, op) in &ix.key_slots {
@@ -430,14 +514,37 @@ impl<'p> ScanProbe<'p> {
         let storage = rt.env.storage;
         let table = self.scan.table;
         let base = outer.unwrap_or_else(|| empty_row(plan.query.tables.len()));
-        let sargs = std::mem::take(&mut self.sargs);
         let Some(ix) = &mut self.index else {
-            let rel = &plan.query.tables[table];
-            let mut s = SegmentScan::open(storage, rel.segment, rel.rel, sargs);
-            drain(rt, &mut s, base, table, &self.residuals, out, |batch| batch)?;
-            self.sargs = s.into_sargs();
+            let (seg, rel) = (plan.query.tables[table].segment, plan.query.tables[table].rel);
+            let sargs = std::mem::take(&mut self.sargs);
+            let residuals = &self.residuals;
+            let Some(memo) = &mut self.memo else {
+                let mut s = SegmentScan::reopen(storage, seg, rel, sargs, None);
+                drain(rt, &mut s, base, table, residuals, out, |batch| batch)?;
+                self.sargs = s.into_sargs();
+                return Ok(());
+            };
+            self.sargs = match memo.find(&sargs.list, &self.sarg_slots) {
+                Found::Hit(rids) => {
+                    let mut s =
+                        SegmentScan::reopen(storage, seg, rel, sargs, Some(&memo.rids[rids]));
+                    drain(rt, &mut s, base, table, residuals, out, |batch| batch)?;
+                    s.into_sargs()
+                }
+                Found::Miss { hash, key_start, rids_start } => {
+                    let mut s = SegmentScan::reopen(storage, seg, rel, sargs, None);
+                    let record = |batch: Batch| {
+                        memo.rids.extend(batch.iter().map(|&(rid, _)| rid));
+                        batch
+                    };
+                    drain(rt, &mut s, base, table, residuals, out, record)?;
+                    memo.insert(hash, key_start, rids_start);
+                    s.into_sargs()
+                }
+            };
             return Ok(());
         };
+        let sargs = std::mem::take(&mut self.sargs.list);
         let mut s = IndexScan::open(storage, ix.id, ix.start.take(), ix.stop.take(), sargs);
         match &ix.index_only {
             None => drain(rt, &mut s, base, table, &self.residuals, out, |batch| batch)?,
@@ -458,7 +565,7 @@ impl<'p> ScanProbe<'p> {
                 drain(rt, &mut s, base, table, &self.residuals, out, widen)?;
             }
         }
-        (ix.start, ix.stop, self.sargs) = s.into_parts();
+        (ix.start, ix.stop, self.sargs.list) = s.into_parts();
         Ok(())
     }
 }
@@ -477,7 +584,7 @@ fn drain<S: RowSink>(
     table: usize,
     residuals: &[&BExpr],
     out: &mut S,
-    widen: impl Fn(Batch) -> Batch,
+    mut widen: impl FnMut(Batch) -> Batch,
 ) -> ExecResult<()> {
     let mut pending: Option<Rid> = None;
     loop {

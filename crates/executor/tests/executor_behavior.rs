@@ -621,7 +621,14 @@ fn reused_segment_probe_rebinds_only_outer_operands() {
     // The inner probe is built once per join and each outer row rewrites
     // only its bound operand: a value, NULL, the same value twice and a
     // value with no match must each see exactly their own matches, with
-    // the literal SARG and the residual applied every time.
+    // the literal SARG and the residual applied every time. A repeated
+    // binding replays the RIDs its first probe returned, so repeats come
+    // adjacent and apart, NULL repeats, and the FLOAT column (which the
+    // storage-level loader lets hold an Int) binds `Float(2^53)` and then
+    // `Int(2^53 + 1)`: equal as `Value`s, but the first matches inner keys
+    // 2^53 and 2^53 + 1 and the second only 2^53 + 1 — three rows, where
+    // a memo keyed by `Value` would replay two rows for the second.
+    const BIG: i64 = 1 << 53;
     let mut db = Db::new();
     let outer: Vec<(i64, Value)> = vec![
         (0, Value::Int(5)),
@@ -629,14 +636,20 @@ fn reused_segment_probe_rebinds_only_outer_operands() {
         (2, Value::Int(7)),
         (3, Value::Int(7)),
         (4, Value::Int(99)),
+        (5, Value::Int(5)),
+        (6, Value::Null),
+        (7, Value::Int(7)),
+        (8, Value::Float(BIG as f64)),
+        (9, Value::Int(BIG + 1)),
     ];
     db.table(
         "O",
-        vec![("ID", ColType::Int), ("K", ColType::Int)],
+        vec![("ID", ColType::Int), ("K", ColType::Float)],
         outer.iter().map(|(id, k)| Tuple::new(vec![Value::Int(*id), k.clone()])).collect(),
     );
-    let inner: Vec<(i64, i64, i64)> =
+    let mut inner: Vec<(i64, i64, i64)> =
         (0..600).map(|i| (i % 10, i64::from(i % 3 == 0), i)).collect();
+    inner.extend([(BIG, 1, 600), (BIG + 1, 1, 601)]);
     db.table(
         "I",
         vec![("K", ColType::Int), ("TAG", ColType::Int), ("V", ColType::Int)],
@@ -654,13 +667,13 @@ fn reused_segment_probe_rebinds_only_outer_operands() {
             }
         }
     }
-    assert!(!expect.is_empty());
+    assert_eq!(expect.iter().filter(|&&(id, _)| id >= 8).count(), 3);
     assert_eq!(pairs(&rows), expect, "{analyzed}");
     assert!(node_line(&analyzed, "#0 NESTED LOOP JOIN")
         .contains(&format!("actual rows={} loops=1", expect.len())));
-    assert!(node_line(&analyzed, "#1 SEGMENT SCAN O").contains("actual rows=5 loops=1"));
+    assert!(node_line(&analyzed, "#1 SEGMENT SCAN O").contains("actual rows=10 loops=1"));
     assert!(node_line(&analyzed, "#2 SEGMENT SCAN I")
-        .contains(&format!("actual rows={} loops=5", expect.len())));
+        .contains(&format!("actual rows={} loops=10", expect.len())));
 }
 
 #[test]

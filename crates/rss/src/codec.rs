@@ -32,8 +32,10 @@ const TAG_INT: u8 = 1;
 const TAG_FLOAT: u8 = 2;
 const TAG_STR: u8 = 3;
 
-/// Encode one value (tag + payload) into `out`, appending.
-pub(crate) fn encode_value(v: &Value, out: &mut Vec<u8>) {
+/// Encode one value (tag + payload) into `out`, appending. Equal bytes
+/// mean the same value; `Value`'s `Eq` is looser (`Float(2^53)` equals
+/// `Int(2^53 + 1)`), so a cache of answers by value keys on these bytes.
+pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(TAG_NULL),
         Value::Int(i) => {
@@ -128,7 +130,7 @@ pub fn decode_tuple(bytes: &[u8]) -> RssResult<Tuple> {
 /// A compiled SARG list over encoded tuple images: the one evaluator a
 /// segment scan applies to its slots.
 ///
-/// [`EncodedEval::for_sargs`] compiles the list once per OPEN into a flat
+/// [`EncodedEval::compile`] compiles the list once per OPEN into a flat
 /// program of [`Step`]s, one per predicate. Factors are laid out in
 /// ascending order of the rightmost column each reads, and the predicates
 /// of a conjunction in column order, so Fig. 1's DEPT probe, listed
@@ -162,6 +164,7 @@ pub fn decode_tuple(bytes: &[u8]) -> RssResult<Tuple> {
 /// *accepted* tuple still goes through [`decode_tuple`]'s full
 /// structural/UTF-8/trailing-bytes validation before it crosses the RSI,
 /// so only corruption confined to tuples a SARG rejects can go unreported.
+#[derive(Default)]
 pub(crate) struct EncodedEval {
     steps: Vec<Step>,
     /// Where the program starts: 0, or [`REJECT`] when a factor can never
@@ -248,9 +251,21 @@ fn unknown_tag(tag: u8) -> RssError {
 
 impl EncodedEval {
     /// Compile the evaluator for a fixed SARG list (the scan's own).
+    #[cfg(test)]
     pub(crate) fn for_sargs(sargs: &SargList) -> Self {
-        let mut eval = Self::empty(0);
-        eval.steps.reserve_exact(sargs.factors.iter().map(SargExpr::pred_count).sum());
+        let mut eval = Self::default();
+        eval.compile(sargs);
+        eval
+    }
+
+    /// Recompile the evaluator for `sargs` in place, reusing the storage
+    /// of the program it held: an OPEN that rebinds a probe's operands
+    /// allocates nothing here once the program has reached its size.
+    pub(crate) fn compile(&mut self, sargs: &SargList) {
+        self.steps.clear();
+        self.starts.clear();
+        self.start = 0;
+        self.steps.reserve_exact(sargs.factors.iter().map(SargExpr::pred_count).sum());
         // Factors in ascending (rightmost column, position) order, picked
         // by selection so that compiling allocates only the program.
         let mut prev = None;
@@ -261,22 +276,17 @@ impl EncodedEval {
         {
             prev = Some((col, f));
             if let Some(factor) = sargs.factors.get(f) {
-                if !eval.push_factor(f, factor) {
-                    return Self::empty(REJECT);
+                if !self.push_factor(f, factor) {
+                    self.steps.clear();
+                    self.start = REJECT;
+                    return;
                 }
             }
         }
-        if !eval.steps.windows(2).all(|w| matches!(w, [a, b] if a.col <= b.col)) {
-            let last = eval.steps.iter().map(|s| usize::from(s.col)).max().unwrap_or(0);
-            eval.starts = vec![0; last + 1];
+        if !self.steps.windows(2).all(|w| matches!(w, [a, b] if a.col <= b.col)) {
+            let last = self.steps.iter().map(|s| usize::from(s.col)).max().unwrap_or(0);
+            self.starts.resize(last + 1, 0);
         }
-        eval
-    }
-
-    /// A program with no steps that starts at `start`: it accepts every
-    /// tuple from 0 and rejects every tuple from [`REJECT`].
-    fn empty(start: u32) -> Self {
-        EncodedEval { steps: Vec::new(), start, starts: Vec::new() }
     }
 
     /// Append the steps of factor `f`; `false` when it can never hold.

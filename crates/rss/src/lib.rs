@@ -72,7 +72,7 @@ pub use plancache::{VersionedCache, PLAN_CACHE_CAP};
 pub use prng::SplitMix64;
 pub use rid::Rid;
 pub use sarg::{CompareOp, SargExpr, SargList, SargPred};
-pub use scan::{Batch, IndexScan, RsiScan, SegmentScan, StopKey, MAX_BATCH};
+pub use scan::{Batch, IndexScan, RsiScan, SegmentSargs, SegmentScan, StopKey, MAX_BATCH};
 pub use segment::{Segment, SegmentId};
 pub use sharded::{ShardedBufferPool, SharedBackend};
 pub use storage::Storage;

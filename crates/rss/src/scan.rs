@@ -12,7 +12,9 @@
 //!   walks each page's slot directory entry by entry and runs the SARGs,
 //!   compiled at OPEN (`codec::EncodedEval`), on the slot bytes in place:
 //!   a rejected slot costs one directory read and the compares its SARGs
-//!   need, and only accepted tuples are decoded.
+//!   need, and only accepted tuples are decoded. A reopened scan can
+//!   instead replay the RIDs an earlier walk of equal SARGs returned,
+//!   with the same touches and RSI calls ([`SegmentScan::reopen`]).
 //! * [`IndexScan`] reads B-tree leaf pages sequentially between optional
 //!   start and stop keys, fetching the referenced data tuples in key order.
 //!   Leaf pages are chained, so NEXT never revisits upper index levels —
@@ -24,7 +26,7 @@
 use crate::btree::{cmp_key_prefix, IndexId, LeafPos};
 use crate::buffer::{FileId, PageKey};
 use crate::codec::{decode_tuple, EncodedEval};
-use crate::error::RssResult;
+use crate::error::{RssError, RssResult};
 use crate::rid::Rid;
 #[cfg(test)]
 use crate::sarg::SargExpr;
@@ -70,18 +72,39 @@ pub trait RsiScan {
     }
 }
 
+/// A segment scan's SARG list and the program compiled from it. CLOSE
+/// hands both back ([`SegmentScan::into_sargs`]), so the next OPEN of the
+/// same relation rewrites the list's operands and recompiles the program
+/// in place instead of allocating either again.
+#[derive(Default)]
+pub struct SegmentSargs {
+    pub list: SargList,
+    program: EncodedEval,
+}
+
+impl From<SargList> for SegmentSargs {
+    fn from(list: SargList) -> Self {
+        SegmentSargs { list, program: EncodedEval::default() }
+    }
+}
+
 /// Full scan of a segment, returning tuples of one relation.
 pub struct SegmentScan<'a> {
     storage: &'a Storage,
     seg: SegmentId,
     rel_id: u16,
-    sargs: SargList,
+    /// The SARGs and their program, compiled at OPEN and evaluated on
+    /// encoded slot bytes: rejected slots are never decoded into a
+    /// [`Tuple`].
+    sargs: SegmentSargs,
+    /// On a replay, the RIDs an earlier walk of an equal SARG list
+    /// returned and how many of them were returned again so far; the
+    /// walk then takes each page's slots from the list and runs no
+    /// program.
+    replay: Option<(&'a [Rid], usize)>,
     page_no: u32,
     slot: u16,
     entered_page: bool,
-    /// `sargs` compiled at OPEN, evaluated on encoded slot bytes: rejected
-    /// slots are never decoded into a [`Tuple`].
-    eval: EncodedEval,
     /// Size of the previous batch if it was full, else 0: pre-sizing the
     /// next batch's vector to it avoids the growth-realloc chain on full
     /// batches. Both scans return a short batch only once exhausted, so
@@ -97,24 +120,43 @@ impl<'a> SegmentScan<'a> {
         rel_id: u16,
         sargs: impl Into<SargList>,
     ) -> Self {
-        let sargs = sargs.into();
-        let eval = EncodedEval::for_sargs(&sargs);
+        Self::reopen(storage, seg, rel_id, SegmentSargs::from(sargs.into()), None)
+    }
+
+    /// OPEN with the SARGs an earlier scan's CLOSE handed back, their
+    /// operands rewritten: the program is recompiled in place.
+    ///
+    /// `replay`, when given, must be the RIDs that a walk of an equal SARG
+    /// list over the same data returned. The walk then takes each page's
+    /// slots from it instead of running the program: it touches the same
+    /// pages in the same order, returns the same tuples and charges the
+    /// same RSI calls, and only the per-slot SARG evaluation is skipped.
+    pub fn reopen(
+        storage: &'a Storage,
+        seg: SegmentId,
+        rel_id: u16,
+        mut sargs: SegmentSargs,
+        replay: Option<&'a [Rid]>,
+    ) -> Self {
+        if replay.is_none() {
+            sargs.program.compile(&sargs.list);
+        }
         SegmentScan {
             storage,
             seg,
             rel_id,
             sargs,
+            replay: replay.map(|rids| (rids, 0)),
             page_no: 0,
             slot: 0,
             entered_page: false,
-            eval,
             batch_hint: 0,
         }
     }
 
-    /// CLOSE, handing the SARG list back so the caller's next OPEN can
-    /// rewrite its operands in place instead of building a new list.
-    pub fn into_sargs(self) -> SargList {
+    /// CLOSE, handing the SARGs back so the caller's next OPEN can rewrite
+    /// their operands in place instead of building a new list.
+    pub fn into_sargs(self) -> SegmentSargs {
         self.sargs
     }
 
@@ -127,7 +169,10 @@ impl<'a> SegmentScan<'a> {
     ///
     /// Per slot the walk reads one 8-byte directory entry and tests its
     /// live flag and relation tag; the compiled SARGs then see the slot's
-    /// bytes, and only a tuple they accept is decoded.
+    /// bytes, and only a tuple they accept is decoded. A replay visits
+    /// only the remembered slots, and stops a full batch where the walk
+    /// would: at the first slot past the last tuple pushed, or on the
+    /// next non-empty page when that tuple held its page's last slot.
     fn fill(&mut self, cap: usize, out: &mut Batch) -> RssResult<()> {
         let segment = self.storage.segment(self.seg)?;
         while let Some(page) = segment.page(self.page_no) {
@@ -139,17 +184,42 @@ impl<'a> SegmentScan<'a> {
                     self.entered_page = true;
                 }
                 let dir = page.slot_dir()?;
-                for (slot, entry) in dir.from(self.slot) {
-                    if out.len() >= cap {
-                        self.slot = slot;
-                        return Ok(());
+                if let Some((rids, next)) = &mut self.replay {
+                    let mut at = self.slot;
+                    loop {
+                        if out.len() >= cap {
+                            if at < page.slot_count() {
+                                self.slot = at;
+                                return Ok(());
+                            }
+                            break;
+                        }
+                        let Some(&rid) = rids.get(*next).filter(|r| r.page == self.page_no) else {
+                            break;
+                        };
+                        let entry = dir
+                            .entry(rid.slot)
+                            .filter(|e| e.is_live() && e.rel_id() == self.rel_id)
+                            .ok_or_else(|| {
+                                RssError::Corrupt(format!("replayed RID {rid} holds no tuple"))
+                            })?;
+                        out.push((rid, decode_tuple(dir.data(entry)?)?));
+                        *next += 1;
+                        at = rid.slot.saturating_add(1);
                     }
-                    if !entry.is_live() || entry.rel_id() != self.rel_id {
-                        continue;
-                    }
-                    let bytes = dir.data(entry)?;
-                    if self.eval.matches(bytes, &self.sargs)? {
-                        out.push((Rid::new(self.page_no, slot), decode_tuple(bytes)?));
+                } else {
+                    for (slot, entry) in dir.from(self.slot) {
+                        if out.len() >= cap {
+                            self.slot = slot;
+                            return Ok(());
+                        }
+                        if !entry.is_live() || entry.rel_id() != self.rel_id {
+                            continue;
+                        }
+                        let bytes = dir.data(entry)?;
+                        if self.sargs.program.matches(bytes, &self.sargs.list)? {
+                            out.push((Rid::new(self.page_no, slot), decode_tuple(bytes)?));
+                        }
                     }
                 }
             }
@@ -679,11 +749,18 @@ mod tests {
     /// batch sizes returns exactly the `(Rid, Tuple)` sequence, with
     /// exactly the `IoStats`, of a reference that touches every
     /// non-empty page, decodes every live slot of the relation and keeps
-    /// the tuples `SargList::eval` accepts.
+    /// the tuples `SargList::eval` accepts. One `SegmentSargs` is carried
+    /// through every case, so each program is recompiled in place over
+    /// the last one. Each case then OPENs again to replay the RIDs its
+    /// walk returned: the replay must return the same sequence with the
+    /// same `IoStats`, touching the pages that hold no remembered slot as
+    /// well, and under the walk's random batch sizes it must end every
+    /// batch on the same page touch as the walk.
     #[test]
     fn segment_scan_matches_decode_then_eval_reference() {
         use crate::prng::SplitMix64;
         let mut rng = SplitMix64::new(0x5ca1_ab1e);
+        let mut carried = SegmentSargs::default();
         for case in 0..300 {
             let mut st = Storage::new(if case % 2 == 0 { 1024 } else { 3 });
             let seg = st.create_segment();
@@ -707,12 +784,33 @@ mod tests {
                 .collect();
             st.delete_many(seg, 1, &doomed).unwrap();
             let sargs = random_sargs(&mut rng);
+            carried.list = sargs.clone();
 
-            st.evict_all().unwrap();
-            st.reset_io_stats();
-            let mut scan = SegmentScan::open(&st, seg, 1, sargs.clone());
-            let got = drain_with(&mut scan, || 1 + rng.range_usize(0, 64));
-            let got_stats = st.io_stats();
+            // Drain with batch sizes from `sizes`, and the stats after
+            // each batch.
+            let drain_traced = |scan: &mut SegmentScan<'_>, mut sizes: SplitMix64| {
+                st.evict_all().unwrap();
+                st.reset_io_stats();
+                let (mut all, mut stats) = (Batch::new(), Vec::new());
+                loop {
+                    let b = scan.next_batch(1 + sizes.range_usize(0, 64)).unwrap();
+                    stats.push(st.io_stats());
+                    if b.is_empty() {
+                        return (all, stats);
+                    }
+                    all.extend(b);
+                }
+            };
+            let sizes = SplitMix64::new(case);
+            let mut scan = SegmentScan::reopen(&st, seg, 1, carried, None);
+            let (got, got_stats) = drain_traced(&mut scan, sizes.clone());
+            carried = scan.into_sargs();
+            let rids: Vec<Rid> = got.iter().map(|&(rid, _)| rid).collect();
+            let mut scan = SegmentScan::reopen(&st, seg, 1, carried, Some(&rids));
+            let (replayed, replayed_stats) = drain_traced(&mut scan, sizes);
+            carried = scan.into_sargs();
+            assert_eq!(replayed, got, "case {case}: replay, sargs {sargs:?}");
+            assert_eq!(replayed_stats, got_stats, "case {case}: replay accounting per batch");
 
             st.evict_all().unwrap();
             st.reset_io_stats();
@@ -735,7 +833,7 @@ mod tests {
             st.record_rsi_calls(want.len() as u64);
 
             assert_eq!(got, want, "case {case}: sargs {sargs:?}");
-            assert_eq!(got_stats, st.io_stats(), "case {case}: same accounting");
+            assert_eq!(got_stats.last(), Some(&st.io_stats()), "case {case}: same accounting");
         }
     }
 

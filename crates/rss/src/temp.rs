@@ -90,7 +90,7 @@ impl TempList {
 
     /// Sequential scan from the beginning.
     pub fn scan<'a>(&'a self, storage: &'a Storage) -> TempScan<'a> {
-        TempScan { list: self, storage, pos: 0 }
+        TempScan { list: self, storage, pos: 0, page: None }
     }
 
     /// Drop the list's pages from the buffer pool and its file from the
@@ -139,6 +139,8 @@ pub struct TempScan<'a> {
     list: &'a TempList,
     storage: &'a Storage,
     pos: usize,
+    /// The page the cursor last entered, touched when it did.
+    page: Option<u32>,
 }
 
 impl<'a> TempScan<'a> {
@@ -154,10 +156,10 @@ impl<'a> TempScan<'a> {
 
     /// NEXT: advance over up to `max` tuples and return them as a
     /// borrowed run — no per-tuple clone, which is what makes the sort
-    /// read-back batch-friendly. Accounting is per tuple whatever `max`
-    /// is: one temp-page touch per tuple (pool hits after the first touch
-    /// of a page) and one RSI call per returned tuple, recorded as a
-    /// single bulk add. An empty slice means exhausted.
+    /// read-back batch-friendly. Accounting does not depend on `max`: a
+    /// page is touched once when the cursor enters it, as a segment scan
+    /// touches its pages, and each returned tuple is one RSI call,
+    /// recorded as a single bulk add. An empty slice means exhausted.
     pub fn next_batch(&mut self, max: usize) -> RssResult<&'a [Tuple]> {
         let cap = max.clamp(1, crate::scan::MAX_BATCH);
         let start = self.pos;
@@ -165,9 +167,11 @@ impl<'a> TempScan<'a> {
             return Ok(&[]);
         }
         let end = start.saturating_add(cap).min(self.list.tuples.len());
-        for i in start..end {
-            let Some(&pg) = self.list.page_of.get(i) else { break };
-            self.storage.touch(PageKey::new(FileId::Temp(self.list.file), pg))?;
+        for &pg in self.list.page_of.get(start..end).unwrap_or_default() {
+            if self.page != Some(pg) {
+                self.storage.touch(PageKey::new(FileId::Temp(self.list.file), pg))?;
+                self.page = Some(pg);
+            }
         }
         self.pos = end;
         self.storage.record_rsi_calls((end - start) as u64);
@@ -216,6 +220,7 @@ mod tests {
         assert_eq!(n, 500);
         let stats = st.io_stats();
         assert_eq!(stats.temp_page_fetches, list.page_count() as u64);
+        assert_eq!(stats.buffer_hits, 0, "a page is touched on entry only");
         assert_eq!(stats.rsi_calls, 500);
     }
 

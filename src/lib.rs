@@ -632,21 +632,25 @@ impl Database {
             let types: Vec<ColType> = rel.columns.iter().map(|c| c.ty).collect();
             (rel.id, rel.segment, types)
         };
-        let rows: Vec<Tuple> = rows.into_iter().collect();
-        for row in &rows {
-            if row.arity() != types.len() {
-                return Err(DbError::Unsupported(format!(
-                    "row arity {} != table arity {}",
-                    row.arity(),
-                    types.len()
-                )));
-            }
-            for (v, &ty) in row.values().iter().zip(&types) {
-                if !v.fits(ty) {
-                    return Err(DbError::Unsupported(format!("value {v} does not fit {ty}")));
+        // Every value goes through the conversion INSERT applies, so a row
+        // loaded here holds what the same row inserted by SQL holds.
+        let rows = rows
+            .into_iter()
+            .map(|row| {
+                if row.arity() != types.len() {
+                    return Err(DbError::Unsupported(format!(
+                        "row arity {} != table arity {}",
+                        row.arity(),
+                        types.len()
+                    )));
                 }
-            }
-        }
+                let mut values = row.into_values();
+                for (v, &ty) in values.iter_mut().zip(&types) {
+                    *v = coerce(std::mem::replace(v, Value::Null), ty)?;
+                }
+                Ok(Tuple::new(values))
+            })
+            .collect::<DbResult<Vec<Tuple>>>()?;
         Ok(self.storage.insert_many(segment, rel_id, rows)?.len())
     }
 
@@ -887,6 +891,20 @@ mod tests {
         db.execute("INSERT INTO T VALUES (1, 'x'), (2, 'y'), (3, 'z')").unwrap();
         let r = db.execute("SELECT B FROM T WHERE A >= 2 ORDER BY A DESC").unwrap();
         assert_eq!(r.rows, vec![tuple!["z"], tuple!["y"]]);
+    }
+
+    #[test]
+    fn insert_rows_stores_what_insert_stores() {
+        // An Int loaded into a FLOAT column is converted as INSERT converts
+        // it, so both rows hold the same value bit for bit: `Value`'s `Eq`
+        // alone would call Int(2^53 + 1) and Float(2^53) equal.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE T (A INTEGER, C FLOAT)").unwrap();
+        db.execute("INSERT INTO T VALUES (1, 9007199254740993)").unwrap();
+        db.insert_rows("T", vec![tuple![2i64, 9_007_199_254_740_993i64]]).unwrap();
+        let r = db.execute("SELECT A, C FROM T ORDER BY A").unwrap();
+        let stored: Vec<String> = r.rows.iter().map(|t| format!("{:?}", t[1])).collect();
+        assert_eq!(stored, vec![format!("{:?}", Value::Float(9_007_199_254_740_992.0)); 2]);
     }
 
     #[test]
