@@ -34,7 +34,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
-use sysr_bench::workloads::{fig1_db, synth_chain_db, Fig1Params, FIG1_SQL};
+use sysr_audit::workloads::{fig1_db, synth_chain_db, Fig1Params, FIG1_SQL};
 use system_r::Database;
 
 /// Session counts measured; the ISSUE's M ∈ {1, 2, 4, 8}.
@@ -160,7 +160,7 @@ fn render_json(rows: &[BenchRow], smoke: bool) -> String {
 }
 
 fn repo_root() -> PathBuf {
-    // crates/bench/../.. — compile-time anchor, stable under any CWD.
+    // crates/audit/../.. — compile-time anchor, stable under any CWD.
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
 

@@ -6,8 +6,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::{Report, Res};
-use sysr_bench::harness::{run_all_plans, spearman};
-use sysr_bench::workloads::{
+use sysr_audit::harness::{run_all_plans, spearman};
+use sysr_audit::workloads::{
     audit_plan, employee_db, fig1_db, star_db, synth_chain_db, two_table_db, Fig1Params, FIG1_SQL,
 };
 use system_r::core::Optimizer;

@@ -2,8 +2,8 @@
 //! report per `results/<name>.txt`.
 //!
 //! ```sh
-//! cargo run --release -p sysr-bench --bin sysr-experiments -- <name> > results/<name>.txt
-//! cargo run --release -p sysr-bench --bin sysr-experiments -- --check [name…]
+//! cargo run --release -p sysr-audit --bin sysr-experiments -- <name> > results/<name>.txt
+//! cargo run --release -p sysr-audit --bin sysr-experiments -- --check [name…]
 //! ```
 //!
 //! A report prints its deterministic section (plans, predicted costs, F
@@ -32,7 +32,7 @@ mod sweeps;
 mod tables;
 
 use std::process::ExitCode;
-use sysr_bench::golden;
+use sysr_audit::golden;
 
 /// What a report function returns; any error aborts the report.
 pub type Res = Result<(), Box<dyn std::error::Error>>;

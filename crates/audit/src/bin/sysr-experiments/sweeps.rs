@@ -5,8 +5,8 @@
 use std::fmt::Write as _;
 
 use crate::{Report, Res};
-use sysr_bench::harness::summarize_plan;
-use sysr_bench::workloads::audit_plan;
+use sysr_audit::harness::summarize_plan;
+use sysr_audit::workloads::audit_plan;
 use system_r::core::{Access, Cost, PlanExpr, PlanNode};
 use system_r::rss::SplitMix64;
 use system_r::{tuple, Config, Database, DbResult};

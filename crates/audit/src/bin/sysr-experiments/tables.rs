@@ -4,8 +4,8 @@
 use std::fmt::Write as _;
 
 use crate::{Report, Res};
-use sysr_bench::harness::summarize_plan;
-use sysr_bench::workloads::{audit_plan, fig1_db, Fig1Params, FIG1_SQL};
+use sysr_audit::harness::summarize_plan;
+use sysr_audit::workloads::{audit_plan, fig1_db, Fig1Params, FIG1_SQL};
 use system_r::core::{bind_select, BoundQuery, Cost, CostModel, Enumerator, Selectivity, TableSet};
 use system_r::sql::{parse_statement, Statement};
 use system_r::{tuple, Config, Database};

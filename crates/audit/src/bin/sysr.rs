@@ -1,7 +1,7 @@
 //! `sysr` — an interactive shell for the System R reproduction.
 //!
 //! ```sh
-//! cargo run --release --bin sysr
+//! cargo run --release -p sysr-audit --bin sysr
 //! ```
 //!
 //! Statements end with `;` and may span lines. Backslash commands:
@@ -15,9 +15,9 @@
 //! * `\cache`   — statement-plan-cache counters and current size
 //! * `\w <f>`   — set the CPU weighting factor W
 //! * `\trace <select>` — show the optimizer's join-order search trace
-//! * `\audit [select]` — verify the plan invariants (see `sysr-audit`);
-//!   with no argument, run the audit over its built-in corpus
-//! * `\demo`    — load the paper's Fig. 1 example database
+//! * `\audit [select]` — audit one SELECT end to end; with no argument,
+//!   run what `sysr-audit --plans --diff` runs over its corpus
+//! * `\demo`    — replace the database with the paper's Fig. 1 example
 //! * `\q`       — quit
 //!
 //! Prefix any SELECT with `EXPLAIN` to see the chosen plan and its
@@ -37,6 +37,8 @@
 )]
 
 use std::io::{BufRead, Write};
+use sysr_audit::workloads::{fig1_db, Fig1Params, FIG1_SQL};
+use sysr_audit::{audit, audit_diff, audit_plans, corpus};
 use system_r::{Database, DbError};
 
 fn main() {
@@ -190,79 +192,37 @@ fn command(db: &mut Database, cmd: &str) -> bool {
         "\\audit" => {
             let sql = cmd["\\audit".len()..].trim().trim_end_matches(';');
             if sql.is_empty() {
-                audit_builtin_corpus(db.config());
+                let (seed, config) = (corpus::DEFAULT_SEED, db.config());
+                let cases = corpus::cases(seed, corpus::DEFAULT_RANDOM);
+                let mut report = audit_plans(&cases, config);
+                report.merge(audit_diff(&cases, seed, config));
+                print!("{}", report.render());
             } else {
-                match db.audit(sql) {
+                match audit(db, sql) {
                     Ok(r) => print!("{}", r.render()),
                     Err(e) => report(e),
                 }
             }
         }
-        "\\demo" => match load_demo(db) {
-            Ok(()) => println!("Fig. 1 demo loaded: EMP (10k), DEPT (50), JOB (4); try:\n  EXPLAIN SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB WHERE TITLE='CLERK' AND LOC='DENVER' AND EMP.DNO=DEPT.DNO AND EMP.JOB=JOB.JOB;"),
-            Err(e) => report(e),
-        },
+        "\\demo" => {
+            // The paper's Fig. 1 database, planned under the shell's knobs.
+            let config = db.config();
+            let p = Fig1Params {
+                n_emp: 10_000,
+                n_dept: 50,
+                n_job: 4,
+                buffer_pages: config.buffer_pages,
+                ..Fig1Params::default()
+            };
+            match fig1_db(p).and_then(|mut demo| demo.set_config(config).map(|()| demo)) {
+                Ok(demo) => {
+                    *db = demo;
+                    println!("Fig. 1 demo loaded: EMP (10k), DEPT (50), JOB (4); try:\n  EXPLAIN {FIG1_SQL};");
+                }
+                Err(e) => report(e),
+            }
+        }
         other => eprintln!("unknown command {other}; try \\q \\stats \\reset \\evict \\save \\open \\tables \\cache \\w \\trace \\audit \\demo"),
     }
     true
-}
-
-/// `\audit` with no SQL: run the plan auditor and differential oracle
-/// over `sysr-audit`'s built-in corpus under the shell's current config.
-fn audit_builtin_corpus(config: system_r::Config) {
-    use system_r::audit::{corpus, differential, invariants, AuditReport};
-    use system_r::core::Optimizer;
-    let mut report = AuditReport::default();
-    for case in corpus::builtin_cases() {
-        match corpus::parse_select(&case.sql) {
-            Ok(stmt) => {
-                match Optimizer::with_config(&case.catalog, config).optimize_traced(&stmt) {
-                    Ok((plan, traces)) => {
-                        report.merge(invariants::audit_query_plan(
-                            &case.catalog,
-                            &plan,
-                            &config,
-                            &case.label,
-                        ));
-                        report.merge(invariants::audit_traces(&traces, &case.label));
-                    }
-                    Err(e) => eprintln!("{}: bind error: {e}", case.label),
-                }
-            }
-            Err(e) => eprintln!("{}: parse error: {e}", case.label),
-        }
-        report.merge(differential::differential_case(&case, config));
-    }
-    print!("{}", report.render());
-}
-
-fn load_demo(db: &mut Database) -> Result<(), DbError> {
-    use system_r::tuple;
-    db.execute("CREATE TABLE EMP (NAME VARCHAR(20), DNO INTEGER, JOB INTEGER, SAL FLOAT)")?;
-    db.execute("CREATE TABLE DEPT (DNO INTEGER, DNAME VARCHAR(20), LOC VARCHAR(20))")?;
-    db.execute("CREATE TABLE JOB (JOB INTEGER, TITLE VARCHAR(20))")?;
-    db.execute("INSERT INTO JOB VALUES (5,'CLERK'), (6,'TYPIST'), (9,'SALES'), (12,'MECHANIC')")?;
-    let cities = ["DENVER", "SAN JOSE", "TUCSON", "BOSTON"];
-    db.insert_rows(
-        "DEPT",
-        (0..50).map(|d| tuple![d, format!("DEPT-{d:02}"), cities[(d % 4) as usize]]),
-    )?;
-    let jobs = [5i64, 6, 9, 12];
-    db.insert_rows(
-        "EMP",
-        (0..10_000).map(|i| {
-            tuple![
-                format!("EMP-{i:05}"),
-                (i * 7919) % 50,
-                jobs[(i % 4) as usize],
-                10_000.0 + (i % 500) as f64 * 50.0
-            ]
-        }),
-    )?;
-    db.execute("CREATE INDEX EMP_DNO ON EMP (DNO)")?;
-    db.execute("CREATE INDEX EMP_JOB ON EMP (JOB)")?;
-    db.execute("CREATE UNIQUE INDEX DEPT_DNO ON DEPT (DNO)")?;
-    db.execute("CREATE UNIQUE INDEX JOB_JOB ON JOB (JOB)")?;
-    db.execute("UPDATE STATISTICS")?;
-    Ok(())
 }

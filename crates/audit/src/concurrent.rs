@@ -1,21 +1,30 @@
-//! The concurrent-serving rule: `concurrent-differential`.
+//! The live rules: `exec-accounting` and `concurrent-differential`.
 //!
-//! The storage engine's sharded buffer pool and the latch discipline in
-//! DESIGN.md §11 promise that concurrent readers never change *what* a
-//! query computes — only how fast. This module re-derives that promise
-//! empirically: it builds live databases (real segments, real B-trees,
-//! real pages behind the counting buffer pool) whose schemas match the
-//! audit corpus catalogs, runs every builtin corpus query once on the
-//! calling thread to establish a baseline, then replans and re-executes
-//! every query from `THREADS` concurrent threads. Each thread's plan
-//! rendering and result rows must match the single-thread baseline
-//! **bit-identically** (plan `Debug` output includes every `f64` cost in
-//! shortest-roundtrip form).
+//! Both run the builtin corpus on live databases built by
+//! [`workloads`]: [`workloads::fig1_db`] for the Fig. 1 cases and
+//! [`workloads::chain_db`] for the `chain/` cases, whose relation, column
+//! and index names match the corpus catalogs. Each database plans on the
+//! statistics `UPDATE STATISTICS` gathered from its own pages, over a
+//! buffer pool small enough that scans evict each other.
+//!
+//! [`audit_exec_accounting`] runs every corpus query through
+//! [`crate::audit`] single-threaded: static plan and search-trace checks,
+//! then a traced execution whose per-node I/O, RSI calls, rows and
+//! root order must add up.
+//!
+//! [`audit_concurrent`] re-derives the promise of the sharded buffer pool
+//! and the latch discipline in DESIGN.md §11, that concurrent readers
+//! never change *what* a query computes, only how fast. It runs every
+//! query once on the calling thread to establish a baseline, then
+//! replans and re-executes every query from `THREADS` concurrent threads
+//! against the same databases. Each thread's plan rendering and result
+//! rows must match the baseline **bit-identically** (plan `Debug` output
+//! includes every `f64` cost in shortest-roundtrip form).
 //!
 //! Queries the executor cannot run are still checked: a deterministic
 //! error is part of the baseline, and every thread must reproduce it
-//! verbatim. A guard violation fires if fewer than `MIN_EXECUTED`
-//! corpus queries actually execute, so the rule can never pass vacuously.
+//! verbatim. Both rules report a vacuity violation if fewer than
+//! `MIN_EXECUTED` corpus queries actually execute.
 //!
 //! A failure here means shared state leaked between sessions — a torn
 //! page read, a latch-ordering bug manifesting as corruption, or
@@ -24,12 +33,11 @@
 //! exact per-session and global cache counters and 8 threads executing
 //! one shared cached plan.
 
-use crate::corpus::{builtin_cases, chain_catalog, fig1_catalog, parse_select};
+use crate::corpus::{builtin_cases, parse_select};
+use crate::workloads::{self, Fig1Params};
 use crate::{AuditReport, Violation};
-use sysr_catalog::{Catalog, RelId};
-use sysr_core::{ColId, Optimizer, OptimizerConfig, QueryPlan};
-use sysr_executor::{execute, ExecEnv};
-use sysr_rss::{Storage, Tuple, Value};
+use system_r::core::{Optimizer, OptimizerConfig, QueryPlan};
+use system_r::{Database, DbResult};
 
 /// Rule id reported on violations.
 pub const RULE: &str = "concurrent-differential";
@@ -73,128 +81,52 @@ fn strip_elapsed(plan: &mut QueryPlan) {
     }
 }
 
-/// Look up a relation id by name; the builders cross-check every id
-/// assumption against the corpus catalogs instead of hard-coding.
-fn rel_id(cat: &Catalog, name: &str) -> Result<RelId, String> {
-    cat.relations()
-        .iter()
-        .find(|r| r.name == name)
-        .map(|r| r.id)
-        .ok_or_else(|| format!("relation {name} missing from catalog"))
+/// Rows of every live chain relation; `R0.V = 7`, the corpus
+/// predicate, selects two of them.
+const CHAIN_ROWS: i64 = 160;
+
+/// The live databases the corpus runs on.
+struct Live {
+    fig1: Database,
+    chain: Database,
 }
 
-/// Rows per live table. Small enough to build fast, large enough that
-/// every corpus predicate selects a non-empty, non-trivial subset.
-const EMP_ROWS: i64 = 400;
-const DEPT_ROWS: i64 = 60;
-const JOB_ROWS: i64 = 15;
+impl Live {
+    /// Build both databases and plan with `config` over a
+    /// `POOL_PAGES`-page pool.
+    fn build(config: OptimizerConfig) -> DbResult<Live> {
+        let config = OptimizerConfig { buffer_pages: POOL_PAGES, ..config };
+        let mut fig1 = workloads::fig1_db(Fig1Params {
+            n_emp: 400,
+            n_dept: 60,
+            n_job: 15,
+            ..Fig1Params::default()
+        })?;
+        fig1.set_config(config)?;
+        let mut chain = workloads::chain_db(CHAIN_ROWS)?;
+        chain.set_config(config)?;
+        Ok(Live { fig1, chain })
+    }
 
-/// A live EMP / DEPT / JOB database matching [`fig1_catalog`]'s schema
-/// and object ids: segments 0–2 and index ids 0–3 are created in
-/// catalog registration order so the planner's `Access::Index` ids
-/// resolve to the right B-trees. The catalog keeps the paper's §8
-/// statistics (it is *not* re-gathered), so every thread plans against
-/// exactly the same numbers the planning-only audits use.
-fn build_fig1() -> Result<(Storage, Catalog), String> {
-    let mut st = Storage::new(POOL_PAGES);
-    let cat = fig1_catalog();
-    let (emp, dept, job) = (rel_id(&cat, "EMP")?, rel_id(&cat, "DEPT")?, rel_id(&cat, "JOB")?);
-    for (name, want) in [("EMP", emp), ("DEPT", dept), ("JOB", job)] {
-        let seg = st.create_segment();
-        let meta = cat.relations().iter().find(|r| r.id == want);
-        if meta.map(|r| r.segment) != Some(seg) {
-            return Err(format!("segment id for {name} diverged from the corpus catalog"));
+    /// The database a corpus case runs on.
+    fn pick(&self, label: &str) -> &Database {
+        if label.starts_with("chain/") {
+            &self.chain
+        } else {
+            &self.fig1
         }
     }
-    for i in 0..EMP_ROWS {
-        let tuple = Tuple::new(vec![
-            Value::Str(format!("EMP{i:03}")),
-            Value::Int((i * 13) % DEPT_ROWS),
-            Value::Int((i * 7) % JOB_ROWS),
-            Value::Float(6_000.0 + f64::from((i % 80) as i32) * 100.0),
-        ]);
-        st.insert(0, emp, &tuple).map_err(|e| format!("EMP insert {i}: {e}"))?;
-    }
-    for d in 0..DEPT_ROWS {
-        // d % 4: the clerk rows' DNO values cycle {31, 46, 1, 16}, so a
-        // modulus of 4 guarantees the Fig. 1 join is non-empty (DNO 16).
-        let loc = if d % 4 == 0 { "DENVER" } else { "LONDON" };
-        let tuple = Tuple::new(vec![
-            Value::Int(d),
-            Value::Str(format!("DEPT{d:02}")),
-            Value::Str(loc.into()),
-        ]);
-        st.insert(1, dept, &tuple).map_err(|e| format!("DEPT insert {d}: {e}"))?;
-    }
-    for j in 0..JOB_ROWS {
-        let title = if j == 4 { "CLERK".to_string() } else { format!("JOB{j:02}") };
-        let tuple = Tuple::new(vec![Value::Int(j), Value::Str(title)]);
-        st.insert(2, job, &tuple).map_err(|e| format!("JOB insert {j}: {e}"))?;
-    }
-    // Index creation order mirrors fig1_catalog's register_index calls,
-    // so storage assigns the same ids the catalog advertises (0..=3).
-    for (cat_id, seg, rel, cols, unique) in [
-        (0u32, 0, emp, vec![1usize], false),
-        (1, 0, emp, vec![2], false),
-        (2, 1, dept, vec![0], true),
-        (3, 2, job, vec![0], true),
-    ] {
-        let got = st.create_index(seg, rel, cols, unique).map_err(|e| format!("index: {e}"))?;
-        if got != cat_id {
-            return Err(format!("index id {got} diverged from catalog id {cat_id}"));
-        }
-    }
-    Ok((st, cat))
 }
 
-/// Relation cardinalities for the live chain database, indexed by
-/// relation position (`R0..`). `A` is the unique key `0..rows`, `B`
-/// holds foreign keys into the next relation's `A` range, `V` cycles
-/// `0..100` so `R0.V = 7` (the corpus predicate) selects a few rows.
-const CHAIN_ROWS: [i64; 4] = [160, 40, 90, 20];
-
-/// A live 4-relation chain database matching [`chain_catalog`]`(4)`:
-/// segment `i` holds `R{i}`, indexes `2i` / `2i + 1` are the unique `A`
-/// and non-unique `B` trees, in catalog id order.
-fn build_chain() -> Result<(Storage, Catalog), String> {
-    let n = CHAIN_ROWS.len();
-    let mut st = Storage::new(POOL_PAGES);
-    let cat = chain_catalog(n);
-    for (i, &rows) in CHAIN_ROWS.iter().enumerate() {
-        let seg = st.create_segment();
-        let rel = rel_id(&cat, &format!("R{i}"))?;
-        let next_rows = CHAIN_ROWS[(i + 1) % n];
-        for j in 0..rows {
-            let tuple = Tuple::new(vec![
-                Value::Int(j),
-                Value::Int((j * 7 + i as i64) % next_rows),
-                Value::Int(j % 100),
-            ]);
-            st.insert(seg, rel, &tuple).map_err(|e| format!("R{i} insert {j}: {e}"))?;
-        }
-        let ia = st.create_index(seg, rel, vec![0], true).map_err(|e| format!("R{i}_A: {e}"))?;
-        let ib = st.create_index(seg, rel, vec![1], false).map_err(|e| format!("R{i}_B: {e}"))?;
-        if ia != (2 * i) as u32 || ib != ia + 1 {
-            return Err(format!("R{i} index ids ({ia}, {ib}) diverged from the corpus catalog"));
-        }
-    }
-    Ok((st, cat))
-}
-
-/// Plan and execute one query.
-fn run_case(
-    storage: &Storage,
-    catalog: &Catalog,
-    sql: &str,
-    config: OptimizerConfig,
-) -> RunOutcome {
+/// Plan and execute one query, bypassing the plan cache so every run
+/// replans.
+fn run_case(db: &Database, sql: &str) -> RunOutcome {
     let stmt = parse_select(sql).map_err(|e| format!("parse: {e}"))?;
-    let mut plan = Optimizer::with_config(catalog, config)
+    let mut plan = Optimizer::with_config(db.catalog(), db.config())
         .optimize(&stmt)
         .map_err(|e| format!("optimize: {e}"))?;
     strip_elapsed(&mut plan);
-    let env = ExecEnv::new(storage, catalog);
-    let result = execute(&env, &plan).map_err(|e| format!("execute: {e}"))?;
+    let result = db.execute_plan(&plan).map_err(|e| format!("execute: {e}"))?;
     Ok(Executed { plan: format!("{plan:?}"), rows: format!("{:?}", result.rows) })
 }
 
@@ -234,75 +166,26 @@ pub fn check_outcome(
     Some(Violation::new(RULE, label, detail))
 }
 
-/// Replay the executable corpus single-threaded with per-node tracing
-/// and audit the batched executor's accounting identities (rule
-/// `exec-accounting`): per-node I/O windows sum to the whole-query
-/// delta, RSI-call and page-fetch sums match component-wise, root row
-/// counts equal delivered rows, and no scan leaf emits more rows than
-/// the RSI calls charged to it. Lives here because it reuses the live
-/// fig1/chain databases the concurrent rule builds. The identities are
-/// global-counter deltas, so this must run without concurrent sessions.
+/// Run every builtin corpus query through [`crate::audit`] on the live
+/// databases, single-threaded (rule `exec-accounting` and the static
+/// plan rules). The I/O identities are global-counter deltas, so this
+/// must run without concurrent sessions.
 pub fn audit_exec_accounting(config: OptimizerConfig) -> AuditReport {
     let mut report = AuditReport::default();
-    let (fig1, chain) = match (build_fig1(), build_chain()) {
-        (Ok(f), Ok(c)) => (f, c),
-        (Err(e), _) | (_, Err(e)) => {
-            report.push(Violation::new("exec-accounting", "build", e));
+    let live = match Live::build(config) {
+        Ok(live) => live,
+        Err(e) => {
+            report.push(Violation::new("exec-accounting", "build", e.to_string()));
             return report;
         }
     };
     let mut executed = 0usize;
     for case in builtin_cases() {
-        let (st, cat) = if case.label.starts_with("chain/") {
-            (&chain.0, &chain.1)
-        } else {
-            (&fig1.0, &fig1.1)
+        let Ok(r) = crate::audit_labeled(live.pick(&case.label), &case.sql, &case.label) else {
+            continue;
         };
-        let Ok(stmt) = parse_select(&case.sql) else { continue };
-        let Ok(plan) = Optimizer::with_config(cat, config).optimize(&stmt) else { continue };
-        let mut env = ExecEnv::with_tracer(st, cat);
-        let start = st.io_stats();
-        let Ok(result) = execute(&env, &plan) else { continue };
-        let delta = st.io_stats().since(&start);
-        let measurements = env.take_measurements();
         executed += 1;
-        report.merge(crate::invariants::audit_measurements(
-            &measurements,
-            plan.total_nodes(),
-            &delta,
-            &case.label,
-        ));
-        report.merge(crate::invariants::audit_exec_identities(
-            &measurements,
-            &plan,
-            result.rows.len() as u64,
-            &delta,
-            &case.label,
-        ));
-        // Executor-side order check: the plan-root rows must leave the
-        // plan tree sorted on the block's full required order. Checked
-        // below the block layer — its defensive ORDER BY re-sort would
-        // otherwise mask a Sort node (full or partial) emitting
-        // misordered rows.
-        let required = plan.query.required_order();
-        if !required.is_empty() {
-            report.checks += 1;
-            let keys: Vec<(ColId, bool)> = required.iter().map(|&c| (c, false)).collect();
-            let check_env = ExecEnv::new(st, cat);
-            match sysr_executor::root_rows_sorted(&check_env, &plan, &keys) {
-                Ok(true) => {}
-                Ok(false) => report.push(Violation::new(
-                    "order-produced",
-                    format!("{}/exec-order", case.label),
-                    format!("plan-root rows not sorted on the required order {required:?}"),
-                )),
-                Err(e) => report.push(Violation::new(
-                    "order-produced",
-                    format!("{}/exec-order", case.label),
-                    format!("order re-execution failed: {e}"),
-                )),
-            }
-        }
+        report.merge(r);
     }
     report.checks += 1;
     if executed < MIN_EXECUTED {
@@ -322,25 +205,11 @@ pub fn audit_exec_accounting(config: OptimizerConfig) -> AuditReport {
 /// outcome bit-identically against the *same shared* storage.
 pub fn audit_concurrent(config: OptimizerConfig) -> AuditReport {
     let mut report = AuditReport::default();
-    let fig1 = match build_fig1() {
-        Ok(db) => db,
+    let live = match Live::build(config) {
+        Ok(live) => live,
         Err(e) => {
-            report.push(Violation::new(RULE, "build fig1", e));
+            report.push(Violation::new(RULE, "build", e.to_string()));
             return report;
-        }
-    };
-    let chain = match build_chain() {
-        Ok(db) => db,
-        Err(e) => {
-            report.push(Violation::new(RULE, "build chain", e));
-            return report;
-        }
-    };
-    let pick = |label: &str| -> (&Storage, &Catalog) {
-        if label.starts_with("chain/") {
-            (&chain.0, &chain.1)
-        } else {
-            (&fig1.0, &fig1.1)
         }
     };
 
@@ -348,9 +217,8 @@ pub fn audit_concurrent(config: OptimizerConfig) -> AuditReport {
     let mut baselines: Vec<(String, String, RunOutcome)> = Vec::new();
     let mut executed = 0usize;
     for case in builtin_cases() {
-        let (st, cat) = pick(&case.label);
         report.checks += 1;
-        let outcome = run_case(st, cat, &case.sql, config);
+        let outcome = run_case(live.pick(&case.label), &case.sql);
         if outcome.is_ok() {
             executed += 1;
         }
@@ -373,10 +241,7 @@ pub fn audit_concurrent(config: OptimizerConfig) -> AuditReport {
                 scope.spawn(|| {
                     baselines
                         .iter()
-                        .map(|(label, sql, _)| {
-                            let (st, cat) = pick(label);
-                            run_case(st, cat, sql, config)
-                        })
+                        .map(|(label, sql, _)| run_case(live.pick(label), sql))
                         .collect::<Vec<_>>()
                 })
             })
@@ -412,19 +277,12 @@ mod tests {
 
     #[test]
     fn live_databases_execute_the_flagship_queries() {
-        let (st, cat) = build_fig1().expect("fig1 db builds");
-        let out = run_case(&st, &cat, crate::corpus::FIG1_SQL, OptimizerConfig::default())
-            .expect("Fig. 1 query executes");
+        let live = Live::build(OptimizerConfig::default()).expect("live databases build");
+        let out = run_case(&live.fig1, workloads::FIG1_SQL).expect("Fig. 1 query executes");
         assert!(out.rows.contains("CLERK"), "Fig. 1 join must surface clerks: {}", out.rows);
-        let (st, cat) = build_chain().expect("chain db builds");
-        let out = run_case(
-            &st,
-            &cat,
-            "SELECT R0.V, R3.V FROM R0, R1, R2, R3 \
-             WHERE R0.B = R1.A AND R1.B = R2.A AND R2.B = R3.A AND R0.V = 7",
-            OptimizerConfig::default(),
-        )
-        .expect("chain query executes");
+        let chain = builtin_cases().into_iter().find(|c| c.label == "chain/full4");
+        let chain = chain.expect("chain/full4 case present");
+        let out = run_case(live.pick(&chain.label), &chain.sql).expect("chain query executes");
         assert!(out.rows != "[]", "chain predicate must select rows");
     }
 

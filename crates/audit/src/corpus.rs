@@ -18,9 +18,9 @@
 //! Everything is deterministic: random cases derive from an explicit
 //! [`SplitMix64`] seed so CI failures reproduce exactly.
 
-use sysr_catalog::{Catalog, ColumnMeta, IndexStats, RelStats};
-use sysr_rss::{ColType, SplitMix64, Value};
-use sysr_sql::{parse_statement, SelectStmt, Statement};
+use system_r::catalog::{Catalog, ColumnMeta, IndexStats, RelStats};
+use system_r::rss::{ColType, SplitMix64, Value};
+use system_r::sql::{parse_statement, SelectStmt, Statement};
 
 /// One corpus entry: a catalog to plan against and the SQL to plan.
 pub struct CorpusCase {
@@ -29,12 +29,6 @@ pub struct CorpusCase {
     pub catalog: Catalog,
     pub sql: String,
 }
-
-/// The paper's Figure 1 three-way join, verbatim.
-pub const FIG1_SQL: &str = "SELECT NAME, TITLE, SAL, DNAME \
-     FROM EMP, DEPT, JOB \
-     WHERE TITLE = 'CLERK' AND LOC = 'DENVER' \
-       AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB";
 
 /// The EMP / DEPT / JOB catalog of the paper's Figure 1, with synthetic
 /// statistics in the spirit of §8's example (10 000 employees, 100
@@ -180,7 +174,7 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt, String> {
 /// that hit every optimizer feature the auditor checks.
 pub fn builtin_cases() -> Vec<CorpusCase> {
     let fig1: &[(&str, &str)] = &[
-        ("fig1/join3", FIG1_SQL),
+        ("fig1/join3", crate::workloads::FIG1_SQL),
         (
             "fig1/join3-order-by",
             "SELECT NAME, DNAME FROM EMP, DEPT, JOB \
@@ -231,6 +225,19 @@ pub fn builtin_cases() -> Vec<CorpusCase> {
         catalog: chain_catalog(4),
         sql: "SELECT A, V FROM R0 ORDER BY R0.A, R0.V".into(),
     });
+    cases
+}
+
+/// The corpus's default seed and number of random cases (`sysr-audit
+/// --seed`, `--random`).
+pub const DEFAULT_SEED: u64 = 0xA0D17;
+pub const DEFAULT_RANDOM: usize = 12;
+
+/// The whole corpus: [`builtin_cases`] plus `random` seeded
+/// [`random_chain_cases`].
+pub fn cases(seed: u64, random: usize) -> Vec<CorpusCase> {
+    let mut cases = builtin_cases();
+    cases.extend(random_chain_cases(seed, random));
     cases
 }
 
@@ -325,16 +332,18 @@ mod tests {
             .find(|c| c.label == "chain/order-prefix")
             .expect("chain/order-prefix case present");
         let stmt = parse_select(&case.sql).expect("case parses");
-        let plan =
-            sysr_core::Optimizer::with_config(&case.catalog, sysr_core::OptimizerConfig::default())
-                .optimize(&stmt)
-                .expect("case plans");
-        let sysr_core::PlanNode::Sort { input, sorted_prefix, .. } = &plan.root.node else {
+        let plan = system_r::core::Optimizer::with_config(
+            &case.catalog,
+            system_r::core::OptimizerConfig::default(),
+        )
+        .optimize(&stmt)
+        .expect("case plans");
+        let system_r::core::PlanNode::Sort { input, sorted_prefix, .. } = &plan.root.node else {
             panic!("expected a root sort, got {:?}", plan.root.node);
         };
         assert_eq!(*sorted_prefix, 1, "index-delivered (A) prefix should be claimed");
         assert!(
-            matches!(input.node, sysr_core::PlanNode::Scan(_)) && !input.order.is_empty(),
+            matches!(input.node, system_r::core::PlanNode::Scan(_)) && !input.order.is_empty(),
             "partial sort should sit on an order-producing index scan"
         );
     }

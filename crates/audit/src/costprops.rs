@@ -34,12 +34,12 @@
 //! violation and a nonzero exit.
 
 use crate::{corpus, AuditReport, Violation};
-use sysr_catalog::{IndexStats, RelStats};
-use sysr_core::cost::{
+use system_r::catalog::{IndexStats, RelStats};
+use system_r::core::cost::{
     distinct_pages, mutant, partial_sort_delta, temp_pages, SORT_RUN_MEMORY_ROWS,
 };
-use sysr_core::{bind_select, estimate_qcard, Cost, CostModel, Selectivity};
-use sysr_rss::SplitMix64;
+use system_r::core::{bind_select, estimate_qcard, Cost, CostModel, Selectivity};
+use system_r::rss::SplitMix64;
 
 /// Rules this engine can emit.
 pub const RULES: &[&str] =
@@ -497,7 +497,7 @@ const SEL_QUERIES: &[&str] = &[
 
 /// Catalog mutations that must not push any selectivity out of `[0, 1]`
 /// or any QCARD out of finite non-negative territory.
-fn adversarial_catalogs() -> Vec<(&'static str, sysr_catalog::Catalog)> {
+fn adversarial_catalogs() -> Vec<(&'static str, system_r::catalog::Catalog)> {
     let mut out = vec![("fig1", corpus::fig1_catalog())];
 
     let mut zero_icard = corpus::fig1_catalog();
@@ -524,8 +524,8 @@ fn adversarial_catalogs() -> Vec<(&'static str, sysr_catalog::Catalog)> {
                 icard: 7,
                 nindx: 1,
                 leaf_pages: 1,
-                low_key: Some(sysr_rss::Value::Int(1000)),
-                high_key: Some(sysr_rss::Value::Int(-1000)),
+                low_key: Some(system_r::rss::Value::Int(1000)),
+                high_key: Some(system_r::rss::Value::Int(-1000)),
                 valid: true,
             },
         );
@@ -611,8 +611,8 @@ fn table1_selectivities(report: &mut AuditReport) {
                 icard,
                 nindx: 30,
                 leaf_pages: 29,
-                low_key: Some(sysr_rss::Value::Int(0)),
-                high_key: Some(sysr_rss::Value::Int(1_000_000)),
+                low_key: Some(system_r::rss::Value::Int(0)),
+                high_key: Some(system_r::rss::Value::Int(1_000_000)),
                 valid: true,
             },
         );
@@ -655,7 +655,7 @@ fn table1_selectivities(report: &mut AuditReport) {
 }
 
 /// Selectivity of the first factor of `sql`, or a `sel-range` violation.
-fn factor_f(cat: &sysr_catalog::Catalog, sql: &str, report: &mut AuditReport) -> Option<f64> {
+fn factor_f(cat: &system_r::catalog::Catalog, sql: &str, report: &mut AuditReport) -> Option<f64> {
     let stmt = corpus::parse_select(sql).ok()?;
     let bound = bind_select(cat, &stmt).ok()?;
     let sel = Selectivity::new(cat, &bound);
@@ -672,7 +672,7 @@ fn factor_f(cat: &sysr_catalog::Catalog, sql: &str, report: &mut AuditReport) ->
     }
 }
 
-fn eq_sel_on_emp_dno(cat: &sysr_catalog::Catalog, report: &mut AuditReport) -> f64 {
+fn eq_sel_on_emp_dno(cat: &system_r::catalog::Catalog, report: &mut AuditReport) -> f64 {
     factor_f(cat, "SELECT NAME FROM EMP WHERE DNO = 17", report).unwrap_or(0.0)
 }
 

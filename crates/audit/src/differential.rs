@@ -22,9 +22,9 @@
 use crate::corpus::{chain_catalog, parse_select, CorpusCase};
 use crate::{AuditReport, Violation};
 use std::collections::BTreeSet;
-use sysr_catalog::Catalog;
-use sysr_core::{bind_select, BoundQuery, CostModel, Enumerator, OptimizerConfig};
-use sysr_rss::SplitMix64;
+use system_r::catalog::Catalog;
+use system_r::core::{bind_select, BoundQuery, CostModel, Enumerator, OptimizerConfig};
+use system_r::rss::SplitMix64;
 
 /// Queries above this FROM-list size are skipped: exhaustive enumeration
 /// grows factorially and 4 relations already covers every join-shape the
@@ -48,19 +48,14 @@ const REL_TOL: f64 = 1e-6;
 pub fn audit_differential(cases: &[CorpusCase], config: OptimizerConfig) -> AuditReport {
     let mut report = AuditReport::default();
     for case in cases {
-        report.merge(differential_case(case, config));
+        report.merge(differential_check(&case.catalog, &case.label, &case.sql, config));
     }
     report
 }
 
-/// Compare one case's DP winner against the exhaustive minimum.
-pub fn differential_case(case: &CorpusCase, config: OptimizerConfig) -> AuditReport {
-    differential_check(&case.catalog, &case.label, &case.sql, config)
-}
-
-/// [`differential_case`] over a borrowed catalog, so callers with a live
-/// database (integration tests, the shell) can run the oracle against
-/// real gathered statistics instead of a corpus fixture.
+/// Compare one query's DP winner against the exhaustive minimum over
+/// `catalog`, which may be a corpus fixture or a live database's, with
+/// real gathered statistics.
 pub fn differential_check(
     catalog: &Catalog,
     label: &str,
@@ -318,7 +313,7 @@ mod tests {
             .iter()
             .find(|c| c.label == "fig1/in-subquery")
             .expect("corpus keeps the §6 IN-subquery case");
-        let report = differential_case(case, config);
+        let report = differential_check(&case.catalog, &case.label, &case.sql, config);
         assert!(report.ok(), "{}", report.render());
         assert!(report.checks >= 4, "subquery block not audited: {} checks", report.checks);
     }

@@ -15,12 +15,12 @@
 
 use crate::{AuditReport, Violation};
 use std::collections::HashMap;
-use sysr_catalog::Catalog;
-use sysr_core::{
+use system_r::catalog::Catalog;
+use system_r::core::{
     estimate_qcard, Access, BoundQuery, ColId, CostModel, NodeMeasurement, Operand,
     OptimizerConfig, OrderInfo, PlanExpr, PlanNode, QueryPlan, SearchTrace, Selectivity, TableSet,
 };
-use sysr_rss::IoStats;
+use system_r::rss::IoStats;
 
 /// Absolute slack for cost comparisons (f64 noise, not model error).
 const EPS: f64 = 1e-6;
@@ -465,7 +465,7 @@ fn audit_merge_keys(
 fn audit_scan(
     cx: &BlockCx<'_>,
     p: &PlanExpr,
-    s: &sysr_core::ScanPlan,
+    s: &system_r::core::ScanPlan,
     available: TableSet,
     path: &str,
     enforced: &mut [bool],
@@ -641,7 +641,7 @@ fn audit_scan(
     }
 }
 
-fn range_operands(range: &Option<sysr_core::IndexRange>) -> impl Iterator<Item = &Operand> {
+fn range_operands(range: &Option<system_r::core::IndexRange>) -> impl Iterator<Item = &Operand> {
     range
         .iter()
         .flat_map(|r| [r.lower.as_ref().map(|(o, _)| o), r.upper.as_ref().map(|(o, _)| o)])
@@ -772,8 +772,8 @@ pub fn audit_traces(traces: &[(String, SearchTrace)], label: &str) -> AuditRepor
 ///
 /// The identity assumes single-session execution: the tracer windows
 /// are deltas of database-global counters, so only call this on a trace
-/// captured without concurrent sessions (as `Database::audit` does —
-/// it runs its own traced execution on the caller's thread and is only
+/// captured without concurrent sessions (as [`crate::audit`] does — it
+/// runs its own traced execution on the caller's thread and is only
 /// exact when nothing else is being served meanwhile).
 pub fn audit_measurements(
     measurements: &HashMap<usize, NodeMeasurement>,
@@ -800,7 +800,7 @@ pub fn audit_measurements(
         }
     }
     report.checks += 1;
-    let summed = sysr_executor::sum_node_io(measurements.values());
+    let summed = system_r::executor::sum_node_io(measurements.values());
     if summed != *delta {
         report.push(Violation::new(
             "exec-accounting",

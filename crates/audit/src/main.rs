@@ -5,7 +5,7 @@
 //! sysr-audit --plans             # plan invariants over the built-in corpus
 //! sysr-audit --diff              # DP-vs-exhaustive oracle + sampled 5-6-way orders
 //! sysr-audit --concurrent        # 8-thread serving must match single-thread plans + rows
-//! sysr-audit --exec              # traced corpus replay: batched-executor accounting identities
+//! sysr-audit --exec              # corpus through `audit` on live databases: plan + accounting rules
 //! sysr-audit --recovery          # page-checksum + reopen-equivalence rules
 //! sysr-audit --cost-props        # Table 1/2 formula property verifier
 //! sysr-audit --model             # bounded schedule exploration of the RSS latches
@@ -31,10 +31,8 @@
 )]
 
 use std::process::ExitCode;
-use sysr_audit::corpus::{builtin_cases, parse_select, random_chain_cases, CorpusCase};
-use sysr_audit::invariants::{audit_query_plan, audit_traces};
-use sysr_audit::{differential, AuditReport, Violation};
-use sysr_core::{Optimizer, OptimizerConfig};
+use sysr_audit::{audit_diff, audit_plans, corpus, AuditReport};
+use system_r::core::OptimizerConfig;
 
 struct Options {
     plans: bool,
@@ -59,8 +57,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         cost_props: false,
         model: false,
         mutant: None,
-        seed: 0xA0D17,
-        random: 12,
+        seed: corpus::DEFAULT_SEED,
+        random: corpus::DEFAULT_RANDOM,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -123,37 +121,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Optimize every corpus case and audit the plan plus its search traces.
-fn audit_corpus_plans(cases: &[CorpusCase], config: OptimizerConfig) -> AuditReport {
-    let mut report = AuditReport::default();
-    for case in cases {
-        let stmt = match parse_select(&case.sql) {
-            Ok(s) => s,
-            Err(e) => {
-                report.push(Violation::new(
-                    "plan-wellformed",
-                    &case.label,
-                    format!("corpus parse: {e}"),
-                ));
-                continue;
-            }
-        };
-        let optimizer = Optimizer::with_config(&case.catalog, config);
-        match optimizer.optimize_traced(&stmt) {
-            Ok((plan, traces)) => {
-                report.merge(audit_query_plan(&case.catalog, &plan, &config, &case.label));
-                report.merge(audit_traces(&traces, &case.label));
-            }
-            Err(e) => report.push(Violation::new(
-                "plan-wellformed",
-                &case.label,
-                format!("corpus bind: {e}"),
-            )),
-        }
-    }
-    report
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -169,18 +136,16 @@ fn main() -> ExitCode {
     };
 
     let config = OptimizerConfig::default();
-    let mut cases = builtin_cases();
-    cases.extend(random_chain_cases(opts.seed, opts.random));
+    let cases = corpus::cases(opts.seed, opts.random);
 
     let mut report = AuditReport::default();
     if opts.plans {
-        let r = audit_corpus_plans(&cases, config);
+        let r = audit_plans(&cases, config);
         println!("plans: {} checks, {} violations", r.checks, r.violations.len());
         report.merge(r);
     }
     if opts.diff {
-        let mut r = differential::audit_differential(&cases, config);
-        r.merge(differential::audit_order_samples(opts.seed, config));
+        let r = audit_diff(&cases, opts.seed, config);
         println!("differential: {} checks, {} violations", r.checks, r.violations.len());
         report.merge(r);
     }

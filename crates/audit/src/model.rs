@@ -5,7 +5,7 @@
 //! cannot prove the absence of lost-update interleavings — the PR-6
 //! dirty-victim/flush race obeyed the latch order perfectly. This engine
 //! closes that gap: it drives small scripted scenarios of virtual
-//! threads through [`sysr_rss::sync::model`]'s cooperative scheduler and
+//! threads through [`system_r::rss::sync::model`]'s cooperative scheduler and
 //! explores their interleavings with a DFS under **iterative preemption
 //! bounding** (CHESS-style): all schedules with 0 preemptive context
 //! switches first, then 1, then 2, branching at every recorded decision
@@ -43,10 +43,10 @@ use crate::{AuditReport, Violation};
 use std::fmt::Display;
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
-use sysr_rss::pagefile::stamp_page;
-use sysr_rss::sync::model::{execute, preemptions_of, ModelRun, Policy};
-use sysr_rss::sync::Rank;
-use sysr_rss::{
+use system_r::rss::pagefile::stamp_page;
+use system_r::rss::sync::model::{execute, preemptions_of, ModelRun, Policy};
+use system_r::rss::sync::Rank;
+use system_r::rss::{
     FileId, MemBackend, PageBackend, PageImage, PageKey, ShardedBufferPool, SharedBackend,
     SplitMix64, VersionedCache, PAGE_SIZE,
 };

@@ -8,9 +8,9 @@
 //!
 //! * **`page-checksum`** — every frame of every saved `*.pages` file
 //!   either is an all-zero gap or carries a valid stamp (v2 digest)
-//!   ([`sysr_rss::pagefile::verify_page`]) and an LSN ≥ 1; and a
+//!   ([`system_r::rss::pagefile::verify_page`]) and an LSN ≥ 1; and a
 //!   deliberately corrupted page file must fail `Storage::open` with a
-//!   clean [`sysr_rss::RssError`], never a panic or a silent success.
+//!   clean [`system_r::rss::RssError`], never a panic or a silent success.
 //! * **`reopen-equivalence`** — after `save_to` + `Storage::open`, the
 //!   segment scan returns the same tuples, a full index scan returns the
 //!   same tuples in the same key order, and the persisted catalog
@@ -26,10 +26,10 @@ use crate::{AuditReport, Violation};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use sysr_catalog::persist::{self, CATALOG_META};
-use sysr_catalog::{Catalog, ColumnMeta, RelId};
-use sysr_rss::pagefile::{page_lsn, parse_file_name, verify_page};
-use sysr_rss::{
+use system_r::catalog::persist::{self, CATALOG_META};
+use system_r::catalog::{Catalog, ColumnMeta, RelId};
+use system_r::rss::pagefile::{page_lsn, parse_file_name, verify_page};
+use system_r::rss::{
     BTreeConfig, ColType, IndexScan, PageKey, Rid, RsiScan, RssResult, SargExpr, SegmentId,
     SplitMix64, Storage, Tuple, Value, PAGE_SIZE,
 };

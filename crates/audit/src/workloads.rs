@@ -4,8 +4,9 @@
 //! DESIGN.md's substitution table, these generators produce synthetic
 //! databases over the paper's own schemas with the knobs the cost model
 //! actually responds to: cardinalities, value distributions, clustering,
-//! and the index inventory. The repo's integration tests build their
-//! databases here too, through a dev-dependency.
+//! and the index inventory. The same recipes build the live databases of
+//! `sysr-audit --concurrent` and `--exec`, the shell's `\demo` and the
+//! repo's integration tests.
 
 use system_r::rss::SplitMix64;
 use system_r::{tuple, Config, Database, DbResult};
@@ -157,19 +158,20 @@ pub fn synth_chain_db(n: usize, rows_per_table: i64) -> DbResult<(Database, Stri
     Ok((db, sql))
 }
 
-/// A 4-relation FK chain `T0 → T1 → T2 → T3` with a unique key index per
-/// table and a non-unique index on each FK column; `V` cycles through 100
-/// values.
+/// A 4-relation chain `R0 → R1 → R2 → R3` with the names of the audit
+/// corpus's chain catalog: `A` is the key (unique index `R{i}_A`), `B`
+/// holds foreign keys into the next relation's `A` (index `R{i}_B`), and
+/// `V` cycles through 100 values.
 pub fn chain_db(rows: i64) -> DbResult<Database> {
     let mut db = Database::new();
     for i in 0..4 {
-        db.execute(&format!("CREATE TABLE T{i} (K INTEGER, FK INTEGER, V INTEGER)"))?;
+        db.execute(&format!("CREATE TABLE R{i} (A INTEGER, B INTEGER, V INTEGER)"))?;
         db.insert_rows(
-            &format!("T{i}"),
+            &format!("R{i}"),
             (0..rows).map(|r| tuple![r, (r * 7 + i) % rows, (r * 13) % 100]),
         )?;
-        db.execute(&format!("CREATE UNIQUE INDEX T{i}_K ON T{i} (K)"))?;
-        db.execute(&format!("CREATE INDEX T{i}_FK ON T{i} (FK)"))?;
+        db.execute(&format!("CREATE UNIQUE INDEX R{i}_A ON R{i} (A)"))?;
+        db.execute(&format!("CREATE INDEX R{i}_B ON R{i} (B)"))?;
     }
     db.execute("UPDATE STATISTICS")?;
     Ok(db)
@@ -237,17 +239,15 @@ pub fn employee_db(n: i64, manager_span: i64) -> DbResult<Database> {
     Ok(db)
 }
 
-/// Gate an experiment's query on the `sysr-audit` plan invariants before
-/// its numbers land in EXPERIMENTS.md: optimize with tracing, statically
-/// verify the plan and search-trace accounting, execute with per-node
-/// measurement and verify the executor's I/O accounting. Returns the
-/// rendered violation report as the error, so a report can `?` it ahead
-/// of the measured run.
+/// Gate an experiment's query on [`crate::audit`] before its numbers land
+/// in EXPERIMENTS.md. Returns the rendered violation report as the error,
+/// so a report can `?` it ahead of the measured run.
 ///
 /// Call this *before* `evict_buffers`/`reset_io_stats`: the audit
-/// executes the query once and would otherwise pollute the measurement.
+/// executes the query and would otherwise pollute the measurement.
 pub fn audit_plan(db: &Database, sql: &str) -> Result<(), String> {
-    let report = db.audit(sql).map_err(|e| format!("audit of `{sql}` failed to run: {e}"))?;
+    let report =
+        crate::audit(db, sql).map_err(|e| format!("audit of `{sql}` failed to run: {e}"))?;
     if report.ok() {
         Ok(())
     } else {

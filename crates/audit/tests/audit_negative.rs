@@ -8,10 +8,10 @@
 
 use std::collections::HashMap;
 use sysr_audit::{corpus, differential, invariants};
-use sysr_core::{ColId, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
-use sysr_rss::IoStats;
+use system_r::core::{ColId, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
+use system_r::rss::IoStats;
 
-fn fig1_plan(sql: &str) -> (QueryPlan, Vec<(String, sysr_core::SearchTrace)>) {
+fn fig1_plan(sql: &str) -> (QueryPlan, Vec<(String, system_r::core::SearchTrace)>) {
     let catalog = corpus::fig1_catalog();
     let stmt = corpus::parse_select(sql).expect("corpus SQL parses");
     Optimizer::with_config(&catalog, OptimizerConfig::default())
@@ -26,7 +26,7 @@ fn rules(report: &sysr_audit::AuditReport) -> Vec<&'static str> {
 #[test]
 fn pristine_plan_is_clean() {
     let catalog = corpus::fig1_catalog();
-    let (plan, traces) = fig1_plan(corpus::FIG1_SQL);
+    let (plan, traces) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     let config = OptimizerConfig::default();
     let mut report = invariants::audit_query_plan(&catalog, &plan, &config, "fig1");
     report.merge(invariants::audit_traces(&traces, "fig1"));
@@ -37,7 +37,7 @@ fn pristine_plan_is_clean() {
 #[test]
 fn negative_cost_triggers_cost_admissible() {
     let catalog = corpus::fig1_catalog();
-    let (mut plan, _) = fig1_plan(corpus::FIG1_SQL);
+    let (mut plan, _) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     // Finite but negative: inadmissible under Table 2, yet safe to total()
     // in debug builds (NaN would trip Cost's own debug_assert first).
     plan.root.cost.pages = -5.0;
@@ -49,7 +49,7 @@ fn negative_cost_triggers_cost_admissible() {
 #[test]
 fn fabricated_order_triggers_order_and_wellformed_rules() {
     let catalog = corpus::fig1_catalog();
-    let (mut plan, _) = fig1_plan(corpus::FIG1_SQL);
+    let (mut plan, _) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     // Claim an order on a column that does not exist in any FROM table.
     plan.root.order = vec![ColId::new(0, 99)];
     let report =
@@ -66,7 +66,7 @@ fn uncovered_sorted_prefix_claim_triggers_order_produced() {
     // No index on SAL: the optimizer plans a whole-input sort over a
     // segment scan (sorted_prefix = 0, input produces no order).
     let (mut plan, _) = fig1_plan("SELECT NAME FROM EMP ORDER BY SAL, DNO");
-    let sysr_core::PlanNode::Sort { input, sorted_prefix, .. } = &mut plan.root.node else {
+    let system_r::core::PlanNode::Sort { input, sorted_prefix, .. } = &mut plan.root.node else {
         panic!("expected a root sort");
     };
     assert!(input.order.is_empty(), "segment-scan input should produce no order");
@@ -82,7 +82,7 @@ fn uncovered_sorted_prefix_claim_triggers_order_produced() {
 #[test]
 fn local_factor_in_block_filters_triggers_sarg_pushdown() {
     let catalog = corpus::fig1_catalog();
-    let (mut plan, _) = fig1_plan(corpus::FIG1_SQL);
+    let (mut plan, _) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     // Factor #0 references FROM-list tables; hoisting it to the block
     // filter list would skip it below the RSI where it belongs.
     assert!(!plan.query.factors[0].tables.is_empty());
@@ -95,7 +95,7 @@ fn local_factor_in_block_filters_triggers_sarg_pushdown() {
 #[test]
 fn dropped_rows_estimate_triggers_wellformed() {
     let catalog = corpus::fig1_catalog();
-    let (mut plan, _) = fig1_plan(corpus::FIG1_SQL);
+    let (mut plan, _) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     plan.root.rows = -1.0;
     let report =
         invariants::audit_query_plan(&catalog, &plan, &OptimizerConfig::default(), "mutated");
@@ -104,7 +104,7 @@ fn dropped_rows_estimate_triggers_wellformed() {
 
 #[test]
 fn cooked_trace_breaks_the_accounting_identity() {
-    let (_, mut traces) = fig1_plan(corpus::FIG1_SQL);
+    let (_, mut traces) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     let subset = &mut traces[0].1.subsets[0];
     subset.pruned += 1; // pruned + surviving != generated
     let report = invariants::audit_traces(&traces, "mutated");
@@ -113,7 +113,7 @@ fn cooked_trace_breaks_the_accounting_identity() {
 
 #[test]
 fn trace_totals_must_match_stats() {
-    let (_, mut traces) = fig1_plan(corpus::FIG1_SQL);
+    let (_, mut traces) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     traces[0].1.stats.plans_considered += 7;
     let report = invariants::audit_traces(&traces, "mutated");
     assert!(rules(&report).contains(&"trace-accounting"), "got:\n{}", report.render());
@@ -200,8 +200,8 @@ fn concurrent_divergence_fires_and_allow_table_suppresses() {
 
 mod model_negative {
     use sysr_audit::model::{self, apply_allowed, run_violations, Log, ModelConfig};
-    use sysr_rss::sync::model::{execute, Policy};
-    use sysr_rss::sync::Mutex;
+    use system_r::rss::sync::model::{execute, Policy};
+    use system_r::rss::sync::Mutex;
 
     fn vrules(vs: &[sysr_audit::Violation]) -> Vec<&'static str> {
         vs.iter().map(|v| v.rule).collect()

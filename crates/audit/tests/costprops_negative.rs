@@ -1,13 +1,13 @@
 //! Negative coverage for the cost-property verifier (`--cost-props`).
 //!
 //! The planted mutant flips a process-global `AtomicBool` inside
-//! `sysr_core::cost`, so everything here runs in one sequential test fn
+//! `system_r::core::cost`, so everything here runs in one sequential test fn
 //! in its own integration-test binary: sharing a process with other
 //! tests that evaluate the cost model would leak the armed fault into
 //! their formulas.
 
 use sysr_audit::costprops::{audit_cost_props, MUTANTS};
-use sysr_core::cost::mutant;
+use system_r::core::cost::mutant;
 
 #[test]
 fn mutant_drill_fires_when_armed_and_is_caught_by_the_verifier() {

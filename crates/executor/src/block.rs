@@ -17,6 +17,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use sysr_catalog::Catalog;
 use sysr_core::{ColId, NodeMeasurement, PlanNode, QueryPlan};
+use sysr_rss::codec::encode_value;
 use sysr_rss::{Rid, Storage, Tuple, Value};
 
 /// Execution environment: the storage engine and catalogs, plus an
@@ -72,8 +73,10 @@ pub enum SubValue {
 struct SubState {
     /// Result of an uncorrelated subquery, computed at most once.
     once: Option<SubValue>,
-    /// Correlated results memoized by the referenced outer values.
-    memo: HashMap<Vec<Value>, SubValue>,
+    /// Correlated results memoized by the referenced outer values'
+    /// encoded bytes: `Value`'s `Eq` equates `Float(2^53)` with
+    /// `Int(2^53 + 1)`, which select different rows.
+    memo: HashMap<Vec<u8>, SubValue>,
 }
 
 /// Runtime state for executing one query block instance.
@@ -182,20 +185,15 @@ impl<'a> BlockRt<'a> {
         // Correlated: key on the free outer values as seen from the
         // subquery (level 1 = this block's current row), read from the
         // borrowed rows; the stack is cloned only on a memo miss.
-        let key: Vec<Value> = self.free_refs[i]
-            .iter()
-            .map(|&(level, col)| {
-                let idx = (self.outer_stack.len() + 1).checked_sub(level).ok_or_else(|| {
-                    ExecError::Internal(format!("correlation level {level} underflows"))
-                })?;
-                let row = if idx == self.outer_stack.len() {
-                    current_row
-                } else {
-                    &self.outer_stack[idx]
-                };
-                Ok(row_value(row, col).cloned().unwrap_or(Value::Null))
-            })
-            .collect::<ExecResult<_>>()?;
+        let mut key = Vec::new();
+        for &(level, col) in &self.free_refs[i] {
+            let idx = (self.outer_stack.len() + 1).checked_sub(level).ok_or_else(|| {
+                ExecError::Internal(format!("correlation level {level} underflows"))
+            })?;
+            let row =
+                if idx == self.outer_stack.len() { current_row } else { &self.outer_stack[idx] };
+            encode_value(row_value(row, col).unwrap_or(&Value::Null), &mut key);
+        }
         if let Some(v) = self.substates[i].memo.get(&key) {
             return Ok(v.clone());
         }

@@ -272,6 +272,29 @@ fn correlated_subquery_cache_counts_probes_once_per_value() {
 }
 
 #[test]
+fn correlated_subquery_memo_tells_colliding_bindings_apart() {
+    // The FLOAT column (which the storage-level loader lets hold an Int)
+    // binds `Float(2^53)` and then `Int(2^53 + 1)`: equal as `Value`s, but
+    // the first matches inner keys 2^53 and 2^53 + 1 and the second only
+    // 2^53 + 1. A memo keyed by `Value` would answer the second binding
+    // with the first's count and drop row 9.
+    const BIG: i64 = 1 << 53;
+    let mut db = Db::new();
+    db.table(
+        "O",
+        vec![("ID", ColType::Int), ("K", ColType::Float), ("N", ColType::Int)],
+        vec![
+            Tuple::new(vec![Value::Int(8), Value::Float(BIG as f64), Value::Int(2)]),
+            Tuple::new(vec![Value::Int(9), Value::Int(BIG + 1), Value::Int(1)]),
+        ],
+    );
+    db.table("I", vec![("K", ColType::Int)], vec![tuple![BIG], tuple![BIG + 1]]);
+    db.analyze();
+    let rows = db.run("SELECT O.ID FROM O WHERE O.N = (SELECT COUNT(*) FROM I WHERE I.K = O.K)");
+    assert_eq!(ints(&rows, 0), vec![8, 9]);
+}
+
+#[test]
 fn index_only_plan_shape_observed() {
     let mut db = Db::new();
     let a = db.table(

@@ -43,9 +43,9 @@
 )]
 
 pub mod btree;
-pub mod buffer;
 pub mod codec;
 pub mod error;
+pub mod io;
 pub mod page;
 pub mod pagefile;
 pub mod plancache;
@@ -62,8 +62,8 @@ pub mod tuple;
 pub mod value;
 
 pub use btree::{BTreeConfig, BTreeIndex, IndexId};
-pub use buffer::{FileId, IoStats, PageKey};
 pub use error::{RssError, RssResult};
+pub use io::{FileId, IoStats, PageKey};
 pub use page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE};
 pub use pagefile::{
     write_file_atomic, DirBackend, FaultBackend, FaultOp, FileKind, MemBackend, PageBackend,

@@ -37,8 +37,8 @@
 //! `storage.meta` names the stamp version (`sysr-storage v2`); the golden
 //! vector in this module's tests pins the kernel.
 
-use crate::buffer::{FileId, PageKey};
 use crate::error::{RssError, RssResult};
+use crate::io::{FileId, PageKey};
 use crate::page::{PageImage, PAGE_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

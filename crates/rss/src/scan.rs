@@ -24,9 +24,9 @@
 //! tuple costs one RSI call.
 
 use crate::btree::{cmp_key_prefix, IndexId, LeafPos};
-use crate::buffer::{FileId, PageKey};
 use crate::codec::{decode_tuple, EncodedEval};
 use crate::error::{RssError, RssResult};
+use crate::io::{FileId, PageKey};
 use crate::rid::Rid;
 #[cfg(test)]
 use crate::sarg::SargExpr;

@@ -75,8 +75,8 @@
 //! `page_fetches == backend_reads` that the tests pin), monotonically
 //! consistent across threads.
 
-use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
+use crate::io::{FileId, IoStats, PageKey};
 use crate::page::{PageImage, PAGE_SIZE};
 use crate::pagefile::{verify_page, PageBackend};
 use crate::sync::{model, AtomicU64, Condvar, Mutex, Rank};

@@ -52,8 +52,8 @@
 )]
 
 use crate::btree::{BTreeConfig, BTreeIndex, IndexId};
-use crate::buffer::{FileId, IoStats, PageKey};
 use crate::error::{RssError, RssResult};
+use crate::io::{FileId, IoStats, PageKey};
 use crate::page::{Page, PageImage, PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::pagefile::{
     stamp_page, verify_page, write_file_atomic, DirBackend, MemBackend, PageBackend,

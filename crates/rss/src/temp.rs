@@ -16,8 +16,8 @@
 //! database, and [`TempList::destroy`] drops their buffer frames and removes
 //! the backing file from the backend.
 
-use crate::buffer::{FileId, PageKey};
 use crate::error::RssResult;
+use crate::io::{FileId, PageKey};
 use crate::page::{PAGE_HEADER_SIZE, PAGE_SIZE};
 use crate::storage::Storage;
 use crate::tuple::Tuple;

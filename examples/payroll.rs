@@ -4,8 +4,8 @@
 //! the worked example assumes.
 //!
 //! The example prints the optimizer's chosen plan (compare with the
-//! paper's Figures 2-6 walk-through, regenerated in full by the
-//! `sysr-bench` binaries) and contrasts it with what happens when the
+//! paper's Figures 2-6 walk-through, regenerated in full by
+//! `sysr-experiments fig_search_tree`) and contrasts it with what happens when the
 //! statistics lie.
 //!
 //! ```sh

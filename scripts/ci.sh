@@ -9,6 +9,16 @@ set -eux
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+# The engine never depends on its auditor: sysr-audit builds its live
+# databases, experiments and shell through the system-r facade, so an
+# edge from system-r back to sysr-audit would be a cycle in the making.
+deps=$(cargo tree -p system-r -e normal --offline)
+case "$deps" in
+*sysr-audit*)
+    echo "system-r must not depend on sysr-audit" >&2
+    exit 1
+    ;;
+esac
 # This one clippy run is also the panic-freedom, indexing, cast and
 # unsafe gate: the crate roots deny those clippy lints (DESIGN.md §8.2),
 # every suppression is an `#[expect(lint, reason = …)]`, and an
@@ -89,8 +99,8 @@ cargo run --release -p sysr-audit -- --cost-props --mutant cost-monotone
 # missing or malformed (qps/p99 for 1, 2, 4, 8 sessions; no speedup
 # assertion — see EXPERIMENTS.md on the single-hardware-thread
 # container).
-cargo run --release -p sysr-bench --bin bench_concurrency -- --smoke
-cargo run --release -p sysr-bench --bin bench_concurrency -- --check
+cargo run --release -p sysr-audit --bin bench_concurrency -- --smoke
+cargo run --release -p sysr-audit --bin bench_concurrency -- --check
 # The end-to-end benchmark (BENCHMARK.json) is a package of its own that
 # depends on this repo by path, so the workspace commands above never
 # compile it: build and test it, run every workload at tenth size, and
@@ -107,4 +117,4 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --check
 # A change to candidate generation, pruning, the cost formulas or the
 # pool's LRU semantics (exp_buffer_sweep's hit ratios) fails here unless it
 # regenerates the file on purpose (`sysr-experiments <name> > results/<name>.txt`).
-cargo run --release -p sysr-bench --bin sysr-experiments -- --check
+cargo run --release -p sysr-audit --bin sysr-experiments -- --check

@@ -87,7 +87,6 @@ use sysr_sql::{
     SelectList, SelectStmt, Statement, TableRef, UpdateStmt,
 };
 
-pub use sysr_audit as audit;
 pub use sysr_catalog as catalog;
 pub use sysr_core as core;
 pub use sysr_executor as executor;
@@ -494,28 +493,6 @@ impl Database {
         let (hits, misses) = self.plan_cache_stats();
         text.push_str(&format!("plan cache: {hits} hits, {misses} misses\n"));
         Ok(text)
-    }
-
-    /// Audit a SELECT end to end against the paper-derived invariants
-    /// (see `sysr-audit`): optimize with tracing, statically verify the
-    /// plan and the search-trace accounting, then execute with per-node
-    /// measurement and verify the executor's I/O accounting. Returns the
-    /// combined report; `report.ok()` means every check passed.
-    pub fn audit(&self, sql_text: &str) -> DbResult<sysr_audit::AuditReport> {
-        let (_, sel) = select_of(sql_text, true)?;
-        let optimizer = Optimizer::with_config(&self.catalog, self.config);
-        let (plan, traces) = optimizer.optimize_traced(&sel)?;
-        let mut report =
-            sysr_audit::invariants::audit_query_plan(&self.catalog, &plan, &self.config, "query");
-        report.merge(sysr_audit::invariants::audit_traces(&traces, "query"));
-        let (_, measurements, delta) = self.execute_plan_traced(&plan)?;
-        report.merge(sysr_audit::invariants::audit_measurements(
-            &measurements,
-            plan.total_nodes(),
-            &delta,
-            "query",
-        ));
-        Ok(report)
     }
 
     /// Render the optimizer's join-order search trace for a SELECT: per

@@ -1,10 +1,10 @@
 //! Shared test helpers. The databases themselves come from
-//! `sysr_bench::workloads`, the fixtures the experiments use.
+//! `sysr_audit::workloads`, the fixtures the experiments and the audit use.
 //!
 //! Compiled into several test binaries, each using a different subset.
 #![allow(dead_code)]
 
-use sysr_bench::workloads::{self, Fig1Params};
+use sysr_audit::workloads::{self, Fig1Params};
 use system_r::rss::{Tuple, Value};
 use system_r::{Config, Database};
 

@@ -6,14 +6,10 @@
 mod common;
 
 use common::fig1_db;
-use sysr_bench::workloads::employee_db;
+use sysr_audit::workloads::{employee_db, FIG1_SQL};
 use system_r::core::{Optimizer, PlanExpr, PlanNode};
 use system_r::sql::{parse_statement, Statement};
 use system_r::Database;
-
-const FIG1_JOIN: &str = "SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB
-    WHERE TITLE = 'CLERK' AND LOC = 'DENVER'
-      AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB";
 
 /// Queries covering every operator: segment scan, index scan, nested
 /// loops, merging scans with sort, uncorrelated and correlated subqueries.
@@ -22,7 +18,7 @@ fn coverage_queries() -> Vec<&'static str> {
         "SELECT NAME FROM EMP",
         "SELECT NAME FROM EMP WHERE DNO = 3",
         "SELECT NAME FROM EMP ORDER BY DNO",
-        FIG1_JOIN,
+        FIG1_SQL,
         "SELECT EMP.NAME, DEPT.DNAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO",
         "SELECT DNO, COUNT(*) FROM EMP GROUP BY DNO",
     ]
@@ -143,7 +139,7 @@ fn traced_execution_matches_untraced_results() {
 #[test]
 fn explain_analyze_renders_fig1_join() {
     let db = fig1_db(2000, 50, 5);
-    let text = db.explain_analyze(FIG1_JOIN).unwrap();
+    let text = db.explain_analyze(FIG1_SQL).unwrap();
     assert!(text.contains("#0 "), "{text}");
     assert!(text.contains("NESTED LOOP JOIN") || text.contains("MERGE JOIN"), "{text}");
     assert!(text.contains("actual rows="), "{text}");
@@ -261,7 +257,7 @@ fn search_trace_accounts_for_every_candidate() {
 #[test]
 fn search_trace_levels_cover_the_join() {
     let db = fig1_db(2000, 50, 5);
-    let traces = traces_for(&db, FIG1_JOIN);
+    let traces = traces_for(&db, FIG1_SQL);
     assert_eq!(traces.len(), 1);
     let trace = &traces[0].1;
     // Three singles and the full set are always present; pairs may be

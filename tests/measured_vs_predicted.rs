@@ -5,7 +5,7 @@
 //! among the actual measured costs."
 //!
 //! For each scenario the experiments' harness
-//! (`sysr_bench::harness::run_all_plans`) enumerates *every* complete plan
+//! (`sysr_audit::harness::run_all_plans`) enumerates *every* complete plan
 //! (heuristic off), executes each one cold and measures
 //! `PAGE FETCHES + W * RSI CALLS`; the tests compare the optimizer's choice
 //! against the measured optimum.
@@ -14,8 +14,8 @@ mod common;
 
 use common::fig1_db;
 use std::sync::OnceLock;
-use sysr_bench::harness::{run_all_plans, spearman};
-use sysr_bench::workloads::scatter;
+use sysr_audit::harness::{run_all_plans, spearman};
+use sysr_audit::workloads::scatter;
 use system_r::{tuple, Config, Database};
 
 /// One scenario's outcome: the chosen plan's and the best plan's measured

@@ -3,7 +3,7 @@
 //! schedule-count determinism, and mutant replay reproducibility.
 //!
 //! These tests exercise `sysr-audit --model`'s machinery through the
-//! public crates (`system_r::audit::model`, `system_r::rss::sync`) the
+//! public crates (`sysr_audit::model`, `system_r::rss::sync`) the
 //! way CI and a debugging developer would: small exploration budgets,
 //! bit-identical reruns, and a violating schedule replayed from its
 //! printed trace.
@@ -12,7 +12,7 @@ mod common;
 
 use common::fig1_db;
 use std::sync::Arc;
-use system_r::audit::model::{audit_model_with, scenario_named, ModelConfig};
+use sysr_audit::model::{audit_model_with, scenario_named, ModelConfig};
 use system_r::rss::sync::model::{execute, Policy};
 use system_r::rss::sync::Rank;
 use system_r::rss::{
@@ -138,7 +138,7 @@ fn explored_schedule_counts_are_bit_identical_across_runs() {
 fn mutant_schedule_trace_replays_to_the_same_violation() {
     let scenario = scenario_named("dirty-victim-flush").expect("registered scenario");
     let explored =
-        system_r::audit::model::explore(&scenario, Some("dirty-victim-gate"), &small_budget());
+        sysr_audit::model::explore(&scenario, Some("dirty-victim-gate"), &small_budget());
     let (violation, trace) = explored.finding.expect("mutant must be caught");
     assert_eq!(violation.rule, "model-lost-dirty-image");
 
@@ -153,7 +153,7 @@ fn mutant_schedule_trace_replays_to_the_same_violation() {
 
     let (bodies, log) = (scenario.build)();
     let run = execute(bodies, &choices, Policy::NonPreemptive, Some("dirty-victim-gate"));
-    let replayed = system_r::audit::model::run_violations(scenario.name, &run, &log);
+    let replayed = sysr_audit::model::run_violations(scenario.name, &run, &log);
     assert_eq!(
         replayed.first().map(|v| v.rule),
         Some("model-lost-dirty-image"),

@@ -4,7 +4,7 @@
 mod common;
 
 use common::fig1_db;
-use sysr_bench::workloads::scatter;
+use sysr_audit::workloads::scatter;
 use system_r::core::{Access, PlanExpr, PlanNode, QueryPlan};
 use system_r::rss::RsiScan;
 use system_r::{tuple, Config, Database};

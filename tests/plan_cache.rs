@@ -9,7 +9,7 @@ mod common;
 
 use common::{fig1_clustered_db, fig1_db};
 use std::path::PathBuf;
-use sysr_bench::workloads::chain_db;
+use sysr_audit::workloads::{chain_db, FIG1_SQL};
 use system_r::{Database, DbError};
 
 const JOIN: &str = "SELECT NAME, DNAME FROM EMP, DEPT \
@@ -300,16 +300,12 @@ fn a_cached_plan_executes_identically_every_time() {
     let corpus: [(&Database, &str); 8] = [
         (&fig1, "SELECT NAME FROM EMP"),
         (&fig1, "SELECT NAME FROM EMP WHERE JOB = 7"),
-        (
-            &fig1,
-            "SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB \
-             WHERE TITLE = 'CLERK' AND LOC = 'DENVER' AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB",
-        ),
+        (&fig1, FIG1_SQL),
         (&fig1, "SELECT NAME, DNAME FROM EMP, DEPT WHERE EMP.DNO = DEPT.DNO ORDER BY DEPT.DNO"),
         (&fig1, "SELECT DNO, COUNT(*), AVG(SAL) FROM EMP GROUP BY DNO"),
         (
             &chain,
-            "SELECT T0.K FROM T0, T1, T2, T3 WHERE T0.FK = T1.K AND T1.FK = T2.K AND T2.FK = T3.K",
+            "SELECT R0.A FROM R0, R1, R2, R3 WHERE R0.B = R1.A AND R1.B = R2.A AND R2.B = R3.A",
         ),
         (&clustered, "SELECT NAME FROM EMP ORDER BY DNO, SAL"),
         (&clustered, "SELECT NAME FROM EMP ORDER BY SAL, DNO"),

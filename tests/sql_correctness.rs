@@ -4,7 +4,7 @@
 mod common;
 
 use common::*;
-use sysr_bench::workloads::employee_db;
+use sysr_audit::workloads::employee_db;
 use system_r::rss::Value;
 use system_r::{tuple, Database};
 
@@ -408,7 +408,7 @@ fn all_enumerated_plans_agree_on_fig1(/* plan-independence of results */) {
     let sql = "SELECT NAME, TITLE, SAL, DNAME FROM EMP, DEPT, JOB
                WHERE TITLE = 'CLERK' AND LOC = 'DENVER'
                  AND EMP.DNO = DEPT.DNO AND EMP.JOB = JOB.JOB";
-    let (plans, _) = sysr_bench::harness::all_plans(&db, sql, 500).unwrap();
+    let (plans, _) = sysr_audit::harness::all_plans(&db, sql, 500).unwrap();
     assert!(plans.len() >= 10, "expected many alternative plans, got {}", plans.len());
 
     let mut reference_rows = db.query(sql).unwrap().rows;
