@@ -280,29 +280,28 @@ pub fn fig_search_tree(r: &mut Report) -> Res {
         }
     }
 
-    let (best, stats, tree) = enumerator.best_plan_with_tree();
+    let (best, stats, trace) = enumerator.best_plan_traced();
 
     writeln!(out, "\n=== Figs. 3-6: the search tree (surviving solutions per subset, per interesting order) ===")?;
-    for report in &tree {
-        let names: Vec<&str> = report.set.iter().map(|t| bound.tables[t].name.as_str()).collect();
-        let label = match report.set.len() {
+    for subset in &trace.subsets {
+        let label = match subset.level {
             1 => "Fig. 3 (single relations)",
             2 => "Figs. 4/5 (pairs: nested loop + merge)",
             _ => "Fig. 6 (all three relations)",
         };
-        writeln!(out, "\n  ({}) — {label}", names.join(", "))?;
-        for (key, plan) in &report.entries {
-            let order = if key.is_empty() {
+        writeln!(out, "\n  ({}) — {label}", subset.tables.join(", "))?;
+        for e in &subset.entries {
+            let order = if e.order.is_empty() {
                 "cheapest overall".to_string()
             } else {
-                format!("order class {key:?}")
+                format!("order class {:?}", e.order)
             };
             writeln!(
                 out,
                 "    {:<18} cost={:>9.2}  {}",
                 order,
-                plan.cost.total(w),
-                summarize_plan(plan)
+                e.plan.cost.total(w),
+                summarize_plan(&e.plan)
             )?;
         }
     }

@@ -15,18 +15,14 @@
 //! vector; [`PlanArena::materialize`] clones them only for plans that
 //! leave the search.
 //!
-//! Two-tier addressing keeps pruning cheap: each DP level freezes the
-//! main arena and every work item pushes candidates into its own
-//! *scratch* tail whose ids start at the frozen length (`base`). Ids
-//! below `base` always mean main-arena nodes; ids at or above `base` are
-//! scratch-local. After the level's items are merged, only the surviving
-//! slots' subtrees are copied into the main arena ([`PlanArena::commit`])
-//! — pruned candidates are dropped wholesale with their scratch vectors,
-//! which is where the allocation savings come from.
+//! One arena serves a whole search: every candidate of every subset is
+//! pushed into it, and the memo's slots hold the ids of the winners.
+//! Pruned candidates are not reclaimed; they stay until the search
+//! returns and drops the arena with them.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "solution arena: handles are indices the arena issued; commit remaps within the bounds it just reserved"
+    reason = "solution arena: handles are indices the arena issued"
 )]
 
 use crate::access::AccessCandidate;
@@ -35,10 +31,9 @@ use crate::intern::KeyId;
 use crate::num::dense_id;
 use crate::plan::{PlanExpr, PlanNode};
 use crate::query::ColId;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Index of a node in a [`PlanArena`] (or a scratch tail above `base`).
+/// Index of a node in a [`PlanArena`].
 pub type NodeId = u32;
 
 /// Index of an access candidate in the search's candidate table.
@@ -82,7 +77,7 @@ pub enum NodeKind {
     },
 }
 
-/// The committed arena: nodes the DP memo references between levels.
+/// The search's nodes: every candidate generated, pruned or not.
 #[derive(Debug, Default)]
 pub struct PlanArena {
     pub nodes: Vec<ArenaNode>,
@@ -93,9 +88,14 @@ impl PlanArena {
         &self.nodes[id as usize]
     }
 
-    /// Rebuild the full [`PlanExpr`] tree for a committed node; `cands`
-    /// is the candidate table its scan nodes name. Joins take the outer's
-    /// order.
+    pub fn push(&mut self, node: ArenaNode) -> NodeId {
+        let id = dense_id(self.nodes.len());
+        self.nodes.push(node);
+        id
+    }
+
+    /// Rebuild the full [`PlanExpr`] tree for a node; `cands` is the
+    /// candidate table its scan nodes name. Joins take the outer's order.
     pub fn materialize(&self, id: NodeId, cands: &[AccessCandidate]) -> PlanExpr {
         let n = self.node(id);
         let child = |c: &NodeId| Box::new(self.materialize(*c, cands));
@@ -127,73 +127,6 @@ impl PlanArena {
             }
         };
         PlanExpr { node, cost: n.cost, rows: n.rows, order }
-    }
-
-    /// Copy a surviving scratch subtree into the main arena, returning
-    /// its committed id. Ids below `base` already live in the main arena
-    /// and are returned as-is (memoized outers); scratch-internal edges
-    /// are remapped through `remap`, keyed by `(item, scratch id)` so
-    /// slots of one subset that alias the same scratch node commit to the
-    /// same main node while distinct items' id spaces stay separate.
-    pub fn commit(
-        &mut self,
-        scratch: &[ArenaNode],
-        base: NodeId,
-        item: usize,
-        id: NodeId,
-        remap: &mut HashMap<(usize, NodeId), NodeId>,
-    ) -> NodeId {
-        if id < base {
-            return id;
-        }
-        if let Some(&mapped) = remap.get(&(item, id)) {
-            return mapped;
-        }
-        let mut node = scratch[(id - base) as usize].clone();
-        match &mut node.kind {
-            NodeKind::Scan(_) => {}
-            NodeKind::NestedLoop { outer, inner } | NodeKind::Merge { outer, inner, .. } => {
-                *outer = self.commit(scratch, base, item, *outer, remap);
-                *inner = self.commit(scratch, base, item, *inner, remap);
-            }
-            NodeKind::Sort { input, .. } => {
-                *input = self.commit(scratch, base, item, *input, remap);
-            }
-        }
-        let committed = dense_id(self.nodes.len());
-        self.nodes.push(node);
-        remap.insert((item, id), committed);
-        committed
-    }
-}
-
-/// A view of the frozen main arena plus a private scratch tail, used
-/// while generating candidates for one work item (or, with an empty
-/// main, for the oracle paths that append wholesale).
-pub struct WorkArena<'a> {
-    main: &'a [ArenaNode],
-    base: NodeId,
-    pub local: Vec<ArenaNode>,
-}
-
-impl<'a> WorkArena<'a> {
-    pub fn new(main: &'a [ArenaNode]) -> Self {
-        let base = dense_id(main.len());
-        WorkArena { main, base, local: Vec::new() }
-    }
-
-    pub fn node(&self, id: NodeId) -> &ArenaNode {
-        if id < self.base {
-            &self.main[id as usize]
-        } else {
-            &self.local[(id - self.base) as usize]
-        }
-    }
-
-    pub fn push(&mut self, node: ArenaNode) -> NodeId {
-        let id = self.base + dense_id(self.local.len());
-        self.local.push(node);
-        id
     }
 }
 
@@ -229,16 +162,16 @@ mod tests {
     #[test]
     fn materialize_rebuilds_nested_tree() {
         let mut arena = PlanArena::default();
-        arena.nodes.push(scan_node(0, 10.0));
-        arena.nodes.push(scan_node(1, 3.0));
-        arena.nodes.push(ArenaNode {
-            kind: NodeKind::NestedLoop { outer: 0, inner: 1 },
+        let outer = arena.push(scan_node(0, 10.0));
+        let inner = arena.push(scan_node(1, 3.0));
+        let join = arena.push(ArenaNode {
+            kind: NodeKind::NestedLoop { outer, inner },
             cost: Cost::new(13.0, 0.0),
             rows: 5.0,
             key: 0,
             count: 3,
         });
-        let p = arena.materialize(2, &cands(2));
+        let p = arena.materialize(join, &cands(2));
         assert_eq!(p.cost, Cost::new(13.0, 0.0));
         assert_eq!(p.rows, 5.0);
         assert_eq!(p.node_count(), 3);
@@ -247,44 +180,5 @@ mod tests {
         assert_eq!(inner.cost.pages, 3.0);
         let PlanNode::Scan(s) = &inner.node else { panic!() };
         assert_eq!(s.table, 1, "the scan node's candidate handle resolves to its table");
-    }
-
-    #[test]
-    fn commit_remaps_scratch_and_preserves_aliasing() {
-        let mut arena = PlanArena::default();
-        arena.nodes.push(scan_node(0, 10.0)); // committed outer, id 0
-        let base = 1;
-        // Scratch: a scan (id 1) and a join over (main 0, scratch 1) at id 2.
-        let scratch = vec![
-            scan_node(1, 3.0),
-            ArenaNode {
-                kind: NodeKind::NestedLoop { outer: 0, inner: 1 },
-                cost: Cost::new(13.0, 0.0),
-                rows: 5.0,
-                key: 0,
-                count: 3,
-            },
-        ];
-        let mut remap = HashMap::new();
-        let a = arena.commit(&scratch, base, 0, 2, &mut remap);
-        let b = arena.commit(&scratch, base, 0, 2, &mut remap);
-        assert_eq!(a, b, "same scratch id commits once");
-        assert_eq!(arena.nodes.len(), 3);
-        let NodeKind::NestedLoop { outer, inner } = &arena.node(a).kind else { panic!() };
-        assert_eq!(*outer, 0, "main-arena child kept as-is");
-        assert!(*inner >= base, "scratch child copied into main");
-        // A different item's identical scratch id commits separately.
-        let c = arena.commit(&scratch, base, 1, 2, &mut remap);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn work_arena_two_tier_addressing() {
-        let main = vec![scan_node(0, 1.0)];
-        let mut wa = WorkArena::new(&main);
-        let id = wa.push(scan_node(1, 2.0));
-        assert_eq!(id, 1);
-        assert_eq!(wa.node(0).cost.pages, 1.0);
-        assert_eq!(wa.node(1).cost.pages, 2.0);
     }
 }

@@ -16,28 +16,28 @@
 //!
 //! # Hot-path engineering
 //!
-//! The search works on an indexed [`PlanArena`]
-//! instead of cloned [`PlanExpr`] trees, with order keys interned to
-//! dense ids ([`KeyInterner`]) — candidate
-//! generation is a node push, not a subtree clone, and solution stores
-//! are flat slot arrays. Scan nodes are handles into the search-wide
-//! candidate table `AccessCache` owns and merge nodes share their
-//! scaffold's residual list, so a candidate copies no plan data. Every
-//! level-*k* subset depends only on the frozen level-<*k* memo: a level's
-//! (subset, extension) work items are solved one after another against
-//! that memo and merged in work-item order, so ties always resolve to the
-//! first minimum of the candidate stream. An item exists only when its
-//! outer subset has a plan: the outers without one are the subsets the
+//! The search works on an indexed [`PlanArena`] instead of cloned
+//! [`PlanExpr`] trees, with order keys interned to dense ids
+//! ([`KeyInterner`]) — candidate generation is a node push, not a subtree
+//! clone, and solution stores are flat slot arrays. Scan nodes are handles
+//! into the search-wide candidate table `AccessCache` owns and merge nodes
+//! share their scaffold's residual list, so a candidate copies no plan
+//! data. The search is one loop over one arena: for each subset, smallest
+//! first, each relation `t` that may join last, in `set.iter()` order,
+//! pushes its candidates into the arena and offers each to the subset's
+//! slot array, so ties resolve to the first minimum of that candidate
+//! stream. A last relation builds candidates only when its outer subset
+//! has a plan: the outers without one are the subsets the
 //! Cartesian-deferral heuristic left disconnected, which extend to
-//! nothing.
+//! nothing. Pruned candidates stay in the arena until the search returns.
 
 #![expect(
     clippy::indexing_slicing,
-    reason = "join-order DP: solution tables, item lists, and order-class slots are indexed by subset ranks and slot ids minted by the same enumeration pass"
+    reason = "join-order DP: solution tables and order-class slots are indexed by slot ids minted by the same enumeration pass"
 )]
 
 use crate::access::{access_paths, AccessCandidate, PlanCtx};
-use crate::arena::{ArenaNode, CandId, NodeId, NodeKind, PlanArena, WorkArena};
+use crate::arena::{ArenaNode, CandId, NodeId, NodeKind, PlanArena};
 use crate::bitset::TableSet;
 use crate::intern::{KeyId, KeyInterner, EMPTY_KEY};
 use crate::join::{
@@ -76,14 +76,6 @@ pub struct EnumerationStats {
     pub elapsed_micros: u64,
 }
 
-/// One subset's surviving solutions, for search-tree reporting (the
-/// paper's Figures 3-6): the cheapest plan per interesting-order key (the
-/// empty key is the cheapest overall).
-pub struct SubsetReport {
-    pub set: TableSet,
-    pub entries: Vec<(OrderKey, PlanExpr)>,
-}
-
 /// One surviving solution-table slot in a [`SubsetTrace`].
 #[derive(Debug, Clone)]
 pub struct TraceEntry {
@@ -96,6 +88,8 @@ pub struct TraceEntry {
     pub rows: f64,
     /// Compact plan shape, e.g. `(DEPT ⋈nl EMP(EMP_DNO))`.
     pub shape: String,
+    /// The slot's plan.
+    pub plan: PlanExpr,
 }
 
 /// What the DP search did for one subset of the FROM list.
@@ -198,54 +192,16 @@ type SlotStore = Box<[Option<NodeId>]>;
 
 /// Everything one DP run produced (internal).
 struct SearchOutcome {
-    best: PlanExpr,
     stats: EnumerationStats,
     arena: PlanArena,
     memo: HashMap<TableSet, SlotStore>,
     /// The candidate table the arena's scan nodes name.
     cands: Vec<AccessCandidate>,
-    /// Interner snapshot that decodes the memo's slot indexes (the
-    /// relaxed fallback re-runs with its own enumerator, so the outcome
-    /// must carry the interner that produced it).
-    keys: KeyInterner,
     /// Candidates generated per subset (sums to `stats.plans_considered`).
     generated: HashMap<TableSet, u64>,
     /// True if the heuristic stranded the full set and the search re-ran
     /// with `defer_cartesian` off.
     relaxed: bool,
-}
-
-impl SearchOutcome {
-    /// One subset's stored plans with their order keys, sorted by key.
-    fn entries(&self, slots: &SlotStore) -> Vec<(OrderKey, PlanExpr)> {
-        let mut entries: Vec<(OrderKey, PlanExpr)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(kid, slot)| {
-                let key = self.keys.get(dense_id(kid));
-                slot.map(|id| (key.clone(), self.arena.materialize(id, &self.cands)))
-            })
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-}
-
-/// One unit of DP work: extend subset `set` by joining relation `t` last.
-/// A level's items each read only the frozen lower-level memo and are
-/// merged in item order.
-struct WorkItem {
-    set: TableSet,
-    t: usize,
-}
-
-/// What solving one work item produced: the per-slot winners among this
-/// item's candidate stream, the scratch nodes those winners reference,
-/// and how many candidates the item generated.
-struct ItemOut {
-    slots: Vec<Option<(NodeId, f64)>>,
-    scratch: Vec<ArenaNode>,
-    generated: u64,
 }
 
 /// The search's candidate table and a memo for [`access_paths`]: its
@@ -287,12 +243,13 @@ impl AccessCache {
     }
 }
 
-/// Per-item candidate scaffolding shared by every outer plan of the item:
-/// the inner access-path nodes (pushed once, referenced per join) and the
-/// merge-key variants with their residual factor lists.
-struct ItemScaffold {
+/// Candidate scaffolding for joining one relation last into one subset,
+/// shared by every outer plan: the inner access-path nodes (pushed once,
+/// referenced per join) and the merge-key variants with their residual
+/// factor lists.
+struct Scaffold {
     rows_out: f64,
-    /// Nested-loop inners: scratch node + buffer-resident page cap.
+    /// Nested-loop inners: node + buffer-resident page cap.
     probes: Vec<(NodeId, Option<f64>)>,
     merges: Vec<MergeScaffold>,
 }
@@ -302,7 +259,7 @@ struct MergeScaffold {
     inner_col: ColId,
     /// Interned key of a sort on `outer_col` (for unsorted outers).
     outer_sort_key: KeyId,
-    /// Merge inner variants: scratch node + residual factors.
+    /// Merge inner variants: node + residual factors.
     inner_variants: Vec<(NodeId, Rc<[usize]>)>,
 }
 
@@ -338,44 +295,40 @@ impl<'a> Enumerator<'a> {
         Enumerator { ctx, keys, class_keys, index_keys }
     }
 
-    /// Run the DP search and also return the full solution table — the
-    /// paper's "tree of possible solutions" — for the Figure 2-6 search
-    /// tree dumps. Entries are sorted by subset then order key.
-    pub fn best_plan_with_tree(&self) -> (PlanExpr, EnumerationStats, Vec<SubsetReport>) {
-        let o = self.run_search();
-        let mut reports: Vec<SubsetReport> = o
-            .memo
-            .iter()
-            .map(|(&set, slots)| SubsetReport { set, entries: o.entries(slots) })
-            .collect();
-        reports.sort_by_key(|r| (r.set.len(), r.set.0));
-        (o.best, o.stats, reports)
-    }
-
     /// Run the DP search and return the cheapest complete plan (with a
     /// final sort appended if the required order could not be produced
     /// more cheaply by an ordered plan — §4's "cheapest of these
     /// alternatives").
     pub fn best_plan(&self) -> (PlanExpr, EnumerationStats) {
-        let o = self.run_search();
-        (o.best, o.stats)
+        let (best, o) = self.run_search();
+        (best, o.stats)
     }
 
     /// Run the DP search and additionally return the [`SearchTrace`]:
     /// per-subset candidate generation, pruning, and surviving slots.
     pub fn best_plan_traced(&self) -> (PlanExpr, EnumerationStats, SearchTrace) {
-        let o = self.run_search();
+        let (best, o) = self.run_search();
         let mut subsets: Vec<SubsetTrace> = o
             .memo
             .iter()
             .map(|(&set, slots)| {
-                let entries = o.entries(slots);
+                let entries: Vec<TraceEntry> = self
+                    .entries(&o, slots)
+                    .into_iter()
+                    .map(|(order, plan)| TraceEntry {
+                        order,
+                        total: self.ctx.model.total(plan.cost),
+                        rows: plan.rows,
+                        shape: self.shape(&plan),
+                        plan,
+                    })
+                    .collect();
                 // Distinct plans: the cheapest-overall slot usually aliases
                 // one of the order slots; count each stored plan once.
                 let mut distinct: Vec<&PlanExpr> = Vec::new();
-                for (_, p) in &entries {
-                    if !distinct.contains(&p) {
-                        distinct.push(p);
+                for e in &entries {
+                    if !distinct.contains(&&e.plan) {
+                        distinct.push(&e.plan);
                     }
                 }
                 let surviving = distinct.len() as u64;
@@ -397,15 +350,7 @@ impl<'a> Enumerator<'a> {
                     generated,
                     pruned: generated.saturating_sub(surviving),
                     surviving,
-                    entries: entries
-                        .into_iter()
-                        .map(|(order, p)| TraceEntry {
-                            order,
-                            total: self.ctx.model.total(p.cost),
-                            rows: p.rows,
-                            shape: self.shape(&p),
-                        })
-                        .collect(),
+                    entries,
                 }
             })
             .collect();
@@ -414,7 +359,22 @@ impl<'a> Enumerator<'a> {
         // (which ordered subsets alphabetically, not by FROM position).
         subsets.sort_by_key(|s| (s.level, s.set.0));
         let trace = SearchTrace { subsets, stats: o.stats, relaxed_fallback: o.relaxed };
-        (o.best, o.stats, trace)
+        (best, o.stats, trace)
+    }
+
+    /// One subset's stored plans with their order keys, sorted by key.
+    fn entries(&self, o: &SearchOutcome, slots: &SlotStore) -> Vec<(OrderKey, PlanExpr)> {
+        let mut entries: Vec<(OrderKey, PlanExpr)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(kid, slot)| {
+                slot.map(|id| {
+                    (self.keys.get(dense_id(kid)).clone(), o.arena.materialize(id, &o.cands))
+                })
+            })
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 
     /// Compact one-line plan shape for trace entries.
@@ -475,9 +435,9 @@ impl<'a> Enumerator<'a> {
         self.ctx.orders.class_of(col).map(|c| self.class_keys[c]).unwrap_or(EMPTY_KEY)
     }
 
-    fn push_scan(&self, wa: &mut WorkArena<'_>, cands: &[AccessCandidate], c: CandId) -> NodeId {
+    fn push_scan(&self, arena: &mut PlanArena, cands: &[AccessCandidate], c: CandId) -> NodeId {
         let cand = &cands[c as usize];
-        wa.push(ArenaNode {
+        arena.push(ArenaNode {
             kind: NodeKind::Scan(c),
             cost: cand.cost,
             rows: cand.out_rows,
@@ -488,21 +448,21 @@ impl<'a> Enumerator<'a> {
 
     fn push_sort(
         &self,
-        wa: &mut WorkArena<'_>,
+        arena: &mut PlanArena,
         input: NodeId,
         keys: Vec<ColId>,
         width: f64,
         key: KeyId,
     ) -> NodeId {
         let (cost, rows, count) = {
-            let n = wa.node(input);
+            let n = arena.node(input);
             (sort_cost(n.cost, n.rows, width), n.rows, n.count + 1)
         };
         // DP-interior sorts (merge-join inputs, single-column keys) are
         // always whole-input sorts: a covered single-column prefix means
         // the caller uses the input as-is instead of sorting. Partial
         // sorts enter at required-order enforcement only.
-        wa.push(ArenaNode {
+        arena.push(ArenaNode {
             kind: NodeKind::Sort { input, keys, sorted_prefix: 0 },
             cost,
             rows,
@@ -511,29 +471,29 @@ impl<'a> Enumerator<'a> {
         })
     }
 
-    /// Build the per-item scaffolding for joining `t` last into `set`:
+    /// Build the scaffolding for joining `t` last into `set`:
     /// nested-loop inners (the `probe` candidates) pushed once and merge
     /// variants over the `local` candidates with their residuals, shared
     /// across every outer plan.
     fn build_scaffold(
         &self,
-        wa: &mut WorkArena<'_>,
+        arena: &mut PlanArena,
         cands: &[AccessCandidate],
         t: usize,
         set: TableSet,
         probe: Range<CandId>,
         local: Range<CandId>,
-    ) -> ItemScaffold {
+    ) -> Scaffold {
         let s_prime = set.minus(TableSet::single(t));
         let probes: Vec<(NodeId, Option<f64>)> = probe
-            .map(|c| (self.push_scan(wa, cands, c), self.inner_footprint(t, &cands[c as usize])))
+            .map(|c| (self.push_scan(arena, cands, c), self.inner_footprint(t, &cands[c as usize])))
             .collect();
         // Local scan nodes are pushed lazily, once, and shared across the
         // merge keys that use them.
         let mut local_nodes: Vec<Option<NodeId>> = vec![None; local.len()];
-        let mut local_node = |wa: &mut WorkArena<'_>, c: CandId| {
+        let mut local_node = |arena: &mut PlanArena, c: CandId| {
             *local_nodes[(c - local.start) as usize]
-                .get_or_insert_with(|| self.push_scan(wa, cands, c))
+                .get_or_insert_with(|| self.push_scan(arena, cands, c))
         };
         let mut merges = Vec::new();
         for (fidx, outer_col, inner_col) in self.merge_keys(t, s_prime) {
@@ -544,16 +504,16 @@ impl<'a> Enumerator<'a> {
                 let cand = &cands[c as usize];
                 if cand.order.first() == Some(&inner_col) {
                     let residual = self.residual_factors(t, set, &cand.applied, fidx);
-                    inner_variants.push((local_node(wa, c), residual));
+                    inner_variants.push((local_node(arena, c), residual));
                 }
             }
             if let Some(c) = local.clone().min_by(|&a, &b| {
                 let total = |c: CandId| self.ctx.model.total(cands[c as usize].cost);
                 total(a).total_cmp(&total(b))
             }) {
-                let node = local_node(wa, c);
+                let node = local_node(arena, c);
                 let sorted = self.push_sort(
-                    wa,
+                    arena,
                     node,
                     vec![inner_col],
                     self.ctx.width(t),
@@ -569,7 +529,7 @@ impl<'a> Enumerator<'a> {
                 inner_variants,
             });
         }
-        ItemScaffold { rows_out: self.ctx.subset_rows(set), probes, merges }
+        Scaffold { rows_out: self.ctx.subset_rows(set), probes, merges }
     }
 
     /// Residual factors of a merge on factor `fidx`: every factor newly in
@@ -604,39 +564,39 @@ impl<'a> Enumerator<'a> {
     /// the same order the tree-cloning implementation produced them.
     fn extend_outer(
         &self,
-        wa: &mut WorkArena<'_>,
-        sc: &ItemScaffold,
+        arena: &mut PlanArena,
+        sc: &Scaffold,
         s_prime: TableSet,
         outer: NodeId,
-        emit: &mut impl FnMut(&mut WorkArena<'_>, NodeId),
+        emit: &mut impl FnMut(&PlanArena, NodeId),
     ) {
         // ---- nested loops ------------------------------------------------
         for &(inner, cap) in &sc.probes {
             let (cost, key, count) = {
-                let o = wa.node(outer);
-                let i = wa.node(inner);
+                let o = arena.node(outer);
+                let i = arena.node(inner);
                 (nested_loop_cost(o.cost, o.rows, i.cost, cap), o.key, o.count + i.count + 1)
             };
-            let id = wa.push(ArenaNode {
+            let id = arena.push(ArenaNode {
                 kind: NodeKind::NestedLoop { outer, inner },
                 cost,
                 rows: sc.rows_out,
                 key,
                 count,
             });
-            emit(wa, id);
+            emit(arena, id);
         }
         // ---- merging scans -----------------------------------------------
         for m in &sc.merges {
             // Outer side: use as-is when already ordered on the join
             // column's class, otherwise sort the composite.
             let outer_ready =
-                self.keys.leads_with(wa.node(outer).key, self.ctx.orders.class_of(m.outer_col));
+                self.keys.leads_with(arena.node(outer).key, self.ctx.orders.class_of(m.outer_col));
             let outer_variant = if outer_ready {
                 outer
             } else {
                 self.push_sort(
-                    wa,
+                    arena,
                     outer,
                     vec![m.outer_col],
                     self.ctx.composite_width(s_prime),
@@ -645,11 +605,11 @@ impl<'a> Enumerator<'a> {
             };
             for (inner, residual) in &m.inner_variants {
                 let (cost, key, count) = {
-                    let o = wa.node(outer_variant);
-                    let i = wa.node(*inner);
+                    let o = arena.node(outer_variant);
+                    let i = arena.node(*inner);
                     (merge_cost(o.cost, i.cost), o.key, o.count + i.count + 1)
                 };
-                let id = wa.push(ArenaNode {
+                let id = arena.push(ArenaNode {
                     kind: NodeKind::Merge {
                         outer: outer_variant,
                         inner: *inner,
@@ -662,23 +622,23 @@ impl<'a> Enumerator<'a> {
                     key,
                     count,
                 });
-                emit(wa, id);
+                emit(arena, id);
             }
         }
     }
 
-    /// Offer a candidate to an item's slot store: it may become the
+    /// Offer a candidate to a subset's slot store: it may become the
     /// cheapest plan overall (slot 0) and/or the cheapest for its
     /// interesting-order class. Ties keep the earlier candidate.
     fn consider(
         &self,
-        wa: &WorkArena<'_>,
+        arena: &PlanArena,
         slots: &mut [Option<(NodeId, f64)>],
         id: NodeId,
         generated: &mut u64,
     ) {
         *generated += 1;
-        let node = wa.node(id);
+        let node = arena.node(id);
         let key = if self.ctx.config.interesting_orders { node.key } else { EMPTY_KEY };
         let total = self.ctx.model.total(node.cost);
         if key != EMPTY_KEY {
@@ -693,60 +653,26 @@ impl<'a> Enumerator<'a> {
         }
     }
 
-    /// Solve one work item against the frozen lower-level memo: generate
-    /// this (subset, extension)'s candidate stream and keep the per-slot
-    /// winners. A pure function of the item and the frozen memo.
-    fn solve_item(
-        &self,
-        item: &WorkItem,
-        main: &[ArenaNode],
-        memo: &HashMap<TableSet, SlotStore>,
-        cache: &mut AccessCache,
-    ) -> ItemOut {
-        let mut wa = WorkArena::new(main);
-        let mut slots: Vec<Option<(NodeId, f64)>> = vec![None; self.keys.len()];
-        let mut generated = 0u64;
-        let s_prime = item.set.minus(TableSet::single(item.t));
-        if s_prime.is_empty() {
-            // Level 1: every access path for the single relation.
-            for c in cache.paths(&self.ctx, item.t, TableSet::EMPTY) {
-                let id = self.push_scan(&mut wa, &cache.cands, c);
-                self.consider(&wa, &mut slots, id, &mut generated);
-            }
-        } else if let Some(outer_slots) = memo.get(&s_prime) {
-            let probe = cache.paths(&self.ctx, item.t, s_prime);
-            let local = cache.paths(&self.ctx, item.t, TableSet::EMPTY);
-            let sc = self.build_scaffold(&mut wa, &cache.cands, item.t, item.set, probe, local);
-            for outer in outer_slots.iter().flatten().copied() {
-                self.extend_outer(&mut wa, &sc, s_prime, outer, &mut |wa, id| {
-                    self.consider(wa, &mut slots, id, &mut generated);
-                });
-            }
-        }
-        ItemOut { slots, scratch: wa.local, generated }
-    }
-
-    /// The DP proper: build every level's solutions. Returns the arena,
-    /// memo, per-subset generated counts and the candidate table the
-    /// arena's scans name; `stats` accumulates the run's counters.
-    fn search_levels(
-        &self,
-        stats: &mut EnumerationStats,
-    ) -> (PlanArena, HashMap<TableSet, SlotStore>, HashMap<TableSet, u64>, Vec<AccessCandidate>)
-    {
+    /// The DP proper: every subset's solutions, smallest subsets first,
+    /// with the Cartesian-deferral heuristic on when `defer_cartesian`.
+    fn search_levels(&self, defer_cartesian: bool) -> SearchOutcome {
         let n = self.ctx.query.tables.len();
+        let mut stats = EnumerationStats::default();
         let mut arena = PlanArena::default();
         let mut memo: HashMap<TableSet, SlotStore> = HashMap::new();
         let mut generated: HashMap<TableSet, u64> = HashMap::new();
         // One access-path cache for the whole search (pure memoization, so
-        // reuse across levels cannot change any candidate stream).
+        // reuse across subsets cannot change any candidate stream).
         let mut cache = AccessCache::new(self.ctx.query.factors.len());
+        let mut slots: Vec<Option<(NodeId, f64)>> = Vec::new();
 
         // ---- level by level (Figs. 2-6): singles, then larger subsets ----
         for k in 1..=n {
-            let subsets: Vec<TableSet> = TableSet::subsets_of_size(n, k).collect();
-            let mut items: Vec<WorkItem> = Vec::new();
-            for &set in &subsets {
+            for set in TableSet::subsets_of_size(n, k) {
+                stats.subsets_examined += 1;
+                slots.clear();
+                slots.resize(self.keys.len(), None);
+                let mut gen = 0u64;
                 for t in set.iter() {
                     let s_prime = set.minus(TableSet::single(t));
                     // Which relations may join last? The paper's heuristic:
@@ -757,94 +683,61 @@ impl<'a> Enumerator<'a> {
                     // outer instead, so products are "performed as late in
                     // the join sequence as possible". Of the allowed ones,
                     // only an outer with a plan yields candidates.
-                    if self.ctx.config.defer_cartesian && !self.extension_allowed(t, s_prime) {
+                    if defer_cartesian && !self.extension_allowed(t, s_prime) {
                         stats.heuristic_skips += 1;
-                    } else if s_prime.is_empty()
-                        || memo.get(&s_prime).is_some_and(|o| o.iter().any(Option::is_some))
+                    } else if s_prime.is_empty() {
+                        // Level 1: every access path for the single relation.
+                        for c in cache.paths(&self.ctx, t, TableSet::EMPTY) {
+                            let id = self.push_scan(&mut arena, &cache.cands, c);
+                            self.consider(&arena, &mut slots, id, &mut gen);
+                        }
+                    } else if let Some(outers) =
+                        memo.get(&s_prime).filter(|o| o.iter().any(Option::is_some))
                     {
-                        items.push(WorkItem { set, t });
-                    }
-                }
-            }
-            stats.subsets_examined += subsets.len() as u64;
-
-            // Scratch ids minted by the items start at the frozen arena
-            // length; capture it before commits grow the arena.
-            let base = dense_id(arena.nodes.len());
-            let results: Vec<ItemOut> = items
-                .iter()
-                .map(|it| self.solve_item(it, &arena.nodes, &memo, &mut cache))
-                .collect();
-
-            // ---- merge + commit, subset by subset ------------------------
-            let mut item_idx = 0usize;
-            for &set in &subsets {
-                let mut merged: Vec<Option<(usize, NodeId, f64)>> = vec![None; self.keys.len()];
-                let mut gen = 0u64;
-                while item_idx < items.len() && items[item_idx].set == set {
-                    let r = &results[item_idx];
-                    gen += r.generated;
-                    for (kid, slot) in r.slots.iter().enumerate() {
-                        if let Some((node, total)) = slot {
-                            // Replace only when strictly cheaper: each
-                            // item's slot already holds the first minimum
-                            // of its own stream, so folding in item order
-                            // reproduces the subset's first minimum.
-                            match merged[kid] {
-                                Some((_, _, best)) if best <= *total => {}
-                                _ => merged[kid] = Some((item_idx, *node, *total)),
-                            }
+                        let probe = cache.paths(&self.ctx, t, s_prime);
+                        let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
+                        let sc =
+                            self.build_scaffold(&mut arena, &cache.cands, t, set, probe, local);
+                        for outer in outers.iter().flatten().copied() {
+                            self.extend_outer(&mut arena, &sc, s_prime, outer, &mut |arena, id| {
+                                self.consider(arena, &mut slots, id, &mut gen);
+                            });
                         }
                     }
-                    item_idx += 1;
                 }
-                let mut remap: HashMap<(usize, NodeId), NodeId> = HashMap::new();
-                let committed: SlotStore = merged
-                    .iter()
-                    .map(|slot| {
-                        slot.map(|(item, node, _)| {
-                            arena.commit(&results[item].scratch, base, item, node, &mut remap)
-                        })
-                    })
-                    .collect();
                 stats.plans_considered += gen;
                 generated.insert(set, gen);
-                memo.insert(set, committed);
+                memo.insert(set, slots.iter().map(|slot| slot.map(|(id, _)| id)).collect());
             }
         }
-        (arena, memo, generated, cache.cands)
+        SearchOutcome { stats, arena, memo, cands: cache.cands, generated, relaxed: false }
     }
 
-    fn run_search(&self) -> SearchOutcome {
+    /// Run the DP search and choose the cheapest complete plan.
+    fn run_search(&self) -> (PlanExpr, SearchOutcome) {
         let started = std::time::Instant::now();
-        let mut stats = EnumerationStats::default();
         let n = self.ctx.query.tables.len();
         assert!(n > 0, "query block has no tables");
-        let (arena, memo, generated, cands) = self.search_levels(&mut stats);
+        let full = TableSet::full(n);
+        let mut o = self.search_levels(self.ctx.config.defer_cartesian);
+        if !o.memo.get(&full).is_some_and(|s| s.iter().any(Option::is_some)) {
+            // Degenerate join graphs can strand the heuristic; re-run with
+            // it off (correctness over pruning).
+            debug_assert!(self.ctx.config.defer_cartesian, "full set must be solvable");
+            o = self.search_levels(false);
+            o.relaxed = true;
+        }
+        let (arena, memo, cands) = (&o.arena, &o.memo, o.cands.as_slice());
 
         // ---- final choice: required order vs. cheapest + sort -------------
-        let full = TableSet::full(n);
-        if memo.get(&full).map(|s| s.iter().all(Option::is_none)).unwrap_or(true) {
-            // Degenerate join graphs can strand the heuristic; fall back to
-            // the exhaustive pairing (correctness over pruning).
-            debug_assert!(self.ctx.config.defer_cartesian, "full set must be solvable");
-            let relaxed = Enumerator::new(
-                self.ctx.catalog,
-                self.ctx.query,
-                OptimizerConfig { defer_cartesian: false, ..self.ctx.config },
-            );
-            let mut outcome = relaxed.run_search();
-            outcome.relaxed = true;
-            return outcome;
-        }
         #[expect(
             clippy::expect_used,
             reason = "run_search falls back to the relaxed pass above precisely so the full set \
                       always has at least one solution"
         )]
         let sols = memo.get(&full).expect("full set always has solutions");
-        stats.plans_kept = memo.values().map(|s| s.iter().flatten().count() as u64).sum();
-        stats.solution_bytes = memo
+        o.stats.plans_kept = memo.values().map(|s| s.iter().flatten().count() as u64).sum();
+        o.stats.solution_bytes = memo
             .values()
             .flat_map(|s| s.iter().flatten())
             .map(|&id| u64::from(arena.node(id).count) * PLAN_EXPR_BYTES)
@@ -858,7 +751,7 @@ impl<'a> Enumerator<'a> {
             )]
             let id =
                 sols[Self::slot_index(EMPTY_KEY)].expect("cheapest-overall slot always filled");
-            arena.materialize(id, &cands)
+            arena.materialize(id, cands)
         } else {
             let ordered = sols
                 .iter()
@@ -882,7 +775,7 @@ impl<'a> Enumerator<'a> {
             // Enforcement candidate: a full sort over the cheapest plan
             // overall…
             let mut sorted =
-                sort_plan(arena.materialize(unordered, &cands), keys_cols.clone(), width);
+                sort_plan(arena.materialize(unordered, cands), keys_cols.clone(), width);
             // …or a partial sort over any slot whose order already covers
             // a non-empty prefix of the requirement — the plan may cost
             // more to produce but only within-run sorting remains. Only
@@ -907,7 +800,7 @@ impl<'a> Enumerator<'a> {
                 let cost = partial_sort_cost(n.cost, n.rows, width, runs);
                 if self.ctx.model.better(cost, sorted.cost) {
                     sorted = partial_sort_plan(
-                        arena.materialize(id, &cands),
+                        arena.materialize(id, cands),
                         keys_cols.clone(),
                         prefix,
                         width,
@@ -915,22 +808,13 @@ impl<'a> Enumerator<'a> {
                     );
                 }
             }
-            match ordered.map(|id| arena.materialize(id, &cands)) {
+            match ordered.map(|id| arena.materialize(id, cands)) {
                 Some(o) if self.ctx.model.better(o.cost, sorted.cost) => o,
                 _ => sorted,
             }
         };
-        stats.elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        SearchOutcome {
-            best,
-            stats,
-            arena,
-            memo,
-            cands,
-            keys: self.keys.clone(),
-            generated,
-            relaxed: false,
-        }
+        o.stats.elapsed_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        (best, o)
     }
 
     /// Exhaustively enumerate complete plans (no pruning, no heuristic),
@@ -943,26 +827,22 @@ impl<'a> Enumerator<'a> {
         let mut memo: HashMap<TableSet, Vec<NodeId>> = HashMap::new();
         let mut cache = AccessCache::new(self.ctx.query.factors.len());
         for t in 0..n {
-            let mut wa = WorkArena::new(&arena.nodes);
             let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
             let ids: Vec<NodeId> =
-                local.map(|c| self.push_scan(&mut wa, &cache.cands, c)).collect();
-            let WorkArena { local: scratch, .. } = wa;
-            arena.nodes.extend(scratch);
+                local.map(|c| self.push_scan(&mut arena, &cache.cands, c)).collect();
             memo.insert(TableSet::single(t), ids);
         }
         for k in 2..=n {
             for set in TableSet::subsets_of_size(n, k) {
                 let mut refs: Vec<NodeId> = Vec::new();
-                let mut wa = WorkArena::new(&arena.nodes);
                 'extend: for t in set.iter() {
                     let s_prime = set.minus(TableSet::single(t));
                     let Some(outers) = memo.get(&s_prime) else { continue };
                     let probe = cache.paths(&self.ctx, t, s_prime);
                     let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
-                    let sc = self.build_scaffold(&mut wa, &cache.cands, t, set, probe, local);
+                    let sc = self.build_scaffold(&mut arena, &cache.cands, t, set, probe, local);
                     for &outer in outers {
-                        self.extend_outer(&mut wa, &sc, s_prime, outer, &mut |_, id| {
+                        self.extend_outer(&mut arena, &sc, s_prime, outer, &mut |_, id| {
                             refs.push(id);
                         });
                         if refs.len() > cap {
@@ -971,10 +851,6 @@ impl<'a> Enumerator<'a> {
                     }
                 }
                 refs.truncate(cap);
-                let WorkArena { local: scratch, .. } = wa;
-                // Scratch ids were minted from the arena's frozen length,
-                // so a wholesale append keeps every ref valid.
-                arena.nodes.extend(scratch);
                 memo.insert(set, refs);
             }
         }
@@ -1041,37 +917,29 @@ impl<'a> Enumerator<'a> {
         }
         let mut arena = PlanArena::default();
         let mut cache = AccessCache::new(self.ctx.query.factors.len());
-        let mut frontier: Vec<NodeId> = {
-            let mut wa = WorkArena::new(&arena.nodes);
-            let local = cache.paths(&self.ctx, order[0], TableSet::EMPTY);
-            let ids: Vec<NodeId> =
-                local.map(|c| self.push_scan(&mut wa, &cache.cands, c)).collect();
-            let WorkArena { local: scratch, .. } = wa;
-            arena.nodes.extend(scratch);
-            ids
-        };
+        let mut frontier: Vec<NodeId> = cache
+            .paths(&self.ctx, order[0], TableSet::EMPTY)
+            .map(|c| self.push_scan(&mut arena, &cache.cands, c))
+            .collect();
         let mut joined = TableSet::single(order[0]);
         for &t in &order[1..] {
             let set = joined.union(TableSet::single(t));
             let probe = cache.paths(&self.ctx, t, joined);
             let local = cache.paths(&self.ctx, t, TableSet::EMPTY);
-            let mut wa = WorkArena::new(&arena.nodes);
-            let sc = self.build_scaffold(&mut wa, &cache.cands, t, set, probe, local);
+            let sc = self.build_scaffold(&mut arena, &cache.cands, t, set, probe, local);
             let mut next: Vec<NodeId> = Vec::new();
             for &outer in &frontier {
-                self.extend_outer(&mut wa, &sc, joined, outer, &mut |_, id| next.push(id));
+                self.extend_outer(&mut arena, &sc, joined, outer, &mut |_, id| next.push(id));
             }
             if next.len() > cap {
                 next.sort_by(|&a, &b| {
                     self.ctx
                         .model
-                        .total(wa.node(a).cost)
-                        .total_cmp(&self.ctx.model.total(wa.node(b).cost))
+                        .total(arena.node(a).cost)
+                        .total_cmp(&self.ctx.model.total(arena.node(b).cost))
                 });
                 next.truncate(cap);
             }
-            let WorkArena { local: scratch, .. } = wa;
-            arena.nodes.extend(scratch);
             frontier = next;
             joined = set;
         }
@@ -1288,6 +1156,29 @@ mod tests {
         for sql in ["SELECT K FROM T1 WHERE K = 5", "SELECT K FROM T1 WHERE K > 990 ORDER BY K"] {
             let (plan, _) = best_for(&cat, sql, OptimizerConfig::default());
             assert_eq!(index_scans(&plan), vec![1], "{sql}: {plan:?}");
+        }
+    }
+
+    #[test]
+    fn cost_tie_across_last_relations_keeps_the_first() {
+        // T0 and T1 have identical statistics and join on K = K, so every
+        // plan has a mirror of equal cost with the two relations swapped.
+        // A subset offers its candidates last relation by last relation in
+        // `set.iter()` order and keeps the first minimum, so the winner
+        // joins T0 last, with T1 as the outer.
+        let cat = uniform_chain_catalog(2);
+        for sql in [
+            "SELECT T0.PAD FROM T0, T1 WHERE T0.K = T1.K",
+            "SELECT T0.PAD FROM T0, T1 WHERE T0.K = T1.K AND T0.FK > 9 AND T1.FK > 9",
+            "SELECT T0.PAD FROM T0, T1 WHERE T0.K = T1.K ORDER BY T0.K",
+        ] {
+            let Statement::Select(stmt) = parse_statement(sql).unwrap() else { panic!() };
+            let q = bind_select(&cat, &stmt).unwrap();
+            let e = Enumerator::new(&cat, &q, OptimizerConfig::default());
+            let (plan, _) = e.best_plan();
+            let mirror = e.best_plan_for_order(&[0, 1], 100_000).unwrap();
+            assert_eq!(mirror.cost, plan.cost, "{sql}: the mirror ties");
+            assert_eq!(plan.join_order(), vec![1, 0], "{sql}: {plan:?}");
         }
     }
 

@@ -27,9 +27,8 @@ pub type KeyId = u32;
 pub const EMPTY_KEY: KeyId = 0;
 
 /// Frozen bidirectional map `OrderKey ↔ KeyId`, plus per-key lookup
-/// tables the search consults per candidate. Cloneable so a search
-/// outcome can carry the interner that decodes its slot ids.
-#[derive(Debug, Clone)]
+/// tables the search consults per candidate.
+#[derive(Debug)]
 pub struct KeyInterner {
     keys: Vec<OrderKey>,
     ids: HashMap<OrderKey, KeyId>,

@@ -64,9 +64,7 @@ pub use analyze::NodeMeasurement;
 pub use bind::{bind_select, BindError};
 pub use bitset::TableSet;
 pub use cost::{Cost, CostModel};
-pub use enumerate::{
-    EnumerationStats, Enumerator, SearchTrace, SubsetReport, SubsetTrace, TraceEntry,
-};
+pub use enumerate::{EnumerationStats, Enumerator, SearchTrace, SubsetTrace, TraceEntry};
 pub use num::{card_f64, dense_id, len_f64, pages_ceil, F64_EXACT_MAX};
 pub use order::{OrderInfo, OrderKey};
 pub use plan::{Access, IndexRange, PlanExpr, PlanNode, QueryPlan, SargAtom, SargFactor, ScanPlan};

@@ -25,12 +25,7 @@ pub fn eval_sexpr(rt: &mut BlockRt<'_>, row: &Row, e: &SExpr) -> ExecResult<Valu
             let r = eval_sexpr(rt, row, right)?;
             arith(*op, &l, &r)
         }
-        SExpr::Neg(inner) => match eval_sexpr(rt, row, inner)? {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(x) => Ok(Value::Float(-x)),
-            Value::Str(_) => Err(ExecError::Arithmetic("cannot negate a string".into())),
-        },
+        SExpr::Neg(inner) => negate(eval_sexpr(rt, row, inner)?),
         SExpr::Subquery(i) => match rt.eval_subquery(*i, row)? {
             SubValue::Scalar(v) => Ok(v),
             SubValue::Set(_) => {
@@ -54,15 +49,7 @@ pub fn eval_grouped_sexpr(rt: &mut BlockRt<'_>, group: &[Row], e: &SExpr) -> Exe
             let r = eval_grouped_sexpr(rt, group, right)?;
             arith(*op, &l, &r)
         }
-        SExpr::Neg(inner) => {
-            let v = eval_grouped_sexpr(rt, group, inner)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(x) => Ok(Value::Float(-x)),
-                Value::Str(_) => Err(ExecError::Arithmetic("cannot negate a string".into())),
-            }
-        }
+        SExpr::Neg(inner) => negate(eval_grouped_sexpr(rt, group, inner)?),
         other => match group.first() {
             Some(row) => eval_sexpr(rt, row, other),
             None => {
@@ -135,7 +122,11 @@ fn sum_values(values: &[Value]) -> ExecResult<Value> {
     Ok(if is_float { Value::Float(float_sum) } else { Value::Int(int_sum) })
 }
 
-fn arith(op: ArithOp, l: &Value, r: &Value) -> ExecResult<Value> {
+/// SQL arithmetic, for every evaluator of it (row expressions and
+/// INSERT's constant VALUES alike): NULL propagates, Int ⊕ Int stays Int
+/// and wraps on overflow (`i64::MIN / -1` included), any other numeric
+/// pair computes in `f64`, and division by zero is an error.
+pub fn arith(op: ArithOp, l: &Value, r: &Value) -> ExecResult<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -148,7 +139,7 @@ fn arith(op: ArithOp, l: &Value, r: &Value) -> ExecResult<Value> {
                 if *b == 0 {
                     Err(ExecError::Arithmetic("division by zero".into()))
                 } else {
-                    Ok(Value::Int(a / b))
+                    Ok(Value::Int(a.wrapping_div(*b)))
                 }
             }
         },
@@ -169,6 +160,17 @@ fn arith(op: ArithOp, l: &Value, r: &Value) -> ExecResult<Value> {
             };
             Ok(Value::Float(x))
         }
+    }
+}
+
+/// SQL unary minus: NULL propagates and Int wraps (`-i64::MIN` is
+/// `i64::MIN`), the policy [`arith`] follows.
+pub fn negate(v: Value) -> ExecResult<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
+        Value::Float(x) => Ok(Value::Float(-x)),
+        Value::Str(_) => Err(ExecError::Arithmetic("cannot negate a string".into())),
     }
 }
 

@@ -111,15 +111,7 @@ impl Storage {
     /// A storage engine whose buffer pool holds `buffer_pages` pages,
     /// backed by in-memory page files (tests, throwaway databases).
     pub fn new(buffer_pages: usize) -> Self {
-        Storage {
-            segments: Vec::new(),
-            indexes: Vec::new(),
-            buffer: ShardedBufferPool::new(buffer_pages),
-            backend: Mutex::ranked(Rank::Backend, Box::new(MemBackend::new())),
-            next_temp: AtomicU32::new(0),
-            next_lsn: AtomicU32::new(1),
-            btree_config: BTreeConfig::default(),
-        }
+        Storage::with_backend(buffer_pages, Box::new(MemBackend::new()))
     }
 
     /// A storage engine over a caller-supplied page backend (tests inject

@@ -83,11 +83,6 @@ impl TempList {
         self.file
     }
 
-    /// Peek tuple `i` without any accounting (planning / tests).
-    pub fn peek(&self, i: usize) -> Option<&Tuple> {
-        self.tuples.get(i)
-    }
-
     /// Sequential scan from the beginning.
     pub fn scan<'a>(&'a self, storage: &'a Storage) -> TempScan<'a> {
         TempScan { list: self, storage, pos: 0, page: None }

@@ -82,6 +82,10 @@ env -u RUST_TEST_THREADS cargo test --release --test plan_cache
 # counts are bit-identical across runs). Any unsuppressed finding exits
 # nonzero and fails CI.
 cargo run --release -p sysr-audit -- --all
+# The DP oracle on a second seed: 96 more random queries, each block's
+# winner checked against exhaustive enumeration, so a change to the
+# join-order search meets queries beyond the default corpus.
+cargo run --release -p sysr-audit -- --plans --diff --seed 1979 --random 96
 # The model checker must have teeth: re-arm the PR-6 dirty-victim/flush
 # reordering (a runtime-gated mutant, dead outside the harness) and
 # require the explorer to FIND a violating schedule within the bound —

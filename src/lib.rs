@@ -80,6 +80,7 @@ use std::path::Path;
 use std::sync::Arc;
 use sysr_catalog::{Catalog, CatalogError, ColumnMeta};
 use sysr_core::{bind_select, BindError, NodeMeasurement, Optimizer, OptimizerConfig, QueryPlan};
+use sysr_executor::eval::{arith, negate};
 use sysr_executor::{execute, execute_victims, ExecEnv, ExecError, ResultSet};
 use sysr_rss::{IoStats, Rid, RssError, Storage, Tuple, Value};
 use sysr_sql::{
@@ -192,13 +193,7 @@ impl Database {
     /// A database with the default buffer pool (matching the optimizer's
     /// default buffer assumption) and default cost-model parameters.
     pub fn new() -> Self {
-        let config = OptimizerConfig::default();
-        Database {
-            storage: Storage::new(config.buffer_pages),
-            catalog: Catalog::new(),
-            config,
-            plan_cache: PlanCache::new(),
-        }
+        Self::with_config(OptimizerConfig::default())
     }
 
     /// A database with explicit optimizer configuration; the buffer pool is
@@ -422,10 +417,7 @@ impl Database {
                     ));
                 };
                 let (plan, _) = self.plan_select(body, &sel)?;
-                let (_, measurements, _) = self.execute_plan_traced(&plan)?;
-                let mut text = plan.explain_analyze(&self.catalog, &measurements, self.config.w);
-                let (hits, misses) = self.plan_cache_stats();
-                text.push_str(&format!("plan cache: {hits} hits, {misses} misses\n"));
+                let text = self.render_explain_analyze(&plan)?;
                 Ok(ResultSet::new(vec!["PLAN".into()], vec![Tuple::new(vec![Value::Str(text)])]))
             }
         }
@@ -488,7 +480,13 @@ impl Database {
     /// predicted-vs-measured report.
     pub fn explain_analyze(&self, sql_text: &str) -> DbResult<String> {
         let plan = self.plan(sql_text)?;
-        let (_, measurements, _) = self.execute_plan_traced(&plan)?;
+        self.render_explain_analyze(&plan)
+    }
+
+    /// The EXPLAIN ANALYZE text of a plan: run it traced, render the
+    /// per-node report, then the plan cache's hit and miss counts.
+    fn render_explain_analyze(&self, plan: &QueryPlan) -> DbResult<String> {
+        let (_, measurements, _) = self.execute_plan_traced(plan)?;
         let mut text = plan.explain_analyze(&self.catalog, &measurements, self.config.w);
         let (hits, misses) = self.plan_cache_stats();
         text.push_str(&format!("plan cache: {hits} hits, {misses} misses\n"));
@@ -810,38 +808,13 @@ fn count_result(label: &str, n: usize) -> ResultSet {
     ResultSet::new(vec![label.into()], vec![Tuple::new(vec![Value::Int(n as i64)])])
 }
 
-/// Evaluate a constant expression from an INSERT VALUES list.
+/// Evaluate a constant expression from an INSERT VALUES list, with the
+/// executor's arithmetic.
 fn const_eval(expr: &Expr) -> DbResult<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
-        Expr::Neg(inner) => match const_eval(inner)? {
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(x) => Ok(Value::Float(-x)),
-            other => Err(DbError::Unsupported(format!("cannot negate {other}"))),
-        },
-        Expr::Arith { op, left, right } => {
-            let l = const_eval(left)?;
-            let r = const_eval(right)?;
-            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
-                return Err(DbError::Unsupported("non-numeric arithmetic in VALUES".into()));
-            };
-            use sysr_sql::ArithOp;
-            let x = match op {
-                ArithOp::Add => a + b,
-                ArithOp::Sub => a - b,
-                ArithOp::Mul => a * b,
-                ArithOp::Div => {
-                    if b == 0.0 {
-                        return Err(DbError::Unsupported("division by zero in VALUES".into()));
-                    }
-                    a / b
-                }
-            };
-            match (l, r) {
-                (Value::Int(_), Value::Int(_)) => Ok(Value::Int(x as i64)),
-                _ => Ok(Value::Float(x)),
-            }
-        }
+        Expr::Neg(inner) => Ok(negate(const_eval(inner)?)?),
+        Expr::Arith { op, left, right } => Ok(arith(*op, &const_eval(left)?, &const_eval(right)?)?),
         other => {
             Err(DbError::Unsupported(format!("VALUES entries must be constants, got {other:?}")))
         }

@@ -51,6 +51,52 @@ fn projection_and_arithmetic() {
     assert_eq!(r.rows[0][1], Value::Float(16001.0));
 }
 
+/// A one-row table `T(K, V)` holding `K = i64::MIN`.
+fn min_int_db() -> Database {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE T (K INTEGER, V INTEGER);
+         INSERT INTO T VALUES (-9223372036854775807 - 1, 1);",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn integer_division_wraps_at_the_minimum() {
+    // `i64::MIN / -1` overflows; it wraps like `+`, `-` and `*` do
+    // instead of panicking.
+    let r = min_int_db().query("SELECT K / -1 FROM T").unwrap();
+    assert_eq!(r.rows, vec![tuple![i64::MIN]]);
+}
+
+#[test]
+fn integer_negation_wraps_at_the_minimum() {
+    let r = min_int_db().query("SELECT -K FROM T").unwrap();
+    assert_eq!(r.rows, vec![tuple![i64::MIN]]);
+}
+
+#[test]
+fn insert_and_update_agree_on_constant_arithmetic() {
+    // INSERT folds its VALUES with the executor's arithmetic: Int ⊕ Int
+    // stays exact beyond 2^53, and NULL propagates.
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE I (K INTEGER, V INTEGER);
+         CREATE TABLE U (K INTEGER, V INTEGER);
+         INSERT INTO I VALUES (9007199254740993 + 0, 1), (NULL + 1, 2);
+         INSERT INTO U VALUES (0, 1), (0, 2);
+         UPDATE U SET K = 9007199254740993 + 0 WHERE V = 1;
+         UPDATE U SET K = NULL + 1 WHERE V = 2;",
+    )
+    .unwrap();
+    let expected = vec![tuple![9_007_199_254_740_993_i64], tuple![Value::Null]];
+    for table in ["I", "U"] {
+        let r = db.query(&format!("SELECT K FROM {table} ORDER BY V")).unwrap();
+        assert_eq!(r.rows, expected, "{table}");
+    }
+}
+
 #[test]
 fn two_way_join_matches_hand_result() {
     let db = small_db();
