@@ -266,7 +266,10 @@ pub fn fig_search_tree(r: &mut Report) -> Res {
             let order = if c.order.is_empty() {
                 "unordered".to_string()
             } else {
-                format!("{:?} order", c.order.iter().map(|o| o.to_string()).collect::<Vec<_>>())
+                format!(
+                    "{:?} order",
+                    c.order.iter().map(|(o, _)| o.to_string()).collect::<Vec<_>>()
+                )
             };
             let pruned = c.order.is_empty() && total > cheapest + 1e-9;
             writeln!(

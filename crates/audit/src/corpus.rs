@@ -184,6 +184,16 @@ pub fn builtin_cases() -> Vec<CorpusCase> {
         ("fig1/single-eq", "SELECT NAME FROM EMP WHERE JOB = 4"),
         ("fig1/single-range", "SELECT NAME FROM EMP WHERE DNO BETWEEN 10 AND 50"),
         ("fig1/single-order", "SELECT NAME, SAL FROM EMP WHERE SAL > 10000 ORDER BY DNO"),
+        // DESC after a join column's class: the DNO range scan of the
+        // outer delivers DEPT.DNO's class ascending, so a partial Sort
+        // orders SAL descending within each DNO run — runs of several
+        // rows in the live database too.
+        (
+            "fig1/order-desc",
+            "SELECT NAME, SAL, DNAME FROM EMP, DEPT \
+             WHERE EMP.DNO = DEPT.DNO AND EMP.DNO BETWEEN 10 AND 12 \
+             ORDER BY DEPT.DNO, SAL DESC",
+        ),
         ("fig1/group-by", "SELECT DNO, COUNT(*) FROM EMP GROUP BY DNO"),
         ("fig1/in-list", "SELECT NAME FROM EMP WHERE JOB IN (1, 2, 3)"),
         (
@@ -224,6 +234,13 @@ pub fn builtin_cases() -> Vec<CorpusCase> {
         label: "chain/order-prefix".into(),
         catalog: chain_catalog(4),
         sql: "SELECT A, V FROM R0 ORDER BY R0.A, R0.V".into(),
+    });
+    // The same with the second key descending: the ascending (A) prefix
+    // still comes from the index, and only the within-run order is DESC.
+    cases.push(CorpusCase {
+        label: "chain/order-prefix-desc".into(),
+        catalog: chain_catalog(4),
+        sql: "SELECT A, V FROM R0 ORDER BY R0.A, R0.V DESC".into(),
     });
     cases
 }
@@ -321,31 +338,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn order_prefix_case_plans_a_partial_sort() {
-        // The case exists to exercise prefix-aware enforcement end to
-        // end; if a stats or cost change ever stops the partial sort
-        // from being chosen, the corpus coverage silently evaporates —
-        // fail loudly instead.
+    /// The default-config plan of the builtin case `label`.
+    fn plan_case(label: &str) -> system_r::core::QueryPlan {
         let case = builtin_cases()
             .into_iter()
-            .find(|c| c.label == "chain/order-prefix")
-            .expect("chain/order-prefix case present");
+            .find(|c| c.label == label)
+            .unwrap_or_else(|| panic!("{label} case present"));
         let stmt = parse_select(&case.sql).expect("case parses");
-        let plan = system_r::core::Optimizer::with_config(
+        system_r::core::Optimizer::with_config(
             &case.catalog,
             system_r::core::OptimizerConfig::default(),
         )
         .optimize(&stmt)
-        .expect("case plans");
-        let system_r::core::PlanNode::Sort { input, sorted_prefix, .. } = &plan.root.node else {
+        .expect("case plans")
+    }
+
+    #[test]
+    fn order_prefix_case_plans_a_partial_sort() {
+        // The cases exist to exercise prefix-aware enforcement end to
+        // end, ascending and with a DESC suffix; if a stats or cost change
+        // ever stops the partial sort from being chosen, the corpus
+        // coverage silently evaporates — fail loudly instead.
+        for label in ["chain/order-prefix", "chain/order-prefix-desc"] {
+            let plan = plan_case(label);
+            let system_r::core::PlanNode::Sort { input, keys, sorted_prefix } = &plan.root.node
+            else {
+                panic!("{label}: expected a root sort, got {:?}", plan.root.node);
+            };
+            assert_eq!(*sorted_prefix, 1, "{label}: index-delivered (A) prefix should be claimed");
+            assert_eq!(keys, &plan.query.required_order(), "{label}: sorts by the directed keys");
+            assert!(
+                matches!(input.node, system_r::core::PlanNode::Scan(_)) && !input.order.is_empty(),
+                "{label}: partial sort should sit on an order-producing index scan"
+            );
+        }
+    }
+
+    #[test]
+    fn order_desc_case_sorts_within_runs() {
+        let plan = plan_case("fig1/order-desc");
+        let system_r::core::PlanNode::Sort { keys, sorted_prefix, .. } = &plan.root.node else {
             panic!("expected a root sort, got {:?}", plan.root.node);
         };
-        assert_eq!(*sorted_prefix, 1, "index-delivered (A) prefix should be claimed");
-        assert!(
-            matches!(input.node, system_r::core::PlanNode::Scan(_)) && !input.order.is_empty(),
-            "partial sort should sit on an order-producing index scan"
-        );
+        assert_eq!(*sorted_prefix, 1, "the join delivers the DNO class");
+        assert_eq!(keys, &plan.query.required_order());
+        assert!(keys.iter().any(|&(_, desc)| desc), "{keys:?}");
     }
 
     #[test]

@@ -51,7 +51,6 @@ fn audit_block(
         query: &plan.query,
         orders: OrderInfo::build(&plan.query),
         model: CostModel::new(config.w, config.buffer_pages),
-        config,
     };
     let mut enforced = vec![false; plan.query.factors.len()];
 
@@ -179,7 +178,6 @@ struct BlockCx<'a> {
     query: &'a BoundQuery,
     orders: OrderInfo,
     model: CostModel,
-    config: &'a OptimizerConfig,
 }
 
 impl BlockCx<'_> {
@@ -229,9 +227,9 @@ fn walk(
             format!("predicted rows {} is not a finite non-negative number", p.rows),
         ));
     }
-    for c in &p.order {
+    for &(c, _) in &p.order {
         report.checks += 1;
-        if !cx.colid_ok(*c) {
+        if !cx.colid_ok(c) {
             report.push(Violation::new(
                 "plan-wellformed",
                 path.to_string(),
@@ -375,9 +373,9 @@ fn walk(
                     format!("sort changes cardinality: {} in, {} out", input.rows, p.rows),
                 ));
             }
-            for k in keys {
+            for &(k, _) in keys {
                 report.checks += 1;
-                if !cx.colid_ok(*k) {
+                if !cx.colid_ok(k) {
                     report.push(Violation::new(
                         "plan-wellformed",
                         path.to_string(),
@@ -501,7 +499,7 @@ fn audit_scan(
                 ));
             }
         }
-        Access::Index { index, eq_prefix, range, matching, index_only } => {
+        Access::Index { index, eq_prefix, range, matching } => {
             report.checks += 1;
             let Some(idx) = cx.catalog.index(*index) else {
                 report.push(Violation::new(
@@ -531,24 +529,14 @@ fn audit_scan(
                     ),
                 ));
             }
-            if *index_only && !cx.config.index_only_scans {
-                report.push(Violation::new(
-                    "plan-wellformed",
-                    path.to_string(),
-                    format!(
-                        "index-only scan of {} but the config disables index-only scans",
-                        idx.name
-                    ),
-                ));
-            }
-            // §4: an index scan produces its key-column order (a prefix of
-            // the full key is acceptable; anything else is a fabricated
-            // order).
+            // §4: an index scan produces its key-column order, ascending (a
+            // prefix of the full key is acceptable; anything else is a
+            // fabricated order).
             let key_order_ok = p.order.len() <= idx.key_cols.len()
                 && p.order
                     .iter()
                     .zip(&idx.key_cols)
-                    .all(|(c, &k)| c.table == s.table && c.col == k);
+                    .all(|(&(c, desc), &k)| c.table == s.table && c.col == k && !desc);
             if !key_order_ok {
                 report.push(Violation::new(
                     "order-produced",

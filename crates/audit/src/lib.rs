@@ -86,7 +86,7 @@ pub mod workloads;
 
 use corpus::{parse_select, CorpusCase};
 use std::fmt;
-use system_r::core::{ColId, Optimizer, OptimizerConfig};
+use system_r::core::{Optimizer, OptimizerConfig};
 use system_r::executor::{root_rows_sorted, ExecEnv};
 use system_r::sql::{parse_statement, Statement};
 use system_r::{Database, DbError, DbResult};
@@ -189,16 +189,15 @@ pub(crate) fn audit_labeled(db: &Database, sql: &str, label: &str) -> DbResult<A
         label,
     ));
     // The plan-root rows must leave the plan tree sorted on the block's
-    // full required order. Checked below the block layer: its defensive
-    // ORDER BY re-sort would otherwise mask a Sort node (full or
-    // partial) emitting misordered rows.
+    // full required order, directions included. The block layer sorts no
+    // rows, so a Sort node (full or partial) emitting misordered rows
+    // would reach the result; this catches it where it happens.
     let required = plan.query.required_order();
     if !required.is_empty() {
         report.checks += 1;
-        let keys: Vec<(ColId, bool)> = required.iter().map(|&c| (c, false)).collect();
         let env = ExecEnv::new(db.storage(), db.catalog());
         let location = format!("{label}/exec-order");
-        match root_rows_sorted(&env, &plan, &keys) {
+        match root_rows_sorted(&env, &plan, &required) {
             Ok(true) => {}
             Ok(false) => report.push(Violation::new(
                 "order-produced",

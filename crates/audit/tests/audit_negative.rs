@@ -51,7 +51,7 @@ fn fabricated_order_triggers_order_and_wellformed_rules() {
     let catalog = corpus::fig1_catalog();
     let (mut plan, _) = fig1_plan(sysr_audit::workloads::FIG1_SQL);
     // Claim an order on a column that does not exist in any FROM table.
-    plan.root.order = vec![ColId::new(0, 99)];
+    plan.root.order = vec![(ColId::new(0, 99), false)];
     let report =
         invariants::audit_query_plan(&catalog, &plan, &OptimizerConfig::default(), "mutated");
     let r = rules(&report);

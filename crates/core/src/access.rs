@@ -41,10 +41,6 @@ pub struct PlanCtx<'a> {
     /// Selectivity factor per boolean factor (Table 1), precomputed.
     pub fsel: Vec<f64>,
     pub orders: OrderInfo,
-    /// Per FROM-list table: the set of its columns the query touches
-    /// anywhere (SELECT list, factors, GROUP BY, ORDER BY). An index whose
-    /// key covers this set can answer without data pages.
-    needed_cols: Vec<std::collections::HashSet<usize>>,
 }
 
 impl<'a> PlanCtx<'a> {
@@ -52,45 +48,6 @@ impl<'a> PlanCtx<'a> {
         let sel = Selectivity::new(catalog, query);
         let fsel = query.factors.iter().map(|f| sel.factor(f)).collect();
         let orders = OrderInfo::build(query);
-        let mut needed_cols = vec![std::collections::HashSet::new(); query.tables.len()];
-        {
-            let mut note = |c: ColId| {
-                if let Some(set) = needed_cols.get_mut(c.table) {
-                    set.insert(c.col);
-                }
-            };
-            for (_, e) in &query.select {
-                e.visit_cols(&mut note);
-            }
-            for f in &query.factors {
-                f.expr.visit_scalar(&mut |e| e.visit_cols(&mut note));
-            }
-            for &c in &query.group_by {
-                note(c);
-            }
-            for &(c, _) in &query.order_by {
-                note(c);
-            }
-            // Columns of this block referenced by subqueries (correlation
-            // into us) must also come off the data page.
-            fn sub_refs(q: &BoundQuery, depth: usize, note: &mut impl FnMut(ColId)) {
-                let mut scan = |e: &SExpr| {
-                    collect_outer_at(e, depth, note);
-                };
-                for f in &q.factors {
-                    f.expr.visit_scalar(&mut scan);
-                }
-                for (_, e) in &q.select {
-                    scan(e);
-                }
-                for sub in &q.subqueries {
-                    sub_refs(&sub.query, depth + 1, note);
-                }
-            }
-            for sub in &query.subqueries {
-                sub_refs(&sub.query, 1, &mut note);
-            }
-        }
         PlanCtx {
             catalog,
             query,
@@ -98,14 +55,7 @@ impl<'a> PlanCtx<'a> {
             config,
             fsel,
             orders,
-            needed_cols,
         }
-    }
-
-    /// Whether `key_cols` covers every column the query needs from
-    /// `table`.
-    pub fn index_covers(&self, table: usize, key_cols: &[usize]) -> bool {
-        self.needed_cols[table].iter().all(|c| key_cols.contains(c))
     }
 
     #[expect(clippy::expect_used, reason = "binder resolved every table id against this catalog")]
@@ -129,15 +79,16 @@ impl<'a> PlanCtx<'a> {
     }
 
     /// Estimated number of runs when `rows` tuples arrive grouped on
-    /// `cols` (the satisfied prefix of a partial sort): the product of
+    /// `keys` (the satisfied prefix of a partial sort's keys; direction
+    /// does not change the count): the product of
     /// per-column distinct-value estimates — a leading index's ICARD when
     /// one exists ("this assumes an even distribution of tuples among the
     /// index key values", Table 1), else the Table 1 equal-predicate
     /// default of 10 distinct values — capped at `rows`.
-    pub fn run_count(&self, cols: &[ColId], rows: f64) -> f64 {
-        let runs: f64 = cols
+    pub fn run_count(&self, keys: &[(ColId, bool)], rows: f64) -> f64 {
+        let runs: f64 = keys
             .iter()
-            .map(|c| {
+            .map(|(c, _)| {
                 self.catalog
                     .leading_index_on(self.query.tables[c.table].rel, c.col)
                     .map(|i| card_f64(i.stats.icard))
@@ -174,8 +125,8 @@ pub struct AccessCandidate {
     /// Cost of one full execution of the scan (standalone) or one probe
     /// (as a join inner).
     pub cost: Cost,
-    /// Produced tuple order.
-    pub order: Vec<ColId>,
+    /// Produced tuple order (an index's key columns, ascending).
+    pub order: Vec<(ColId, bool)>,
     /// Rows emitted per execution: `NCARD × Π F(applied factors)`.
     pub out_rows: f64,
     /// Predicted RSI calls per execution (sargable factors only filter
@@ -326,20 +277,6 @@ fn split_cmp(
         return Some((col, operand, op.flipped()));
     }
     None
-}
-
-/// Collect `Outer` references that reach exactly `depth` levels up.
-fn collect_outer_at(e: &SExpr, depth: usize, note: &mut impl FnMut(ColId)) {
-    match e {
-        SExpr::Outer { level, col } if *level == depth => note(*col),
-        SExpr::Arith { left, right, .. } => {
-            collect_outer_at(left, depth, note);
-            collect_outer_at(right, depth, note);
-        }
-        SExpr::Neg(inner) => collect_outer_at(inner, depth, note),
-        SExpr::Agg(crate::query::AggCall { arg: Some(a), .. }) => collect_outer_at(a, depth, note),
-        _ => {}
-    }
 }
 
 fn local_col(e: &SExpr, table: usize) -> Option<usize> {
@@ -551,21 +488,8 @@ fn index_candidate(
     let nindx = card_f64(istats.nindx);
     let f_matching: f64 = matching.iter().map(|&i| ctx.fsel[i]).product();
     let unique_full_eq = idx.unique && eq_prefix.len() == idx.key_cols.len();
-    let index_only = ctx.config.index_only_scans && ctx.index_covers(table, &idx.key_cols);
 
-    let cost = if index_only {
-        // Extension beyond the paper: only index pages are fetched. A
-        // probe touches F × NINDX of them; a full key-order scan all of
-        // them; the unique-equal probe one root-to-leaf path (≈1 page in
-        // the paper's accounting).
-        if unique_full_eq {
-            Cost::new(1.0, 1.0)
-        } else if !matching.is_empty() {
-            Cost::new(f_matching * nindx, rsicard)
-        } else {
-            Cost::new(nindx, rsicard)
-        }
-    } else if unique_full_eq {
+    let cost = if unique_full_eq {
         // Table 2 situation 1: 1 + 1 + W.
         ctx.model.unique_index_eq()
     } else if !matching.is_empty() {
@@ -580,17 +504,11 @@ fn index_candidate(
         ctx.model.nonclustered_nonmatching(nindx, ncard, tcard, rsicard)
     };
 
-    let order: Vec<ColId> = idx.key_cols.iter().map(|&c| ColId::new(table, c)).collect();
+    let order = idx.key_cols.iter().map(|&c| (ColId::new(table, c), false)).collect();
     AccessCandidate {
         scan: ScanPlan {
             table,
-            access: Access::Index {
-                index: idx.id,
-                eq_prefix,
-                range,
-                matching: matching.clone(),
-                index_only,
-            },
+            access: Access::Index { index: idx.id, eq_prefix, range, matching: matching.clone() },
             sargs: sargs.to_vec(),
             residual: residual.to_vec(),
         },
@@ -832,7 +750,7 @@ mod tests {
         let cat = demo();
         let (cands, _) = paths_for(&cat, "SELECT NAME FROM EMP");
         let c = index_path(&cands, 2);
-        assert_eq!(c.order, vec![ColId::new(0, 2), ColId::new(0, 3)]);
+        assert_eq!(c.order, vec![(ColId::new(0, 2), false), (ColId::new(0, 3), false)]);
         assert!(cands[0].order.is_empty(), "segment scan is unordered");
     }
 

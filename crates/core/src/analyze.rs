@@ -216,7 +216,7 @@ mod tests {
         let sorted = PlanExpr {
             node: PlanNode::Sort {
                 input: Box::new(scan(2)),
-                keys: vec![crate::query::ColId::new(2, 0)],
+                keys: vec![(crate::query::ColId::new(2, 0), false)],
                 sorted_prefix: 0,
             },
             cost: Cost::ZERO,

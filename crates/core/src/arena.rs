@@ -72,7 +72,7 @@ pub enum NodeKind {
     },
     Sort {
         input: NodeId,
-        keys: Vec<ColId>,
+        keys: Vec<(ColId, bool)>,
         sorted_prefix: usize,
     },
 }
@@ -180,5 +180,29 @@ mod tests {
         assert_eq!(inner.cost.pages, 3.0);
         let PlanNode::Scan(s) = &inner.node else { panic!() };
         assert_eq!(s.table, 1, "the scan node's candidate handle resolves to its table");
+    }
+
+    #[test]
+    fn joins_take_the_outer_order() {
+        let mut table = cands(2);
+        let ordered = vec![(ColId::new(0, 0), false)];
+        table[0].order = ordered.clone();
+        let mut arena = PlanArena::default();
+        let outer = arena.push(scan_node(0, 10.0));
+        let inner = arena.push(scan_node(1, 3.0));
+        let join = |kind| ArenaNode { kind, cost: Cost::ZERO, rows: 1.0, key: 0, count: 3 };
+        let nl = arena.push(join(NodeKind::NestedLoop { outer, inner }));
+        let merge = arena.push(join(NodeKind::Merge {
+            outer,
+            inner,
+            outer_key: ColId::new(0, 0),
+            inner_key: ColId::new(1, 0),
+            residual: Rc::from(vec![7]),
+        }));
+        assert_eq!(arena.materialize(nl, &table).order, ordered);
+        let m = arena.materialize(merge, &table);
+        assert_eq!(m.order, ordered);
+        let PlanNode::Merge { residual, .. } = &m.node else { panic!() };
+        assert_eq!(residual, &vec![7]);
     }
 }

@@ -286,7 +286,8 @@ impl<'a> Enumerator<'a> {
         for (t, bt) in query.tables.iter().enumerate() {
             if let Some(rel) = catalog.relation(bt.rel) {
                 for idx in catalog.indexes_on(rel.id) {
-                    let cols: Vec<ColId> = idx.key_cols.iter().map(|&c| ColId::new(t, c)).collect();
+                    let cols: Vec<(ColId, bool)> =
+                        idx.key_cols.iter().map(|&c| (ColId::new(t, c), false)).collect();
                     index_keys.insert((t, idx.id), keys.intern(ctx.orders.order_key(&cols)));
                 }
             }
@@ -450,7 +451,7 @@ impl<'a> Enumerator<'a> {
         &self,
         arena: &mut PlanArena,
         input: NodeId,
-        keys: Vec<ColId>,
+        keys: Vec<(ColId, bool)>,
         width: f64,
         key: KeyId,
     ) -> NodeId {
@@ -502,7 +503,7 @@ impl<'a> Enumerator<'a> {
             // predicates only), or sort the cheapest local path.
             for c in local.clone() {
                 let cand = &cands[c as usize];
-                if cand.order.first() == Some(&inner_col) {
+                if cand.order.first() == Some(&(inner_col, false)) {
                     let residual = self.residual_factors(t, set, &cand.applied, fidx);
                     inner_variants.push((local_node(arena, c), residual));
                 }
@@ -515,7 +516,7 @@ impl<'a> Enumerator<'a> {
                 let sorted = self.push_sort(
                     arena,
                     node,
-                    vec![inner_col],
+                    vec![(inner_col, false)],
                     self.ctx.width(t),
                     self.class_key(inner_col),
                 );
@@ -598,7 +599,7 @@ impl<'a> Enumerator<'a> {
                 self.push_sort(
                     arena,
                     outer,
-                    vec![m.outer_col],
+                    vec![(m.outer_col, false)],
                     self.ctx.composite_width(s_prime),
                     m.outer_sort_key,
                 )
@@ -1299,7 +1300,7 @@ mod tests {
         // (30 + 10000) unclustered, the sort may win — just verify order.
         let satisfied = match &plan.node {
             PlanNode::Scan(s) => matches!(&s.access, Access::Index { index: 0, .. }),
-            PlanNode::Sort { keys, .. } => keys == &vec![ColId::new(0, 1)],
+            PlanNode::Sort { keys, .. } => keys == &vec![(ColId::new(0, 1), false)],
             _ => false,
         };
         assert!(satisfied, "plan must deliver DNO order: {plan:?}");
@@ -1315,7 +1316,7 @@ mod tests {
         );
         let ok = match &plan.node {
             PlanNode::Scan(s) => matches!(&s.access, Access::Index { index: 0, .. }),
-            PlanNode::Sort { keys, .. } => keys == &vec![ColId::new(0, 1)],
+            PlanNode::Sort { keys, .. } => keys == &vec![(ColId::new(0, 1), false)],
             _ => false,
         };
         assert!(ok, "{plan:?}");

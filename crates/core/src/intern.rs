@@ -4,14 +4,20 @@
 //! equivalence-class ids. Hashing and cloning those vectors in the hot
 //! loop is pure churn: the universe of keys a search can ever produce is
 //! finite and known up front (the empty key, each index's key-column
-//! order, each join-column class as a one-element key, and the block's
-//! required order — joins inherit the outer's order verbatim and sorts
-//! produce single-class or required orders, so the set is closed under
-//! plan composition). [`KeyInterner`] assigns each key a dense integer id
-//! at enumerator construction, and the search then works exclusively with
-//! ids: solution stores become flat arrays indexed by [`KeyId`], and the
-//! per-candidate "which slot does this plan compete for" question is an
-//! integer copy instead of a `Vec` clone.
+//! order and each join-column class as a one-element key — joins inherit
+//! the outer's order verbatim and the search's own sorts are merge inputs
+//! ordered on one class, so the set is closed under plan composition).
+//! [`KeyInterner`] assigns each key a dense integer id at enumerator
+//! construction, and the search then works exclusively with ids: solution
+//! stores become flat arrays indexed by [`KeyId`], and the per-candidate
+//! "which slot does this plan compete for" question is an integer copy
+//! instead of a `Vec` clone.
+//!
+//! Every interned key is ascending. The block's required order is not a
+//! slot: its Sort is appended after the search, and
+//! [`KeyInterner::freeze`] only records which keys satisfy it or cover a
+//! prefix of it. A required DESC column is therefore satisfied by no
+//! slot, and met by a priced Sort alone.
 //!
 //! The interner is frozen before the search starts: the search only
 //! reads it.

@@ -1,4 +1,4 @@
-//! Join plan composition and costs (§5).
+//! Join and sort costs, and the sort plan builders (§5).
 //!
 //! Two join methods, as in the paper:
 //!
@@ -32,9 +32,8 @@ use crate::query::ColId;
 
 /// Pure nested-loop cost: `C-outer + N * C-inner`, with the inner's page
 /// charge capped at `inner_resident_pages` when the inner fits in the
-/// buffer pool. This is the single source of truth for the formula — both
-/// the [`PlanExpr`] composer below and the enumerator's plan arena call
-/// it, so their costs are bit-identical.
+/// buffer pool. This is the single source of truth for the formula: every
+/// nested-loop node the enumerator builds is priced here.
 pub fn nested_loop_cost(
     outer_cost: Cost,
     outer_rows: f64,
@@ -70,41 +69,13 @@ pub fn merge_cost(outer_cost: Cost, inner_cost: Cost) -> Cost {
     outer_cost + inner_cost
 }
 
-/// Compose a nested-loop join: `C-outer + N * C-inner`.
-///
-/// `inner` is a per-probe scan plan (its `cost` is the cost of one probe,
-/// its `rows` the tuples produced per probe). All applicable predicates
-/// are already attached to the inner scan, so the node needs no residuals.
-///
-/// `inner_resident_pages` extends the paper's "fits in the System R
-/// buffer" reasoning to repeated probes: when the inner relation's entire
-/// access structure (index + data pages) fits in the buffer pool, the
-/// probes collectively fetch each page at most once, so the total page
-/// cost is capped at that footprint instead of `N × per-probe pages`.
-/// Pass `None` when the inner does not fit. RSI calls are CPU and are
-/// never capped.
-pub fn nested_loop(
-    outer: PlanExpr,
-    inner: PlanExpr,
-    rows_out: f64,
-    inner_resident_pages: Option<f64>,
-) -> PlanExpr {
-    let cost = nested_loop_cost(outer.cost, outer.rows, inner.cost, inner_resident_pages);
-    let order = outer.order.clone();
-    PlanExpr {
-        node: PlanNode::NestedLoop { outer: Box::new(outer), inner: Box::new(inner) },
-        cost,
-        rows: rows_out,
-        order,
-    }
-}
-
-/// Wrap a plan in a sort into a temporary list ordered by `keys`.
+/// Wrap a plan in a sort into a temporary list ordered by `keys`
+/// (`(column, descending)` pairs).
 ///
 /// Cost = input + TEMPPAGES written + TEMPPAGES read back + one RSI call
 /// per tuple read back (the merge consumes the list exactly once).
 /// `width` is the mean tuple width of the materialized rows.
-pub fn sort_plan(input: PlanExpr, keys: Vec<ColId>, width: f64) -> PlanExpr {
+pub fn sort_plan(input: PlanExpr, keys: Vec<(ColId, bool)>, width: f64) -> PlanExpr {
     let rows = input.rows;
     let cost = sort_cost(input.cost, rows, width);
     PlanExpr {
@@ -122,7 +93,7 @@ pub fn sort_plan(input: PlanExpr, keys: Vec<ColId>, width: f64) -> PlanExpr {
 /// it against the input's produced order).
 pub fn partial_sort_plan(
     input: PlanExpr,
-    keys: Vec<ColId>,
+    keys: Vec<(ColId, bool)>,
     sorted_prefix: usize,
     width: f64,
     run_count: f64,
@@ -138,39 +109,12 @@ pub fn partial_sort_plan(
     }
 }
 
-/// Compose a merging-scans join of two ordered inputs:
-/// `C = C-outer + C-inner` (group re-reads are served from the in-memory
-/// group buffer). `residual` factors are evaluated on each composite row.
-pub fn merge_join(
-    outer: PlanExpr,
-    inner: PlanExpr,
-    outer_key: ColId,
-    inner_key: ColId,
-    residual: Vec<usize>,
-    rows_out: f64,
-) -> PlanExpr {
-    let cost = merge_cost(outer.cost, inner.cost);
-    let order = outer.order.clone();
-    PlanExpr {
-        node: PlanNode::Merge {
-            outer: Box::new(outer),
-            inner: Box::new(inner),
-            outer_key,
-            inner_key,
-            residual,
-        },
-        cost,
-        rows: rows_out,
-        order,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{Access, ScanPlan};
 
-    fn scan(table: usize, cost: Cost, rows: f64, order: Vec<ColId>) -> PlanExpr {
+    fn scan(table: usize, cost: Cost, rows: f64) -> PlanExpr {
         PlanExpr {
             node: PlanNode::Scan(ScanPlan {
                 table,
@@ -180,18 +124,14 @@ mod tests {
             }),
             cost,
             rows,
-            order,
+            order: vec![],
         }
     }
 
     #[test]
     fn nested_loop_multiplies_inner_by_outer_rows() {
-        let outer = scan(0, Cost::new(100.0, 1000.0), 50.0, vec![]);
-        let inner = scan(1, Cost::new(3.0, 10.0), 2.0, vec![]);
-        let j = nested_loop(outer, inner, 100.0, None);
-        assert_eq!(j.cost, Cost::new(100.0 + 50.0 * 3.0, 1000.0 + 50.0 * 10.0));
-        assert_eq!(j.rows, 100.0);
-        assert!(j.order.is_empty());
+        let c = nested_loop_cost(Cost::new(100.0, 1000.0), 50.0, Cost::new(3.0, 10.0), None);
+        assert_eq!(c, Cost::new(100.0 + 50.0 * 3.0, 1000.0 + 50.0 * 10.0));
     }
 
     #[test]
@@ -199,58 +139,38 @@ mod tests {
         // A 3-page inner probed 1000 times: uncapped the model charges
         // 3000 pages; with the whole inner buffer-resident it cannot
         // exceed its footprint. RSI is never capped.
-        let outer = scan(0, Cost::new(10.0, 100.0), 1000.0, vec![]);
-        let inner = scan(1, Cost::new(3.0, 2.0), 2.0, vec![]);
-        let capped = nested_loop(outer.clone(), inner.clone(), 2000.0, Some(4.0));
-        assert_eq!(capped.cost, Cost::new(10.0 + 4.0, 100.0 + 2000.0));
-        let uncapped = nested_loop(outer, inner, 2000.0, None);
-        assert_eq!(uncapped.cost.pages, 10.0 + 3000.0);
-    }
-
-    #[test]
-    fn nested_loop_preserves_outer_order() {
-        let key = ColId::new(0, 1);
-        let outer = scan(0, Cost::ZERO, 10.0, vec![key]);
-        let inner = scan(1, Cost::ZERO, 1.0, vec![ColId::new(1, 0)]);
-        let j = nested_loop(outer, inner, 10.0, None);
-        assert_eq!(j.order, vec![key]);
+        let (outer, inner) = (Cost::new(10.0, 100.0), Cost::new(3.0, 2.0));
+        let capped = nested_loop_cost(outer, 1000.0, inner, Some(4.0));
+        assert_eq!(capped, Cost::new(10.0 + 4.0, 100.0 + 2000.0));
+        let uncapped = nested_loop_cost(outer, 1000.0, inner, None);
+        assert_eq!(uncapped.pages, 10.0 + 3000.0);
     }
 
     #[test]
     fn sort_charges_write_read_and_rsi() {
-        let input = scan(0, Cost::new(10.0, 100.0), 1000.0, vec![]);
-        let s = sort_plan(input, vec![ColId::new(0, 1)], 50.0);
+        let input = scan(0, Cost::new(10.0, 100.0), 1000.0);
+        let keys = vec![(ColId::new(0, 1), true)];
+        let s = sort_plan(input, keys.clone(), 50.0);
         // TEMPPAGES = ceil(1000*50/4080) = 13 → 26 pages + 1000 rsi extra.
         assert_eq!(s.cost, Cost::new(10.0 + 26.0, 100.0 + 1000.0));
-        assert_eq!(s.order, vec![ColId::new(0, 1)]);
+        assert_eq!(s.order, keys, "a sort produces its keys, directions included");
         assert_eq!(s.rows, 1000.0);
     }
 
     #[test]
     fn merge_adds_side_costs_once() {
-        let ok = ColId::new(0, 1);
-        let ik = ColId::new(1, 0);
-        let outer = scan(0, Cost::new(40.0, 400.0), 400.0, vec![ok]);
-        let inner = scan(1, Cost::new(20.0, 200.0), 200.0, vec![ik]);
-        let j = merge_join(outer, inner, ok, ik, vec![7], 120.0);
-        assert_eq!(j.cost, Cost::new(60.0, 600.0));
-        assert_eq!(j.rows, 120.0);
-        assert_eq!(j.order, vec![ok]);
-        let PlanNode::Merge { residual, .. } = &j.node else { panic!() };
-        assert_eq!(residual, &vec![7]);
+        let c = merge_cost(Cost::new(40.0, 400.0), Cost::new(20.0, 200.0));
+        assert_eq!(c, Cost::new(60.0, 600.0));
     }
 
     #[test]
     fn merge_beats_nested_loop_when_inner_rescans_are_expensive() {
         // The §5 motivation: outer 1000 rows; inner full scan costs 100
         // pages. NL rescans the inner 1000 times; merge sorts it once.
-        let ok = ColId::new(0, 0);
-        let ik = ColId::new(1, 0);
-        let outer = scan(0, Cost::new(100.0, 1000.0), 1000.0, vec![ok]);
-        let inner_full = scan(1, Cost::new(100.0, 1000.0), 1000.0, vec![]);
-        let nl = nested_loop(outer.clone(), inner_full.clone(), 5000.0, None);
-        let sorted_inner = sort_plan(inner_full, vec![ik], 40.0);
-        let mj = merge_join(outer, sorted_inner, ok, ik, vec![], 5000.0);
-        assert!(mj.cost.total(0.02) < nl.cost.total(0.02));
+        let outer = Cost::new(100.0, 1000.0);
+        let inner_full = Cost::new(100.0, 1000.0);
+        let nl = nested_loop_cost(outer, 1000.0, inner_full, None);
+        let mj = merge_cost(outer, sort_cost(inner_full, 1000.0, 40.0));
+        assert!(mj.total(0.02) < nl.total(0.02));
     }
 }

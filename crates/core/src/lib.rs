@@ -92,11 +92,6 @@ pub struct OptimizerConfig {
     /// (paper §4/§5). Disabled only by the ablation experiments, which
     /// then keep a single cheapest plan per subset.
     pub interesting_orders: bool,
-    /// Allow index-only scans when an index key covers every column the
-    /// query needs from a relation. OFF by default: System R's leaves
-    /// held only (key, TID) pairs and the paper costs every index access
-    /// with a data-page fetch; enabling this is the natural extension.
-    pub index_only_scans: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -108,7 +103,6 @@ impl Default for OptimizerConfig {
             buffer_pages: 64,
             defer_cartesian: true,
             interesting_orders: true,
-            index_only_scans: false,
         }
     }
 }

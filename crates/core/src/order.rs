@@ -14,6 +14,12 @@
 //! column that participates in no interesting order. Plans whose keys are
 //! equal are interchangeable for every later use of ordering, so the DP
 //! keeps only the cheapest of them.
+//!
+//! Direction is part of the order: a descending column enters the key as
+//! its class id tagged with [`DESC`]. Scans, indexes and merge joins only
+//! ever produce ascending orders, so a DESC entry of an ORDER BY is met by
+//! a priced Sort alone — partial when an ascending prefix of the
+//! requirement is already produced.
 
 #![expect(
     clippy::indexing_slicing,
@@ -24,15 +30,20 @@ use crate::query::{BoundQuery, ColId};
 use std::collections::HashMap;
 
 /// Canonical order descriptor: equivalence-class ids of the leading sort
-/// columns. Empty = "unordered" (or ordered in a way nothing can use).
+/// columns, a descending one tagged with [`DESC`]. Empty = "unordered"
+/// (or ordered in a way nothing can use).
 pub type OrderKey = Vec<usize>;
+
+/// The tag of a descending entry in an [`OrderKey`]: `class | DESC`.
+/// Dense class ids never reach this bit, so no ascending entry equals it.
+pub const DESC: usize = 1 << (usize::BITS - 1);
 
 /// Order equivalence classes for one query block.
 #[derive(Debug)]
 pub struct OrderInfo {
     class_of: HashMap<ColId, usize>,
-    /// Class ids the block's required order (GROUP BY / all-ascending
-    /// ORDER BY) maps to.
+    /// The key of the block's required order (GROUP BY, or ORDER BY with
+    /// its directions).
     pub required: OrderKey,
     n_classes: usize,
 }
@@ -47,12 +58,14 @@ impl OrderInfo {
             }
         }
         // Required-order columns are interesting even if never joined.
-        for &c in &query.required_order() {
+        let required = query.required_order();
+        for &(c, _) in &required {
             uf.find(c);
         }
         let (class_of, n_classes) = uf.into_classes();
-        let required = query.required_order().iter().map(|c| class_of[c]).collect::<Vec<_>>();
-        OrderInfo { class_of, required, n_classes }
+        let mut info = OrderInfo { class_of, required: OrderKey::new(), n_classes };
+        info.required = info.order_key(&required);
+        info
     }
 
     /// Number of distinct interesting-order equivalence classes.
@@ -66,13 +79,14 @@ impl OrderInfo {
         self.class_of.get(&col).copied()
     }
 
-    /// Canonicalize a produced column order: take the longest prefix of
-    /// interesting columns and map to class ids.
-    pub fn order_key(&self, cols: &[ColId]) -> OrderKey {
+    /// Canonicalize a produced column order (`(column, descending)`
+    /// pairs): take the longest prefix of interesting columns and map to
+    /// class ids, tagging descending ones with [`DESC`].
+    pub fn order_key(&self, cols: &[(ColId, bool)]) -> OrderKey {
         let mut key = Vec::new();
-        for c in cols {
-            match self.class_of(*c) {
-                Some(cls) => key.push(cls),
+        for &(c, desc) in cols {
+            match self.class_of(c) {
+                Some(cls) => key.push(if desc { cls | DESC } else { cls }),
                 None => break,
             }
         }
@@ -95,9 +109,9 @@ impl OrderInfo {
         key.iter().zip(self.required.iter()).take_while(|(a, b)| a == b).count()
     }
 
-    /// Whether an order with this key begins with the class of `col` —
-    /// the condition for using it as the sorted side of a merge join on
-    /// `col`.
+    /// Whether an order with this key begins with the class of `col`,
+    /// ascending — the condition for using it as the sorted side of a
+    /// merge join on `col`.
     pub fn leads_with(&self, key: &OrderKey, col: ColId) -> bool {
         match (key.first(), self.class_of(col)) {
             (Some(&k), Some(c)) => k == c,
@@ -173,6 +187,10 @@ mod tests {
         ColId::new(t, c)
     }
 
+    fn asc(cols: &[ColId]) -> Vec<(ColId, bool)> {
+        cols.iter().map(|&c| (c, false)).collect()
+    }
+
     fn equijoin_factor(a: ColId, b: ColId) -> Factor {
         let expr = BExpr::Cmp { op: CompareOp::Eq, left: SExpr::Col(a), right: SExpr::Col(b) };
         let tables = expr.local_tables();
@@ -222,9 +240,9 @@ mod tests {
         let q = query_with(vec![equijoin_factor(col(0, 1), col(1, 0))], vec![]);
         let info = OrderInfo::build(&q);
         // col(0,5) is not interesting → key stops before it.
-        let key = info.order_key(&[col(0, 1), col(0, 5), col(1, 0)]);
+        let key = info.order_key(&asc(&[col(0, 1), col(0, 5), col(1, 0)]));
         assert_eq!(key.len(), 1);
-        assert!(info.order_key(&[col(0, 9)]).is_empty());
+        assert!(info.order_key(&asc(&[col(0, 9)])).is_empty());
     }
 
     #[test]
@@ -232,11 +250,14 @@ mod tests {
         let q = query_with(vec![equijoin_factor(col(0, 1), col(1, 0))], vec![col(0, 1), col(0, 3)]);
         let info = OrderInfo::build(&q);
         // The equivalent column from the other class counts as the prefix.
-        assert_eq!(info.common_prefix_with_required(&info.order_key(&[col(1, 0)])), 1);
+        assert_eq!(info.common_prefix_with_required(&info.order_key(&asc(&[col(1, 0)]))), 1);
         // Full coverage reports the whole requirement.
-        assert_eq!(info.common_prefix_with_required(&info.order_key(&[col(0, 1), col(0, 3)])), 2);
+        assert_eq!(
+            info.common_prefix_with_required(&info.order_key(&asc(&[col(0, 1), col(0, 3)]))),
+            2
+        );
         // A non-leading required column covers nothing.
-        assert_eq!(info.common_prefix_with_required(&info.order_key(&[col(0, 3)])), 0);
+        assert_eq!(info.common_prefix_with_required(&info.order_key(&asc(&[col(0, 3)]))), 0);
         assert_eq!(info.common_prefix_with_required(&OrderKey::new()), 0);
     }
 
@@ -246,13 +267,13 @@ mod tests {
         let info = OrderInfo::build(&q);
         assert_eq!(info.required.len(), 2);
         // A plan ordered on D.DNO (same class as E.DNO) then E.c3 works.
-        let key = info.order_key(&[col(1, 0), col(0, 3)]);
+        let key = info.order_key(&asc(&[col(1, 0), col(0, 3)]));
         assert!(info.satisfies_required(&key));
         // Order on only the first column is not enough.
-        let key = info.order_key(&[col(1, 0)]);
+        let key = info.order_key(&asc(&[col(1, 0)]));
         assert!(!info.satisfies_required(&key));
         // Wrong leading column fails.
-        let key = info.order_key(&[col(0, 3)]);
+        let key = info.order_key(&asc(&[col(0, 3)]));
         assert!(!info.satisfies_required(&key));
     }
 
@@ -291,9 +312,26 @@ mod tests {
     fn leads_with_checks_head_class() {
         let q = query_with(vec![equijoin_factor(col(0, 1), col(1, 0))], vec![]);
         let info = OrderInfo::build(&q);
-        let key = info.order_key(&[col(0, 1)]);
+        let key = info.order_key(&asc(&[col(0, 1)]));
         assert!(info.leads_with(&key, col(1, 0)), "equivalent column leads");
         assert!(!info.leads_with(&key, col(0, 9)));
         assert!(!info.leads_with(&Vec::new(), col(0, 1)));
+    }
+
+    #[test]
+    fn desc_requirement_is_met_only_by_a_desc_key() {
+        let (a, b) = (col(0, 1), col(0, 3));
+        let mut q = query_with(vec![equijoin_factor(a, col(1, 0))], vec![a, b]);
+        q.order_by[1].1 = true;
+        let info = OrderInfo::build(&q);
+        // An ascending order on both columns delivers only the ascending
+        // prefix: a partial sort remains.
+        let ascending = info.order_key(&asc(&[a, b]));
+        assert!(!info.satisfies_required(&ascending));
+        assert_eq!(info.common_prefix_with_required(&ascending), 1);
+        // A sort on the directed keys delivers it.
+        assert!(info.satisfies_required(&info.order_key(&[(a, false), (b, true)])));
+        // A descending order never leads a merge join.
+        assert!(!info.leads_with(&info.order_key(&[(a, true)]), a));
     }
 }

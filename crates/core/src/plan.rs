@@ -56,12 +56,6 @@ pub enum Access {
         eq_prefix: Vec<Operand>,
         range: Option<IndexRange>,
         matching: Vec<usize>,
-        /// Answer from index keys alone, never touching data pages —
-        /// valid when the index key covers every column the query needs
-        /// from this relation. An extension beyond the paper (System R
-        /// indexes carried only TIDs), opt-in via
-        /// `OptimizerConfig::index_only_scans`.
-        index_only: bool,
     },
 }
 
@@ -99,14 +93,15 @@ pub enum PlanNode {
         inner_key: ColId,
         residual: Vec<usize>,
     },
-    /// Sort the input into `keys` order (ascending). `sorted_prefix` is
-    /// the number of leading `keys` columns the input already delivers
-    /// (proved against the input's produced order): `0` sorts the whole
-    /// input through a temporary list; a positive prefix lets the
-    /// executor sort run-at-a-time, spilling only oversized runs.
+    /// Sort the input into `keys` order, each key a `(column,
+    /// descending)` pair. `sorted_prefix` is the number of leading `keys`
+    /// the input already delivers (proved against the input's produced
+    /// order): `0` sorts the whole input through a temporary list; a
+    /// positive prefix lets the executor sort run-at-a-time, spilling only
+    /// oversized runs.
     Sort {
         input: Box<PlanExpr>,
-        keys: Vec<ColId>,
+        keys: Vec<(ColId, bool)>,
         sorted_prefix: usize,
     },
 }
@@ -119,8 +114,9 @@ pub struct PlanExpr {
     pub cost: Cost,
     /// Predicted output cardinality.
     pub rows: f64,
-    /// Produced tuple order (leading sort columns), empty if unordered.
-    pub order: Vec<ColId>,
+    /// Produced tuple order (leading sort columns, each with its
+    /// direction: `true` = descending), empty if unordered.
+    pub order: Vec<(ColId, bool)>,
 }
 
 impl PlanExpr {
@@ -236,7 +232,7 @@ pub(crate) fn node_head(plan: &PlanExpr, query: &BoundQuery, catalog: &Catalog) 
             let tname = table_name(query, s.table);
             match &s.access {
                 Access::Segment => format!("SEGMENT SCAN {tname}"),
-                Access::Index { index, eq_prefix, range, matching, index_only } => {
+                Access::Index { index, eq_prefix, range, matching } => {
                     let iname = catalog
                         .index(*index)
                         .map(|i| i.name.clone())
@@ -257,8 +253,7 @@ pub(crate) fn node_head(plan: &PlanExpr, query: &BoundQuery, catalog: &Catalog) 
                             let _ = write!(probe, " to{}{}", if *incl { "=" } else { "<" }, op);
                         }
                     }
-                    let only = if *index_only { " INDEX-ONLY" } else { "" };
-                    format!("INDEX SCAN{only} {tname} via {iname}{probe} matching={matching:?}")
+                    format!("INDEX SCAN {tname} via {iname}{probe} matching={matching:?}")
                 }
             }
         }
@@ -267,7 +262,10 @@ pub(crate) fn node_head(plan: &PlanExpr, query: &BoundQuery, catalog: &Catalog) 
             format!("MERGE JOIN on {outer_key}={inner_key} residual={residual:?}")
         }
         PlanNode::Sort { keys, sorted_prefix, .. } => {
-            let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+            let keys: Vec<String> = keys
+                .iter()
+                .map(|&(k, desc)| if desc { format!("{k} DESC") } else { k.to_string() })
+                .collect();
             let prefix = if *sorted_prefix > 0 {
                 format!(" (prefix={sorted_prefix})")
             } else {
@@ -345,12 +343,12 @@ mod tests {
         let s = PlanExpr {
             node: PlanNode::Sort {
                 input: Box::new(scan(1)),
-                keys: vec![ColId::new(1, 0)],
+                keys: vec![(ColId::new(1, 0), true)],
                 sorted_prefix: 0,
             },
             cost: Cost::ZERO,
             rows: 1.0,
-            order: vec![ColId::new(1, 0)],
+            order: vec![(ColId::new(1, 0), true)],
         };
         assert_eq!(s.tables().iter().collect::<Vec<_>>(), vec![1]);
         assert_eq!(s.join_count(), 0);

@@ -328,19 +328,15 @@ impl BoundQuery {
         out
     }
 
-    /// The order the *plan* must deliver rows in, if any: GROUP BY
-    /// dominates (grouping is streamed over sorted rows); otherwise an
-    /// all-ascending ORDER BY can be satisfied by an access path. A
-    /// descending ORDER BY is handled by an explicit final sort instead
-    /// (our B-tree scans are ascending-only).
-    pub fn required_order(&self) -> Vec<ColId> {
+    /// The order the *plan* must deliver rows in (§4's interesting order
+    /// of the block): the GROUP BY keys ascending, since grouping streams
+    /// over sorted rows, or else the ORDER BY keys with their directions
+    /// (`true` = DESC). Empty when the block has neither clause.
+    pub fn required_order(&self) -> Vec<(ColId, bool)> {
         if !self.group_by.is_empty() {
-            return self.group_by.clone();
+            return self.group_by.iter().map(|&c| (c, false)).collect();
         }
-        if !self.order_by.is_empty() && self.order_by.iter().all(|(_, desc)| !desc) {
-            return self.order_by.iter().map(|&(c, _)| c).collect();
-        }
-        Vec::new()
+        self.order_by.clone()
     }
 }
 
@@ -421,10 +417,10 @@ mod tests {
             subqueries: vec![],
             aggregated: false,
         };
-        assert_eq!(q.required_order(), vec![ColId::new(0, 1)]);
-        q.order_by[0].1 = true; // DESC → final sort, no plan order
-        assert!(q.required_order().is_empty());
+        assert_eq!(q.required_order(), vec![(ColId::new(0, 1), false)]);
+        q.order_by[0].1 = true; // DESC is required too, with its direction
+        assert_eq!(q.required_order(), vec![(ColId::new(0, 1), true)]);
         q.group_by = vec![ColId::new(0, 0)];
-        assert_eq!(q.required_order(), vec![ColId::new(0, 0)]);
+        assert_eq!(q.required_order(), vec![(ColId::new(0, 0), false)]);
     }
 }

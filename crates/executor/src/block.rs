@@ -1,6 +1,8 @@
 //! Block-level execution: run a [`QueryPlan`], then apply projection,
-//! aggregation, DISTINCT, and ORDER BY; manage subquery evaluation with
-//! §6's once/memoized discipline.
+//! aggregation, DISTINCT, and the ORDER BY of grouped output; manage
+//! subquery evaluation with §6's once/memoized discipline. Rows leave the
+//! plan tree in the block's required order (GROUP BY, or ORDER BY with its
+//! directions), which the optimizer priced; this layer sorts no rows.
 
 #![expect(
     clippy::indexing_slicing,
@@ -249,22 +251,13 @@ pub fn execute_block_at(
         return Ok(Vec::new());
     }
 
-    let mut rows = exec_node(&mut rt, &plan.root, base_id)?;
+    let rows = exec_node(&mut rt, &plan.root, base_id)?;
 
     if q.aggregated {
         return aggregate_output(&mut rt, rows);
     }
 
-    // ---- ORDER BY (on base rows, before projection) ------------------------
-    if !q.order_by.is_empty() && !rows_sorted(&rows, &q.order_by) {
-        // Normally the plan already delivers the required order; this is
-        // the DESC / defensive path (in-memory, no I/O charged — the
-        // optimizer charged no sort either when it believed the order was
-        // free).
-        rows.sort_by(|a, b| cmp_rows(a, b, &q.order_by));
-    }
-
-    // ---- projection ---------------------------------------------------------
+    // ---- projection (rows arrive in ORDER BY order) -------------------------
     let mut out = Vec::with_capacity(rows.len());
     for row in &rows {
         out.push(rt.project(row)?);
@@ -307,21 +300,17 @@ pub fn execute_victims(env: &ExecEnv<'_>, plan: &QueryPlan) -> ExecResult<Vec<(R
 }
 
 /// Grouped / aggregated output path.
-fn aggregate_output(rt: &mut BlockRt<'_>, mut rows: Vec<Row>) -> ExecResult<Vec<Tuple>> {
+fn aggregate_output(rt: &mut BlockRt<'_>, rows: Vec<Row>) -> ExecResult<Vec<Tuple>> {
     // Copy the plan reference out of `rt` so select expressions can be
     // borrowed while `rt` is mutably lent to evaluation.
     let plan = rt.plan;
     let q = &plan.query;
     let group_keys: Vec<(ColId, bool)> = q.group_by.iter().map(|&c| (c, false)).collect();
-    if !group_keys.is_empty() && !rows_sorted(&rows, &group_keys) {
-        // The plan normally delivers GROUP BY order (interesting order or
-        // explicit sort); defensive fallback.
-        rows.sort_by(|a, b| cmp_rows(a, b, &group_keys));
-    }
 
-    // Partition into groups of equal GROUP BY values. With no GROUP BY the
-    // whole input is one group — including the empty input, which still
-    // yields one row (COUNT(*) = 0).
+    // Partition into groups of equal GROUP BY values; the plan delivers
+    // the rows in GROUP BY order. With no GROUP BY the whole input is one
+    // group — including the empty input, which still yields one row
+    // (COUNT(*) = 0).
     let mut groups: Vec<&[Row]> = Vec::new();
     if group_keys.is_empty() {
         groups.push(&rows[..]);
@@ -337,9 +326,11 @@ fn aggregate_output(rt: &mut BlockRt<'_>, mut rows: Vec<Row>) -> ExecResult<Vec<
         }
     }
 
-    // ORDER BY over groups: the validated grammar restricts ORDER BY
-    // columns of an aggregated query to GROUP BY columns, so each group's
-    // first row carries the key.
+    // ORDER BY over groups, after aggregation: the validated grammar
+    // restricts ORDER BY columns of an aggregated query to GROUP BY
+    // columns, so each group's first row carries the key. This orders the
+    // group list, one entry per output row; the rows themselves came
+    // sorted from the plan.
     let mut group_list: Vec<&[Row]> = groups;
     if !q.order_by.is_empty() && !group_keys.is_empty() {
         group_list.sort_by(|a, b| cmp_rows(&a[0], &b[0], &q.order_by));
@@ -360,10 +351,11 @@ fn aggregate_output(rt: &mut BlockRt<'_>, mut rows: Vec<Row>) -> ExecResult<Vec<
 }
 
 /// Execute only the root block's plan tree and report whether the rows
-/// it produces arrive sorted on `keys`. This is the audit's
-/// executor-side order check: it reads the rows *below* the block
-/// layer, whose defensive ORDER BY re-sort above would mask a
-/// misordering Sort node — exactly the bug being checked for.
+/// it produces arrive sorted on `keys` (`(column, descending)` pairs).
+/// This is the audit's executor-side check of the directed required
+/// order: the block layer passes the plan's rows on in the order they
+/// come, so a misordering Sort node or a fabricated index order would
+/// reach the result.
 pub fn root_rows_sorted(
     env: &ExecEnv<'_>,
     plan: &QueryPlan,

@@ -12,7 +12,7 @@
     reason = "plan interpreter: table/factor ids index arrays sized from the same plan; group slices come from an in-bounds scan"
 )]
 
-use crate::block::{BlockRt, ExecEnv};
+use crate::block::BlockRt;
 use crate::error::{ExecError, ExecResult};
 use crate::eval::{eval_bexpr, resolve_operand};
 use crate::row::{combine, empty_row, flatten, row_value, Row};
@@ -90,7 +90,7 @@ fn exec_node_inner(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResu
             // its measurement window) is the paper's join semantics and
             // stays tuple-at-a-time; each probe drains its scan in batches.
             // A segment-scan inner remembers each binding's answer.
-            let mut probe = ScanProbe::new(rt.env, rt.plan, inner_scan)?.remembering();
+            let mut probe = ScanProbe::new(rt.plan, inner_scan).remembering();
             for orow in outer_rows {
                 rt.trace_enter(inner_id);
                 let before = out.len();
@@ -173,10 +173,10 @@ fn exec_node_inner(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResu
     }
 }
 
-/// Order `rows` on `keys`, exploiting the optimizer-proved fact that the
-/// input already arrives ordered on the first `sorted_prefix` key columns
-/// (the `order-produced` audit invariant re-checks the claim against the
-/// input's produced order).
+/// Order `rows` on `keys` (`(column, descending)` pairs), exploiting the
+/// optimizer-proved fact that the input already arrives ordered on the
+/// first `sorted_prefix` keys (the `order-produced` audit invariant
+/// re-checks the claim against the input's produced order).
 ///
 /// * `sorted_prefix == keys.len()`: the input order covers the whole key —
 ///   pass through with zero temp I/O.
@@ -194,15 +194,12 @@ fn exec_node_inner(rt: &mut BlockRt<'_>, plan: &PlanExpr, id: usize) -> ExecResu
 fn exec_sort(
     rt: &mut BlockRt<'_>,
     mut rows: Vec<Row>,
-    keys: &[ColId],
+    keys: &[(ColId, bool)],
     sorted_prefix: usize,
 ) -> ExecResult<Vec<Row>> {
     let prefix = sorted_prefix.min(keys.len());
     debug_assert!(
-        {
-            let pre: Vec<_> = keys[..prefix].iter().map(|&k| (k, false)).collect();
-            crate::row::rows_sorted(&rows, &pre)
-        },
+        crate::row::rows_sorted(&rows, &keys[..prefix]),
         "sort input must arrive ordered on the claimed prefix"
     );
     if prefix == keys.len() {
@@ -244,8 +241,8 @@ fn exec_sort(
 /// of the segmented sort). NULL equals NULL here: the prefix columns come
 /// from the input's produced order, where equal sort position is what
 /// defines a run.
-fn prefix_equal(a: &Row, b: &Row, cols: &[ColId]) -> bool {
-    cols.iter().all(|&c| row_value(a, c) == row_value(b, c))
+fn prefix_equal(a: &Row, b: &Row, keys: &[(ColId, bool)]) -> bool {
+    keys.iter().all(|&(c, _)| row_value(a, c) == row_value(b, c))
 }
 
 /// Pre-order child ids of a join node; their absence means the plan tree
@@ -264,7 +261,7 @@ fn join_child_ids(plan: &PlanExpr, id: usize) -> ExecResult<(usize, usize)> {
 /// row that survives the SARGs and the residual factors is handed over
 /// with its RID.
 pub fn scan_into<S: RowSink>(rt: &mut BlockRt<'_>, scan: &ScanPlan, out: &mut S) -> ExecResult<()> {
-    ScanProbe::new(rt.env, rt.plan, scan)?.run(rt, None, out)
+    ScanProbe::new(rt.plan, scan).run(rt, None, out)
 }
 
 /// One scan node's OPEN arguments, built once per nested-loop join (or
@@ -360,9 +357,6 @@ struct IndexProbe<'p> {
     /// Key operands bound at OPEN, with their positions in the start
     /// and/or stop key.
     key_slots: Vec<(Option<usize>, Option<usize>, &'p Operand)>,
-    /// For an index-only scan: the key columns' positions in the relation
-    /// and the relation's arity, to widen key tuples.
-    index_only: Option<(Vec<usize>, usize)>,
 }
 
 /// A plan-time literal's value; an operand bound at OPEN gets a NULL
@@ -379,7 +373,7 @@ fn bound_at_open(op: &Operand) -> bool {
 }
 
 impl<'p> ScanProbe<'p> {
-    fn new(env: &ExecEnv<'_>, plan: &'p QueryPlan, scan: &'p ScanPlan) -> ExecResult<Self> {
+    fn new(plan: &'p QueryPlan, scan: &'p ScanPlan) -> Self {
         let mut sarg_slots = Vec::new();
         let mut factors = Vec::with_capacity(scan.sargs.len());
         for (f, sf) in scan.sargs.iter().enumerate() {
@@ -400,10 +394,10 @@ impl<'p> ScanProbe<'p> {
             }
             factors.push(SargExpr { disjuncts });
         }
-        let mut sargs = SegmentSargs::from(SargList { factors });
+        let sargs = SegmentSargs::from(SargList { factors });
         let index = match &scan.access {
             Access::Segment => None,
-            Access::Index { index, eq_prefix, range, index_only, .. } => {
+            Access::Index { index, eq_prefix, range, .. } => {
                 let mut key_slots = Vec::new();
                 let mut start: Vec<Value> = Vec::with_capacity(eq_prefix.len() + 1);
                 for (i, op) in eq_prefix.iter().enumerate() {
@@ -432,47 +426,16 @@ impl<'p> ScanProbe<'p> {
                         stop_incl = *incl;
                     }
                 }
-                let index_only = if *index_only {
-                    // The scan returns bare key tuples: remap SARG column
-                    // positions onto key positions; `run` rebuilds
-                    // full-arity tuples with the key columns placed and
-                    // NULLs elsewhere (the optimizer proved nothing else
-                    // is referenced).
-                    let key_cols = env.storage.index(*index)?.key_cols.clone();
-                    for pred in
-                        sargs.list.factors.iter_mut().flat_map(|e| e.disjuncts.iter_mut()).flatten()
-                    {
-                        pred.col =
-                            key_cols.iter().position(|&k| k == pred.col).ok_or_else(|| {
-                                ExecError::Internal(format!(
-                                    "index-only scan references non-key column {}",
-                                    pred.col
-                                ))
-                            })?;
-                    }
-                    // The relation's true arity, not the key width:
-                    // guessing `key_cols.len()` here would silently build
-                    // short tuples whose non-key columns vanish instead of
-                    // reading NULL.
-                    let rel = plan.query.tables[scan.table].rel;
-                    let arity = env.catalog.relation(rel).map(|r| r.arity()).ok_or_else(|| {
-                        ExecError::Internal(format!("index-only scan over unknown relation {rel}"))
-                    })?;
-                    Some((key_cols, arity))
-                } else {
-                    None
-                };
                 Some(IndexProbe {
                     id: *index,
                     start: (!start.is_empty()).then_some(start),
                     stop: (!stop.is_empty()).then_some((stop, stop_incl)),
                     key_slots,
-                    index_only,
                 })
             }
         };
         let residuals = scan.residual.iter().map(|&f| &plan.query.factors[f].expr).collect();
-        Ok(ScanProbe { scan, residuals, sargs, sarg_slots, index, memo: None })
+        ScanProbe { scan, residuals, sargs, sarg_slots, index, memo: None }
     }
 
     /// Remember each binding's answer when the scan is a segment scan with
@@ -520,7 +483,7 @@ impl<'p> ScanProbe<'p> {
             let residuals = &self.residuals;
             let Some(memo) = &mut self.memo else {
                 let mut s = SegmentScan::reopen(storage, seg, rel, sargs, None);
-                drain(rt, &mut s, base, table, residuals, out, |batch| batch)?;
+                drain(rt, &mut s, base, table, residuals, out, |_| {})?;
                 self.sargs = s.into_sargs();
                 return Ok(());
             };
@@ -528,15 +491,13 @@ impl<'p> ScanProbe<'p> {
                 Found::Hit(rids) => {
                     let mut s =
                         SegmentScan::reopen(storage, seg, rel, sargs, Some(&memo.rids[rids]));
-                    drain(rt, &mut s, base, table, residuals, out, |batch| batch)?;
+                    drain(rt, &mut s, base, table, residuals, out, |_| {})?;
                     s.into_sargs()
                 }
                 Found::Miss { hash, key_start, rids_start } => {
                     let mut s = SegmentScan::reopen(storage, seg, rel, sargs, None);
-                    let record = |batch: Batch| {
-                        memo.rids.extend(batch.iter().map(|&(rid, _)| rid));
-                        batch
-                    };
+                    let record =
+                        |batch: &Batch| memo.rids.extend(batch.iter().map(|&(rid, _)| rid));
                     drain(rt, &mut s, base, table, residuals, out, record)?;
                     memo.insert(hash, key_start, rids_start);
                     s.into_sargs()
@@ -546,33 +507,15 @@ impl<'p> ScanProbe<'p> {
         };
         let sargs = std::mem::take(&mut self.sargs.list);
         let mut s = IndexScan::open(storage, ix.id, ix.start.take(), ix.stop.take(), sargs);
-        match &ix.index_only {
-            None => drain(rt, &mut s, base, table, &self.residuals, out, |batch| batch)?,
-            Some((key_cols, arity)) => {
-                s = s.index_only();
-                let widen = |batch: Batch| {
-                    batch
-                        .into_iter()
-                        .map(|(rid, key_tuple)| {
-                            let mut values = vec![Value::Null; *arity];
-                            for (&kc, v) in key_cols.iter().zip(key_tuple.into_values()) {
-                                values[kc] = v;
-                            }
-                            (rid, Tuple::new(values))
-                        })
-                        .collect()
-                };
-                drain(rt, &mut s, base, table, &self.residuals, out, widen)?;
-            }
-        }
+        drain(rt, &mut s, base, table, &self.residuals, out, |_| {})?;
         (ix.start, ix.stop, self.sargs.list) = s.into_parts();
         Ok(())
     }
 }
 
-/// Drain an open scan, attaching each tuple (after `widen`) in slot
-/// `table` of the base row and applying the residual factors above the
-/// RSI. A tuple is tested in place in `base`, so a rejected one costs no
+/// Drain an open scan, showing each batch to `tap` (the probe memo
+/// records its RIDs there), attaching each tuple in slot `table` of the
+/// base row and applying the residual factors above the RSI. A tuple is tested in place in `base`, so a rejected one costs no
 /// row copy; the newest accepted one waits there until the next is
 /// accepted or the scan ends. Every accepted tuple but the last gets a
 /// copy of `base`, and the last takes `base` itself — a probe with one
@@ -584,7 +527,7 @@ fn drain<S: RowSink>(
     table: usize,
     residuals: &[&BExpr],
     out: &mut S,
-    mut widen: impl FnMut(Batch) -> Batch,
+    mut tap: impl FnMut(&Batch),
 ) -> ExecResult<()> {
     let mut pending: Option<Rid> = None;
     loop {
@@ -593,7 +536,8 @@ fn drain<S: RowSink>(
             break;
         }
         out.reserve(batch.len());
-        'tuples: for (rid, tuple) in widen(batch) {
+        tap(&batch);
+        'tuples: for (rid, tuple) in batch {
             let held = base[table].replace(tuple);
             for e in residuals {
                 if !eval_bexpr(rt, &base, e)? {

@@ -295,25 +295,6 @@ fn correlated_subquery_memo_tells_colliding_bindings_apart() {
 }
 
 #[test]
-fn index_only_plan_shape_observed() {
-    let mut db = Db::new();
-    let a = db.table(
-        "A",
-        vec![("K", ColType::Int), ("PAD", ColType::Str)],
-        (0..3000).map(|i| tuple![i, format!("p{i:050}")]).collect(),
-    );
-    db.index("A_K", a, vec![0], true);
-    db.analyze();
-    let config = OptimizerConfig { index_only_scans: true, ..OptimizerConfig::default() };
-    db.storage.reset_io_stats();
-    db.storage.evict_all().unwrap();
-    let (rows, explain) = db.run_with("SELECT K FROM A WHERE K < 100 ORDER BY K", config);
-    assert!(explain.contains("INDEX-ONLY"), "{explain}");
-    assert_eq!(ints(&rows, 0), (0..100).collect::<Vec<_>>());
-    assert_eq!(db.storage.io_stats().data_page_fetches, 0);
-}
-
-#[test]
 fn sort_read_back_error_destroys_temp_list() {
     // A sort whose temp-list read-back hits an I/O error must still
     // destroy the list (the scope guard runs on the error path too):
@@ -344,40 +325,6 @@ fn sort_read_back_error_destroys_temp_list() {
     let io = db.storage.io_stats();
     assert!(io.temp_lists_created > 0, "the sort must have materialized a list: {io}");
     assert_eq!(io.temp_lists_leaked(), 0, "error path leaked a temp list: {io}");
-}
-
-#[test]
-fn index_only_scan_over_missing_relation_is_an_error() {
-    // Plan an index-only scan against the real catalog, then execute it
-    // against an empty one (a stale cached plan after a drop). The
-    // executor needs the relation's true arity to widen key tuples; it
-    // must fail loudly rather than guess the key width and build short
-    // tuples whose non-key columns silently vanish.
-    let mut db = Db::new();
-    let a = db.table(
-        "A",
-        vec![("K", ColType::Int), ("PAD", ColType::Str)],
-        (0..3000).map(|i| tuple![i, format!("p{i:050}")]).collect(),
-    );
-    db.index("A_K", a, vec![0], true);
-    db.analyze();
-    let config = OptimizerConfig { index_only_scans: true, ..OptimizerConfig::default() };
-    let Statement::Select(stmt) =
-        parse_statement("SELECT K FROM A WHERE K < 100 ORDER BY K").unwrap()
-    else {
-        panic!()
-    };
-    let bound = bind_select(&db.catalog, &stmt).unwrap();
-    let optimizer = Optimizer::with_config(&db.catalog, config);
-    let plan = optimizer.optimize_bound(&bound);
-    assert!(plan.explain(&db.catalog).contains("INDEX-ONLY"));
-    let empty = Catalog::new();
-    let env = ExecEnv::new(&db.storage, &empty);
-    let err = execute(&env, &plan).unwrap_err();
-    assert!(
-        format!("{err}").contains("index-only scan over unknown relation"),
-        "expected an arity-resolution error, got: {err}"
-    );
 }
 
 /// A table whose unindexed-suffix ORDER BY exercises the segmented sort:

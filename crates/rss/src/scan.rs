@@ -260,9 +260,6 @@ pub struct IndexScan<'a> {
     cursor: Option<LeafPos>,
     current_leaf: Option<u32>,
     opened: bool,
-    /// When false, the scan returns index entries without fetching the data
-    /// tuple (used when every needed column is in the key — "index-only").
-    fetch_data: bool,
     /// See [`SegmentScan::batch_hint`].
     batch_hint: usize,
 }
@@ -291,7 +288,6 @@ impl<'a> IndexScan<'a> {
             cursor: None,
             current_leaf: None,
             opened: false,
-            fetch_data: true,
             batch_hint: 0,
         }
     }
@@ -304,13 +300,6 @@ impl<'a> IndexScan<'a> {
         sargs: impl Into<SargList>,
     ) -> Self {
         Self::open(storage, index, Some(prefix.clone()), Some((prefix, true)), sargs)
-    }
-
-    /// Disable data-page fetches; the scan then returns the key columns as
-    /// the tuple.
-    pub fn index_only(mut self) -> Self {
-        self.fetch_data = false;
-        self
     }
 
     /// CLOSE, handing back the start key, stop key and SARG list so the
@@ -372,13 +361,8 @@ impl<'a> IndexScan<'a> {
                 self.cursor = None;
                 return Ok(());
             }
-            let key_owned: Vec<Value> = if self.fetch_data { Vec::new() } else { key.to_vec() };
             self.cursor = entry.tree.next_pos(pos)?;
-            let tuple = if self.fetch_data {
-                storage.fetch(entry.segment, entry.rel_id, rid)?
-            } else {
-                Tuple::new(key_owned)
-            };
+            let tuple = storage.fetch(entry.segment, entry.rel_id, rid)?;
             if self.sargs.eval(&tuple) {
                 out.push((rid, tuple));
             }
@@ -559,18 +543,6 @@ mod tests {
         // Full scan: every leaf once, plus the root-to-leftmost-leaf path.
         let expected = tree.leaf_page_count() as u64 + (tree.height().unwrap() as u64 - 1);
         assert_eq!(stats.index_page_fetches, expected);
-    }
-
-    #[test]
-    fn index_only_scan_skips_data_pages() {
-        let (mut st, seg) = setup(500, false);
-        let idx = st.create_index(seg, 1, vec![0], true).unwrap();
-        st.reset_io_stats();
-        let mut scan = IndexScan::open_full(&st, idx, SargExpr::always_true()).index_only();
-        let rows = scan.collect_all().unwrap();
-        assert_eq!(rows.len(), 500);
-        assert_eq!(st.io_stats().data_page_fetches, 0);
-        assert!(st.io_stats().index_page_fetches > 0);
     }
 
     #[test]

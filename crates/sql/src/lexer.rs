@@ -12,8 +12,10 @@ use std::fmt;
 pub enum TokenKind {
     /// Identifier or keyword, upper-cased.
     Ident(String),
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal: the digits' magnitude. The parser applies a
+    /// leading minus sign and the `i64` range, so `-9223372036854775808`
+    /// (`i64::MIN`, one past `i64::MAX` in magnitude) can be written.
+    Int(u64),
     /// Floating literal.
     Float(f64),
     /// String literal (quotes stripped, escapes resolved).

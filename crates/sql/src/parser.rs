@@ -241,12 +241,19 @@ impl Parser {
 
     fn expect_int(&mut self, what: &str) -> Result<i64, ParseError> {
         match self.peek().kind {
-            TokenKind::Int(i) => {
+            TokenKind::Int(u) => {
+                let i = self.int_in_range(u)?;
                 self.advance();
                 Ok(i)
             }
             _ => Err(self.error(format!("expected integer {what}"))),
         }
+    }
+
+    /// An unsigned integer literal as an `i64`, or a typed error past
+    /// `i64::MAX`.
+    fn int_in_range(&self, u: u64) -> Result<i64, ParseError> {
+        i64::try_from(u).map_err(|_| self.error(format!("integer literal {u} out of range")))
     }
 
     fn insert(&mut self) -> Result<Statement, ParseError> {
@@ -531,10 +538,22 @@ impl Parser {
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.peek_is(&TokenKind::Minus) {
             self.advance();
+            // A minus sign directly before an integer literal negates its
+            // magnitude, which reaches one past `i64::MAX`:
+            // `-9223372036854775808` is `i64::MIN`.
+            if let TokenKind::Int(u) = self.peek().kind {
+                let i = 0i64
+                    .checked_sub_unsigned(u)
+                    .ok_or_else(|| self.error(format!("integer literal -{u} out of range")))?;
+                self.advance();
+                return Ok(Expr::Literal(Value::Int(i)));
+            }
             let inner = self.unary()?;
-            // Fold negation of literals immediately: `-5` is a literal.
+            // Fold negation of literals immediately: `-(5)` is a literal.
+            // Negation wraps, as the executor's does: `-(i64::MIN)` is
+            // `i64::MIN`.
             return Ok(match inner {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
+                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(i.wrapping_neg())),
                 Expr::Literal(Value::Float(x)) => Expr::Literal(Value::Float(-x)),
                 other => Expr::Neg(Box::new(other)),
             });
@@ -544,7 +563,8 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
         match self.peek().kind.clone() {
-            TokenKind::Int(i) => {
+            TokenKind::Int(u) => {
+                let i = self.int_in_range(u)?;
                 self.advance();
                 Ok(Expr::Literal(Value::Int(i)))
             }
@@ -839,6 +859,21 @@ mod tests {
             assert_eq!(parse_statement(text).unwrap(), inner, "{text:?}");
         }
         assert_eq!(parse_one("SELECT A FROM T;").unwrap().0, "SELECT A FROM T");
+    }
+
+    #[test]
+    fn integer_literals_span_the_i64_range() {
+        let lit = |src: &str| {
+            let s = sel(&format!("SELECT A FROM T WHERE A = {src}"));
+            let Some(Expr::Compare { right, .. }) = s.where_clause else { panic!("{src}") };
+            *right
+        };
+        assert_eq!(lit("-9223372036854775808"), Expr::Literal(Value::Int(i64::MIN)));
+        assert_eq!(lit("9223372036854775807"), Expr::Literal(Value::Int(i64::MAX)));
+        assert_eq!(lit("-(-9223372036854775808)"), Expr::Literal(Value::Int(i64::MIN)));
+        for bad in ["9223372036854775808", "-9223372036854775809", "18446744073709551616"] {
+            assert!(parse_statement(&format!("SELECT A FROM T WHERE A = {bad}")).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use common::fig1_db;
 use sysr_audit::workloads::{employee_db, FIG1_SQL};
 use system_r::core::{Optimizer, PlanExpr, PlanNode};
 use system_r::sql::{parse_statement, Statement};
-use system_r::Database;
+use system_r::{tuple, Database};
 
 /// Queries covering every operator: segment scan, index scan, nested
 /// loops, merging scans with sort, uncorrelated and correlated subqueries.
@@ -212,6 +212,46 @@ fn explain_analyze_partial_sort_golden() {
     assert!(!sort_line.contains("prefix="), "no prefix exists for (SAL, DNO):\n{full}");
     let (fetched, written) = temp_io(sort_line);
     assert!(written > 0 && fetched == written, "full sort must spill and read back:\n{full}");
+}
+
+#[test]
+fn order_by_desc_is_a_priced_sort() {
+    // No ascending scan produces K DESC: the plan ends in a Sort by K DESC
+    // whose cost is part of the prediction, and the sort's temp pages are
+    // measured on its own node.
+    let mut db = Database::new();
+    db.execute("CREATE TABLE T (K INTEGER, PAD VARCHAR(40))").unwrap();
+    db.insert_rows("T", (0..5000).map(|i| tuple![i, format!("p{i:038}")])).unwrap();
+    db.execute("CREATE CLUSTERED INDEX T_K ON T (K)").unwrap();
+    db.execute("UPDATE STATISTICS").unwrap();
+    let sql = "SELECT K FROM T WHERE K < 5 ORDER BY K DESC";
+
+    let plan = db.plan(sql).unwrap();
+    let text = plan.explain(db.catalog());
+    let PlanNode::Sort { input, sorted_prefix: 0, .. } = &plan.root.node else {
+        panic!("DESC must be a full Sort at the root:\n{text}")
+    };
+    assert!(text.contains("SORT by [t0.c0 DESC]"), "{text}");
+    assert!(plan.root.cost.pages > input.cost.pages, "the sort is priced:\n{text}");
+    assert_eq!(plan.predicted, plan.root.cost, "the sort's cost is in the prediction");
+
+    let (result, measurements, delta) = db.execute_plan_traced(&plan).unwrap();
+    let keys: Vec<i64> = result.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(keys, vec![4, 3, 2, 1, 0]);
+    let mut sum = system_r::rss::IoStats::default();
+    for m in measurements.values() {
+        sum += m.io;
+    }
+    assert_eq!(sum, delta, "per-node I/O, temp pages included, must partition the delta");
+    let sort = measurements[&0].io;
+    assert!(sort.temp_pages_written > 0, "the sort spills to its temp list: {sort:?}");
+    assert_eq!(sort.temp_page_fetches, delta.temp_page_fetches, "temp I/O lands on the sort");
+
+    let analyzed = db.explain_analyze(sql).unwrap();
+    let sort_line = analyzed.lines().find(|l| l.contains("SORT")).expect("sort node");
+    assert!(sort_line.contains("DESC"), "{analyzed}");
+    let (fetched, written) = temp_io(sort_line);
+    assert!(written > 0 && fetched == written, "temp I/O on the sort node:\n{analyzed}");
 }
 
 #[test]

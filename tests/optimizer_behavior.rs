@@ -101,8 +101,9 @@ fn interesting_order_avoids_sort_when_cheap() {
         "clustered index order should be used: {}",
         plan.explain(db.catalog())
     );
-    // DESC cannot come from our ascending scans; the executor sorts, and
-    // results must still be correct.
+    // DESC cannot come from an ascending index scan: the plan ends in a
+    // priced Sort by K DESC over the clustered range, and the rows come
+    // back in that order.
     let r = db.query("SELECT K FROM T WHERE K < 5 ORDER BY K DESC").unwrap();
     assert_eq!(common::int_column(&r.rows, 0), vec![4, 3, 2, 1, 0]);
 }
@@ -231,65 +232,6 @@ fn probe_values_bound_at_execution() {
         "probes must not scan all {big_pages} data pages (got {})",
         io.data_page_fetches
     );
-}
-
-#[test]
-fn index_only_scan_skips_data_pages_when_enabled() {
-    let build = |index_only: bool| {
-        let mut db = Database::with_config(Config {
-            index_only_scans: index_only,
-            buffer_pages: 16,
-            ..Config::default()
-        });
-        db.execute("CREATE TABLE T (K INTEGER, GRP INTEGER, PAD VARCHAR(60))").unwrap();
-        db.insert_rows(
-            "T",
-            (0..8000).map(|i| tuple![scatter(i, 8000), i % 40, format!("p{i:056}")]),
-        )
-        .unwrap();
-        db.execute("CREATE UNIQUE INDEX T_K ON T (K)").unwrap();
-        db.execute("UPDATE STATISTICS").unwrap();
-        db
-    };
-    // The query touches only K, which the index covers.
-    let sql = "SELECT K FROM T WHERE K BETWEEN 100 AND 2000 ORDER BY K";
-
-    let db = build(true);
-    let plan = db.plan(sql).unwrap();
-    let text = plan.explain(db.catalog());
-    assert!(text.contains("INDEX-ONLY"), "{text}");
-    db.evict_buffers().unwrap();
-    db.reset_io_stats();
-    let r = db.query(sql).unwrap();
-    assert_eq!(r.len(), 1901);
-    assert_eq!(common::int_column(&r.rows, 0)[0], 100);
-    let io = db.io_stats();
-    assert_eq!(io.data_page_fetches, 0, "index-only scan must not touch data pages");
-    assert!(io.index_page_fetches > 0);
-
-    // Off (the paper's behavior): data pages are fetched per tuple.
-    let db = build(false);
-    let plan = db.plan(sql).unwrap();
-    assert!(!plan.explain(db.catalog()).contains("INDEX-ONLY"));
-    db.evict_buffers().unwrap();
-    db.reset_io_stats();
-    let r2 = db.query(sql).unwrap();
-    assert_eq!(r2.rows, r.rows, "results identical either way");
-    assert!(db.io_stats().data_page_fetches > 0);
-}
-
-#[test]
-fn index_only_not_used_when_query_needs_other_columns() {
-    let mut db = Database::with_config(Config { index_only_scans: true, ..Config::default() });
-    db.execute("CREATE TABLE T (K INTEGER, PAD VARCHAR(30))").unwrap();
-    db.insert_rows("T", (0..2000).map(|i| tuple![i, format!("p{i:027}")])).unwrap();
-    db.execute("CREATE UNIQUE INDEX T_K ON T (K)").unwrap();
-    db.execute("UPDATE STATISTICS").unwrap();
-    // PAD is not in the key: must fetch data pages.
-    let plan = db.plan("SELECT PAD FROM T WHERE K = 7").unwrap();
-    assert!(!plan.explain(db.catalog()).contains("INDEX-ONLY"));
-    let r = db.query("SELECT PAD FROM T WHERE K = 7").unwrap();
-    assert_eq!(r.rows[0][0].as_str().unwrap(), format!("p{:027}", 7));
 }
 
 #[test]

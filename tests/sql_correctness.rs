@@ -77,6 +77,37 @@ fn integer_negation_wraps_at_the_minimum() {
 }
 
 #[test]
+fn i64_min_is_a_literal() {
+    // The literal's magnitude is one past i64::MAX; with its minus sign it
+    // stores and matches i64::MIN.
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE T (K INTEGER, V INTEGER);
+         INSERT INTO T VALUES (-9223372036854775808, 1), (0, 2);",
+    )
+    .unwrap();
+    let r = db.query("SELECT K, V FROM T WHERE K = -9223372036854775808").unwrap();
+    assert_eq!(r.rows, vec![tuple![i64::MIN, 1]]);
+}
+
+#[test]
+fn i64_min_magnitude_alone_is_a_parse_error() {
+    let err = Database::new().query("SELECT 9223372036854775808 FROM T").unwrap_err();
+    assert!(matches!(err, system_r::DbError::Parse(_)), "{err}");
+    assert!(err.to_string().contains("out of range"), "{err}");
+}
+
+#[test]
+fn negated_i64_min_literal_wraps() {
+    // Negation folds at parse time and wraps like the executor's, so this
+    // is i64::MIN, not an overflow panic in a debug build.
+    let r = min_int_db().query("SELECT V FROM T WHERE K = -(-9223372036854775808)").unwrap();
+    assert_eq!(r.rows, vec![tuple![1]]);
+    let r = min_int_db().query("SELECT -(-9223372036854775808) FROM T").unwrap();
+    assert_eq!(r.rows, vec![tuple![i64::MIN]]);
+}
+
+#[test]
 fn insert_and_update_agree_on_constant_arithmetic() {
     // INSERT folds its VALUES with the executor's arithmetic: Int ⊕ Int
     // stays exact beyond 2^53, and NULL propagates.
